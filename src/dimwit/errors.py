@@ -10,7 +10,7 @@ class NotHermitianError(DimwitError):
 
 
 class NoConvergenceError(DimwitError):
-    """Iterative solver exhausted its sweep limit."""
+    """An eigensolve did not converge, or every see-saw restart aborted."""
 
 
 class NotPSDError(DimwitError):

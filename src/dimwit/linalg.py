@@ -1,9 +1,8 @@
 """Dense complex Hermitian linear algebra sized for local dimensions up to ~16.
 
-Everything here is a pure function on immutable inputs; the eigensolver is a
-cyclic Jacobi sweep chosen for robustness at these tiny sizes rather than
-speed at scale.  The sweep kernel is compiled with numba when available
-(identical code runs uncompiled otherwise).
+Everything here is a pure function on immutable inputs.  The eigensolver is
+LAPACK's Hermitian driver (``numpy.linalg.eigh``), reordered so eigenvalues
+come out descending.
 """
 
 from __future__ import annotations
@@ -19,25 +18,7 @@ from .errors import (
     NotPSDError,
 )
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via explicit fallback test
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
 HERMITICITY_TOL = 1e-9
-#: Sweep terminates once sqrt(sum_{i<j} |a_ij|^2) falls below this, scaled by
-#: max(1, ||A||_F) so huge-norm inputs do not spuriously exhaust the sweep cap.
-OFF_DIAGONAL_THRESHOLD = 1e-13
-MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -59,6 +40,9 @@ def _require_hermitian(a, tol: float) -> np.ndarray:
     m = _as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    # NaN compares False against every tolerance, so reject it up front.
+    if not np.isfinite(m).all():
+        raise NotHermitianError("matrix has non-finite entries")
     deviation = float(np.abs(m - m.conj().T).max())
     if deviation > tol:
         raise NotHermitianError(
@@ -68,86 +52,25 @@ def _require_hermitian(a, tol: float) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-@njit(cache=True)
-def _jacobi_core(m, v, stop, skip, max_sweeps):
-    """Cyclic Jacobi sweeps in place; returns sweeps used, or -1 on failure."""
-    n = m.shape[0]
-    for sweep in range(max_sweeps):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += abs(m[i, j]) ** 2
-        if off**0.5 <= stop:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phase = apq / r
-                tau = (m[q, q].real - m[p, p].real) / (2.0 * r)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    sgn = 1.0 if tau > 0.0 else -1.0
-                    t = sgn / (abs(tau) + (1.0 + tau * tau) ** 0.5)
-                c = 1.0 / (1.0 + t * t) ** 0.5
-                s = t * c
-                sw = s * phase
-                swc = s * phase.conjugate()
-                for k in range(n):
-                    mp = m[p, k]
-                    mq = m[q, k]
-                    m[p, k] = c * mp - sw * mq
-                    m[q, k] = swc * mp + c * mq
-                for k in range(n):
-                    mp = m[k, p]
-                    mq = m[k, q]
-                    m[k, p] = c * mp - swc * mq
-                    m[k, q] = sw * mp + c * mq
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-                m[p, p] = m[p, p].real + 0.0j
-                m[q, q] = m[q, q].real + 0.0j
-                for k in range(n):
-                    vp = v[k, p]
-                    vq = v[k, q]
-                    v[k, p] = c * vp - swc * vq
-                    v[k, q] = sw * vp + c * vq
-    off = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            off += abs(m[i, j]) ** 2
-    if off**0.5 <= stop:
-        return max_sweeps
-    return -1
-
-
 def eig_hermitian(a, tol: float = HERMITICITY_TOL) -> HermitianEig:
-    """Diagonalize a complex Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize a complex Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
     Returns eigenvalues in descending order with matching orthonormal
-    eigenvector columns.  Raises ``NotHermitianError`` if the input deviates
-    from A = A† by more than ``tol``, and ``NoConvergenceError`` if the
-    off-diagonal norm has not reached threshold after 100 sweeps.
+    eigenvector columns.  Raises ``NotHermitianError`` if the input has
+    non-finite entries or deviates from A = A† by more than ``tol``, and
+    ``NoConvergenceError`` if LAPACK reports that it did not converge.
 
     Eigenvectors within a degenerate cluster are solver-dependent; callers
     must only rely on spectral projectors.
     """
     m = _require_hermitian(a, tol)
-    n = m.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n > 1:
-        stop = OFF_DIAGONAL_THRESHOLD * max(1.0, float(np.linalg.norm(m)))
-        skip = stop / (n * n)
-        if _jacobi_core(m, v, stop, skip, MAX_SWEEPS) < 0:
-            raise NoConvergenceError(
-                f"Jacobi sweep limit ({MAX_SWEEPS}) exceeded for a {n}x{n} matrix"
-            )
-    w = np.diag(m).real.copy()
-    order = np.argsort(-w, kind="stable")
-    return HermitianEig(w[order], np.ascontiguousarray(v[:, order]))
+    try:
+        w, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(
+            f"LAPACK eigh failed for a {m.shape[0]}x{m.shape[0]} matrix: {exc}"
+        ) from exc
+    return HermitianEig(w[::-1].copy(), np.ascontiguousarray(v[:, ::-1]))
 
 
 def kron(a, b) -> np.ndarray:

@@ -191,6 +191,8 @@ class ProbabilityTable:
                     raise DimensionMismatchError(
                         f"table block ({x},{y}) has shape {blk.shape}, expected ({va},{vb})"
                     )
+                if not np.isfinite(blk).all():
+                    raise InvalidTableError(f"non-finite probability at settings ({x},{y})")
                 if blk.min() < -1e-12:
                     raise InvalidTableError(
                         f"negative probability {blk.min():.3e} at settings ({x},{y})"
@@ -322,6 +324,8 @@ class QuantumModel:
 
     def validate(self, scenario: BellScenario | None = None) -> None:
         """Raise ``InvalidModelError`` on any state-norm or POVM violation."""
+        if not np.isfinite(self.state).all():
+            raise InvalidModelError("state has non-finite entries")
         norm = float(np.linalg.norm(self.state))
         if abs(norm - 1.0) > STATE_NORM_TOL:
             raise InvalidModelError(f"state norm {norm!r} is not 1")
@@ -337,6 +341,10 @@ class QuantumModel:
             for idx, setting in enumerate(povms):
                 total = np.zeros((d, d), dtype=complex)
                 for m in setting:
+                    if not np.isfinite(m).all():
+                        raise InvalidModelError(
+                            f"{name} setting {idx}: element has non-finite entries"
+                        )
                     dev = float(np.abs(m - m.conj().T).max())
                     if dev > POVM_TOL:
                         raise InvalidModelError(

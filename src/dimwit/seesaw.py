@@ -74,13 +74,18 @@ class SeesawConfig:
 
 @dataclass
 class SeesawResult:
-    """Outcome of a restart batch; best_value is max(per_restart_values)."""
+    """Outcome of a restart batch; best_value is max(per_restart_values).
+
+    ``aborted`` maps the index of each restart that a linear-algebra error
+    cut short to that error, as ``"<ErrorType>: <message>"``.
+    """
 
     best_value: float
     best_model: QuantumModel
     per_restart_values: list[float]
     iterations_used: list[int]
     converged_flags: list[bool]
+    aborted: dict[int, str]
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
@@ -332,8 +337,8 @@ def refine(f: BellFunctional, model: QuantumModel, cfg: SeesawConfig):
 
 def _restart_task(args):
     f, d_a, d_b, cfg, index = args
-    model = _random_model(f.scenario, d_a, d_b, spawn_rng(cfg.seed, index), cfg.fixed_state)
     try:
+        model = _random_model(f.scenario, d_a, d_b, spawn_rng(cfg.seed, index), cfg.fixed_state)
         value, model, iterations, converged = refine(f, model, cfg)
         return index, value, model, iterations, converged, None
     except (NotHermitianError, NoConvergenceError, NotPSDError) as exc:
@@ -365,7 +370,7 @@ def seesaw(
     else:
         outcomes = [_restart_task(t) for t in tasks]
 
-    values, iterations, flags = [], [], []
+    values, iterations, flags, aborted = [], [], [], {}
     best_value = -np.inf
     best_model = None
     for index, value, model, iters, converged, error in outcomes:
@@ -373,6 +378,7 @@ def seesaw(
         iterations.append(iters)
         flags.append(converged)
         if error is not None:
+            aborted[index] = error
             warnings.warn(f"restart {index} aborted: {error}", stacklevel=2)
             continue
         if value > best_value:
@@ -380,7 +386,7 @@ def seesaw(
             best_model = model
     if best_model is None:
         raise NoConvergenceError("every restart aborted; see warnings")
-    return SeesawResult(best_value, best_model, values, iterations, flags)
+    return SeesawResult(best_value, best_model, values, iterations, flags, aborted)
 
 
 def embed_model(model: QuantumModel, d_a: int, d_b: int) -> QuantumModel:

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from dimwit import linalg
-from dimwit.errors import DimensionMismatchError, NotHermitianError, NotPSDError
+from dimwit.errors import (
+    DimensionMismatchError,
+    NoConvergenceError,
+    NotHermitianError,
+    NotPSDError,
+)
 
 from conftest import random_hermitian
 
@@ -20,13 +25,23 @@ def test_pauli_x_spectrum():
     assert np.allclose(eig.eigenvalues, [1.0, -1.0])
 
 
-def test_eigenvalues_descending_and_match_numpy(rng):
-    for n in (2, 3, 5, 9, 12, 16):
-        a = random_hermitian(rng, n)
-        eig = linalg.eig_hermitian(a)
+def test_eigenvalues_descending_and_match_prescribed_spectrum(rng):
+    """A = Q diag(w) Q† with w fixed in advance, so no second eigensolver is
+    the oracle; w repeats one value to check the projector onto a cluster."""
+    for n in (3, 5, 9, 12, 16):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        q, _ = np.linalg.qr(g)
+        w = np.linspace(-1.0, 1.0, n)
+        c = n // 2
+        w[c + 1] = w[c]
+        eig = linalg.eig_hermitian((q * w) @ q.conj().T)
         assert np.all(np.diff(eig.eigenvalues) <= 0)
-        # independent oracle: numpy's eigensolver
-        assert np.allclose(eig.eigenvalues, np.linalg.eigvalsh(a)[::-1], atol=1e-11)
+        assert np.abs(eig.eigenvalues - np.sort(w)[::-1]).max() < 1e-11
+        cluster = np.abs(eig.eigenvalues - w[c]) < 1e-8
+        assert cluster.sum() == 2
+        v = eig.eigenvectors[:, cluster]
+        q_c = q[:, [c, c + 1]]
+        assert np.abs(v @ v.conj().T - q_c @ q_c.conj().T).max() < 1e-10
 
 
 def test_reconstruction_and_orthonormality(rng):
@@ -54,18 +69,20 @@ def test_not_hermitian_rejected():
         linalg.eig_hermitian(np.zeros((2, 3)))
 
 
-def test_python_fallback_kernel_matches(rng):
-    """The uncompiled sweep (used when numba is absent) gives the same result."""
-    core = linalg._jacobi_core
-    py_core = core.py_func if hasattr(core, "py_func") else core
-    a = random_hermitian(rng, 5)
-    m = a.copy()
-    v = np.eye(5, dtype=complex)
-    stop = linalg.OFF_DIAGONAL_THRESHOLD * max(1.0, float(np.linalg.norm(m)))
-    sweeps = py_core(m, v, stop, stop / 25.0, linalg.MAX_SWEEPS)
-    assert sweeps >= 0
-    rebuilt = (v * np.diag(m).real) @ v.conj().T
-    assert np.abs(a - rebuilt).max() < 1e-10
+def test_non_finite_input_rejected():
+    with pytest.raises(NotHermitianError):
+        linalg.eig_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NotHermitianError):
+        linalg.positive_projector(np.diag([np.inf, 1.0]))
+
+
+def test_lapack_failure_raises_no_convergence(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergenceError):
+        linalg.eig_hermitian(SX)
 
 
 def test_kron_basics():

@@ -86,6 +86,15 @@ def test_table_validation_and_renormalization():
         ProbabilityTable(sc, [[np.array([[1.0, 1e-3], [0.0, -1e-3]])]])
 
 
+def test_table_rejects_non_finite_entries():
+    sc = BellScenario((2,), (2,))
+    nan_block = [[np.array([[np.nan, 0.5], [0.25, 0.25]])]]
+    with pytest.raises(InvalidTableError):
+        ProbabilityTable(sc, nan_block)
+    with pytest.raises(InvalidTableError):
+        ProbabilityTable(sc, nan_block, renormalize=True)
+
+
 def test_bell_operator_constant_only():
     sc = BellScenario((2,), (2,))
     f = BellFunctional(sc, constant=-1.5)
@@ -226,6 +235,18 @@ def test_quantum_model_validation(rng):
         not_sum.validate()
     with pytest.raises(InvalidModelError):
         model.validate(BellScenario((2, 2), (2,)))
+
+
+def test_quantum_model_rejects_non_finite_entries():
+    sc = BellScenario((2,), (2,))
+    model = seeded_models(sc, 2, 2, seed=1, count=1)[0]
+    nan = np.full((2, 2), np.nan)
+    all_nan = QuantumModel(2, 2, np.full(4, np.nan), ((nan, nan),), ((nan, nan),))
+    with pytest.raises(InvalidModelError):
+        all_nan.validate(sc)
+    nan_povm = QuantumModel(2, 2, model.state, ((nan, nan),), model.povms_b)
+    with pytest.raises(InvalidModelError):
+        nan_povm.validate(sc)
 
 
 def test_bound_record_monotonicity():

@@ -281,6 +281,26 @@ def test_aborted_restart_is_recorded(monkeypatch):
         result = ss.seesaw(f, 2, 2, SeesawConfig(restarts=3, seed=4))
     assert result.per_restart_values[0] == -np.inf
     assert result.converged_flags[0] is False
+    assert result.aborted == {0: "NotPSDError: synthetic failure"}
+    assert abs(result.best_value - 2.0 * math.sqrt(2.0)) < 1e-6
+
+
+def test_lapack_failure_aborts_only_its_restart(monkeypatch):
+    real_eigh = np.linalg.eigh
+    calls = [0]
+
+    def flaky(a):
+        calls[0] += 1
+        if calls[0] == 1:  # restart 0 draws its start model first
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", flaky)
+    with pytest.warns(UserWarning, match="restart 0 aborted: NoConvergenceError"):
+        result = seesaw(catalog.chsh(), 2, 2, SeesawConfig(restarts=3, seed=4), jobs=1)
+    assert result.per_restart_values[0] == -np.inf
+    assert list(result.aborted) == [0]
+    assert result.aborted[0].startswith("NoConvergenceError: LAPACK eigh failed")
     assert abs(result.best_value - 2.0 * math.sqrt(2.0)) < 1e-6
 
 
