@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 
@@ -70,11 +71,23 @@ class FunctionalDocument:
     terms: tuple[Term, ...]
 
 
-def _parse_real(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/")
-        return float(int(num)) / float(int(den))
-    return float(text)
+def _parse_real(match: re.Match, line: int) -> float:
+    """Value of the coefficient in ``match`` group 1; a zero denominator or a
+    value beyond the float range raises ``ParseError`` at the token."""
+    text = match.group(1)
+    try:
+        if "/" in text:
+            num, den = text.split("/")
+            value = float(int(num)) / float(int(den))
+        else:
+            value = float(text)
+    except (ZeroDivisionError, OverflowError):
+        value = math.inf  # reported below like any other out-of-range value
+    if not math.isfinite(value):
+        raise ParseError(
+            f"coefficient {text!r} is not a finite real", line=line, column=match.start(1) + 1
+        )
+    return value
 
 
 def format_real(value: float) -> str:
@@ -112,22 +125,22 @@ def parse_document(text: str) -> FunctionalDocument:
             )
         m = _CONST_RE.match(line)
         if m is not None:
-            terms.append(Term("const", (), _parse_real(m.group(1)), m.group(1), lineno))
+            terms.append(Term("const", (), _parse_real(m, lineno), m.group(1), lineno))
             continue
         m = _MARG_A_RE.match(line)
         if m is not None:
             a, x = int(m.group(2)), int(m.group(3))
-            terms.append(Term("marginal_a", (x, a), _parse_real(m.group(1)), m.group(1), lineno))
+            terms.append(Term("marginal_a", (x, a), _parse_real(m, lineno), m.group(1), lineno))
             continue
         m = _MARG_B_RE.match(line)
         if m is not None:
             b, y = int(m.group(2)), int(m.group(3))
-            terms.append(Term("marginal_b", (y, b), _parse_real(m.group(1)), m.group(1), lineno))
+            terms.append(Term("marginal_b", (y, b), _parse_real(m, lineno), m.group(1), lineno))
             continue
         m = _JOINT_RE.match(line)
         if m is not None:
             a, b, x, y = (int(m.group(i)) for i in range(2, 6))
-            terms.append(Term("joint", (x, y, a, b), _parse_real(m.group(1)), m.group(1), lineno))
+            terms.append(Term("joint", (x, y, a, b), _parse_real(m, lineno), m.group(1), lineno))
             continue
         prefix = _REAL_PREFIX_RE.match(line)
         column = (prefix.end() + 1) if prefix else 1
@@ -138,25 +151,28 @@ def parse_document(text: str) -> FunctionalDocument:
 
 
 def document_to_functional(doc: FunctionalDocument) -> BellFunctional:
-    """Accumulate a document's terms into coefficient arrays (duplicates sum)."""
+    """Accumulate a document's terms into coefficient arrays (duplicates sum).
+
+    A sum of duplicate terms that overflows the float range raises
+    ``ParseError`` at the term that overflowed it."""
     sc = doc.scenario
     joint = [[np.zeros((va, vb)) for vb in sc.outcomes_b] for va in sc.outcomes_a]
     marg_a = [np.zeros(v) for v in sc.outcomes_a]
     marg_b = [np.zeros(v) for v in sc.outcomes_b]
-    constant = 0.0
+    constant = np.zeros(())
     for t in doc.terms:
         if t.kind == "const":
-            constant += t.value
+            slot, index = constant, ()
         elif t.kind == "marginal_a":
             x, a = t.indices
             if not (0 <= x < sc.settings_a and 0 <= a < sc.outcomes_a[x]):
                 raise TermIndexError(f"PA({a}|{x}) is outside the scenario", line=t.line)
-            marg_a[x][a] += t.value
+            slot, index = marg_a[x], a
         elif t.kind == "marginal_b":
             y, b = t.indices
             if not (0 <= y < sc.settings_b and 0 <= b < sc.outcomes_b[y]):
                 raise TermIndexError(f"PB({b}|{y}) is outside the scenario", line=t.line)
-            marg_b[y][b] += t.value
+            slot, index = marg_b[y], b
         else:
             x, y, a, b = t.indices
             if not (
@@ -168,8 +184,12 @@ def document_to_functional(doc: FunctionalDocument) -> BellFunctional:
                 raise TermIndexError(
                     f"P({a} {b}|{x} {y}) is outside the scenario", line=t.line
                 )
-            joint[x][y][a, b] += t.value
-    return BellFunctional(sc, joint, marg_a, marg_b, constant)
+            slot, index = joint[x][y], (a, b)
+        total = float(slot[index]) + t.value
+        if not math.isfinite(total):
+            raise ParseError("duplicate terms sum beyond the float range", line=t.line)
+        slot[index] = total
+    return BellFunctional(sc, joint, marg_a, marg_b, float(constant))
 
 
 def parse_functional(text: str) -> BellFunctional:

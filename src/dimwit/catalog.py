@@ -145,7 +145,9 @@ def by_name(name: str) -> BellFunctional:
         try:
             phi = float(name.split(":", 1)[1])
         except ValueError:
-            raise ConfigError(f"bad iphi angle in {name!r}") from None
+            phi = math.nan
+        if not math.isfinite(phi):
+            raise ConfigError(f"bad iphi angle in {name!r}")
         return i_phi(phi)
     raise ConfigError(
         f"unknown catalog name {name!r}; expected one of {CATALOG_NAMES} or iphi:<phi>"

@@ -28,6 +28,7 @@ from . import __version__, bellfmt, catalog, grothendieck, localbound
 from .errors import (
     ConfigError,
     DimwitError,
+    InvalidFunctionalError,
     InvalidModelError,
     InvalidTableError,
     MatrixTooLargeError,
@@ -50,7 +51,7 @@ class _Failure(Exception):
 
 
 def _fail_code(exc: Exception) -> int:
-    if isinstance(exc, (ParseError, InvalidTableError, ZeroMatrixError, FileNotFoundError, OSError)):
+    if isinstance(exc, (ParseError, InvalidFunctionalError, InvalidTableError, ZeroMatrixError, OSError)):
         return 2
     if isinstance(exc, (ScenarioMismatchError, SignalingError)):
         return 3
@@ -329,7 +330,7 @@ def cmd_grothendieck(args) -> int:
     manifest = _Manifest(sys.argv[1:], seed, echo, time.monotonic())
     raw = bellfmt.parse_correlation_matrix(Path(args.matrix).read_text(encoding="utf-8"))
     norm = grothendieck.local_norm(raw.matrix)
-    normalized = grothendieck.normalize(raw.matrix)
+    normalized = grothendieck.normalize_by(raw.matrix, norm)
     cfg = SeesawConfig(
         restarts=args.restarts,
         max_iterations=args.max_iterations,

@@ -33,6 +33,10 @@ class InvalidTableError(DimwitError):
     """Probability table violates positivity or normalization."""
 
 
+class InvalidFunctionalError(DimwitError):
+    """Bell functional has a non-finite coefficient."""
+
+
 class InvalidModelError(DimwitError):
     """Quantum model violates state-norm or POVM constraints."""
 

@@ -89,10 +89,14 @@ def local_norm(matrix) -> float:
 def normalize(matrix) -> CorrelationFunctional:
     """Scale a matrix so its exact sign-enumeration norm is 1."""
     m_arr = np.asarray(matrix, dtype=float)
-    norm = local_norm(m_arr)
+    return normalize_by(m_arr, local_norm(m_arr))
+
+
+def normalize_by(matrix, norm: float) -> CorrelationFunctional:
+    """``normalize`` with the matrix's ``local_norm`` already computed."""
     if norm == 0.0:
         raise ZeroMatrixError("all-zero correlation matrix cannot be normalized")
-    return CorrelationFunctional(m_arr / norm, local_norm=1.0)
+    return CorrelationFunctional(np.asarray(matrix, dtype=float) / norm, local_norm=1.0)
 
 
 def _normalize_rows(vectors: np.ndarray, fallback: np.ndarray) -> np.ndarray:

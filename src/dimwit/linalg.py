@@ -73,31 +73,6 @@ def eig_hermitian(a, tol: float = HERMITICITY_TOL) -> HermitianEig:
     return HermitianEig(w[::-1].copy(), np.ascontiguousarray(v[:, ::-1]))
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; output dimensions are the products of the inputs'."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
-def partial_trace(a, d_a: int, d_b: int, traced_party: str) -> np.ndarray:
-    """Trace out one tensor factor of a (d_a*d_b) x (d_a*d_b) matrix.
-
-    ``traced_party`` is ``"A"`` (result is d_b x d_b) or ``"B"`` (d_a x d_a).
-    """
-    m = _as_matrix(a)
-    d = d_a * d_b
-    if m.shape != (d, d):
-        raise DimensionMismatchError(
-            f"expected a {d}x{d} matrix for local dims ({d_a},{d_b}), got {m.shape}"
-        )
-    m4 = m.reshape(d_a, d_b, d_a, d_b)
-    party = traced_party.upper()
-    if party == "A":
-        return np.trace(m4, axis1=0, axis2=2)
-    if party == "B":
-        return np.trace(m4, axis1=1, axis2=3)
-    raise ValueError(f"traced_party must be 'A' or 'B', got {traced_party!r}")
-
-
 def positive_projector(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Projector onto the strictly positive eigenspace (eigenvalues > tol)."""
     eig = eig_hermitian(a, tol)

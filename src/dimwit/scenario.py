@@ -8,9 +8,13 @@ functional is the linear form
           + sum_{yb} marginal_b[y][b] P_B(b|y)
           + constant
 
-evaluated either on a raw probability table or on a quantum model through the
-associated Bell operator.  All types are immutable values and every operation
-is a pure function.
+evaluated either on a raw probability table (``evaluate``) or on a quantum
+model.  Every quantum-side quantity - the Bell operator, the model's value, its
+probability table, and the see-saw's per-setting operators - is a contraction
+of the functional's compiled coefficient tensor (``BellFunctional.coefficients``)
+with the parties' stacked POVMs (``povm_stack``).  ``evaluate`` keeps its own
+loops over the blocks as an independent recompute path.  All types are
+immutable values and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatchError,
+    InvalidFunctionalError,
     InvalidModelError,
     InvalidTableError,
     ScenarioMismatchError,
@@ -84,14 +89,43 @@ class BellFunctional:
     ``joint[x][y]`` is the (outcomes_a[x], outcomes_b[y]) coefficient block;
     ``marginal_a[x]`` / ``marginal_b[y]`` are per-setting marginal coefficient
     vectors, and ``constant`` is an additive offset.
+
+    ``coefficients`` is the compiled form, built once here: a read-only tensor
+    C of shape (settings_a + 1, settings_b + 1, max(outcomes_a),
+    max(outcomes_b)).  Setting -1 of each party is an identity slot with the
+    single outcome 0, so
+
+        C[x, y, a, b] = joint[x][y][a, b]      C[x, -1, a, 0] = marginal_a[x][a]
+        C[-1, y, 0, b] = marginal_b[y][b]      C[-1, -1, 0, 0] = constant
+
+    and every other slot, including outcomes past a setting's count, is zero.
+    With operators stacked the same way (``povm_stack``), the value is
+    sum C[x, y, a, b] <A_xa ⊗ B_yb> for any operators, whether or not they
+    sum to the identity.  Non-finite coefficients raise
+    ``InvalidFunctionalError``.
     """
 
     def __init__(self, scenario, joint=None, marginal_a=None, marginal_b=None, constant=0.0):
         self.scenario = scenario
         joint = _zero_joint(scenario) if joint is None else joint
+        if marginal_a is None:
+            marginal_a = [np.zeros(v) for v in scenario.outcomes_a]
+        if marginal_b is None:
+            marginal_b = [np.zeros(v) for v in scenario.outcomes_b]
         self.joint = tuple(
             tuple(_frozen(joint[x][y]) for y in range(scenario.settings_b))
             for x in range(scenario.settings_a)
+        )
+        self.marginal_a = tuple(_frozen(m) for m in marginal_a)
+        self.marginal_b = tuple(_frozen(m) for m in marginal_b)
+        self.constant = float(constant)
+        c = np.zeros(
+            (
+                scenario.settings_a + 1,
+                scenario.settings_b + 1,
+                max(scenario.outcomes_a),
+                max(scenario.outcomes_b),
+            )
         )
         for x, va in enumerate(scenario.outcomes_a):
             for y, vb in enumerate(scenario.outcomes_b):
@@ -100,33 +134,25 @@ class BellFunctional:
                         f"joint block ({x},{y}) has shape {self.joint[x][y].shape}, "
                         f"expected ({va},{vb})"
                     )
-        if marginal_a is None:
-            marginal_a = [np.zeros(v) for v in scenario.outcomes_a]
-        if marginal_b is None:
-            marginal_b = [np.zeros(v) for v in scenario.outcomes_b]
-        self.marginal_a = tuple(_frozen(m) for m in marginal_a)
-        self.marginal_b = tuple(_frozen(m) for m in marginal_b)
-        for x, va in enumerate(scenario.outcomes_a):
+                c[x, y, :va, :vb] = self.joint[x][y]
             if self.marginal_a[x].shape != (va,):
                 raise DimensionMismatchError(f"marginal_a[{x}] has wrong shape")
+            c[x, -1, :va, 0] = self.marginal_a[x]
         for y, vb in enumerate(scenario.outcomes_b):
             if self.marginal_b[y].shape != (vb,):
                 raise DimensionMismatchError(f"marginal_b[{y}] has wrong shape")
-        self.constant = float(constant)
+            c[-1, y, 0, :vb] = self.marginal_b[y]
+        c[-1, -1, 0, 0] = self.constant
+        if not np.isfinite(c).all():
+            raise InvalidFunctionalError("functional has a non-finite coefficient")
+        c.flags.writeable = False
+        self.coefficients = c
 
     def __eq__(self, other):
         if not isinstance(other, BellFunctional):
             return NotImplemented
-        return (
-            self.scenario == other.scenario
-            and self.constant == other.constant
-            and all(
-                np.array_equal(self.joint[x][y], other.joint[x][y])
-                for x in range(self.scenario.settings_a)
-                for y in range(self.scenario.settings_b)
-            )
-            and all(map(np.array_equal, self.marginal_a, other.marginal_a))
-            and all(map(np.array_equal, self.marginal_b, other.marginal_b))
+        return self.scenario == other.scenario and np.array_equal(
+            self.coefficients, other.coefficients
         )
 
     def __add__(self, other):
@@ -164,11 +190,7 @@ class BellFunctional:
 
     def abs_coefficient_sum(self) -> float:
         """Sum of |coefficient| over every joint, marginal, and constant slot."""
-        total = abs(self.constant)
-        total += sum(float(np.abs(blk).sum()) for row in self.joint for blk in row)
-        total += sum(float(np.abs(m).sum()) for m in self.marginal_a)
-        total += sum(float(np.abs(m).sum()) for m in self.marginal_b)
-        return total
+        return float(np.abs(self.coefficients).sum())
 
 
 class ProbabilityTable:
@@ -363,74 +385,63 @@ class QuantumModel:
                     )
 
 
-def bell_operator(f: BellFunctional, povms_a, povms_b) -> np.ndarray:
-    """Operator whose expectation in a state gives the functional's value."""
+def povm_stack(povms, width: int) -> np.ndarray:
+    """One party's POVMs as a (settings + 1, width, d, d) array laid out like
+    ``BellFunctional.coefficients``: element a of setting x at [x, a], the
+    identity at [-1, 0], and zeros in every other slot."""
+    d = povms[0][0].shape[0]
+    stack = np.zeros((len(povms) + 1, width, d, d), dtype=complex)
+    for x, setting in enumerate(povms):
+        stack[x, : len(setting)] = setting
+    stack[-1, 0] = np.eye(d)
+    return stack
+
+
+def _require_counts(f: BellFunctional, povms_a, povms_b) -> None:
     counts_a = tuple(len(s) for s in povms_a)
     counts_b = tuple(len(s) for s in povms_b)
     if counts_a != f.scenario.outcomes_a or counts_b != f.scenario.outcomes_b:
         raise DimensionMismatchError(
             f"POVM outcome counts {(counts_a, counts_b)} do not match the scenario"
         )
-    d_a = povms_a[0][0].shape[0]
-    d_b = povms_b[0][0].shape[0]
-    dim = d_a * d_b
-    op = np.zeros((dim, dim), dtype=complex)
-    for x in range(f.scenario.settings_a):
-        for y in range(f.scenario.settings_b):
-            blk = f.joint[x][y]
-            if not blk.any():
-                continue
-            for a in range(f.scenario.outcomes_a[x]):
-                row = blk[a]
-                if not row.any():
-                    continue
-                partner = np.zeros((d_b, d_b), dtype=complex)
-                for b in range(f.scenario.outcomes_b[y]):
-                    if row[b] != 0.0:
-                        partner = partner + row[b] * povms_b[y][b]
-                op += np.kron(povms_a[x][a], partner)
-    acc_a = np.zeros((d_a, d_a), dtype=complex)
-    for x, coeffs in enumerate(f.marginal_a):
-        for a, c in enumerate(coeffs):
-            if c != 0.0:
-                acc_a = acc_a + c * povms_a[x][a]
-    if acc_a.any():
-        op += np.kron(acc_a, np.eye(d_b))
-    acc_b = np.zeros((d_b, d_b), dtype=complex)
-    for y, coeffs in enumerate(f.marginal_b):
-        for b, c in enumerate(coeffs):
-            if c != 0.0:
-                acc_b = acc_b + c * povms_b[y][b]
-    if acc_b.any():
-        op += np.kron(np.eye(d_a), acc_b)
-    if f.constant != 0.0:
-        op += f.constant * np.eye(dim)
-    return op
+
+
+def _correlations(m: QuantumModel, width_a: int, width_b: int) -> np.ndarray:
+    """T[x, y, a, b] = <psi| A_xa ⊗ B_yb |psi> = tr(Psi† A_xa Psi B_ybᵀ) over
+    the stacked POVMs, identity slots included."""
+    psi = m.state.reshape(m.d_a, m.d_b)
+    reduced = psi.conj().T @ povm_stack(m.povms_a, width_a) @ psi
+    t = np.tensordot(reduced, povm_stack(m.povms_b, width_b), axes=([2, 3], [2, 3]))
+    return t.real.transpose(0, 2, 1, 3)
+
+
+def bell_operator(f: BellFunctional, povms_a, povms_b) -> np.ndarray:
+    """Operator whose expectation in a state gives the functional's value."""
+    _require_counts(f, povms_a, povms_b)
+    c = f.coefficients
+    stack_a = povm_stack(povms_a, c.shape[2])
+    partner = np.tensordot(c, povm_stack(povms_b, c.shape[3]), axes=([1, 3], [0, 1]))
+    op = np.einsum("xaij,xakl->ikjl", stack_a, partner)
+    dim = op.shape[0] * op.shape[1]
+    return op.reshape(dim, dim)
 
 
 def model_value(f: BellFunctional, m: QuantumModel) -> float:
-    """<psi| B |psi> for the model's state and the functional's Bell operator."""
-    op = bell_operator(f, m.povms_a, m.povms_b)
-    return float(np.vdot(m.state, op @ m.state).real)
+    """<psi| B |psi> for the functional's Bell operator B, computed as
+    sum C * T over the model's correlations without building B."""
+    _require_counts(f, m.povms_a, m.povms_b)
+    c = f.coefficients
+    return float((c * _correlations(m, c.shape[2], c.shape[3])).sum())
 
 
 def table_of(m: QuantumModel) -> ProbabilityTable:
     """Probability table generated by the model; no-signaling by construction."""
     counts_a, counts_b = m.outcome_counts()
-    scenario = BellScenario(counts_a, counts_b)
-    psi = m.state.reshape(m.d_a, m.d_b)
-    blocks = []
-    for x, va in enumerate(counts_a):
-        row = []
-        for y, vb in enumerate(counts_b):
-            blk = np.empty((va, vb))
-            for a in range(va):
-                left = m.povms_a[x][a] @ psi  # (M_a ⊗ I) acting on the state
-                for b in range(vb):
-                    blk[a, b] = np.vdot(psi, left @ m.povms_b[y][b].T).real
-            row.append(blk)
-        blocks.append(row)
-    return ProbabilityTable(scenario, blocks)
+    t = _correlations(m, max(counts_a), max(counts_b))
+    blocks = [
+        [t[x, y, :va, :vb] for y, vb in enumerate(counts_b)] for x, va in enumerate(counts_a)
+    ]
+    return ProbabilityTable(BellScenario(counts_a, counts_b), blocks)
 
 
 @dataclass

@@ -27,6 +27,7 @@ from .scenario import (
     QuantumModel,
     bell_operator,
     model_value,
+    povm_stack,
 )
 
 #: Eigenvalues within this of the top one count as the top eigenspace.
@@ -158,61 +159,26 @@ def update_state(f: BellFunctional, model: QuantumModel, fixed_state=None) -> Qu
 
 def _setting_operators(f: BellFunctional, model: QuantumModel, party: str, setting: int):
     """Per-outcome Hermitian operators F_a such that the objective restricted
-    to this setting's POVM is sum_a tr(M_a F_a) plus terms independent of it."""
-    rho = np.outer(model.state, model.state.conj())
-    d_a, d_b = model.d_a, model.d_b
+    to this setting's POVM is sum_a tr(M_a F_a) plus terms independent of it.
+
+    For Alice, F_a = Psi K_aᵀ Psi† with K_a = sum_yb C[x, y, a, b] B_yb and
+    Psi the state as a d_a x d_b matrix.  Bob is the same contraction with the
+    parties swapped: C.transpose(1, 0, 3, 2), Alice's POVMs, and Psiᵀ.
+    """
+    psi = model.state.reshape(model.d_a, model.d_b)
     if party == "A":
-        own_dim = d_a
-        counts = f.scenario.outcomes_a[setting]
-        ops = [np.zeros((own_dim, own_dim), dtype=complex) for _ in range(counts)]
-        eye = np.eye(d_a)
-        for y in range(f.scenario.settings_b):
-            blk = f.joint[setting][y]
-            if not blk.any():
-                continue
-            for b in range(f.scenario.outcomes_b[y]):
-                col = blk[:, b]
-                if not col.any():
-                    continue
-                reduced = linalg.partial_trace(
-                    rho @ np.kron(eye, model.povms_b[y][b]), d_a, d_b, "B"
-                )
-                for a in range(counts):
-                    if col[a] != 0.0:
-                        ops[a] = ops[a] + col[a] * reduced
-        coeffs = f.marginal_a[setting]
-        if coeffs.any():
-            rho_own = linalg.partial_trace(rho, d_a, d_b, "B")
-            for a in range(counts):
-                if coeffs[a] != 0.0:
-                    ops[a] = ops[a] + coeffs[a] * rho_own
+        c, partner, count = f.coefficients, model.povms_b, f.scenario.outcomes_a[setting]
     elif party == "B":
-        own_dim = d_b
-        counts = f.scenario.outcomes_b[setting]
-        ops = [np.zeros((own_dim, own_dim), dtype=complex) for _ in range(counts)]
-        eye = np.eye(d_b)
-        for x in range(f.scenario.settings_a):
-            blk = f.joint[x][setting]
-            if not blk.any():
-                continue
-            for a in range(f.scenario.outcomes_a[x]):
-                row = blk[a]
-                if not row.any():
-                    continue
-                reduced = linalg.partial_trace(
-                    rho @ np.kron(model.povms_a[x][a], eye), d_a, d_b, "A"
-                )
-                for b in range(counts):
-                    if row[b] != 0.0:
-                        ops[b] = ops[b] + row[b] * reduced
-        coeffs = f.marginal_b[setting]
-        if coeffs.any():
-            rho_own = linalg.partial_trace(rho, d_a, d_b, "A")
-            for b in range(counts):
-                if coeffs[b] != 0.0:
-                    ops[b] = ops[b] + coeffs[b] * rho_own
+        c, partner, count = (
+            f.coefficients.transpose(1, 0, 3, 2),
+            model.povms_a,
+            f.scenario.outcomes_b[setting],
+        )
+        psi = psi.T
     else:
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
+    k = np.tensordot(c[setting], povm_stack(partner, c.shape[3]), axes=([0, 2], [0, 1]))
+    ops = psi @ k[:count].transpose(0, 2, 1) @ psi.conj().T
     return [(op + op.conj().T) / 2.0 for op in ops]
 
 

@@ -123,6 +123,36 @@ def test_parse_errors_carry_location():
         bellfmt.parse_functional("scenario A:2 B:2\nscenario A:2 B:2\n")
 
 
+def test_zero_denominator_is_parse_error_with_location():
+    with pytest.raises(ParseError) as err:
+        bellfmt.parse_functional("scenario A:2 B:2\n+1 P(0 0|0 0)\n1/0 P(1 1|0 0)\n")
+    assert err.value.line == 3 and err.value.column == 1
+    with pytest.raises(ParseError) as err:
+        bellfmt.parse_functional("scenario A:2 B:2\nconst 2/0\n")
+    assert err.value.line == 2 and err.value.column == 7
+
+
+def test_overflowing_literal_is_parse_error():
+    for coefficient in ("+1e400", "-1e400", "1" + "0" * 400 + "/3"):
+        with pytest.raises(ParseError) as err:
+            bellfmt.parse_functional(f"scenario A:2 B:2\n{coefficient} P(0 0|0 0)\n")
+        assert err.value.line == 2 and err.value.column == 1
+
+
+def test_overflowing_duplicate_sum_is_parse_error():
+    for term in ("P(0 0|0 0)", "PA(1|0)", "PB(0|0)"):
+        text = f"scenario A:2 B:2\n+1e308 {term}\n+1 P(1 1|0 0)\n+1e308 {term}\n"
+        with pytest.raises(ParseError) as err:
+            bellfmt.parse_functional(text)
+        assert err.value.line == 4
+    with pytest.raises(ParseError) as err:
+        bellfmt.parse_functional("scenario A:2 B:2\nconst -1e308\nconst -1e308\n")
+    assert err.value.line == 3
+    # Cancelling duplicates stay finite and are accepted.
+    f = bellfmt.parse_functional("scenario A:2 B:2\n+1e308 P(0 0|0 0)\n-1e308 P(0 0|0 0)\n")
+    assert f.joint[0][0][0, 0] == 0.0
+
+
 def test_serialized_reals_have_12_significant_digits():
     sc = BellScenario((2,), (2,))
     f = bellfmt.parse_functional("scenario A:2 B:2\n+0.30500 P(0 0|0 0)\n")

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from dimwit import bellfmt, catalog
-from dimwit.cli import main
+from dimwit import bellfmt, catalog, grothendieck
+from dimwit.cli import _fail_code, main
+from dimwit.errors import InvalidFunctionalError
 from dimwit.localbound import local_bound, local_bound_min_strategy, strategy_table
 from dimwit.scenario import uniform_table
 
@@ -252,6 +253,52 @@ def test_grothendieck_cli(tmp_path, capsys):
     assert payload["local_norm"] == 2.0
     assert abs(payload["value"] - math.sqrt(2.0)) < 1e-8
     assert len(payload["x_vectors"]) == 2 and len(payload["x_vectors"][0]) == 2
+
+
+def test_grothendieck_cli_enumerates_sign_vectors_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = grothendieck.local_norm
+
+    def counted(matrix):
+        calls.append(np.shape(matrix))
+        return original(matrix)
+
+    monkeypatch.setattr(grothendieck, "local_norm", counted)
+    m_path = tmp_path / "chsh.csv"
+    m_path.write_text("1,1\n1,-1\n", encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "grothendieck", "-m", str(m_path), "--n", "2", "--restarts", "2", "--json"
+    )
+    assert code == 0
+    assert calls == [(2, 2)]
+    assert json.loads(out)["local_norm"] == 2.0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "scenario A:2 B:2\n1/0 P(0 0|0 0)\n",
+        "scenario A:2 B:2\n+1e400 P(0 0|0 0)\n",
+        "scenario A:2 B:2\n+1e308 PA(0|0)\n+1e308 PA(0|0)\n",
+    ],
+)
+def test_local_bound_non_finite_coefficient_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "z.bell"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "local-bound", str(path))
+    assert code == 2
+    assert out == "" and "line" in err
+
+
+@pytest.mark.parametrize("name", ["iphi:nan", "iphi:inf", "iphi:-inf"])
+def test_non_finite_iphi_angle_exits_2(capsys, name):
+    code, out, err = run_cli(capsys, "local-bound", name)
+    assert code == 2
+    assert out == "" and name in err
+
+
+def test_invalid_functional_exits_2():
+    assert _fail_code(InvalidFunctionalError("functional has a non-finite coefficient")) == 2
 
 
 def test_grothendieck_cli_bad_matrix(tmp_path, capsys):

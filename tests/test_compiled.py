@@ -1,0 +1,182 @@
+"""The compiled coefficient tensor against an independent Kronecker-product
+reference, and the see-saw's per-setting operators against the value change
+they predict."""
+
+import numpy as np
+import pytest
+
+from dimwit import catalog
+from dimwit.scenario import (
+    BellScenario,
+    QuantumModel,
+    bell_operator,
+    model_value,
+    povm_stack,
+    table_of,
+)
+from dimwit.seesaw import _setting_operators, _with_setting
+
+from conftest import random_functional, random_hermitian
+
+RAGGED = BellScenario((2, 3), (3, 2))
+
+
+def kron_bell_operator(f, povms_a, povms_b):
+    """Reference Bell operator: one np.kron per nonzero coefficient row, with
+    the marginals against the partner's identity and the constant on I."""
+    d_a = povms_a[0][0].shape[0]
+    d_b = povms_b[0][0].shape[0]
+    dim = d_a * d_b
+    op = np.zeros((dim, dim), dtype=complex)
+    for x in range(f.scenario.settings_a):
+        for y in range(f.scenario.settings_b):
+            blk = f.joint[x][y]
+            if not blk.any():
+                continue
+            for a in range(f.scenario.outcomes_a[x]):
+                row = blk[a]
+                if not row.any():
+                    continue
+                partner = np.zeros((d_b, d_b), dtype=complex)
+                for b in range(f.scenario.outcomes_b[y]):
+                    if row[b] != 0.0:
+                        partner = partner + row[b] * povms_b[y][b]
+                op += np.kron(povms_a[x][a], partner)
+    acc_a = np.zeros((d_a, d_a), dtype=complex)
+    for x, coeffs in enumerate(f.marginal_a):
+        for a, c in enumerate(coeffs):
+            if c != 0.0:
+                acc_a = acc_a + c * povms_a[x][a]
+    if acc_a.any():
+        op += np.kron(acc_a, np.eye(d_b))
+    acc_b = np.zeros((d_b, d_b), dtype=complex)
+    for y, coeffs in enumerate(f.marginal_b):
+        for b, c in enumerate(coeffs):
+            if c != 0.0:
+                acc_b = acc_b + c * povms_b[y][b]
+    if acc_b.any():
+        op += np.kron(np.eye(d_a), acc_b)
+    if f.constant != 0.0:
+        op += f.constant * np.eye(dim)
+    return op
+
+
+def random_povm(rng, d, outcomes):
+    """A generic (non-projective) POVM: S^{-1/2} G_a S^{-1/2} for random PSD G_a."""
+    gs = []
+    for _ in range(outcomes):
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        gs.append(x @ x.conj().T)
+    w, v = np.linalg.eigh(sum(gs))
+    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    return tuple(inv_root @ g @ inv_root for g in gs)
+
+
+def random_state(rng, dim):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def random_model(rng, scenario, d_a, d_b, valid=True):
+    """Valid POVMs, or (``valid=False``) arbitrary Hermitian elements that do
+    not sum to the identity."""
+    if valid:
+        element = lambda d, v: random_povm(rng, d, v)
+    else:
+        element = lambda d, v: tuple(random_hermitian(rng, d) for _ in range(v))
+    return QuantumModel(
+        d_a,
+        d_b,
+        random_state(rng, d_a * d_b),
+        tuple(element(d_a, v) for v in scenario.outcomes_a),
+        tuple(element(d_b, v) for v in scenario.outcomes_b),
+    )
+
+
+def cases(rng):
+    """(functional, model, valid) over ragged scenarios and E, functionals
+    with every marginal and the constant nonzero and sparse ones, d_a != d_b,
+    valid POVMs and arbitrary Hermitian elements."""
+    for scenario in (RAGGED, RAGGED, catalog.expression_E().scenario):
+        for sparsity in (0.0, 0.3):
+            f = random_functional(rng, scenario, sparsity=sparsity)
+            for d_a, d_b in ((2, 3), (3, 2), (4, 2)):
+                for valid in (True, False):
+                    yield f, random_model(rng, scenario, d_a, d_b, valid), valid
+    f = catalog.expression_E()
+    for valid in (True, False):
+        yield f, random_model(rng, f.scenario, 3, 2, valid), valid
+
+
+def test_coefficient_tensor_layout():
+    f = catalog.expression_E()
+    c = f.coefficients
+    assert c.shape == (3, 4, 3, 2)
+    assert not c.flags.writeable
+    assert c[-1, -1, 0, 0] == f.constant == -1.0
+    assert c[0, -1, 0, 0] == f.marginal_a[0][0] == 1.0
+    assert not c[0, :, 2, :].any()  # Alice's binary setting padded to 3 outcomes
+    assert not c[-1, :, 1:, :].any() and not c[:, -1, :, 1:].any()
+
+
+def test_bell_operator_matches_kron_reference(rng):
+    for f, m, _ in cases(rng):
+        op = bell_operator(f, m.povms_a, m.povms_b)
+        ref = kron_bell_operator(f, m.povms_a, m.povms_b)
+        assert op.shape == ref.shape
+        assert np.abs(op - ref).max() < 1e-12
+
+
+def test_model_value_matches_kron_reference(rng):
+    for f, m, _ in cases(rng):
+        ref = np.vdot(m.state, kron_bell_operator(f, m.povms_a, m.povms_b) @ m.state).real
+        assert abs(model_value(f, m) - ref) < 1e-12
+
+
+def test_table_of_matches_kron_reference(rng):
+    for _, m, valid in cases(rng):
+        if not valid:
+            continue
+        t = table_of(m)
+        for x, setting_a in enumerate(m.povms_a):
+            for y, setting_b in enumerate(m.povms_b):
+                for a, ma in enumerate(setting_a):
+                    for b, mb in enumerate(setting_b):
+                        ref = np.vdot(m.state, np.kron(ma, mb) @ m.state).real
+                        assert abs(t.p[x][y][a, b] - ref) < 1e-12
+
+
+def test_povm_stack_layout(rng):
+    m = random_model(rng, RAGGED, 2, 3)
+    stack = povm_stack(m.povms_a, 4)
+    assert stack.shape == (3, 4, 2, 2)
+    assert np.array_equal(stack[1, 2], m.povms_a[1][2])
+    assert not stack[0, 2:].any() and not stack[-1, 1:].any()
+    assert np.array_equal(stack[-1, 0], np.eye(2))
+
+
+def test_setting_operators_predict_value_change(rng):
+    """The value is affine in one setting's elements, so replacing POVM M by N
+    changes it by exactly sum_a tr((N_a - M_a) F_a)."""
+    for f, m, valid in cases(rng):
+        if not valid:
+            continue
+        before = model_value(f, m)
+        for party, povms, d in (("A", m.povms_a, m.d_a), ("B", m.povms_b, m.d_b)):
+            for setting, old in enumerate(povms):
+                ops = _setting_operators(f, m, party, setting)
+                assert len(ops) == len(old)
+                for op in ops:
+                    assert np.array_equal(op, op.conj().T)
+                new = random_povm(rng, d, len(old))
+                predicted = sum(
+                    np.trace((n - o) @ op).real for n, o, op in zip(new, old, ops)
+                )
+                after = model_value(f, _with_setting(m, party, setting, new))
+                assert abs(after - before - predicted) < 1e-12
+
+
+def test_setting_operators_reject_unknown_party(rng):
+    f = random_functional(rng, RAGGED)
+    with pytest.raises(ValueError):
+        _setting_operators(f, random_model(rng, RAGGED, 2, 2), "C", 0)

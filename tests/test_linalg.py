@@ -85,62 +85,6 @@ def test_lapack_failure_raises_no_convergence(monkeypatch):
         linalg.eig_hermitian(SX)
 
 
-def test_kron_basics():
-    assert np.array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-    assert np.allclose(linalg.kron(SZ, SZ), np.diag([1.0, -1.0, -1.0, 1.0]))
-
-
-def test_kron_block_pattern(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    k = linalg.kron(a, b)
-    assert k.shape == (6, 6)
-    for i in range(2):
-        for j in range(2):
-            assert np.allclose(k[3 * i : 3 * i + 3, 3 * j : 3 * j + 3], a[i, j] * b)
-
-
-def test_kron_associative_and_trace_multiplicative(rng):
-    a, b, c = (random_hermitian(rng, n) for n in (2, 3, 2))
-    assert np.allclose(
-        linalg.kron(linalg.kron(a, b), c), linalg.kron(a, linalg.kron(b, c)), atol=1e-12
-    )
-    assert abs(np.trace(linalg.kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
-
-
-def test_partial_trace_product_state():
-    ket00 = np.zeros(4, dtype=complex)
-    ket00[0] = 1.0
-    rho = np.outer(ket00, ket00.conj())
-    reduced = linalg.partial_trace(rho, 2, 2, "B")
-    assert np.allclose(reduced, np.diag([1.0, 0.0]))
-    assert abs(np.trace(reduced) - np.trace(rho)) < 1e-12  # trace preserved
-    assert np.allclose(linalg.partial_trace(np.eye(4) / 4.0, 2, 2, "A"), np.eye(2) / 2.0)
-
-
-def test_partial_trace_bell_state():
-    # Hand computation: the 4x4 density matrix of (|00>+|11>)/sqrt(2) has
-    # 1/2 at positions (0,0), (0,3), (3,0), (3,3); tracing B leaves I/2.
-    psi = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    rho = np.outer(psi, psi.conj())
-    assert np.allclose(linalg.partial_trace(rho, 2, 2, "B"), np.eye(2) / 2.0)
-
-
-def test_partial_trace_of_kron(rng):
-    for _ in range(20):
-        a = random_hermitian(rng, 3)
-        b = random_hermitian(rng, 2)
-        traced = linalg.partial_trace(linalg.kron(a, b), 3, 2, "B")
-        assert np.abs(traced - a * np.trace(b)).max() < 1e-10
-        traced = linalg.partial_trace(linalg.kron(a, b), 3, 2, "A")
-        assert np.abs(traced - b * np.trace(a)).max() < 1e-10
-
-
-def test_partial_trace_dimension_check():
-    with pytest.raises(DimensionMismatchError):
-        linalg.partial_trace(np.eye(5), 2, 2, "B")
-
-
 def test_positive_projector_examples():
     assert np.allclose(linalg.positive_projector(SZ), np.diag([1.0, 0.0]))
     assert np.allclose(linalg.positive_projector(-np.eye(2)), np.zeros((2, 2)))

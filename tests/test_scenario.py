@@ -3,6 +3,7 @@ import pytest
 
 from dimwit import catalog, linalg, scenario
 from dimwit.errors import (
+    InvalidFunctionalError,
     InvalidModelError,
     InvalidTableError,
     ScenarioMismatchError,
@@ -93,6 +94,22 @@ def test_table_rejects_non_finite_entries():
         ProbabilityTable(sc, nan_block)
     with pytest.raises(InvalidTableError):
         ProbabilityTable(sc, nan_block, renormalize=True)
+
+
+def test_functional_rejects_non_finite_coefficients():
+    sc = BellScenario((2, 3), (2,))
+    joint = [[np.zeros((2, 2))], [np.zeros((3, 2))]]
+    joint[1][0][2, 1] = np.nan
+    with pytest.raises(InvalidFunctionalError):
+        BellFunctional(sc, joint)
+    with pytest.raises(InvalidFunctionalError):
+        BellFunctional(sc, marginal_a=[np.zeros(2), np.array([0.0, np.inf, 0.0])])
+    with pytest.raises(InvalidFunctionalError):
+        BellFunctional(sc, marginal_b=[np.array([-np.inf, 1.0])])
+    with pytest.raises(InvalidFunctionalError):
+        BellFunctional(sc, constant=np.nan)
+    with pytest.raises(InvalidFunctionalError):
+        BellFunctional(sc, constant=1e308).scaled(10.0)
 
 
 def test_bell_operator_constant_only():
