@@ -112,10 +112,8 @@ def _load_functional(arg: str):
         return bellfmt.parse_functional(path.read_text(encoding="utf-8")), str(path)
     try:
         return catalog.by_name(arg), arg
-    except ConfigError:
-        raise _Failure(
-            2, f"{arg!r} is neither an existing file nor a catalog name"
-        ) from None
+    except ConfigError as exc:
+        raise _Failure(2, f"{arg!r} is not an existing file; {exc}") from None
 
 
 def _jobs_default() -> int:

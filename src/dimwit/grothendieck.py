@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MatrixTooLargeError, ZeroMatrixError
+from .localbound import _best_strategy, strategy_value
 from .scenario import BellFunctional, BellScenario
 from .seesaw import SeesawConfig, spawn_rng
 
 #: 2^m sign vectors are enumerated exactly; beyond this the cost is unreasonable.
 ENUMERATION_CAP = 26
-_CHUNK_BITS = 16
 
 
 @dataclass
@@ -55,41 +55,24 @@ class VectorStrategy:
     y_vectors: np.ndarray
 
 
-def _sign_block(start: int, count: int, m: int) -> np.ndarray:
-    """Columns are the +-1 vectors for integers start..start+count-1."""
-    ints = np.arange(start, start + count, dtype=np.int64)
-    bits = (ints[None, :] >> np.arange(m)[:, None]) & 1
-    return 2.0 * bits - 1.0
-
-
 def local_norm(matrix) -> float:
-    """Exact max of |sum_ij M_ij x_i y_j| over sign vectors x, y.
-
-    For each of the 2^m sign vectors y the optimal x follows the signs of the
-    row sums, so the cost is 2^m * m^2 rather than 4^m.  Requires m <= 26.
-    """
-    m_arr = np.asarray(matrix, dtype=float)
-    if m_arr.ndim != 2 or m_arr.shape[0] != m_arr.shape[1]:
-        raise ConfigError(f"correlation matrix must be square, got shape {m_arr.shape}")
-    m = m_arr.shape[0]
-    if m > ENUMERATION_CAP:
+    """Exact max of |sum_ij M_ij x_i y_j| over sign vectors x, y: the
+    ``strategy_value`` of the best strategy that ``local_bound``'s search finds
+    on ``correlator_bell(M)``, over Alice's 2^m sign vectors with Bob's signs as
+    his best response.  Requires m <= 26, not the search's strategy-space cap;
+    non-square, empty or non-finite matrices raise ``ConfigError``."""
+    cf = CorrelationFunctional(matrix)
+    if cf.m > ENUMERATION_CAP:
         raise MatrixTooLargeError(
-            f"m = {m} exceeds the exact enumeration cap of {ENUMERATION_CAP}"
+            f"m = {cf.m} exceeds the exact enumeration cap of {ENUMERATION_CAP}"
         )
-    total = 1 << m
-    best = 0.0
-    chunk = 1 << min(_CHUNK_BITS, m)
-    for start in range(0, total, chunk):
-        ys = _sign_block(start, min(chunk, total - start), m)
-        scores = np.abs(m_arr @ ys).sum(axis=0)
-        best = max(best, float(scores.max()))
-    return best
+    f = correlator_bell(cf)
+    return strategy_value(f, _best_strategy(f, 1.0))
 
 
 def normalize(matrix) -> CorrelationFunctional:
     """Scale a matrix so its exact sign-enumeration norm is 1."""
-    m_arr = np.asarray(matrix, dtype=float)
-    return normalize_by(m_arr, local_norm(m_arr))
+    return normalize_by(matrix, local_norm(matrix))
 
 
 def normalize_by(matrix, norm: float) -> CorrelationFunctional:

@@ -2,9 +2,9 @@
 
 A deterministic strategy fixes one outcome per setting for each party; the
 maximum of a functional over all shared-randomness models is attained at one
-of these, so enumeration gives the exact local bound.  Bob's side is folded
-into a per-setting best response, which cuts the cost from the full product of
-both strategy spaces to (Alice strategies) x (sum of Bob outcome counts).
+of these, so enumeration gives the exact local bound.  ``_best_strategy``, the
+package's one enumerator, folds Bob into a per-setting best response, so it
+costs (Alice strategies) x (sum of Bob outcome counts).
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from .errors import StrategySpaceTooLargeError
 from .scenario import BellFunctional, BellScenario, ProbabilityTable
 
 DEFAULT_STRATEGY_CAP = 10**8
+#: Bob score cells (outcome x setting x Alice strategy) per enumerated block.
+_CHUNK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -56,45 +58,61 @@ def strategy_value(f: BellFunctional, s: DeterministicStrategy) -> float:
     return float(total)
 
 
-def _check_cap(scenario: BellScenario, cap: int) -> None:
-    size = math.prod(scenario.outcomes_a) * math.prod(scenario.outcomes_b)
+def _best_strategy(f: BellFunctional, sign: float) -> DeterministicStrategy:
+    """The deterministic strategy maximising ``sign`` times ``f``: the
+    lexicographically smallest among those of maximal score.  Alice's
+    strategies run in ``itertools.product`` order, the leading settings in a
+    Python loop and the trailing ones (as many as fit ``_CHUNK_CELLS``) as one
+    block folded from the prefix's row; a block replaces the best only on
+    strict improvement.  A score adds, in order, the constant, Alice's
+    marginals by setting, then per Bob setting the max over his outcomes of
+    (his marginal, then the joint terms by Alice setting)."""
+    sc = f.scenario
+    c = sign * f.coefficients
+    width, settings_b = c.shape[3], sc.settings_b
+    split = sc.settings_a
+    while split and math.prod(sc.outcomes_a[split - 1 :]) * width * settings_b <= _CHUNK_CELLS:
+        split -= 1
+    trailing = sc.outcomes_a[split:]
+    # Bob's scores are laid out (Alice row, outcome, setting); outcomes past a
+    # setting's count are -inf so they never win.
+    padded = np.arange(width)[:, None] >= np.array(sc.outcomes_b)
+    bob_marginal = np.where(padded, -np.inf, c[-1, :settings_b, 0, :].T)
+    best_score, best = -math.inf, None
+    for prefix in product(*(range(v) for v in sc.outcomes_a[:split])):
+        total = np.full(1, c[-1, -1, 0, 0])
+        row = bob_marginal.copy()
+        for x, a in enumerate(prefix):
+            total += c[x, -1, a, 0]
+            row += c[x, :settings_b, a, :].T
+        scores = row[None]
+        for x, v in enumerate(trailing, start=split):
+            total = (total[:, None] + c[x, -1, :v, 0]).reshape(-1)
+            joint = c[x, :settings_b, :v, :].transpose(1, 2, 0)
+            scores = (scores[:, None] + joint).reshape(-1, width, settings_b)
+        response = scores[:, 0]
+        for b in range(1, width):
+            response = np.maximum(response, scores[:, b])
+        for best_y in response.T:
+            total = total + best_y
+        i = int(np.argmax(total))
+        if total[i] > best_score:
+            best_score = total[i]
+            alpha = prefix + tuple(int(a) for a in np.unravel_index(i, trailing))
+            best = DeterministicStrategy(alpha, tuple(int(b) for b in scores[i].argmax(axis=0)))
+    return best
+
+
+def _extremize(f: BellFunctional, sign: float, cap: int):
+    """Shared max/min; ``sign`` is +1 for max, -1 for min."""
+    size = math.prod(f.scenario.outcomes_a) * math.prod(f.scenario.outcomes_b)
     if size > cap:
         raise StrategySpaceTooLargeError(
             f"strategy space has {size} points, exceeding the cap of {cap}"
         )
-
-
-def _extremize(f: BellFunctional, sign: float, cap: int):
-    """Shared max/min enumeration; ``sign`` is +1 for max, -1 for min.
-
-    Ties are broken toward the lexicographically smallest
-    (assignment_a, assignment_b): Alice assignments are visited in
-    lexicographic order and kept only on strict improvement, and argmax over
-    Bob outcomes returns the first (smallest) maximizer per setting.
-    """
-    _check_cap(f.scenario, cap)
-    scenario = f.scenario
-    best_total = -math.inf
-    best_strategy = None
-    bob_settings = range(scenario.settings_b)
-    for alpha in product(*(range(v) for v in scenario.outcomes_a)):
-        base = sign * f.constant
-        for x, a in enumerate(alpha):
-            base += sign * f.marginal_a[x][a]
-        bob_choice = []
-        for y in bob_settings:
-            scores = sign * f.marginal_b[y].copy()
-            for x, a in enumerate(alpha):
-                scores += sign * f.joint[x][y][a]
-            b = int(np.argmax(scores))
-            bob_choice.append(b)
-            base += scores[b]
-        if base > best_total:
-            best_total = base
-            best_strategy = DeterministicStrategy(alpha, tuple(bob_choice))
-    # Recompute through the canonical accumulation order so the reported value
-    # matches evaluate() on the witnessing strategy bit for bit.
-    return strategy_value(f, best_strategy), best_strategy
+    strategy = _best_strategy(f, sign)
+    # strategy_value matches evaluate() on the witnessing strategy bit for bit.
+    return strategy_value(f, strategy), strategy
 
 
 def local_bound(f: BellFunctional, cap: int = DEFAULT_STRATEGY_CAP):
@@ -108,8 +126,7 @@ def local_bound(f: BellFunctional, cap: int = DEFAULT_STRATEGY_CAP):
 
 def local_bound_min(f: BellFunctional, cap: int = DEFAULT_STRATEGY_CAP) -> float:
     """Exact minimum over deterministic strategies."""
-    value, _ = _extremize(f, -1.0, cap)
-    return value
+    return _extremize(f, -1.0, cap)[0]
 
 
 def local_bound_min_strategy(f: BellFunctional, cap: int = DEFAULT_STRATEGY_CAP):

@@ -297,6 +297,13 @@ def test_non_finite_iphi_angle_exits_2(capsys, name):
     assert out == "" and name in err
 
 
+@pytest.mark.parametrize("name", ["iphi:nan", "iphi:abc"])
+def test_bad_catalog_name_reports_the_reason(capsys, name):
+    code, out, err = run_cli(capsys, "local-bound", name)
+    assert code == 2
+    assert out == "" and f"bad iphi angle in {name!r}" in err
+
+
 def test_invalid_functional_exits_2():
     assert _fail_code(InvalidFunctionalError("functional has a non-finite coefficient")) == 2
 

@@ -1,0 +1,143 @@
+"""The vectorised strategy search against the one-strategy-at-a-time loop it
+replaced: same value and same witnessing strategy, compared with ``==``."""
+
+import math
+from itertools import product
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dimwit import catalog, grothendieck, localbound
+from dimwit.localbound import (
+    DeterministicStrategy,
+    local_bound,
+    local_bound_min_strategy,
+    strategy_value,
+)
+from dimwit.scenario import BellFunctional, BellScenario
+
+
+def loop_extremize(f: BellFunctional, sign: float):
+    """Oracle: Alice's strategies one at a time in lexicographic order, Bob's
+    best response per setting by ``np.argmax``, strict improvement only."""
+    scenario = f.scenario
+    best_total = -math.inf
+    best_strategy = None
+    bob_settings = range(scenario.settings_b)
+    for alpha in product(*(range(v) for v in scenario.outcomes_a)):
+        base = sign * f.constant
+        for x, a in enumerate(alpha):
+            base += sign * f.marginal_a[x][a]
+        bob_choice = []
+        for y in bob_settings:
+            scores = sign * f.marginal_b[y].copy()
+            for x, a in enumerate(alpha):
+                scores += sign * f.joint[x][y][a]
+            b = int(np.argmax(scores))
+            bob_choice.append(b)
+            base += scores[b]
+        if base > best_total:
+            best_total = base
+            best_strategy = DeterministicStrategy(alpha, tuple(bob_choice))
+    return strategy_value(f, best_strategy), best_strategy
+
+
+def assert_matches_oracle(f, cap=localbound.DEFAULT_STRATEGY_CAP):
+    value, strategy = local_bound(f, cap)
+    assert (value, strategy) == loop_extremize(f, 1.0)
+    assert value == strategy_value(f, strategy)
+    low, low_strategy = local_bound_min_strategy(f, cap)
+    assert (low, low_strategy) == loop_extremize(f, -1.0)
+    assert low == strategy_value(f, low_strategy)
+
+
+def functional_from_values(sc: BellScenario, values) -> BellFunctional:
+    it = iter(values)
+
+    def take(n):
+        return np.array([next(it) for _ in range(n)], dtype=float)
+
+    joint = [[take(va * vb).reshape(va, vb) for vb in sc.outcomes_b] for va in sc.outcomes_a]
+    marginal_a = [take(v) for v in sc.outcomes_a]
+    marginal_b = [take(v) for v in sc.outcomes_b]
+    return BellFunctional(sc, joint, marginal_a, marginal_b, next(it))
+
+
+_REALS = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+_COUNTS = st.lists(st.integers(2, 4), min_size=1, max_size=3)
+
+
+@st.composite
+def functionals(draw):
+    """Ragged scenarios with dense real, sparse, integer-valued (many ties),
+    flat (every strategy ties) or cos/sin-weighted integer coefficients (ties
+    that rounding may break, as in ``i_phi``)."""
+    sc = BellScenario(tuple(draw(_COUNTS)), tuple(draw(_COUNTS)))
+    n = (
+        sum(va * vb for va in sc.outcomes_a for vb in sc.outcomes_b)
+        + sum(sc.outcomes_a)
+        + sum(sc.outcomes_b)
+        + 1
+    )
+    kind = draw(st.sampled_from(["real", "sparse", "integer", "flat", "angle"]))
+    if kind == "flat":
+        values = [draw(_REALS)] * n
+    elif kind == "angle":
+        phi = draw(st.floats(-math.pi, math.pi))
+        ints = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+        values = math.cos(phi) * np.array(draw(ints)) + math.sin(phi) * np.array(draw(ints))
+    else:
+        element = {
+            "real": _REALS,
+            "sparse": st.one_of(st.just(0.0), st.just(0.0), _REALS),
+            "integer": st.integers(-2, 2).map(float),
+        }[kind]
+        values = draw(st.lists(element, min_size=n, max_size=n))
+    return functional_from_values(sc, values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(functionals(), st.sampled_from([1, 16, 64, localbound._CHUNK_CELLS]))
+def test_matches_oracle_on_random_functionals(f, chunk_cells):
+    # Small blocks move Alice's settings into the loop over leading settings.
+    with mock.patch.object(localbound, "_CHUNK_CELLS", chunk_cells):
+        assert_matches_oracle(f)
+
+
+@pytest.mark.parametrize("chunk_cells", [1, localbound._CHUNK_CELLS])
+def test_matches_oracle_on_iphi_grid(chunk_cells):
+    # I_phi has maximal strategies that tie in exact arithmetic but not in
+    # floating point, so a change of accumulation order picks another witness
+    # at some angles.
+    with mock.patch.object(localbound, "_CHUNK_CELLS", chunk_cells):
+        for phi in np.linspace(-math.pi, math.pi, 1025):
+            assert_matches_oracle(catalog.i_phi(float(phi)))
+
+
+def test_matches_oracle_on_catalog():
+    for name in ("cglmp-c", "cglmp-d", "E", "chsh"):
+        assert_matches_oracle(catalog.by_name(name))
+
+
+def test_matches_oracle_across_several_blocks(rng):
+    # 4^6 Alice strategies against 9 four-outcome Bob settings do not fit one
+    # block, so the loop over leading settings runs more than once.
+    sc = BellScenario((4,) * 6, (4,) * 9)
+    cells = max(sc.outcomes_b) * sc.settings_b
+    assert math.prod(sc.outcomes_a) * cells > localbound._CHUNK_CELLS
+    n = 4 * 4 * 6 * 9 + 4 * 6 + 4 * 9 + 1
+    for values in (rng.normal(size=n), rng.integers(-1, 2, size=n)):
+        assert_matches_oracle(functional_from_values(sc, values), cap=4**15)
+
+
+def test_local_norm_across_several_blocks(rng):
+    # Reference: every sign vector y at once, x following the signs of M y.
+    m = 13
+    assert (1 << m) * 2 * m > localbound._CHUNK_CELLS
+    matrix = rng.normal(size=(m, m))
+    bits = (np.arange(1 << m)[None, :] >> np.arange(m)[:, None]) & 1
+    expected = float(np.abs(matrix @ (2.0 * bits - 1.0)).sum(axis=0).max())
+    assert abs(grothendieck.local_norm(matrix) - expected) < 1e-12 * expected

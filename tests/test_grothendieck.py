@@ -49,6 +49,14 @@ def test_local_norm_cap():
         local_norm(np.eye(27))
 
 
+def test_non_finite_matrix_rejected():
+    for matrix in ([[np.nan, 1.0], [1.0, 1.0]], [[np.inf]], [[1.0, -np.inf], [0.0, 0.0]]):
+        with pytest.raises(ConfigError):
+            local_norm(matrix)
+    with pytest.raises(ConfigError):
+        normalize([[np.nan]])
+
+
 def test_normalize():
     norm = normalize(CHSH_MATRIX)
     assert np.array_equal(norm.matrix, CHSH_MATRIX / 2.0)
