@@ -209,7 +209,13 @@ def cmd_seesaw(args) -> int:
     manifest = _Manifest(sys.argv[1:], seed, echo, time.monotonic())
     functional, name = _load_functional(args.functional)
     result = seesaw(functional, args.da, args.db, cfg, jobs=args.jobs)
-    values = np.array(result.per_restart_values)
+    # An aborted restart has no value: JSON gets null (never the invalid
+    # -Infinity) and the summary statistics cover finished restarts only.
+    values = [
+        None if i in result.aborted else float(v)
+        for i, v in enumerate(result.per_restart_values)
+    ]
+    finished = np.array([v for v in values if v is not None])
     converged = sum(result.converged_flags)
     if args.json:
         _emit_json(
@@ -217,7 +223,8 @@ def cmd_seesaw(args) -> int:
                 "functional": name,
                 "best_value": result.best_value,
                 "value_label": catalog.HEURISTIC_LABEL,
-                "per_restart_values": [float(v) for v in values],
+                "per_restart_values": values,
+                "aborted": {str(i): error for i, error in sorted(result.aborted.items())},
                 "iterations_used": list(result.iterations_used),
                 "converged_flags": list(result.converged_flags),
             },
@@ -226,9 +233,9 @@ def cmd_seesaw(args) -> int:
     else:
         print(f"best value ({catalog.HEURISTIC_LABEL}): {_format_value(result.best_value)}")
         print(
-            f"restarts {len(values)}  converged {converged}  "
-            f"median {_format_value(float(np.median(values)))}  "
-            f"min {_format_value(float(values.min()))}"
+            f"restarts {len(values)}  converged {converged}  aborted {len(result.aborted)}  "
+            f"median {_format_value(float(np.median(finished)))}  "
+            f"min {_format_value(float(finished.min()))}"
         )
         print(
             f"iterations: mean {float(np.mean(result.iterations_used)):.1f}  "

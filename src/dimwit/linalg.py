@@ -2,7 +2,9 @@
 
 Everything here is a pure function on immutable inputs.  The eigensolver is
 LAPACK's Hermitian driver (``numpy.linalg.eigh``), reordered so eigenvalues
-come out descending.
+come out descending.  ``eig_hermitian`` and ``positive_projector`` accept a
+single (n, n) matrix or a (..., n, n) stack of them and work on each member
+independently, so one call can serve every setting of a party.
 """
 
 from __future__ import annotations
@@ -29,36 +31,39 @@ class HermitianEig:
     eigenvectors: np.ndarray
 
 
-def _as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise DimensionMismatchError(f"expected a 2-d matrix, got shape {np.shape(a)}")
-    return m
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
 def _require_hermitian(a, tol: float) -> np.ndarray:
-    m = _as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    """``a`` as a complex (..., n, n) array, checked and symmetrized; every
+    member of a stack must pass."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.size == 0:
+        raise DimensionMismatchError(
+            f"expected a square matrix or a stack of them, got shape {np.shape(a)}"
+        )
     # NaN compares False against every tolerance, so reject it up front.
     if not np.isfinite(m).all():
         raise NotHermitianError("matrix has non-finite entries")
-    deviation = float(np.abs(m - m.conj().T).max())
+    deviation = float(np.abs(m - _adjoint(m)).max())
     if deviation > tol:
         raise NotHermitianError(
             f"matrix deviates from Hermiticity by {deviation:.3e} (tol {tol:.1e})"
         )
     # Symmetrize once the check passed so downstream math sees an exact Hermitian.
-    return (m + m.conj().T) / 2.0
+    return (m + _adjoint(m)) / 2.0
 
 
 def eig_hermitian(a, tol: float = HERMITICITY_TOL) -> HermitianEig:
     """Diagonalize a complex Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
     Returns eigenvalues in descending order with matching orthonormal
-    eigenvector columns.  Raises ``NotHermitianError`` if the input has
-    non-finite entries or deviates from A = A† by more than ``tol``, and
-    ``NoConvergenceError`` if LAPACK reports that it did not converge.
+    eigenvector columns.  A (..., n, n) stack gives (..., n) eigenvalues and
+    (..., n, n) eigenvectors, member by member as separate calls would.
+    Raises ``NotHermitianError`` if any member has non-finite entries or
+    deviates from A = A† by more than ``tol``, and ``NoConvergenceError`` if
+    LAPACK reports that it did not converge.
 
     Eigenvectors within a degenerate cluster are solver-dependent; callers
     must only rely on spectral projectors.
@@ -68,20 +73,18 @@ def eig_hermitian(a, tol: float = HERMITICITY_TOL) -> HermitianEig:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(
-            f"LAPACK eigh failed for a {m.shape[0]}x{m.shape[0]} matrix: {exc}"
+            f"LAPACK eigh failed for a {m.shape[-1]}x{m.shape[-1]} matrix: {exc}"
         ) from exc
-    return HermitianEig(w[::-1].copy(), np.ascontiguousarray(v[:, ::-1]))
+    return HermitianEig(w[..., ::-1].copy(), np.ascontiguousarray(v[..., ::-1]))
 
 
 def positive_projector(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Projector onto the strictly positive eigenspace (eigenvalues > tol)."""
+    """Projector onto the strictly positive eigenspace (eigenvalues > tol),
+    of a matrix or of each member of a (..., n, n) stack."""
     eig = eig_hermitian(a, tol)
-    keep = eig.eigenvalues > tol
-    if not np.any(keep):
-        return np.zeros_like(np.asarray(a, dtype=complex))
-    vecs = eig.eigenvectors[:, keep]
-    p = vecs @ vecs.conj().T
-    return (p + p.conj().T) / 2.0
+    vecs = eig.eigenvectors * (eig.eigenvalues > tol)[..., None, :]
+    p = vecs @ _adjoint(vecs)
+    return (p + _adjoint(p)) / 2.0
 
 
 def psd_pseudo_sqrt(a, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +93,10 @@ def psd_pseudo_sqrt(a, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.nda
     Eigenvalues in [-tol, 0] are clamped to zero; anything below -tol raises
     ``NotPSDError``.  The support projector spans eigenvalues > tol, so
     ``sqrt @ sqrt`` reproduces the input and ``support`` commutes with it.
+    Takes a single matrix only.
     """
+    if np.ndim(a) != 2:
+        raise DimensionMismatchError(f"expected a 2-d matrix, got shape {np.shape(a)}")
     eig = eig_hermitian(a, tol)
     w = eig.eigenvalues
     if w[-1] < -tol:

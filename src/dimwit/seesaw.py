@@ -2,13 +2,16 @@
 
 Each restart seeds a random pure state and random projective measurements,
 then repeats: replace the state by (a vector in) the Bell operator's top
-eigenspace, then re-optimize each measurement setting holding everything else
-fixed.  Binary settings are solved exactly by a positive-eigenspace split;
-settings with three or more outcomes cycle through exact pairwise exchanges
-that redistribute each pair's sum optimally.  Every step is a closed-form
-eigenproblem, so the objective is non-decreasing and every iterate is a
-feasible model - values are honest lower bounds on the dimension-restricted
-maximum, found heuristically.
+eigenspace, then re-optimize all of Alice's measurement settings in one step,
+then all of Bob's.  Once the state and the partner's POVMs are fixed, the
+objective splits into one independent term per setting of the party, so a
+party step gives the same model as updating its settings one at a time.
+Binary settings are solved exactly by a positive-eigenspace split, all of a
+party's at once on a stack; settings with three or more outcomes cycle
+through exact pairwise exchanges that redistribute each pair's sum
+optimally.  Every step is a closed-form eigenproblem, so the objective is
+non-decreasing and every iterate is a feasible model - values are honest
+lower bounds on the dimension-restricted maximum, found heuristically.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, NoConvergenceError, NotHermitianError, NotPSDError
+from .errors import ConfigError, NoConvergenceError, NotHermitianError, NotPSDError, WrongOutcomeCountError
 from .scenario import (
     BellFunctional,
     BellScenario,
@@ -157,80 +160,35 @@ def update_state(f: BellFunctional, model: QuantumModel, fixed_state=None) -> Qu
     return replace(model, state=state)
 
 
-def _setting_operators(f: BellFunctional, model: QuantumModel, party: str, setting: int):
-    """Per-outcome Hermitian operators F_a such that the objective restricted
-    to this setting's POVM is sum_a tr(M_a F_a) plus terms independent of it.
+def _party_operators(f: BellFunctional, model: QuantumModel, party: str, settings):
+    """Per-outcome Hermitian operators F[i, a] for each setting x = settings[i]
+    of one party, such that the objective restricted to setting x's POVM is
+    sum_a tr(M_xa F[i, a]) plus terms independent of it.
 
-    For Alice, F_a = Psi K_aᵀ Psi† with K_a = sum_yb C[x, y, a, b] B_yb and
-    Psi the state as a d_a x d_b matrix.  Bob is the same contraction with the
-    parties swapped: C.transpose(1, 0, 3, 2), Alice's POVMs, and Psiᵀ.
+    Returns a (len(settings), max outcomes, d, d) array; outcomes past a
+    setting's count are zero.  For Alice, F[i, a] = Psi K_xaᵀ Psi† with
+    K_xa = sum_yb C[x, y, a, b] B_yb and Psi the state as a d_a x d_b matrix.
+    Bob is the same contraction with the parties swapped:
+    C.transpose(1, 0, 3, 2), Alice's POVMs, and Psiᵀ.
     """
     psi = model.state.reshape(model.d_a, model.d_b)
     if party == "A":
-        c, partner, count = f.coefficients, model.povms_b, f.scenario.outcomes_a[setting]
+        c, partner = f.coefficients, model.povms_b
     elif party == "B":
-        c, partner, count = (
-            f.coefficients.transpose(1, 0, 3, 2),
-            model.povms_a,
-            f.scenario.outcomes_b[setting],
-        )
+        c, partner = f.coefficients.transpose(1, 0, 3, 2), model.povms_a
         psi = psi.T
     else:
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    k = np.tensordot(c[setting], povm_stack(partner, c.shape[3]), axes=([0, 2], [0, 1]))
-    ops = psi @ k[:count].transpose(0, 2, 1) @ psi.conj().T
-    return [(op + op.conj().T) / 2.0 for op in ops]
+    k = np.tensordot(c[list(settings)], povm_stack(partner, c.shape[3]), axes=([1, 3], [0, 1]))
+    ops = psi @ k.swapaxes(-1, -2) @ psi.conj().T
+    return (ops + ops.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _with_setting(model: QuantumModel, party: str, setting: int, elements) -> QuantumModel:
-    elements = tuple(elements)
-    if party == "A":
-        povms = list(model.povms_a)
-        povms[setting] = elements
-        return replace(model, povms_a=tuple(povms))
-    povms = list(model.povms_b)
-    povms[setting] = elements
-    return replace(model, povms_b=tuple(povms))
-
-
-def update_measurement_binary(f: BellFunctional, model: QuantumModel, party: str, setting: int) -> QuantumModel:
-    """Exact maximizer for a two-outcome setting: the first element becomes
-    the projector onto the positive eigenspace of F_0 - F_1."""
-    from .errors import WrongOutcomeCountError
-
-    counts = f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b
-    if counts[setting] != 2:
-        raise WrongOutcomeCountError(
-            f"setting {setting} of party {party} has {counts[setting]} outcomes, expected 2"
-        )
-    f0, f1 = _setting_operators(f, model, party, setting)
-    m0 = linalg.positive_projector(f0 - f1, EXCHANGE_TOL)
-    m1 = np.eye(m0.shape[0], dtype=complex) - m0
-    return _with_setting(model, party, setting, (m0, m1))
-
-
-def update_measurement_multi(
-    f: BellFunctional, model: QuantumModel, party: str, setting: int, passes: int = 3
-) -> QuantumModel:
-    """Round-robin exact pairwise exchanges for a setting with >= 3 outcomes.
-
-    For each ordered pair (a, a') the sum S = M_a + M_a' is held fixed and
-    tr(M_a (F_a - F_a')) is maximized over 0 <= M_a <= S; the closed-form
-    solution is sqrt(S) P sqrt(S) with P the positive projector of
-    sqrt(S) (F_a - F_a') sqrt(S), supported inside S.  POVM constraints are
-    preserved and the objective never decreases.
-    """
-    from .errors import WrongOutcomeCountError
-
-    counts = f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b
-    v = counts[setting]
-    if v < 3:
-        raise WrongOutcomeCountError(
-            f"setting {setting} of party {party} has {v} outcomes, expected >= 3"
-        )
-    ops = _setting_operators(f, model, party, setting)
-    povms = model.povms_a if party == "A" else model.povms_b
-    elements = [np.array(m) for m in povms[setting]]
+def _exchange_pairs(ops, elements, passes: int):
+    """Round-robin exact pairwise exchanges on one setting's POVM ``elements``
+    against its operators ``ops`` (see ``update_measurement_multi``)."""
+    elements = [np.array(m) for m in elements]
+    v = len(elements)
     for _ in range(passes):
         for a in range(v):
             for a2 in range(a + 1, v):
@@ -254,33 +212,90 @@ def update_measurement_multi(
                 new_a = (new_a + new_a.conj().T) / 2.0
                 elements[a] = new_a
                 elements[a2] = s - new_a
-    return _with_setting(model, party, setting, elements)
+    return tuple(elements)
 
 
-def _update_setting(f, model, party, setting, cfg: SeesawConfig) -> QuantumModel:
+def _update_party(f: BellFunctional, model: QuantumModel, party: str, settings, passes: int) -> QuantumModel:
+    """Re-optimize the listed settings of one party in one step.
+
+    One contraction builds every setting's F; all binary settings are solved
+    by one stacked ``positive_projector`` call (the first element becomes the
+    projector onto the positive eigenspace of F_0 - F_1); settings with three
+    or more outcomes run ``passes`` rounds of pairwise exchanges.  F of one
+    setting does not depend on the party's other settings, so the result
+    equals updating the settings one after another.  The model is rebuilt
+    once.
+    """
+    settings = list(settings)
+    ops = _party_operators(f, model, party, settings)
     counts = f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b
-    if counts[setting] == 2:
-        model = update_measurement_binary(f, model, party, setting)
-    else:
-        model = update_measurement_multi(f, model, party, setting, cfg.pair_pass_count)
-    if cfg.projective_only:
-        povms = model.povms_a if party == "A" else model.povms_b
-        for m in povms[setting]:
+    povms = list(model.povms_a if party == "A" else model.povms_b)
+    binary = [i for i, x in enumerate(settings) if counts[x] == 2]
+    if binary:
+        m0 = linalg.positive_projector(ops[binary, 0] - ops[binary, 1], EXCHANGE_TOL)
+        m1 = np.eye(m0.shape[-1], dtype=complex) - m0
+        for i, p0, p1 in zip(binary, m0, m1):
+            povms[settings[i]] = (p0, p1)
+    for i, x in enumerate(settings):
+        if counts[x] > 2:
+            povms[x] = _exchange_pairs(ops[i, : counts[x]], povms[x], passes)
+    if party == "A":
+        return replace(model, povms_a=tuple(povms))
+    return replace(model, povms_b=tuple(povms))
+
+
+def update_measurement_binary(f: BellFunctional, model: QuantumModel, party: str, setting: int) -> QuantumModel:
+    """Exact maximizer for a two-outcome setting: the first element becomes
+    the projector onto the positive eigenspace of F_0 - F_1.  This is the
+    see-saw's party step restricted to one setting."""
+    counts = f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b
+    if counts[setting] != 2:
+        raise WrongOutcomeCountError(
+            f"setting {setting} of party {party} has {counts[setting]} outcomes, expected 2"
+        )
+    return _update_party(f, model, party, [setting], passes=1)
+
+
+def update_measurement_multi(
+    f: BellFunctional, model: QuantumModel, party: str, setting: int, passes: int = 3
+) -> QuantumModel:
+    """Round-robin exact pairwise exchanges for a setting with >= 3 outcomes.
+
+    For each ordered pair (a, a') the sum S = M_a + M_a' is held fixed and
+    tr(M_a (F_a - F_a')) is maximized over 0 <= M_a <= S; the closed-form
+    solution is sqrt(S) P sqrt(S) with P the positive projector of
+    sqrt(S) (F_a - F_a') sqrt(S), supported inside S.  POVM constraints are
+    preserved and the objective never decreases.  This is the see-saw's party
+    step restricted to one setting.
+    """
+    counts = f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b
+    v = counts[setting]
+    if v < 3:
+        raise WrongOutcomeCountError(
+            f"setting {setting} of party {party} has {v} outcomes, expected >= 3"
+        )
+    return _update_party(f, model, party, [setting], passes)
+
+
+def _require_projective(povms) -> None:
+    for setting in povms:
+        for m in setting:
             drift = float(np.abs(m @ m - m).max())
             if drift > 1e-8:
                 raise ConfigError(
                     f"projective_only violated: element drifted from idempotency by {drift:.2e}"
                 )
-    return model
 
 
 def refine(f: BellFunctional, model: QuantumModel, cfg: SeesawConfig):
     """Run the update schedule from a given model until converged.
 
-    Schedule per iteration: state, all Alice settings, all Bob settings, in
-    index order.  Returns (value, model, iterations, converged); convergence
-    means one full iteration improved the objective by less than
-    ``convergence_tol``.
+    Schedule per iteration: the state, then every Alice setting in one
+    ``_update_party`` step, then every Bob setting in one step.  A party's
+    settings do not interact once the state and the partner's POVMs are
+    fixed, so this equals updating them one by one in index order.  Returns
+    (value, model, iterations, converged); convergence means one full
+    iteration improved the objective by less than ``convergence_tol``.
     """
     value = model_value(f, model)
     iterations = 0
@@ -288,10 +303,10 @@ def refine(f: BellFunctional, model: QuantumModel, cfg: SeesawConfig):
     for _ in range(cfg.max_iterations):
         iterations += 1
         model = update_state(f, model, cfg.fixed_state)
-        for x in range(f.scenario.settings_a):
-            model = _update_setting(f, model, "A", x, cfg)
-        for y in range(f.scenario.settings_b):
-            model = _update_setting(f, model, "B", y, cfg)
+        for party, count in (("A", f.scenario.settings_a), ("B", f.scenario.settings_b)):
+            model = _update_party(f, model, party, range(count), cfg.pair_pass_count)
+            if cfg.projective_only:
+                _require_projective(model.povms_a if party == "A" else model.povms_b)
         new_value = model_value(f, model)
         improvement = new_value - value
         value = new_value

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 from dimwit import bellfmt, catalog, grothendieck
 from dimwit.cli import _fail_code, main
-from dimwit.errors import InvalidFunctionalError
+from dimwit.errors import InvalidFunctionalError, NotPSDError
 from dimwit.localbound import local_bound, local_bound_min_strategy, strategy_table
 from dimwit.scenario import uniform_table
 
@@ -163,6 +164,38 @@ def test_seesaw_env_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DIMWIT_SEED", "x")
     code, _, err = run_cli(capsys, *args)
     assert code == 5 and "DIMWIT_SEED" in err
+
+
+def _reject_constant(constant):
+    raise ValueError(f"invalid JSON constant {constant}")
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_seesaw_cli_reports_aborted_restart(capsys, monkeypatch, as_json):
+    ss = importlib.import_module("dimwit.seesaw")
+    real_refine = ss.refine
+    calls = [0]
+
+    def flaky(functional, model, cfg):
+        calls[0] += 1
+        if calls[0] == 1:
+            raise NotPSDError("synthetic failure")
+        return real_refine(functional, model, cfg)
+
+    monkeypatch.setattr(ss, "refine", flaky)
+    args = ["seesaw", "chsh", "--da", "2", "--db", "2", "--restarts", "3", "--seed", "4", "--jobs", "1"]
+    with pytest.warns(UserWarning, match="restart 0 aborted"):
+        code, out, _ = run_cli(capsys, *args, *(["--json"] if as_json else []))
+    assert code == 0
+    if as_json:
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["per_restart_values"][0] is None
+        assert all(v > 2.8 for v in payload["per_restart_values"][1:])
+        assert payload["aborted"] == {"0": "NotPSDError: synthetic failure"}
+    else:
+        summary = out.splitlines()[1]
+        assert "aborted 1" in summary
+        assert "inf" not in summary
 
 
 def test_witness_cli_chsh_not_witnessed(capsys):

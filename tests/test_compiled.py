@@ -2,6 +2,8 @@
 reference, and the see-saw's per-setting operators against the value change
 they predict."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from dimwit.scenario import (
     povm_stack,
     table_of,
 )
-from dimwit.seesaw import _setting_operators, _with_setting
+from dimwit.seesaw import _party_operators
 
 from conftest import random_functional, random_hermitian
 
@@ -155,28 +157,39 @@ def test_povm_stack_layout(rng):
     assert np.array_equal(stack[-1, 0], np.eye(2))
 
 
+def with_setting(m, party, setting, elements):
+    povms = list(m.povms_a if party == "A" else m.povms_b)
+    povms[setting] = tuple(elements)
+    if party == "A":
+        return replace(m, povms_a=tuple(povms))
+    return replace(m, povms_b=tuple(povms))
+
+
 def test_setting_operators_predict_value_change(rng):
     """The value is affine in one setting's elements, so replacing POVM M by N
-    changes it by exactly sum_a tr((N_a - M_a) F_a)."""
+    changes it by exactly sum_a tr((N_a - M_a) F_a), with F the setting's row
+    of the party-wide operator stack; outcomes past the count are zero."""
     for f, m, valid in cases(rng):
         if not valid:
             continue
         before = model_value(f, m)
         for party, povms, d in (("A", m.povms_a, m.d_a), ("B", m.povms_b, m.d_b)):
+            stack = _party_operators(f, m, party, range(len(povms)))
+            assert stack.shape == (len(povms), max(map(len, povms)), d, d)
             for setting, old in enumerate(povms):
-                ops = _setting_operators(f, m, party, setting)
-                assert len(ops) == len(old)
+                ops = stack[setting, : len(old)]
+                assert not stack[setting, len(old) :].any()
                 for op in ops:
                     assert np.array_equal(op, op.conj().T)
                 new = random_povm(rng, d, len(old))
                 predicted = sum(
                     np.trace((n - o) @ op).real for n, o, op in zip(new, old, ops)
                 )
-                after = model_value(f, _with_setting(m, party, setting, new))
+                after = model_value(f, with_setting(m, party, setting, new))
                 assert abs(after - before - predicted) < 1e-12
 
 
 def test_setting_operators_reject_unknown_party(rng):
     f = random_functional(rng, RAGGED)
     with pytest.raises(ValueError):
-        _setting_operators(f, random_model(rng, RAGGED, 2, 2), "C", 0)
+        _party_operators(f, random_model(rng, RAGGED, 2, 2), "C", [0])

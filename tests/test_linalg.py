@@ -126,3 +126,47 @@ def test_psd_pseudo_sqrt_clamps_and_rejects():
     assert np.allclose(root, np.diag([1.0, 0.0]))
     with pytest.raises(NotPSDError):
         linalg.psd_pseudo_sqrt(np.diag([1.0, -1e-6]), tol=1e-9)
+
+
+def _stack(rng, k, n):
+    s = np.stack([random_hermitian(rng, n) for _ in range(k)])
+    s[1] = -np.eye(n) - s[1] @ s[1]  # negative definite: an empty positive part
+    return s
+
+
+def test_stack_matches_per_matrix_calls(rng):
+    for n in (2, 3, 4):
+        stack = _stack(rng, 5, n)
+        eig = linalg.eig_hermitian(stack)
+        proj = linalg.positive_projector(stack)
+        assert eig.eigenvalues.shape == (5, n) and eig.eigenvectors.shape == (5, n, n)
+        assert proj.shape == (5, n, n)
+        for member, w, v, p in zip(stack, eig.eigenvalues, eig.eigenvectors, proj):
+            single = linalg.eig_hermitian(member)
+            assert np.abs(w - single.eigenvalues).max() < 1e-12
+            assert np.abs(v - single.eigenvectors).max() < 1e-12
+            assert np.abs(p - linalg.positive_projector(member)).max() < 1e-12
+        assert not proj[1].any()
+
+
+def test_stack_rejects_one_bad_member(rng):
+    for bad in (np.nan, 1.0):  # non-finite, then non-Hermitian
+        stack = _stack(rng, 4, 3)
+        stack[2, 0, 1] += bad
+        with pytest.raises(NotHermitianError):
+            linalg.eig_hermitian(stack)
+        with pytest.raises(NotHermitianError):
+            linalg.positive_projector(stack)
+    with pytest.raises(DimensionMismatchError):
+        linalg.eig_hermitian(np.zeros((3, 2, 3)))
+    with pytest.raises(DimensionMismatchError):  # the square root takes one matrix only
+        linalg.psd_pseudo_sqrt(np.stack([np.eye(2)] * 2))
+
+
+def test_stack_lapack_failure_raises_no_convergence(rng, monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergenceError):
+        linalg.positive_projector(_stack(rng, 3, 2))

@@ -187,6 +187,42 @@ def test_updates_monotone_and_feasible(rng):
                     value = new
 
 
+def _setting_by_setting(f, model, party, passes):
+    counts = f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b
+    for setting, v in enumerate(counts):
+        if v == 2:
+            model = update_measurement_binary(f, model, party, setting)
+        else:
+            model = update_measurement_multi(f, model, party, setting, passes)
+    return model
+
+
+def test_party_step_equals_setting_by_setting_and_is_monotone(rng):
+    """One party step, as ``refine`` runs it, equals the per-setting updates
+    in index order, keeps the model feasible and never lowers the objective."""
+    scenarios = (BellScenario((2, 3, 2), (3, 2)), BellScenario((3, 2), (2, 2, 3)))
+    for i, sc in enumerate(scenarios * 2):
+        for d_a, d_b in ((2, 2), (2, 3), (3, 3)):
+            f = random_functional(rng, sc)
+            model = seeded_models(sc, d_a, d_b, seed=500 + i, count=1)[0]
+            value = model_value(f, model)
+            for _ in range(3):
+                model = update_state(f, model)
+                assert model_value(f, model) >= value - 1e-12
+                value = model_value(f, model)
+                for party, n in (("A", sc.settings_a), ("B", sc.settings_b)):
+                    step = ss._update_party(f, model, party, range(n), 3)
+                    ref = _setting_by_setting(f, model, party, 3)
+                    for got, want in zip(step.povms_a + step.povms_b, ref.povms_a + ref.povms_b):
+                        for m1, m2 in zip(got, want):
+                            assert np.abs(m1 - m2).max() < 1e-12
+                    new = model_value(f, step)
+                    assert abs(new - model_value(f, ref)) < 1e-12
+                    step.validate(sc)
+                    assert new >= value - 1e-12
+                    model, value = step, new
+
+
 def test_seesaw_chsh_correlation_normalized():
     from dimwit.grothendieck import correlator_bell, normalize
 
