@@ -247,6 +247,8 @@ def cmd_seesaw(args) -> int:
 def cmd_curve(args) -> int:
     if args.family != "iphi":
         raise _Failure(5, f"unknown curve family {args.family!r}")
+    if args.steps < 1:
+        raise _Failure(5, f"--steps must be >= 1, got {args.steps}")
     dims = []
     for token in args.dims.split(","):
         token = token.strip()
@@ -371,7 +373,13 @@ def _add_seesaw_knobs(p: argparse.ArgumentParser, fixed_state: bool = False) -> 
     p.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: DIMWIT_SEED, then 0)")
     p.add_argument("--max-iterations", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-10, help="per-iteration improvement threshold")
-    p.add_argument("--jobs", type=int, default=_jobs_default(), help="parallel restart workers")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=_jobs_default(),
+        help="worker processes (>= 1); the pool maps over batches of restarts and "
+        "is used only when there are at least two batches",
+    )
     if fixed_state:
         p.add_argument("--fixed-theta", type=float, default=None, help="pin state cos(t)|00>+sin(t)|11> (2x2 only)")
         p.add_argument("--fixed-gamma", type=float, default=None, help="pin state (|00>+g|11>+|22>)/sqrt(2+g^2) (3x3 only)")

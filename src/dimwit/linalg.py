@@ -2,9 +2,10 @@
 
 Everything here is a pure function on immutable inputs.  The eigensolver is
 LAPACK's Hermitian driver (``numpy.linalg.eigh``), reordered so eigenvalues
-come out descending.  ``eig_hermitian`` and ``positive_projector`` accept a
-single (n, n) matrix or a (..., n, n) stack of them and work on each member
-independently, so one call can serve every setting of a party.
+come out descending.  ``eig_hermitian``, ``positive_projector`` and
+``psd_pseudo_sqrt`` accept a single (n, n) matrix or a (..., n, n) stack of
+them and work on each member independently, so one call can serve every
+setting of a batch of see-saw restarts.
 """
 
 from __future__ import annotations
@@ -88,27 +89,21 @@ def positive_projector(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
 
 
 def psd_pseudo_sqrt(a, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Square root of a PSD matrix together with its support projector.
+    """Square root of a PSD matrix, or of each member of a (..., n, n) stack,
+    together with its support projector.
 
-    Eigenvalues in [-tol, 0] are clamped to zero; anything below -tol raises
-    ``NotPSDError``.  The support projector spans eigenvalues > tol, so
-    ``sqrt @ sqrt`` reproduces the input and ``support`` commutes with it.
-    Takes a single matrix only.
+    Eigenvalues in [-tol, 0] are clamped to zero; anything below -tol in any
+    member raises ``NotPSDError``.  The support projector spans eigenvalues
+    > tol, so ``sqrt @ sqrt`` reproduces the input and ``support`` commutes
+    with it.
     """
-    if np.ndim(a) != 2:
-        raise DimensionMismatchError(f"expected a 2-d matrix, got shape {np.shape(a)}")
     eig = eig_hermitian(a, tol)
-    w = eig.eigenvalues
-    if w[-1] < -tol:
-        raise NotPSDError(f"eigenvalue {w[-1]:.3e} below -tol ({-tol:.1e})")
-    w = np.clip(w, 0.0, None)
+    low = float(eig.eigenvalues[..., -1].min())
+    if low < -tol:
+        raise NotPSDError(f"eigenvalue {low:.3e} below -tol ({-tol:.1e})")
+    w = np.clip(eig.eigenvalues, 0.0, None)
     v = eig.eigenvectors
-    root = (v * np.sqrt(w)) @ v.conj().T
-    keep = w > tol
-    if np.any(keep):
-        vk = v[:, keep]
-        support = vk @ vk.conj().T
-        support = (support + support.conj().T) / 2.0
-    else:
-        support = np.zeros_like(root)
-    return (root + root.conj().T) / 2.0, support
+    root = (v * np.sqrt(w)[..., None, :]) @ _adjoint(v)
+    kept = v * (w > tol)[..., None, :]
+    support = kept @ _adjoint(kept)
+    return (root + _adjoint(root)) / 2.0, (support + _adjoint(support)) / 2.0

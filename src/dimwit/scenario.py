@@ -12,9 +12,11 @@ evaluated either on a raw probability table (``evaluate``) or on a quantum
 model.  Every quantum-side quantity - the Bell operator, the model's value, its
 probability table, and the see-saw's per-setting operators - is a contraction
 of the functional's compiled coefficient tensor (``BellFunctional.coefficients``)
-with the parties' stacked POVMs (``povm_stack``).  ``evaluate`` keeps its own
-loops over the blocks as an independent recompute path.  All types are
-immutable values and every operation is a pure function.
+with the parties' stacked POVMs (``povm_stack``).  The ``stacked_*``
+functions do these contractions for a batch of models at once, and the
+single-model functions are batches of one.  ``evaluate`` keeps its own loops
+over the blocks as an independent recompute path.  All types are immutable
+values and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -406,13 +408,84 @@ def _require_counts(f: BellFunctional, povms_a, povms_b) -> None:
         )
 
 
-def _correlations(m: QuantumModel, width_a: int, width_b: int) -> np.ndarray:
-    """T[x, y, a, b] = <psi| A_xa ⊗ B_yb |psi> = tr(Psi† A_xa Psi B_ybᵀ) over
-    the stacked POVMs, identity slots included."""
-    psi = m.state.reshape(m.d_a, m.d_b)
-    reduced = psi.conj().T @ povm_stack(m.povms_a, width_a) @ psi
-    t = np.tensordot(reduced, povm_stack(m.povms_b, width_b), axes=([2, 3], [2, 3]))
-    return t.real.transpose(0, 2, 1, 3)
+def model_stacks(f: BellFunctional, m: QuantumModel) -> tuple[np.ndarray, np.ndarray]:
+    """The model's POVMs as ``povm_stack`` arrays at the widths of ``f``'s
+    coefficient tensor, after checking the outcome counts against its scenario."""
+    _require_counts(f, m.povms_a, m.povms_b)
+    c = f.coefficients
+    return povm_stack(m.povms_a, c.shape[2]), povm_stack(m.povms_b, c.shape[3])
+
+
+# The ``stacked_*`` contractions below take a batch of B models: states as a
+# (B, d_a d_b) array and each party's POVMs as a (B, settings + 1, width, d, d)
+# array in the ``povm_stack`` layout.  Every product is a per-member matrix
+# product, so a member's result does not depend on the rest of its batch.
+
+
+def _flat(stacks: np.ndarray) -> np.ndarray:
+    """(B, settings + 1, width, d, d) stacks as (B, (settings + 1) width, d*d)."""
+    n, x, w, d, _ = stacks.shape
+    return stacks.reshape(n, x * w, d * d)
+
+
+def _partner_sums(c: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """K[i, x, a] = sum_yb c[x, y, a, b] partner[i, y, b] as (B, X, W, d, d)."""
+    x, y, w, v = c.shape
+    d = partner.shape[-1]
+    k = c.transpose(0, 2, 1, 3).reshape(x * w, y * v) @ _flat(partner)
+    return k.reshape(len(partner), x, w, d, d)
+
+
+def stacked_bell_operator(f: BellFunctional, stacks_a: np.ndarray, stacks_b: np.ndarray) -> np.ndarray:
+    """Bell operators sum_xa A_xa ⊗ K_xa of a batch, as (B, d_a d_b, d_a d_b),
+    with K_xa = sum_yb C[x, y, a, b] B_yb."""
+    n, d_a, d_b = len(stacks_a), stacks_a.shape[-1], stacks_b.shape[-1]
+    partner = _flat(_partner_sums(f.coefficients, stacks_b))
+    op = _flat(stacks_a).swapaxes(-1, -2) @ partner
+    return op.reshape(n, d_a, d_a, d_b, d_b).transpose(0, 1, 3, 2, 4).reshape(n, d_a * d_b, d_a * d_b)
+
+
+def stacked_correlations(states: np.ndarray, stacks_a: np.ndarray, stacks_b: np.ndarray) -> np.ndarray:
+    """T[i, x, y, a, b] = <psi_i| A_xa ⊗ B_yb |psi_i> = tr(Psi† A_xa Psi B_ybᵀ)
+    over the stacked POVMs, identity slots included."""
+    n, xa, wa, d_a, _ = stacks_a.shape
+    _, xb, wb, d_b, _ = stacks_b.shape
+    psi = states.reshape(n, 1, 1, d_a, d_b)
+    reduced = psi.conj().swapaxes(-1, -2) @ stacks_a @ psi
+    t = _flat(reduced) @ _flat(stacks_b).swapaxes(-1, -2)
+    return t.real.reshape(n, xa, wa, xb, wb).transpose(0, 1, 3, 2, 4)
+
+
+def stacked_values(f: BellFunctional, states: np.ndarray, stacks_a: np.ndarray, stacks_b: np.ndarray) -> np.ndarray:
+    """<psi_i| B_i |psi_i> for every member, as sum C * T without building B."""
+    t = stacked_correlations(states, stacks_a, stacks_b)
+    return (f.coefficients * t).reshape(len(t), f.coefficients.size).sum(axis=1)
+
+
+def stacked_party_operators(
+    f: BellFunctional, states: np.ndarray, stacks_a: np.ndarray, stacks_b: np.ndarray, party: str, settings
+) -> np.ndarray:
+    """Per-outcome Hermitian operators F[i, s, a] of member i for each setting
+    x = settings[s] of one party, such that the objective restricted to
+    setting x's POVM is sum_a tr(M_xa F[i, s, a]) plus terms independent of it.
+
+    Returns a (B, len(settings), width, d, d) array; outcomes past a setting's
+    count are zero.  For Alice, F = Psi K_xaᵀ Psi† with K_xa = sum_yb
+    C[x, y, a, b] B_yb and Psi the state as a d_a x d_b matrix.  Bob is the
+    same contraction with the parties swapped: C.transpose(1, 0, 3, 2),
+    Alice's POVMs, and Psiᵀ.
+    """
+    psi = states.reshape(len(states), 1, 1, stacks_a.shape[-1], stacks_b.shape[-1])
+    if party == "A":
+        c, partner = f.coefficients, stacks_b
+    elif party == "B":
+        c, partner = f.coefficients.transpose(1, 0, 3, 2), stacks_a
+        psi = psi.swapaxes(-1, -2)
+    else:
+        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
+    k = _partner_sums(c[list(settings)], partner)
+    ops = psi @ k.swapaxes(-1, -2) @ psi.conj().swapaxes(-1, -2)
+    return (ops + ops.conj().swapaxes(-1, -2)) / 2.0
 
 
 def bell_operator(f: BellFunctional, povms_a, povms_b) -> np.ndarray:
@@ -420,24 +493,23 @@ def bell_operator(f: BellFunctional, povms_a, povms_b) -> np.ndarray:
     _require_counts(f, povms_a, povms_b)
     c = f.coefficients
     stack_a = povm_stack(povms_a, c.shape[2])
-    partner = np.tensordot(c, povm_stack(povms_b, c.shape[3]), axes=([1, 3], [0, 1]))
-    op = np.einsum("xaij,xakl->ikjl", stack_a, partner)
-    dim = op.shape[0] * op.shape[1]
-    return op.reshape(dim, dim)
+    stack_b = povm_stack(povms_b, c.shape[3])
+    return stacked_bell_operator(f, stack_a[None], stack_b[None])[0]
 
 
 def model_value(f: BellFunctional, m: QuantumModel) -> float:
     """<psi| B |psi> for the functional's Bell operator B, computed as
     sum C * T over the model's correlations without building B."""
-    _require_counts(f, m.povms_a, m.povms_b)
-    c = f.coefficients
-    return float((c * _correlations(m, c.shape[2], c.shape[3])).sum())
+    stack_a, stack_b = model_stacks(f, m)
+    return float(stacked_values(f, m.state[None], stack_a[None], stack_b[None])[0])
 
 
 def table_of(m: QuantumModel) -> ProbabilityTable:
     """Probability table generated by the model; no-signaling by construction."""
     counts_a, counts_b = m.outcome_counts()
-    t = _correlations(m, max(counts_a), max(counts_b))
+    stack_a = povm_stack(m.povms_a, max(counts_a))
+    stack_b = povm_stack(m.povms_b, max(counts_b))
+    t = stacked_correlations(m.state[None], stack_a[None], stack_b[None])[0]
     blocks = [
         [t[x, y, :va, :vb] for y, vb in enumerate(counts_b)] for x, va in enumerate(counts_a)
     ]

@@ -12,6 +12,18 @@ through exact pairwise exchanges that redistribute each pair's sum
 optimally.  Every step is a closed-form eigenproblem, so the objective is
 non-decreasing and every iterate is a feasible model - values are honest
 lower bounds on the dimension-restricted maximum, found heuristically.
+
+Restarts run in lockstep batches.  ``seesaw`` cuts the restart indices into
+consecutive batches of ``RESTART_BATCH``.  A batch holds its members' states
+as one (B, d_a d_b) array and each party's POVMs as one (B, settings + 1,
+width, d, d) array in the ``povm_stack`` layout, so each step above is a few
+stacked contractions and eigensolves for the whole batch, and a model is
+built only once per restart, at the end.  Members that converge leave the
+active set.  Every stacked operation acts member by member, so a restart's
+iterates do not depend on its batch; ``refine`` is the same loop on a batch
+of one.  If a stacked step raises a linear-algebra error, that step is re-run
+member by member and only the members that raise are aborted.  A process
+pool, when asked for, maps over batches, and only when there are two or more.
 """
 
 from __future__ import annotations
@@ -28,9 +40,10 @@ from .scenario import (
     BellFunctional,
     BellScenario,
     QuantumModel,
-    bell_operator,
-    model_value,
-    povm_stack,
+    model_stacks,
+    stacked_bell_operator,
+    stacked_party_operators,
+    stacked_values,
 )
 
 #: Eigenvalues within this of the top one count as the top eigenspace.
@@ -41,6 +54,13 @@ PREVIOUS_STATE_MIN_OVERLAP = 1e-6
 EXCHANGE_TOL = 1e-9
 #: max |S@S - S| under which a pair sum is treated as an exact projector.
 PROJECTOR_DRIFT_TOL = 1e-11
+#: Restarts per lockstep batch.  Batches are cut from the restart indices
+#: alone, never from ``jobs``, and a member's result does not depend on its
+#: batch, so this trades memory against per-call overhead without changing
+#: any result.
+RESTART_BATCH = 16
+
+_LINALG_ERRORS = (NotHermitianError, NoConvergenceError, NotPSDError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +72,6 @@ class SeesawConfig:
     convergence_tol: float = 1e-10
     seed: int = 0
     fixed_state: np.ndarray | None = None
-    projective_only: bool = False
     pair_pass_count: int = 3
 
     def __post_init__(self):
@@ -78,7 +97,7 @@ class SeesawConfig:
 
 @dataclass
 class SeesawResult:
-    """Outcome of a restart batch; best_value is max(per_restart_values).
+    """Outcome of a ``seesaw`` run; best_value is max(per_restart_values).
 
     ``aborted`` maps the index of each restart that a linear-algebra error
     cut short to that error, as ``"<ErrorType>: <message>"``.
@@ -142,106 +161,118 @@ def update_state(f: BellFunctional, model: QuantumModel, fixed_state=None) -> Qu
 
     Within a degenerate top eigenspace the previous state's projection is kept
     (when its norm is at least 1e-6) to avoid cycling; a pinned ``fixed_state``
-    makes this a no-op.  The objective never decreases.
+    makes this a no-op.  The objective never decreases.  This is the
+    see-saw's state step on a batch of one.
     """
     if fixed_state is not None:
         return model
-    op = bell_operator(f, model.povms_a, model.povms_b)
-    eig = linalg.eig_hermitian(op)
-    top = eig.eigenvalues[0]
-    width = DEGENERACY_TOL * max(1.0, abs(top))
-    cluster = eig.eigenvectors[:, eig.eigenvalues >= top - width]
-    proj = cluster @ (cluster.conj().T @ model.state)
-    norm = float(np.linalg.norm(proj))
-    if norm >= PREVIOUS_STATE_MIN_OVERLAP:
-        state = proj / norm
-    else:
-        state = cluster[:, 0].copy()
-    return replace(model, state=state)
+    stack_a, stack_b = model_stacks(f, model)
+    return replace(model, state=_state_step(f, model.state[None], stack_a[None], stack_b[None])[0])
+
+
+def _state_step(f: BellFunctional, states, stacks_a, stacks_b) -> np.ndarray:
+    """New (B, d_a d_b) states of a batch (see ``update_state``): one stacked
+    eigensolve of the Bell operators, the top cluster picked by a per-member
+    eigenvalue mask."""
+    eig = linalg.eig_hermitian(stacked_bell_operator(f, stacks_a, stacks_b))
+    top = eig.eigenvalues[:, :1]
+    cluster = eig.eigenvalues >= top - DEGENERACY_TOL * np.maximum(1.0, np.abs(top))
+    vecs = eig.eigenvectors * cluster[:, None, :]
+    proj = (vecs @ (vecs.conj().swapaxes(-1, -2) @ states[:, :, None]))[:, :, 0]
+    norm = np.linalg.norm(proj, axis=1)
+    keep = norm >= PREVIOUS_STATE_MIN_OVERLAP
+    return np.where(keep[:, None], proj / np.where(keep, norm, 1.0)[:, None], eig.eigenvectors[:, :, 0])
 
 
 def _party_operators(f: BellFunctional, model: QuantumModel, party: str, settings):
-    """Per-outcome Hermitian operators F[i, a] for each setting x = settings[i]
-    of one party, such that the objective restricted to setting x's POVM is
-    sum_a tr(M_xa F[i, a]) plus terms independent of it.
+    """``stacked_party_operators`` of one model: a (len(settings), width, d, d)
+    array of the per-outcome operators F[s, a] of each listed setting."""
+    stack_a, stack_b = model_stacks(f, model)
+    return stacked_party_operators(f, model.state[None], stack_a[None], stack_b[None], party, settings)[0]
 
-    Returns a (len(settings), max outcomes, d, d) array; outcomes past a
-    setting's count are zero.  For Alice, F[i, a] = Psi K_xaᵀ Psi† with
-    K_xa = sum_yb C[x, y, a, b] B_yb and Psi the state as a d_a x d_b matrix.
-    Bob is the same contraction with the parties swapped:
-    C.transpose(1, 0, 3, 2), Alice's POVMs, and Psiᵀ.
+
+def _exchange_pairs(ops, elements, counts, passes: int) -> np.ndarray:
+    """Round-robin exact pairwise exchanges (see ``update_measurement_multi``)
+    on a (B, settings, width, d, d) stack of POVMs against their operators.
+
+    Each pair (a, a') runs once over every member and setting at a time;
+    per-member masks skip pairs past a setting's outcome ``counts``, pairs
+    with an empty sum and no-gain exchanges, so each setting sees the same
+    sequence of exchanges as it would alone.
     """
-    psi = model.state.reshape(model.d_a, model.d_b)
-    if party == "A":
-        c, partner = f.coefficients, model.povms_b
-    elif party == "B":
-        c, partner = f.coefficients.transpose(1, 0, 3, 2), model.povms_a
-        psi = psi.T
-    else:
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    k = np.tensordot(c[list(settings)], povm_stack(partner, c.shape[3]), axes=([1, 3], [0, 1]))
-    ops = psi @ k.swapaxes(-1, -2) @ psi.conj().T
-    return (ops + ops.conj().swapaxes(-1, -2)) / 2.0
-
-
-def _exchange_pairs(ops, elements, passes: int):
-    """Round-robin exact pairwise exchanges on one setting's POVM ``elements``
-    against its operators ``ops`` (see ``update_measurement_multi``)."""
-    elements = [np.array(m) for m in elements]
-    v = len(elements)
+    n, m, width, d, _ = elements.shape
+    elements = elements.reshape(n * m, width, d, d).copy()
+    ops = ops.reshape(n * m, width, d, d)
+    counts = np.tile(counts, n)
     for _ in range(passes):
-        for a in range(v):
-            for a2 in range(a + 1, v):
-                s = elements[a] + elements[a2]
-                if float(np.abs(s).max()) < 1e-15:
+        for a in range(width):
+            for a2 in range(a + 1, width):
+                s = elements[:, a] + elements[:, a2]
+                live = np.flatnonzero((counts > a2) & (np.abs(s).max(axis=(-1, -2)) >= 1e-15))
+                if not live.size:
                     continue
-                delta = ops[a] - ops[a2]
-                if float(np.abs(s @ s - s).max()) <= PROJECTOR_DRIFT_TOL:
-                    root = s
-                else:
-                    root, _ = linalg.psd_pseudo_sqrt(s, EXCHANGE_TOL)
+                s = s[live]
+                delta = ops[live, a] - ops[live, a2]
+                root = s.copy()
+                drifted = np.abs(s @ s - s).max(axis=(-1, -2)) > PROJECTOR_DRIFT_TOL
+                if drifted.any():
+                    root[drifted] = linalg.psd_pseudo_sqrt(s[drifted], EXCHANGE_TOL)[0]
                 sandwiched = root @ delta @ root
                 pos = linalg.positive_projector(sandwiched, EXCHANGE_TOL)
                 # Skip no-gain exchanges (ties): keeps fully degenerate POVMs
                 # unchanged instead of shoving their mass onto one element.
-                gain = float(np.trace(pos @ sandwiched).real)
-                current = float(np.trace(elements[a] @ delta).real)
-                if gain - current <= 1e-13 * max(1.0, abs(current)):
+                gain = np.trace(pos @ sandwiched, axis1=-2, axis2=-1).real
+                current = np.trace(elements[live, a] @ delta, axis1=-2, axis2=-1).real
+                better = gain - current > 1e-13 * np.maximum(1.0, np.abs(current))
+                if not better.any():
                     continue
-                new_a = root @ pos @ root
-                new_a = (new_a + new_a.conj().T) / 2.0
-                elements[a] = new_a
-                elements[a2] = s - new_a
-    return tuple(elements)
+                root = root[better]
+                new_a = root @ pos[better] @ root
+                new_a = (new_a + new_a.conj().swapaxes(-1, -2)) / 2.0
+                elements[live[better], a] = new_a
+                elements[live[better], a2] = s[better] - new_a
+    return elements.reshape(n, m, width, d, d)
+
+
+def _party_step(f: BellFunctional, states, stacks_a, stacks_b, party: str, settings, passes: int) -> np.ndarray:
+    """The party's new POVM stack after re-optimizing the listed settings of
+    every member of a batch in one step.
+
+    One contraction builds every setting's F; all binary settings of all
+    members are solved by one stacked ``positive_projector`` call (the first
+    element becomes the projector onto the positive eigenspace of F_0 - F_1);
+    settings with three or more outcomes run ``passes`` rounds of pairwise
+    exchanges over the whole stack.  F of one setting does not depend on the
+    party's other settings, so the result equals updating the settings one
+    after another.
+    """
+    settings = np.asarray(list(settings), dtype=int)
+    ops = stacked_party_operators(f, states, stacks_a, stacks_b, party, settings)
+    counts = np.asarray(f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b)[settings]
+    povms = (stacks_a if party == "A" else stacks_b).copy()
+    binary = counts == 2
+    if binary.any():
+        m0 = linalg.positive_projector(ops[:, binary, 0] - ops[:, binary, 1], EXCHANGE_TOL)
+        povms[:, settings[binary], 0] = m0
+        povms[:, settings[binary], 1] = np.eye(m0.shape[-1]) - m0
+    if not binary.all():
+        multi = settings[~binary]
+        povms[:, multi] = _exchange_pairs(ops[:, ~binary], povms[:, multi], counts[~binary], passes)
+    return povms
+
+
+def _povms(stack: np.ndarray, counts) -> tuple:
+    """Tuples of POVM elements of one party from its ``povm_stack`` array."""
+    return tuple(tuple(stack[x, :v]) for x, v in enumerate(counts))
 
 
 def _update_party(f: BellFunctional, model: QuantumModel, party: str, settings, passes: int) -> QuantumModel:
-    """Re-optimize the listed settings of one party in one step.
-
-    One contraction builds every setting's F; all binary settings are solved
-    by one stacked ``positive_projector`` call (the first element becomes the
-    projector onto the positive eigenspace of F_0 - F_1); settings with three
-    or more outcomes run ``passes`` rounds of pairwise exchanges.  F of one
-    setting does not depend on the party's other settings, so the result
-    equals updating the settings one after another.  The model is rebuilt
-    once.
-    """
-    settings = list(settings)
-    ops = _party_operators(f, model, party, settings)
-    counts = f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b
-    povms = list(model.povms_a if party == "A" else model.povms_b)
-    binary = [i for i, x in enumerate(settings) if counts[x] == 2]
-    if binary:
-        m0 = linalg.positive_projector(ops[binary, 0] - ops[binary, 1], EXCHANGE_TOL)
-        m1 = np.eye(m0.shape[-1], dtype=complex) - m0
-        for i, p0, p1 in zip(binary, m0, m1):
-            povms[settings[i]] = (p0, p1)
-    for i, x in enumerate(settings):
-        if counts[x] > 2:
-            povms[x] = _exchange_pairs(ops[i, : counts[x]], povms[x], passes)
+    """``_party_step`` on a batch of one model."""
+    stack_a, stack_b = model_stacks(f, model)
+    stack = _party_step(f, model.state[None], stack_a[None], stack_b[None], party, settings, passes)[0]
     if party == "A":
-        return replace(model, povms_a=tuple(povms))
-    return replace(model, povms_b=tuple(povms))
+        return replace(model, povms_a=_povms(stack, f.scenario.outcomes_a))
+    return replace(model, povms_b=_povms(stack, f.scenario.outcomes_b))
 
 
 def update_measurement_binary(f: BellFunctional, model: QuantumModel, party: str, setting: int) -> QuantumModel:
@@ -277,53 +308,119 @@ def update_measurement_multi(
     return _update_party(f, model, party, [setting], passes)
 
 
-def _require_projective(povms) -> None:
-    for setting in povms:
-        for m in setting:
-            drift = float(np.abs(m @ m - m).max())
-            if drift > 1e-8:
-                raise ConfigError(
-                    f"projective_only violated: element drifted from idempotency by {drift:.2e}"
-                )
+def _guarded(step, active: np.ndarray, errors: dict) -> np.ndarray:
+    """Run ``step`` on the active members at once.  If that raises a
+    linear-algebra error, re-run it member by member, record each member that
+    raises in ``errors`` and drop it.  Returns the members still active."""
+    if not active.size:
+        return active
+    try:
+        step(active)
+        return active
+    except _LINALG_ERRORS:
+        pass
+    survivors = []
+    for i in active:
+        try:
+            step(active[active == i])
+            survivors.append(i)
+        except _LINALG_ERRORS as exc:
+            errors[int(i)] = exc
+    return np.array(survivors, dtype=int)
+
+
+def _lockstep(f: BellFunctional, models, cfg: SeesawConfig) -> list[tuple]:
+    """Run ``refine``'s schedule on a batch of start models in lockstep.
+
+    Returns one (value, model, iterations, converged, error) per model; a
+    member that a linear-algebra error aborted gets (-inf, None, 0, False,
+    the exception).  Only the final model of each member is built.
+    """
+    n, d_a, d_b = len(models), models[0].d_a, models[0].d_b
+    states = np.stack([m.state for m in models])
+    stacks_a, stacks_b = (np.stack(s) for s in zip(*(model_stacks(f, m) for m in models)))
+    values = stacked_values(f, states, stacks_a, stacks_b)
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    errors: dict[int, Exception] = {}
+    passes = cfg.pair_pass_count
+    settings_a, settings_b = range(f.scenario.settings_a), range(f.scenario.settings_b)
+
+    def state(i):
+        states[i] = _state_step(f, states[i], stacks_a[i], stacks_b[i])
+
+    def alice(i):
+        stacks_a[i] = _party_step(f, states[i], stacks_a[i], stacks_b[i], "A", settings_a, passes)
+
+    def bob(i):
+        stacks_b[i] = _party_step(f, states[i], stacks_a[i], stacks_b[i], "B", settings_b, passes)
+
+    steps = (alice, bob) if cfg.fixed_state is not None else (state, alice, bob)
+    active = np.arange(n)
+    for _ in range(cfg.max_iterations):
+        iterations[active] += 1
+        for step in steps:
+            active = _guarded(step, active, errors)
+        previous = values[active]
+        values[active] = stacked_values(f, states[active], stacks_a[active], stacks_b[active])
+        done = values[active] - previous < cfg.convergence_tol
+        converged[active[done]] = True
+        active = active[~done]
+        if not active.size:
+            break
+
+    outcomes = []
+    for i in range(n):
+        if i in errors:
+            outcomes.append((-np.inf, None, 0, False, errors[i]))
+            continue
+        model = QuantumModel(
+            d_a,
+            d_b,
+            states[i].copy(),
+            _povms(stacks_a[i].copy(), f.scenario.outcomes_a),
+            _povms(stacks_b[i].copy(), f.scenario.outcomes_b),
+        )
+        outcomes.append((float(values[i]), model, int(iterations[i]), bool(converged[i]), None))
+    return outcomes
 
 
 def refine(f: BellFunctional, model: QuantumModel, cfg: SeesawConfig):
     """Run the update schedule from a given model until converged.
 
-    Schedule per iteration: the state, then every Alice setting in one
-    ``_update_party`` step, then every Bob setting in one step.  A party's
-    settings do not interact once the state and the partner's POVMs are
-    fixed, so this equals updating them one by one in index order.  Returns
-    (value, model, iterations, converged); convergence means one full
-    iteration improved the objective by less than ``convergence_tol``.
+    Schedule per iteration: the state, then every Alice setting in one party
+    step, then every Bob setting in one step.  A party's settings do not
+    interact once the state and the partner's POVMs are fixed, so this equals
+    updating them one by one in index order.  Returns (value, model,
+    iterations, converged); convergence means one full iteration improved
+    the objective by less than ``convergence_tol``.  This is the lockstep
+    loop of ``seesaw`` on a batch of one, so a restart gives the same result
+    here as inside a batch; a linear-algebra error is raised.
     """
-    value = model_value(f, model)
-    iterations = 0
-    converged = False
-    for _ in range(cfg.max_iterations):
-        iterations += 1
-        model = update_state(f, model, cfg.fixed_state)
-        for party, count in (("A", f.scenario.settings_a), ("B", f.scenario.settings_b)):
-            model = _update_party(f, model, party, range(count), cfg.pair_pass_count)
-            if cfg.projective_only:
-                _require_projective(model.povms_a if party == "A" else model.povms_b)
-        new_value = model_value(f, model)
-        improvement = new_value - value
-        value = new_value
-        if improvement < cfg.convergence_tol:
-            converged = True
-            break
+    value, model, iterations, converged, error = _lockstep(f, [model], cfg)[0]
+    if error is not None:
+        raise error
     return value, model, iterations, converged
 
 
-def _restart_task(args):
-    f, d_a, d_b, cfg, index = args
-    try:
-        model = _random_model(f.scenario, d_a, d_b, spawn_rng(cfg.seed, index), cfg.fixed_state)
-        value, model, iterations, converged = refine(f, model, cfg)
-        return index, value, model, iterations, converged, None
-    except (NotHermitianError, NoConvergenceError, NotPSDError) as exc:
-        return index, -np.inf, None, 0, False, f"{type(exc).__name__}: {exc}"
+def _batch_task(args) -> list[tuple]:
+    """Draw the start models of one batch of restart indices and refine them
+    in lockstep; one (index, value, model, iterations, converged, error text)
+    per restart."""
+    f, d_a, d_b, cfg, indices = args
+    starts, failed = {}, {}
+    for index in indices:
+        try:
+            starts[index] = _random_model(f.scenario, d_a, d_b, spawn_rng(cfg.seed, index), cfg.fixed_state)
+        except _LINALG_ERRORS as exc:
+            failed[index] = (-np.inf, None, 0, False, exc)
+    refined = dict(zip(starts, _lockstep(f, list(starts.values()), cfg) if starts else []))
+    outcomes = []
+    for index in indices:
+        value, model, iterations, converged, error = failed.get(index) or refined[index]
+        text = None if error is None else f"{type(error).__name__}: {error}"
+        outcomes.append((index, value, model, iterations, converged, text))
+    return outcomes
 
 
 def seesaw(
@@ -332,29 +429,39 @@ def seesaw(
     """Best lower bound on the (d_a, d_b)-dimensional maximum of ``f`` over
     ``cfg.restarts`` independent restarts.
 
-    Restarts use counter-derived RNG streams and merge by max with ties going
-    to the earliest restart, so serial and parallel runs agree exactly.
-    Linear-algebra failures abort only the affected restart (with a warning).
+    The restart indices are cut into consecutive batches of
+    ``RESTART_BATCH``, and each batch runs in lockstep (see the module
+    docstring).  With ``jobs`` > 1 and at least two batches, a process pool
+    of at most ``jobs`` workers maps over the batches.  Restarts use
+    counter-derived RNG streams, a member's arithmetic does not depend on its
+    batch, and results merge by max with ties going to the earliest restart,
+    so serial and parallel runs agree exactly.  Linear-algebra failures abort
+    only the affected restart (with a warning).
     """
     cfg = SeesawConfig() if cfg is None else cfg
     cfg.validate()
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if d_a < 2 or d_b < 2:
         raise ConfigError(f"local dimensions must be >= 2, got ({d_a},{d_b})")
     if cfg.fixed_state is not None and cfg.fixed_state.size != d_a * d_b:
         raise ConfigError(
             f"fixed_state has length {cfg.fixed_state.size}, expected {d_a * d_b}"
         )
-    tasks = [(f, d_a, d_b, cfg, i) for i in range(cfg.restarts)]
-    if jobs > 1 and cfg.restarts > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_restart_task, tasks, chunksize=max(1, cfg.restarts // (4 * jobs))))
+    tasks = [
+        (f, d_a, d_b, cfg, range(start, min(start + RESTART_BATCH, cfg.restarts)))
+        for start in range(0, cfg.restarts, RESTART_BATCH)
+    ]
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            batches = list(pool.map(_batch_task, tasks))
     else:
-        outcomes = [_restart_task(t) for t in tasks]
+        batches = [_batch_task(t) for t in tasks]
 
     values, iterations, flags, aborted = [], [], [], {}
     best_value = -np.inf
     best_model = None
-    for index, value, model, iters, converged, error in outcomes:
+    for index, value, model, iters, converged, error in (o for batch in batches for o in batch):
         values.append(value)
         iterations.append(iters)
         flags.append(converged)

@@ -45,6 +45,20 @@ def random_hermitian(rng, n) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
+def fail_eigh_on(monkeypatch, target, error):
+    """Make ``np.linalg.eigh`` raise ``error`` on every call, single or stacked,
+    that has a member exactly equal to ``target``; other calls go through."""
+    real = np.linalg.eigh
+
+    def flaky(a, *args, **kwargs):
+        a = np.asarray(a)
+        if a.shape[-2:] == target.shape and (a == target).all(axis=(-1, -2)).any():
+            raise error
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", flaky)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

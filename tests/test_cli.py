@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 import subprocess
@@ -11,7 +10,10 @@ from dimwit import bellfmt, catalog, grothendieck
 from dimwit.cli import _fail_code, main
 from dimwit.errors import InvalidFunctionalError, NotPSDError
 from dimwit.localbound import local_bound, local_bound_min_strategy, strategy_table
-from dimwit.scenario import uniform_table
+from dimwit.scenario import bell_operator, uniform_table
+from dimwit.seesaw import seeded_models
+
+from conftest import fail_eigh_on
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +146,15 @@ def test_seesaw_cli_jobs_equivalence(capsys):
     assert p1 == p2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_seesaw_cli_rejects_non_positive_jobs(capsys, jobs):
+    code, out, err = run_cli(
+        capsys, "seesaw", "chsh", "--da", "2", "--db", "2", "--restarts", "3", "--jobs", jobs
+    )
+    assert code == 5
+    assert "jobs" in err and out == ""
+
+
 def test_seesaw_cli_fixed_theta(capsys):
     theta = math.pi / 8.0
     code, out, _ = run_cli(
@@ -172,17 +183,11 @@ def _reject_constant(constant):
 
 @pytest.mark.parametrize("as_json", [True, False])
 def test_seesaw_cli_reports_aborted_restart(capsys, monkeypatch, as_json):
-    ss = importlib.import_module("dimwit.seesaw")
-    real_refine = ss.refine
-    calls = [0]
-
-    def flaky(functional, model, cfg):
-        calls[0] += 1
-        if calls[0] == 1:
-            raise NotPSDError("synthetic failure")
-        return real_refine(functional, model, cfg)
-
-    monkeypatch.setattr(ss, "refine", flaky)
+    # Restart 0's first state step diagonalizes its start model's Bell operator.
+    f = catalog.chsh()
+    start = seeded_models(f.scenario, 2, 2, seed=4, count=1)[0]
+    op = bell_operator(f, start.povms_a, start.povms_b)
+    fail_eigh_on(monkeypatch, (op + op.conj().T) / 2.0, NotPSDError("synthetic failure"))
     args = ["seesaw", "chsh", "--da", "2", "--db", "2", "--restarts", "3", "--seed", "4", "--jobs", "1"]
     with pytest.warns(UserWarning, match="restart 0 aborted"):
         code, out, _ = run_cli(capsys, *args, *(["--json"] if as_json else []))
@@ -236,6 +241,14 @@ def test_curve_cli(tmp_path, capsys):
     manifest = json.loads(out_path.with_suffix(".csv.manifest.json").read_text())
     assert manifest["seed"] == 13
     assert manifest["config"]["steps"] == 3
+
+
+def test_curve_cli_rejects_non_positive_steps(tmp_path, capsys):
+    out_path = tmp_path / "c.csv"
+    code, _, err = run_cli(capsys, "curve", "--steps", "0", "--out", str(out_path))
+    assert code == 5
+    assert "steps" in err
+    assert not out_path.exists()
 
 
 def test_curve_cli_rows_at_zero_and_quarter_pi(tmp_path, capsys):

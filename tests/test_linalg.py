@@ -147,6 +147,12 @@ def test_stack_matches_per_matrix_calls(rng):
             assert np.abs(v - single.eigenvectors).max() < 1e-12
             assert np.abs(p - linalg.positive_projector(member)).max() < 1e-12
         assert not proj[1].any()
+        psd = stack @ stack
+        roots, supports = linalg.psd_pseudo_sqrt(psd)
+        for member, root, support in zip(psd, roots, supports):
+            single_root, single_support = linalg.psd_pseudo_sqrt(member)
+            assert np.abs(root - single_root).max() < 1e-12
+            assert np.abs(support - single_support).max() < 1e-12
 
 
 def test_stack_rejects_one_bad_member(rng):
@@ -159,8 +165,8 @@ def test_stack_rejects_one_bad_member(rng):
             linalg.positive_projector(stack)
     with pytest.raises(DimensionMismatchError):
         linalg.eig_hermitian(np.zeros((3, 2, 3)))
-    with pytest.raises(DimensionMismatchError):  # the square root takes one matrix only
-        linalg.psd_pseudo_sqrt(np.stack([np.eye(2)] * 2))
+    with pytest.raises(NotPSDError):  # one member below -tol rejects the stack
+        linalg.psd_pseudo_sqrt(np.stack([np.eye(2), np.diag([1.0, -1e-6])]), tol=1e-9)
 
 
 def test_stack_lapack_failure_raises_no_convergence(rng, monkeypatch):

@@ -1,16 +1,17 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
-
-import importlib
+from hypothesis import given, settings, strategies as st
 
 from dimwit import catalog
 
 ss = importlib.import_module("dimwit.seesaw")
 from dimwit.errors import ConfigError, NotPSDError, WrongOutcomeCountError
-from dimwit.scenario import BellFunctional, BellScenario, model_value, table_of
+from dimwit.scenario import BellFunctional, BellScenario, bell_operator, model_value, table_of
 from dimwit.seesaw import (
+    RESTART_BATCH,
     SeesawConfig,
     embed_model,
     refine,
@@ -22,7 +23,7 @@ from dimwit.seesaw import (
     update_state,
 )
 
-from conftest import random_functional
+from conftest import fail_eigh_on, random_functional
 
 
 def test_seeded_models_deterministic():
@@ -127,6 +128,19 @@ def test_multi_update_degenerate_left_unchanged():
     model = type(model)(3, 2, model.state, (noisy,), model.povms_b)
     updated = update_measurement_multi(f, model, "A", 0)
     for before, after in zip(model.povms_a[0], updated.povms_a[0]):
+        assert np.abs(before - after).max() < 1e-12
+
+
+def test_multi_update_ignores_padding_outcomes():
+    # Bob's 3-outcome setting is padded to the width of his 4-outcome one.
+    # Every F_b of it is -rho_B, so the real pairs tie, while an exchange
+    # with a padding slot (F = 0) would move mass out of the POVM.
+    sc = BellScenario((2,), (4, 3))
+    f = BellFunctional(sc, marginal_b=[np.zeros(4), -np.ones(3)])
+    model = seeded_models(sc, 3, 3, seed=2, count=1)[0]
+    updated = update_measurement_multi(f, model, "B", 1)
+    updated.validate(sc)
+    for before, after in zip(model.povms_b[1], updated.povms_b[1]):
         assert np.abs(before - after).max() < 1e-12
 
 
@@ -251,13 +265,84 @@ def test_seesaw_not_converged_flag():
     assert result.iterations_used == [1, 1]
 
 
+def assert_same_model(m1, m2):
+    assert np.array_equal(m1.state, m2.state)
+    assert m1.outcome_counts() == m2.outcome_counts()
+    for s1, s2 in zip(m1.povms_a + m1.povms_b, m2.povms_a + m2.povms_b):
+        for e1, e2 in zip(s1, s2):
+            assert np.array_equal(e1, e2)
+
+
+def assert_same_result(r1, r2):
+    assert r1.best_value == r2.best_value
+    assert r1.per_restart_values == r2.per_restart_values
+    assert r1.iterations_used == r2.iterations_used
+    assert r1.converged_flags == r2.converged_flags
+    assert r1.aborted == r2.aborted
+    assert_same_model(r1.best_model, r2.best_model)
+
+
 def test_seesaw_parallel_matches_serial():
+    # Three batches, the last one partial, so the pool really runs.
     f = catalog.expression_E()
-    cfg = SeesawConfig(restarts=6, seed=21)
-    serial = seesaw(f, 2, 2, cfg, jobs=1)
-    parallel = seesaw(f, 2, 2, cfg, jobs=2)
-    assert serial.per_restart_values == parallel.per_restart_values
-    assert serial.best_value == parallel.best_value
+    cfg = SeesawConfig(restarts=2 * RESTART_BATCH + 3, seed=21)
+    assert_same_result(seesaw(f, 2, 2, cfg, jobs=1), seesaw(f, 2, 2, cfg, jobs=2))
+
+
+def test_seesaw_rejects_non_positive_jobs():
+    for jobs in (0, -4):
+        with pytest.raises(ConfigError):
+            seesaw(catalog.chsh(), 2, 2, SeesawConfig(restarts=3), jobs=jobs)
+
+
+def batch_functional(kind, seed):
+    """A functional for the batch tests: random on a binary-only or a ragged
+    multi-outcome scenario, or a catalog one whose multi-outcome exchanges
+    take the non-projector (square-root) branch at d = 3."""
+    scenarios = {
+        "binary": BellScenario((2, 2, 2), (2, 2)),
+        "ragged": BellScenario((2, 3), (4, 2, 3)),
+    }
+    if kind in scenarios:
+        return random_functional(np.random.default_rng(seed), scenarios[kind])
+    return catalog.by_name(kind)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    kind=st.sampled_from(("binary", "ragged", "E", "iphi:0.7")),
+    d_a=st.sampled_from((2, 3)),
+    d_b=st.sampled_from((2, 3)),
+    seed=st.integers(0, 2**16),
+)
+def test_restart_alone_equals_restart_in_full_batch(kind, d_a, d_b, seed):
+    """A restart's value, iteration count, converged flag and model are
+    bit-identical whether ``refine`` runs it alone or it runs in a batch."""
+    f = batch_functional(kind, seed)
+    cfg = SeesawConfig(seed=seed, max_iterations=60)
+    batch = ss._batch_task((f, d_a, d_b, cfg, range(RESTART_BATCH)))
+    starts = seeded_models(f.scenario, d_a, d_b, seed, RESTART_BATCH)
+    for start, (index, value, model, iterations, converged, error) in zip(starts, batch):
+        assert error is None
+        alone = refine(f, start, cfg)
+        assert alone[0] == value and alone[2] == iterations and alone[3] == converged
+        assert_same_model(alone[1], model)
+
+
+def test_lockstep_monotone_and_feasible_per_member():
+    """Every member's objective never decreases from one iteration to the
+    next, and every member's model stays a valid one."""
+    for kind in ("ragged", "E", "iphi:0.7"):
+        f = batch_functional(kind, 40)
+        starts = seeded_models(f.scenario, 3, 3, seed=40, count=RESTART_BATCH)
+        previous = [model_value(f, m) for m in starts]
+        for k in range(1, 7):
+            outcomes = ss._lockstep(f, starts, SeesawConfig(max_iterations=k))
+            for i, (value, model, iterations, _, error) in enumerate(outcomes):
+                assert error is None and iterations <= k
+                model.validate(f.scenario)
+                assert value >= previous[i] - 1e-12
+                previous[i] = value
 
 
 def test_seesaw_fixed_theta_quarter_pi():
@@ -303,22 +388,77 @@ def test_config_validation():
 
 
 def test_aborted_restart_is_recorded(monkeypatch):
+    # Restart 0's first state step diagonalizes its start model's Bell operator.
     f = catalog.chsh()
-    real_refine = ss.refine
-
-    def flaky(functional, model, cfg, _calls=[0]):
-        _calls[0] += 1
-        if _calls[0] == 1:
-            raise NotPSDError("synthetic failure")
-        return real_refine(functional, model, cfg)
-
-    monkeypatch.setattr(ss, "refine", flaky)
+    start = seeded_models(f.scenario, 2, 2, seed=4, count=1)[0]
+    op = bell_operator(f, start.povms_a, start.povms_b)
+    fail_eigh_on(monkeypatch, (op + op.conj().T) / 2.0, NotPSDError("synthetic failure"))
     with pytest.warns(UserWarning, match="restart 0 aborted"):
         result = ss.seesaw(f, 2, 2, SeesawConfig(restarts=3, seed=4))
     assert result.per_restart_values[0] == -np.inf
     assert result.converged_flags[0] is False
     assert result.aborted == {0: "NotPSDError: synthetic failure"}
     assert abs(result.best_value - 2.0 * math.sqrt(2.0)) < 1e-6
+
+
+def test_refine_raises_the_linear_algebra_error(monkeypatch):
+    f = catalog.chsh()
+    start = seeded_models(f.scenario, 2, 2, seed=4, count=1)[0]
+    op = bell_operator(f, start.povms_a, start.povms_b)
+    fail_eigh_on(monkeypatch, (op + op.conj().T) / 2.0, NotPSDError("synthetic failure"))
+    with pytest.raises(NotPSDError, match="synthetic failure"):
+        refine(f, start, SeesawConfig())
+
+
+def _unique_stacked_input(f, d, cfg, monkeypatch):
+    """A matrix that ``np.linalg.eigh`` sees exactly once in a clean run, as
+    one member of a stacked call from the middle of the run."""
+    real = np.linalg.eigh
+    seen = []
+
+    def record(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", record)
+        seesaw(f, d, d, cfg)
+    ops = [a.reshape(-1, d * d, d * d) for a in seen if a.shape[-1] == d * d]
+    later_stacks = [a for a in ops[len(ops) // 2 :] if len(a) > 1]
+    for candidate in (m for a in later_stacks for m in a):
+        if sum(int((a == candidate).all(axis=(-1, -2)).sum()) for a in ops) == 1:
+            return candidate
+    raise AssertionError("no unique stacked eigensolve input")
+
+
+@pytest.mark.parametrize(
+    "error, text",
+    [
+        (np.linalg.LinAlgError("Eigenvalues did not converge"), "NoConvergenceError: LAPACK eigh failed"),
+        (NotPSDError("synthetic failure"), "NotPSDError: synthetic failure"),
+    ],
+)
+def test_failure_inside_a_batch_aborts_only_its_member(monkeypatch, error, text):
+    """A failure in one member's stacked state step aborts that restart alone;
+    the other members finish bit-identical to a run without the failure."""
+    f = catalog.expression_E()
+    cfg = SeesawConfig(restarts=RESTART_BATCH, seed=8)
+    clean = seesaw(f, 3, 3, cfg)
+    fail_eigh_on(monkeypatch, _unique_stacked_input(f, 3, cfg, monkeypatch), error)
+    with pytest.warns(UserWarning, match="aborted"):
+        failed = seesaw(f, 3, 3, cfg)
+    assert len(failed.aborted) == 1
+    (index, message), = failed.aborted.items()
+    assert message.startswith(text)
+    assert failed.per_restart_values[index] == -np.inf and failed.iterations_used[index] == 0
+    for i in range(cfg.restarts):
+        if i != index:
+            assert failed.per_restart_values[i] == clean.per_restart_values[i]
+            assert failed.iterations_used[i] == clean.iterations_used[i]
+            assert failed.converged_flags[i] == clean.converged_flags[i]
+    if clean.per_restart_values.index(clean.best_value) != index:
+        assert failed.best_value == clean.best_value
+        assert_same_model(failed.best_model, clean.best_model)
 
 
 def test_lapack_failure_aborts_only_its_restart(monkeypatch):
@@ -340,10 +480,9 @@ def test_lapack_failure_aborts_only_its_restart(monkeypatch):
     assert abs(result.best_value - 2.0 * math.sqrt(2.0)) < 1e-6
 
 
-def test_projective_only_flag_passes_on_projective_runs():
+def test_cglmp_best_model_stays_projective():
     f = catalog.cglmp_C()
-    cfg = SeesawConfig(restarts=2, seed=6, projective_only=True)
-    result = seesaw(f, 3, 3, cfg)
+    result = seesaw(f, 3, 3, SeesawConfig(restarts=2, seed=6))
     for setting in result.best_model.povms_a + result.best_model.povms_b:
         for m in setting:
             assert np.abs(m @ m - m).max() < 1e-8
