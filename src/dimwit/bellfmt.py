@@ -10,10 +10,12 @@ blank lines (LF or CRLF; LF is emitted):
     <signed-real> PB(<b>|<y>)
 
 Reals are decimals (scientific notation accepted) or exact rationals ``p/q``;
-rationals are stored as their floating value, with the original text retained
-on the parsed document.  Duplicate terms are summed.  Serialization is
-canonical: scenario, constant, marginals, then joint terms sorted by
-(x, y, a, b), with zero coefficients omitted.
+only a coefficient's floating value is kept, not its text.  Duplicate terms
+are summed.  ``parse_functional`` reads the lines once, adding each term to
+the coefficient arrays as it goes, so a file with several faults reports the
+first one by line.  Serialization is canonical: scenario, constant,
+marginals, then joint terms sorted by (x, y, a, b), with zero coefficients
+omitted.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,30 +46,6 @@ _JOINT_RE = re.compile(rf"^({_REAL})\s*P\s*\(\s*(\d+)\s+(\d+)\s*\|\s*(\d+)\s+(\d
 _MARG_A_RE = re.compile(rf"^({_REAL})\s*PA\s*\(\s*(\d+)\s*\|\s*(\d+)\s*\)$")
 _MARG_B_RE = re.compile(rf"^({_REAL})\s*PB\s*\(\s*(\d+)\s*\|\s*(\d+)\s*\)$")
 _REAL_PREFIX_RE = re.compile(rf"^({_REAL})")
-
-
-@dataclass(frozen=True)
-class Term:
-    """One signed term of a functional document.
-
-    ``kind`` is "joint", "marginal_a", "marginal_b", or "const"; ``indices``
-    is (x, y, a, b), (x, a), (y, b), or () respectively.  ``text`` keeps the
-    coefficient exactly as written (e.g. "1/3") for document round-trips.
-    """
-
-    kind: str
-    indices: tuple[int, ...]
-    value: float
-    text: str
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class FunctionalDocument:
-    """Parsed form of a `.bell` file: scenario plus the term list in file order."""
-
-    scenario: BellScenario
-    terms: tuple[Term, ...]
 
 
 def _parse_real(match: re.Match, line: int) -> float:
@@ -98,16 +75,20 @@ def format_real(value: float) -> str:
     return f"{value:+.17g}"
 
 
-def parse_document(text: str) -> FunctionalDocument:
-    """Parse functional text into a document, preserving term order and text."""
-    scenario = None
-    terms: list[Term] = []
+def parse_functional(text: str) -> BellFunctional:
+    """Parse `.bell` text into a functional in one pass over its lines.
+
+    Each term is checked (syntax, finite coefficient, indices inside the
+    scenario, duplicate sum within the float range) and added to the
+    coefficient arrays as its line is read, so the first faulty line is the
+    one reported."""
+    sc = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("scenario"):
-            if scenario is not None:
+            if sc is not None:
                 raise ParseError("duplicate scenario declaration", line=lineno, column=1)
             m = _SCENARIO_RE.match(line)
             if m is None:
@@ -115,86 +96,55 @@ def parse_document(text: str) -> FunctionalDocument:
             outcomes_a = tuple(int(v) for v in re.split(r"\s*,\s*", m.group(1)))
             outcomes_b = tuple(int(v) for v in re.split(r"\s*,\s*", m.group(2)))
             try:
-                scenario = BellScenario(outcomes_a, outcomes_b)
+                sc = BellScenario(outcomes_a, outcomes_b)
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno, column=1) from exc
+            joint = [[np.zeros((va, vb)) for vb in sc.outcomes_b] for va in sc.outcomes_a]
+            marg_a = [np.zeros(v) for v in sc.outcomes_a]
+            marg_b = [np.zeros(v) for v in sc.outcomes_b]
+            constant = np.zeros(())
             continue
-        if scenario is None:
+        if sc is None:
             raise MissingScenarioError(
                 "terms appear before any scenario declaration", line=lineno, column=1
             )
-        m = _CONST_RE.match(line)
-        if m is not None:
-            terms.append(Term("const", (), _parse_real(m, lineno), m.group(1), lineno))
-            continue
-        m = _MARG_A_RE.match(line)
-        if m is not None:
-            a, x = int(m.group(2)), int(m.group(3))
-            terms.append(Term("marginal_a", (x, a), _parse_real(m, lineno), m.group(1), lineno))
-            continue
-        m = _MARG_B_RE.match(line)
-        if m is not None:
-            b, y = int(m.group(2)), int(m.group(3))
-            terms.append(Term("marginal_b", (y, b), _parse_real(m, lineno), m.group(1), lineno))
-            continue
-        m = _JOINT_RE.match(line)
-        if m is not None:
-            a, b, x, y = (int(m.group(i)) for i in range(2, 6))
-            terms.append(Term("joint", (x, y, a, b), _parse_real(m, lineno), m.group(1), lineno))
-            continue
-        prefix = _REAL_PREFIX_RE.match(line)
-        column = (prefix.end() + 1) if prefix else 1
-        raise ParseError(f"unrecognized term syntax: {line!r}", line=lineno, column=column)
-    if scenario is None:
-        raise MissingScenarioError("no scenario declaration found", line=None, column=None)
-    return FunctionalDocument(scenario, tuple(terms))
-
-
-def document_to_functional(doc: FunctionalDocument) -> BellFunctional:
-    """Accumulate a document's terms into coefficient arrays (duplicates sum).
-
-    A sum of duplicate terms that overflows the float range raises
-    ``ParseError`` at the term that overflowed it."""
-    sc = doc.scenario
-    joint = [[np.zeros((va, vb)) for vb in sc.outcomes_b] for va in sc.outcomes_a]
-    marg_a = [np.zeros(v) for v in sc.outcomes_a]
-    marg_b = [np.zeros(v) for v in sc.outcomes_b]
-    constant = np.zeros(())
-    for t in doc.terms:
-        if t.kind == "const":
+        slot = None
+        if m := _CONST_RE.match(line):
             slot, index = constant, ()
-        elif t.kind == "marginal_a":
-            x, a = t.indices
-            if not (0 <= x < sc.settings_a and 0 <= a < sc.outcomes_a[x]):
-                raise TermIndexError(f"PA({a}|{x}) is outside the scenario", line=t.line)
-            slot, index = marg_a[x], a
-        elif t.kind == "marginal_b":
-            y, b = t.indices
-            if not (0 <= y < sc.settings_b and 0 <= b < sc.outcomes_b[y]):
-                raise TermIndexError(f"PB({b}|{y}) is outside the scenario", line=t.line)
-            slot, index = marg_b[y], b
-        else:
-            x, y, a, b = t.indices
-            if not (
+        elif m := _MARG_A_RE.match(line):
+            a, x = int(m.group(2)), int(m.group(3))
+            term = f"PA({a}|{x})"
+            if 0 <= x < sc.settings_a and 0 <= a < sc.outcomes_a[x]:
+                slot, index = marg_a[x], a
+        elif m := _MARG_B_RE.match(line):
+            b, y = int(m.group(2)), int(m.group(3))
+            term = f"PB({b}|{y})"
+            if 0 <= y < sc.settings_b and 0 <= b < sc.outcomes_b[y]:
+                slot, index = marg_b[y], b
+        elif m := _JOINT_RE.match(line):
+            a, b, x, y = (int(m.group(i)) for i in range(2, 6))
+            term = f"P({a} {b}|{x} {y})"
+            if (
                 0 <= x < sc.settings_a
                 and 0 <= y < sc.settings_b
                 and 0 <= a < sc.outcomes_a[x]
                 and 0 <= b < sc.outcomes_b[y]
             ):
-                raise TermIndexError(
-                    f"P({a} {b}|{x} {y}) is outside the scenario", line=t.line
-                )
-            slot, index = joint[x][y], (a, b)
-        total = float(slot[index]) + t.value
+                slot, index = joint[x][y], (a, b)
+        else:
+            prefix = _REAL_PREFIX_RE.match(line)
+            column = (prefix.end() + 1) if prefix else 1
+            raise ParseError(f"unrecognized term syntax: {line!r}", line=lineno, column=column)
+        value = _parse_real(m, lineno)
+        if slot is None:
+            raise TermIndexError(f"{term} is outside the scenario", line=lineno)
+        total = float(slot[index]) + value
         if not math.isfinite(total):
-            raise ParseError("duplicate terms sum beyond the float range", line=t.line)
+            raise ParseError("duplicate terms sum beyond the float range", line=lineno)
         slot[index] = total
+    if sc is None:
+        raise MissingScenarioError("no scenario declaration found", line=None, column=None)
     return BellFunctional(sc, joint, marg_a, marg_b, float(constant))
-
-
-def parse_functional(text: str) -> BellFunctional:
-    """Parse `.bell` text directly into a functional."""
-    return document_to_functional(parse_document(text))
 
 
 def _scenario_line(sc: BellScenario) -> str:
@@ -227,24 +177,6 @@ def serialize_functional(f: BellFunctional) -> str:
                 for b in range(sc.outcomes_b[y]):
                     if blk[a, b] != 0.0:
                         lines.append(f"{format_real(blk[a, b])} P({a} {b}|{x} {y})")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_document(doc: FunctionalDocument) -> str:
-    """Document text preserving term order and original coefficient spellings."""
-    lines = [_scenario_line(doc.scenario)]
-    for t in doc.terms:
-        if t.kind == "const":
-            lines.append(f"const {t.text}")
-        elif t.kind == "marginal_a":
-            x, a = t.indices
-            lines.append(f"{t.text} PA({a}|{x})")
-        elif t.kind == "marginal_b":
-            y, b = t.indices
-            lines.append(f"{t.text} PB({b}|{y})")
-        else:
-            x, y, a, b = t.indices
-            lines.append(f"{t.text} P({a} {b}|{x} {y})")
     return "\n".join(lines) + "\n"
 
 

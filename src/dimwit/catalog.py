@@ -130,6 +130,17 @@ def theta_state_violation(theta: float) -> float:
 CATALOG_NAMES = ("cglmp-c", "cglmp-d", "E", "chsh")
 
 
+def _iphi_angle(name: str) -> float:
+    """The finite angle phi of an ``iphi:<phi>`` name; ``ConfigError`` otherwise."""
+    try:
+        phi = float(name.split(":", 1)[1])
+    except ValueError:
+        phi = math.nan
+    if not math.isfinite(phi):
+        raise ConfigError(f"bad iphi angle in {name!r}")
+    return phi
+
+
 def by_name(name: str) -> BellFunctional:
     """Resolve a catalog name (``cglmp-c``, ``cglmp-d``, ``E``, ``chsh``, or
     ``iphi:<phi>`` with a decimal phi in radians)."""
@@ -142,13 +153,7 @@ def by_name(name: str) -> BellFunctional:
     if name == "chsh":
         return chsh()
     if name.startswith("iphi:"):
-        try:
-            phi = float(name.split(":", 1)[1])
-        except ValueError:
-            phi = math.nan
-        if not math.isfinite(phi):
-            raise ConfigError(f"bad iphi angle in {name!r}")
-        return i_phi(phi)
+        return i_phi(_iphi_angle(name))
     raise ConfigError(
         f"unknown catalog name {name!r}; expected one of {CATALOG_NAMES} or iphi:<phi>"
     )
@@ -156,7 +161,8 @@ def by_name(name: str) -> BellFunctional:
 
 def reference_bounds(name: str) -> BoundRecord | None:
     """Published reference constants for the bundled functionals, stored as
-    certified upper bounds with a provenance note (None when we track none)."""
+    certified upper bounds with a provenance note (None when we track none,
+    and for any ``iphi:`` angle that ``by_name`` rejects)."""
     if name == "E":
         return BoundRecord(
             local_bound=0.0,
@@ -174,8 +180,8 @@ def reference_bounds(name: str) -> BoundRecord | None:
         )
     if name.startswith("iphi:"):
         try:
-            phi = float(name.split(":", 1)[1])
-        except ValueError:
+            phi = _iphi_angle(name)
+        except ConfigError:
             return None
         # the whole tan(phi) >= 1 band has qubit maximum equal to the local bound
         if math.tan(phi) >= 1.0 and math.cos(phi) > 0.0:

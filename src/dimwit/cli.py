@@ -51,7 +51,7 @@ class _Failure(Exception):
 
 
 def _fail_code(exc: Exception) -> int:
-    if isinstance(exc, (ParseError, InvalidFunctionalError, InvalidTableError, ZeroMatrixError, OSError)):
+    if isinstance(exc, (ParseError, InvalidFunctionalError, InvalidTableError, ZeroMatrixError)):
         return 2
     if isinstance(exc, (ScenarioMismatchError, SignalingError)):
         return 3
@@ -146,7 +146,7 @@ def cmd_local_bound(args) -> int:
     manifest = _Manifest(sys.argv[1:], None, {"cap": args.cap, "min": args.min}, time.monotonic())
     functional, name = _load_functional(args.functional)
     if args.min:
-        value, strategy = localbound.local_bound_min_strategy(functional, args.cap)
+        value, strategy = localbound.local_bound_min(functional, args.cap)
     else:
         value, strategy = localbound.local_bound(functional, args.cap)
     if args.json:
@@ -253,9 +253,14 @@ def cmd_curve(args) -> int:
     for token in args.dims.split(","):
         token = token.strip()
         if token:
-            d = int(token)
+            try:
+                d = int(token)
+            except ValueError:
+                raise _Failure(5, f"curve dimension {token!r} is not an integer") from None
             if d < 2:
                 raise _Failure(5, f"curve dimensions must be >= 2, got {d}")
+            if d in dims:
+                raise _Failure(5, f"curve dimension {d} is given twice")
             dims.append(d)
     if not dims:
         raise _Failure(5, "no dimensions given")
@@ -459,7 +464,8 @@ def main(argv=None) -> int:
     except DimwitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _fail_code(exc)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # Unreadable input: missing, a directory, not UTF-8, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

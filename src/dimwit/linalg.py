@@ -88,22 +88,16 @@ def positive_projector(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return (p + _adjoint(p)) / 2.0
 
 
-def psd_pseudo_sqrt(a, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Square root of a PSD matrix, or of each member of a (..., n, n) stack,
-    together with its support projector.
+def psd_pseudo_sqrt(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """Square root of a PSD matrix, or of each member of a (..., n, n) stack.
 
     Eigenvalues in [-tol, 0] are clamped to zero; anything below -tol in any
-    member raises ``NotPSDError``.  The support projector spans eigenvalues
-    > tol, so ``sqrt @ sqrt`` reproduces the input and ``support`` commutes
-    with it.
+    member raises ``NotPSDError``.  ``sqrt @ sqrt`` reproduces the input.
     """
     eig = eig_hermitian(a, tol)
     low = float(eig.eigenvalues[..., -1].min())
     if low < -tol:
         raise NotPSDError(f"eigenvalue {low:.3e} below -tol ({-tol:.1e})")
-    w = np.clip(eig.eigenvalues, 0.0, None)
     v = eig.eigenvectors
-    root = (v * np.sqrt(w)[..., None, :]) @ _adjoint(v)
-    kept = v * (w > tol)[..., None, :]
-    support = kept @ _adjoint(kept)
-    return (root + _adjoint(root)) / 2.0, (support + _adjoint(support)) / 2.0
+    root = (v * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))[..., None, :]) @ _adjoint(v)
+    return (root + _adjoint(root)) / 2.0

@@ -124,11 +124,7 @@ def local_bound(f: BellFunctional, cap: int = DEFAULT_STRATEGY_CAP):
     return _extremize(f, 1.0, cap)
 
 
-def local_bound_min(f: BellFunctional, cap: int = DEFAULT_STRATEGY_CAP) -> float:
-    """Exact minimum over deterministic strategies."""
-    return _extremize(f, -1.0, cap)[0]
-
-
-def local_bound_min_strategy(f: BellFunctional, cap: int = DEFAULT_STRATEGY_CAP):
-    """Minimum together with its witnessing strategy."""
+def local_bound_min(f: BellFunctional, cap: int = DEFAULT_STRATEGY_CAP):
+    """Exact minimum over deterministic strategies, with a witnessing
+    strategy; the same cap applies as for ``local_bound``."""
     return _extremize(f, -1.0, cap)

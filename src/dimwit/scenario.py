@@ -21,7 +21,7 @@ values and every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,10 +190,6 @@ class BellFunctional:
     def __neg__(self):
         return self.scaled(-1.0)
 
-    def abs_coefficient_sum(self) -> float:
-        """Sum of |coefficient| over every joint, marginal, and constant slot."""
-        return float(np.abs(self.coefficients).sum())
-
 
 class ProbabilityTable:
     """Conditional distribution P(ab|xy) with positivity/normalization checks.
@@ -263,17 +259,6 @@ class ProbabilityTable:
                 )
             return stack.mean(axis=0)
         raise ValueError(f"unknown marginal policy {policy!r}")
-
-    def signaling_deviation(self) -> float:
-        """Largest spread of one party's marginals across the partner's settings."""
-        worst = 0.0
-        for x in range(self.scenario.settings_a):
-            stack = np.stack([self.p[x][y].sum(axis=1) for y in range(self.scenario.settings_b)])
-            worst = max(worst, float((stack.max(axis=0) - stack.min(axis=0)).max()))
-        for y in range(self.scenario.settings_b):
-            stack = np.stack([self.p[x][y].sum(axis=0) for x in range(self.scenario.settings_a)])
-            worst = max(worst, float((stack.max(axis=0) - stack.min(axis=0)).max()))
-        return worst
 
 
 def uniform_table(scenario: BellScenario) -> ProbabilityTable:
@@ -518,30 +503,8 @@ def table_of(m: QuantumModel) -> ProbabilityTable:
 
 @dataclass
 class BoundRecord:
-    """Bounds summary for one functional: exact local bound, heuristic
-    best-found values per dimension, and optional certified upper bounds
-    with a provenance note each."""
+    """Reference bounds for one functional: its exact local bound and, per
+    local dimension, a certified upper bound with a provenance note."""
 
     local_bound: float
-    best_by_dimension: dict[int, float] = field(default_factory=dict)
     certified_upper: dict[int, tuple[float, str]] | None = None
-
-    @classmethod
-    def from_runs(cls, local_bound: float, found: dict[int, float], certified_upper=None):
-        """Build a record enforcing monotonicity: a model found at dimension d
-        embeds at every larger dimension, so the reported best at d' >= d is
-        at least the best at d."""
-        best: dict[int, float] = {}
-        running = -np.inf
-        for d in sorted(found):
-            running = max(running, found[d])
-            best[d] = running
-        return cls(local_bound, best, certified_upper)
-
-    def validate(self) -> None:
-        dims = sorted(self.best_by_dimension)
-        for lo, hi in zip(dims, dims[1:]):
-            if self.best_by_dimension[hi] < self.best_by_dimension[lo] - 1e-9:
-                raise ValueError(
-                    f"best_by_dimension decreases from d={lo} to d={hi}"
-                )

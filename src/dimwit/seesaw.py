@@ -59,20 +59,23 @@ PROJECTOR_DRIFT_TOL = 1e-11
 #: batch, so this trades memory against per-call overhead without changing
 #: any result.
 RESTART_BATCH = 16
+#: Round-robin passes over the outcome pairs of a setting with three or more
+#: outcomes in each measurement update.
+PAIR_PASSES = 3
 
 _LINALG_ERRORS = (NotHermitianError, NoConvergenceError, NotPSDError)
 
 
 @dataclass(frozen=True, eq=False)
 class SeesawConfig:
-    """Knobs for the restart loop; defaults suit scenarios up to two qutrits."""
+    """Knobs for the restart loop; defaults suit scenarios up to two qutrits.
+    The pairwise-exchange passes per update are the constant ``PAIR_PASSES``."""
 
     restarts: int = 50
     max_iterations: int = 500
     convergence_tol: float = 1e-10
     seed: int = 0
     fixed_state: np.ndarray | None = None
-    pair_pass_count: int = 3
 
     def __post_init__(self):
         if self.fixed_state is not None:
@@ -91,8 +94,6 @@ class SeesawConfig:
             raise ConfigError("max_iterations must be >= 1")
         if not self.convergence_tol > 0:
             raise ConfigError("convergence_tol must be > 0")
-        if self.pair_pass_count < 1:
-            raise ConfigError("pair_pass_count must be >= 1")
 
 
 @dataclass
@@ -184,14 +185,7 @@ def _state_step(f: BellFunctional, states, stacks_a, stacks_b) -> np.ndarray:
     return np.where(keep[:, None], proj / np.where(keep, norm, 1.0)[:, None], eig.eigenvectors[:, :, 0])
 
 
-def _party_operators(f: BellFunctional, model: QuantumModel, party: str, settings):
-    """``stacked_party_operators`` of one model: a (len(settings), width, d, d)
-    array of the per-outcome operators F[s, a] of each listed setting."""
-    stack_a, stack_b = model_stacks(f, model)
-    return stacked_party_operators(f, model.state[None], stack_a[None], stack_b[None], party, settings)[0]
-
-
-def _exchange_pairs(ops, elements, counts, passes: int) -> np.ndarray:
+def _exchange_pairs(ops, elements, counts) -> np.ndarray:
     """Round-robin exact pairwise exchanges (see ``update_measurement_multi``)
     on a (B, settings, width, d, d) stack of POVMs against their operators.
 
@@ -204,7 +198,7 @@ def _exchange_pairs(ops, elements, counts, passes: int) -> np.ndarray:
     elements = elements.reshape(n * m, width, d, d).copy()
     ops = ops.reshape(n * m, width, d, d)
     counts = np.tile(counts, n)
-    for _ in range(passes):
+    for _ in range(PAIR_PASSES):
         for a in range(width):
             for a2 in range(a + 1, width):
                 s = elements[:, a] + elements[:, a2]
@@ -216,7 +210,7 @@ def _exchange_pairs(ops, elements, counts, passes: int) -> np.ndarray:
                 root = s.copy()
                 drifted = np.abs(s @ s - s).max(axis=(-1, -2)) > PROJECTOR_DRIFT_TOL
                 if drifted.any():
-                    root[drifted] = linalg.psd_pseudo_sqrt(s[drifted], EXCHANGE_TOL)[0]
+                    root[drifted] = linalg.psd_pseudo_sqrt(s[drifted], EXCHANGE_TOL)
                 sandwiched = root @ delta @ root
                 pos = linalg.positive_projector(sandwiched, EXCHANGE_TOL)
                 # Skip no-gain exchanges (ties): keeps fully degenerate POVMs
@@ -234,17 +228,17 @@ def _exchange_pairs(ops, elements, counts, passes: int) -> np.ndarray:
     return elements.reshape(n, m, width, d, d)
 
 
-def _party_step(f: BellFunctional, states, stacks_a, stacks_b, party: str, settings, passes: int) -> np.ndarray:
+def _party_step(f: BellFunctional, states, stacks_a, stacks_b, party: str, settings) -> np.ndarray:
     """The party's new POVM stack after re-optimizing the listed settings of
     every member of a batch in one step.
 
     One contraction builds every setting's F; all binary settings of all
     members are solved by one stacked ``positive_projector`` call (the first
     element becomes the projector onto the positive eigenspace of F_0 - F_1);
-    settings with three or more outcomes run ``passes`` rounds of pairwise
-    exchanges over the whole stack.  F of one setting does not depend on the
-    party's other settings, so the result equals updating the settings one
-    after another.
+    settings with three or more outcomes run ``PAIR_PASSES`` rounds of
+    pairwise exchanges over the whole stack.  F of one setting does not
+    depend on the party's other settings, so the result equals updating the
+    settings one after another.
     """
     settings = np.asarray(list(settings), dtype=int)
     ops = stacked_party_operators(f, states, stacks_a, stacks_b, party, settings)
@@ -257,7 +251,7 @@ def _party_step(f: BellFunctional, states, stacks_a, stacks_b, party: str, setti
         povms[:, settings[binary], 1] = np.eye(m0.shape[-1]) - m0
     if not binary.all():
         multi = settings[~binary]
-        povms[:, multi] = _exchange_pairs(ops[:, ~binary], povms[:, multi], counts[~binary], passes)
+        povms[:, multi] = _exchange_pairs(ops[:, ~binary], povms[:, multi], counts[~binary])
     return povms
 
 
@@ -266,10 +260,10 @@ def _povms(stack: np.ndarray, counts) -> tuple:
     return tuple(tuple(stack[x, :v]) for x, v in enumerate(counts))
 
 
-def _update_party(f: BellFunctional, model: QuantumModel, party: str, settings, passes: int) -> QuantumModel:
+def _update_party(f: BellFunctional, model: QuantumModel, party: str, settings) -> QuantumModel:
     """``_party_step`` on a batch of one model."""
     stack_a, stack_b = model_stacks(f, model)
-    stack = _party_step(f, model.state[None], stack_a[None], stack_b[None], party, settings, passes)[0]
+    stack = _party_step(f, model.state[None], stack_a[None], stack_b[None], party, settings)[0]
     if party == "A":
         return replace(model, povms_a=_povms(stack, f.scenario.outcomes_a))
     return replace(model, povms_b=_povms(stack, f.scenario.outcomes_b))
@@ -284,13 +278,12 @@ def update_measurement_binary(f: BellFunctional, model: QuantumModel, party: str
         raise WrongOutcomeCountError(
             f"setting {setting} of party {party} has {counts[setting]} outcomes, expected 2"
         )
-    return _update_party(f, model, party, [setting], passes=1)
+    return _update_party(f, model, party, [setting])
 
 
-def update_measurement_multi(
-    f: BellFunctional, model: QuantumModel, party: str, setting: int, passes: int = 3
-) -> QuantumModel:
-    """Round-robin exact pairwise exchanges for a setting with >= 3 outcomes.
+def update_measurement_multi(f: BellFunctional, model: QuantumModel, party: str, setting: int) -> QuantumModel:
+    """``PAIR_PASSES`` rounds of round-robin exact pairwise exchanges for a
+    setting with >= 3 outcomes.
 
     For each ordered pair (a, a') the sum S = M_a + M_a' is held fixed and
     tr(M_a (F_a - F_a')) is maximized over 0 <= M_a <= S; the closed-form
@@ -305,7 +298,7 @@ def update_measurement_multi(
         raise WrongOutcomeCountError(
             f"setting {setting} of party {party} has {v} outcomes, expected >= 3"
         )
-    return _update_party(f, model, party, [setting], passes)
+    return _update_party(f, model, party, [setting])
 
 
 def _guarded(step, active: np.ndarray, errors: dict) -> np.ndarray:
@@ -343,17 +336,16 @@ def _lockstep(f: BellFunctional, models, cfg: SeesawConfig) -> list[tuple]:
     iterations = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
     errors: dict[int, Exception] = {}
-    passes = cfg.pair_pass_count
     settings_a, settings_b = range(f.scenario.settings_a), range(f.scenario.settings_b)
 
     def state(i):
         states[i] = _state_step(f, states[i], stacks_a[i], stacks_b[i])
 
     def alice(i):
-        stacks_a[i] = _party_step(f, states[i], stacks_a[i], stacks_b[i], "A", settings_a, passes)
+        stacks_a[i] = _party_step(f, states[i], stacks_a[i], stacks_b[i], "A", settings_a)
 
     def bob(i):
-        stacks_b[i] = _party_step(f, states[i], stacks_a[i], stacks_b[i], "B", settings_b, passes)
+        stacks_b[i] = _party_step(f, states[i], stacks_a[i], stacks_b[i], "B", settings_b)
 
     steps = (alice, bob) if cfg.fixed_state is not None else (state, alice, bob)
     active = np.arange(n)

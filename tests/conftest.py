@@ -40,6 +40,19 @@ def random_table(rng, scenario) -> ProbabilityTable:
     return ProbabilityTable(scenario, blocks)
 
 
+def signaling_deviation(t: ProbabilityTable) -> float:
+    """Largest spread of one party's marginals across the partner's settings."""
+    sc = t.scenario
+    worst = 0.0
+    for x in range(sc.settings_a):
+        stack = np.stack([t.p[x][y].sum(axis=1) for y in range(sc.settings_b)])
+        worst = max(worst, float((stack.max(axis=0) - stack.min(axis=0)).max()))
+    for y in range(sc.settings_b):
+        stack = np.stack([t.p[x][y].sum(axis=0) for x in range(sc.settings_a)])
+        worst = max(worst, float((stack.max(axis=0) - stack.min(axis=0)).max()))
+    return worst
+
+
 def random_hermitian(rng, n) -> np.ndarray:
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (g + g.conj().T) / 2.0

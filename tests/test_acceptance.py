@@ -198,7 +198,7 @@ def test_criterion_7b_seesaw_monotone_feasible_100_runs(capsys):
                     if counts[setting] == 2:
                         model = update_measurement_binary(f, model, party, setting)
                     else:
-                        model = update_measurement_multi(f, model, party, setting, 3)
+                        model = update_measurement_multi(f, model, party, setting)
                     model.validate(sc)  # POVM feasibility after every update
                     new = model_value(f, model)
                     worst_drop = max(worst_drop, value - new)

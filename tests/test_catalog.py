@@ -134,6 +134,13 @@ def test_reference_bounds():
     assert catalog.reference_bounds("nothing-known") is None
 
 
+@pytest.mark.parametrize("name", ["iphi:inf", "iphi:nan", "iphi:abc"])
+def test_reference_bounds_none_for_angles_by_name_rejects(name):
+    with pytest.raises(ConfigError):
+        catalog.by_name(name)
+    assert catalog.reference_bounds(name) is None
+
+
 def test_witness_report_not_witnessed_for_chsh():
     cfg = SeesawConfig(restarts=8, seed=19)
     report = catalog.witness_report(catalog.chsh(), 2, cfg, functional_id="chsh")

@@ -9,7 +9,7 @@ import pytest
 from dimwit import bellfmt, catalog, grothendieck
 from dimwit.cli import _fail_code, main
 from dimwit.errors import InvalidFunctionalError, NotPSDError
-from dimwit.localbound import local_bound, local_bound_min_strategy, strategy_table
+from dimwit.localbound import local_bound, local_bound_min, strategy_table
 from dimwit.scenario import bell_operator, uniform_table
 from dimwit.seesaw import seeded_models
 
@@ -94,7 +94,7 @@ def test_local_bound_min_and_json(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["schema"] == 1
-    expected, strategy = local_bound_min_strategy(f)
+    expected, strategy = local_bound_min(f)
     assert payload["value"] == expected
     assert payload["strategy"]["assignment_a"] == list(strategy.assignment_a)
 
@@ -251,6 +251,15 @@ def test_curve_cli_rejects_non_positive_steps(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("dims", ["2,x", "2,2"])
+def test_curve_cli_rejects_bad_or_repeated_dims(tmp_path, capsys, dims):
+    out_path = tmp_path / "c.csv"
+    code, _, err = run_cli(capsys, "curve", "--steps", "2", "--dims", dims, "--out", str(out_path))
+    assert code == 5
+    assert err.startswith("error: curve dimension")
+    assert not out_path.exists()
+
+
 def test_curve_cli_rows_at_zero_and_quarter_pi(tmp_path, capsys):
     # two grid points landing exactly on phi = 0 and phi = pi/4
     out_path = tmp_path / "anchors.csv"
@@ -348,6 +357,26 @@ def test_bad_catalog_name_reports_the_reason(capsys, name):
     code, out, err = run_cli(capsys, "local-bound", name)
     assert code == 2
     assert out == "" and f"bad iphi angle in {name!r}" in err
+
+
+def test_directory_as_table_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "eval", "E", str(tmp_path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_directory_as_functional_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "local-bound", str(tmp_path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_non_utf8_functional_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.bell"
+    path.write_bytes(b"scenario A:2 B:2\n+1 P(0 0|0 0) \xff\n")
+    code, out, err = run_cli(capsys, "local-bound", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "utf-8" in err
 
 
 def test_invalid_functional_exits_2():

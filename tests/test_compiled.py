@@ -12,11 +12,12 @@ from dimwit.scenario import (
     BellScenario,
     QuantumModel,
     bell_operator,
+    model_stacks,
     model_value,
     povm_stack,
+    stacked_party_operators,
     table_of,
 )
-from dimwit.seesaw import _party_operators
 
 from conftest import random_functional, random_hermitian
 
@@ -165,6 +166,13 @@ def with_setting(m, party, setting, elements):
     return replace(m, povms_b=tuple(povms))
 
 
+def party_operators(f, m, party, settings):
+    """``stacked_party_operators`` of one model: a (len(settings), width, d, d)
+    array of the per-outcome operators F[s, a] of each listed setting."""
+    stack_a, stack_b = model_stacks(f, m)
+    return stacked_party_operators(f, m.state[None], stack_a[None], stack_b[None], party, settings)[0]
+
+
 def test_setting_operators_predict_value_change(rng):
     """The value is affine in one setting's elements, so replacing POVM M by N
     changes it by exactly sum_a tr((N_a - M_a) F_a), with F the setting's row
@@ -174,7 +182,7 @@ def test_setting_operators_predict_value_change(rng):
             continue
         before = model_value(f, m)
         for party, povms, d in (("A", m.povms_a, m.d_a), ("B", m.povms_b, m.d_b)):
-            stack = _party_operators(f, m, party, range(len(povms)))
+            stack = party_operators(f, m, party, range(len(povms)))
             assert stack.shape == (len(povms), max(map(len, povms)), d, d)
             for setting, old in enumerate(povms):
                 ops = stack[setting, : len(old)]
@@ -192,4 +200,4 @@ def test_setting_operators_predict_value_change(rng):
 def test_setting_operators_reject_unknown_party(rng):
     f = random_functional(rng, RAGGED)
     with pytest.raises(ValueError):
-        _party_operators(f, random_model(rng, RAGGED, 2, 2), "C", [0])
+        party_operators(f, random_model(rng, RAGGED, 2, 2), "C", [0])

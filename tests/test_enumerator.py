@@ -14,7 +14,7 @@ from dimwit import catalog, grothendieck, localbound
 from dimwit.localbound import (
     DeterministicStrategy,
     local_bound,
-    local_bound_min_strategy,
+    local_bound_min,
     strategy_value,
 )
 from dimwit.scenario import BellFunctional, BellScenario
@@ -49,7 +49,7 @@ def assert_matches_oracle(f, cap=localbound.DEFAULT_STRATEGY_CAP):
     value, strategy = local_bound(f, cap)
     assert (value, strategy) == loop_extremize(f, 1.0)
     assert value == strategy_value(f, strategy)
-    low, low_strategy = local_bound_min_strategy(f, cap)
+    low, low_strategy = local_bound_min(f, cap)
     assert (low, low_strategy) == loop_extremize(f, -1.0)
     assert low == strategy_value(f, low_strategy)
 

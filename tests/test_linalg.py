@@ -100,15 +100,10 @@ def test_positive_projector_idempotent_and_commutes(rng):
 
 
 def test_psd_pseudo_sqrt_examples():
-    root, support = linalg.psd_pseudo_sqrt(np.eye(4))
-    assert np.allclose(root, np.eye(4)) and np.allclose(support, np.eye(4))
-    root, support = linalg.psd_pseudo_sqrt(np.diag([4.0, 0.0]))
-    assert np.allclose(root, np.diag([2.0, 0.0]))
-    assert np.allclose(support, np.diag([1.0, 0.0]))
-    p = np.full((2, 2), 0.5)  # rank-1 projector is its own root and support
-    root, support = linalg.psd_pseudo_sqrt(p)
-    assert np.abs(root - p).max() < 1e-12
-    assert np.abs(support - p).max() < 1e-12
+    assert np.allclose(linalg.psd_pseudo_sqrt(np.eye(4)), np.eye(4))
+    assert np.allclose(linalg.psd_pseudo_sqrt(np.diag([4.0, 0.0])), np.diag([2.0, 0.0]))
+    p = np.full((2, 2), 0.5)  # rank-1 projector is its own root
+    assert np.abs(linalg.psd_pseudo_sqrt(p) - p).max() < 1e-12
 
 
 def test_psd_pseudo_sqrt_squares_back(rng):
@@ -116,13 +111,12 @@ def test_psd_pseudo_sqrt_squares_back(rng):
         n = int(rng.integers(2, 7))
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         a = g @ g.conj().T  # PSD by construction
-        root, support = linalg.psd_pseudo_sqrt(a)
+        root = linalg.psd_pseudo_sqrt(a)
         assert np.abs(root @ root - a).max() < 1e-9
-        assert np.abs(support @ root - root).max() < 1e-9
 
 
 def test_psd_pseudo_sqrt_clamps_and_rejects():
-    root, _ = linalg.psd_pseudo_sqrt(np.diag([1.0, -5e-10]), tol=1e-9)
+    root = linalg.psd_pseudo_sqrt(np.diag([1.0, -5e-10]), tol=1e-9)
     assert np.allclose(root, np.diag([1.0, 0.0]))
     with pytest.raises(NotPSDError):
         linalg.psd_pseudo_sqrt(np.diag([1.0, -1e-6]), tol=1e-9)
@@ -148,11 +142,9 @@ def test_stack_matches_per_matrix_calls(rng):
             assert np.abs(p - linalg.positive_projector(member)).max() < 1e-12
         assert not proj[1].any()
         psd = stack @ stack
-        roots, supports = linalg.psd_pseudo_sqrt(psd)
-        for member, root, support in zip(psd, roots, supports):
-            single_root, single_support = linalg.psd_pseudo_sqrt(member)
-            assert np.abs(root - single_root).max() < 1e-12
-            assert np.abs(support - single_support).max() < 1e-12
+        roots = linalg.psd_pseudo_sqrt(psd)
+        for member, root in zip(psd, roots):
+            assert np.abs(root - linalg.psd_pseudo_sqrt(member)).max() < 1e-12
 
 
 def test_stack_rejects_one_bad_member(rng):

@@ -23,7 +23,7 @@ from dimwit.seesaw import (
     update_state,
 )
 
-from conftest import fail_eigh_on, random_functional
+from conftest import fail_eigh_on, random_functional, signaling_deviation
 
 
 def test_seeded_models_deterministic():
@@ -158,7 +158,7 @@ def test_multi_update_suppressed_outcome_reduces_to_binary():
     base = seeded_models(sc2, 2, 2, seed=8, count=1)[0]
     p = base.povms_a[0]
     model3 = type(base)(2, 2, base.state, ((p[0], p[1], np.zeros((2, 2), complex)),), base.povms_b)
-    out3 = update_measurement_multi(f3, model3, "A", 0, passes=1)
+    out3 = update_measurement_multi(f3, model3, "A", 0)
     out2 = update_measurement_binary(f2, base, "A", 0)
     assert np.abs(out3.povms_a[0][0] - out2.povms_a[0][0]).max() < 1e-12
     assert np.abs(out3.povms_a[0][2]).max() < 1e-12
@@ -181,7 +181,6 @@ def test_updates_monotone_and_feasible(rng):
         f = random_functional(rng, BellScenario((2, 3), (2, 2)))
         d = int(rng.integers(2, 4))
         model = seeded_models(f.scenario, d, d, seed=300 + i, count=1)[0]
-        cfg = SeesawConfig(seed=0)
         value = model_value(f, model)
         for _ in range(3):
             model = update_state(f, model)
@@ -194,20 +193,20 @@ def test_updates_monotone_and_feasible(rng):
                     if counts[setting] == 2:
                         model = update_measurement_binary(f, model, party, setting)
                     else:
-                        model = update_measurement_multi(f, model, party, setting, cfg.pair_pass_count)
+                        model = update_measurement_multi(f, model, party, setting)
                     model.validate(f.scenario)
                     new = model_value(f, model)
                     assert new >= value - 1e-12
                     value = new
 
 
-def _setting_by_setting(f, model, party, passes):
+def _setting_by_setting(f, model, party):
     counts = f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b
     for setting, v in enumerate(counts):
         if v == 2:
             model = update_measurement_binary(f, model, party, setting)
         else:
-            model = update_measurement_multi(f, model, party, setting, passes)
+            model = update_measurement_multi(f, model, party, setting)
     return model
 
 
@@ -225,8 +224,8 @@ def test_party_step_equals_setting_by_setting_and_is_monotone(rng):
                 assert model_value(f, model) >= value - 1e-12
                 value = model_value(f, model)
                 for party, n in (("A", sc.settings_a), ("B", sc.settings_b)):
-                    step = ss._update_party(f, model, party, range(n), 3)
-                    ref = _setting_by_setting(f, model, party, 3)
+                    step = ss._update_party(f, model, party, range(n))
+                    ref = _setting_by_setting(f, model, party)
                     for got, want in zip(step.povms_a + step.povms_b, ref.povms_a + ref.povms_b):
                         for m1, m2 in zip(got, want):
                             assert np.abs(m1 - m2).max() < 1e-12
@@ -255,7 +254,7 @@ def test_seesaw_result_invariants():
     assert len(result.converged_flags) == 6
     result.best_model.validate(f.scenario)
     t = table_of(result.best_model)
-    assert t.signaling_deviation() < 1e-9
+    assert signaling_deviation(t) < 1e-9
 
 
 def test_seesaw_not_converged_flag():
@@ -377,7 +376,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SeesawConfig(convergence_tol=0.0).validate()
     with pytest.raises(ConfigError):
-        SeesawConfig(pair_pass_count=0).validate()
+        SeesawConfig(max_iterations=0).validate()
     with pytest.raises(ConfigError):
         SeesawConfig(fixed_state=np.zeros(4))
     f = catalog.chsh()
