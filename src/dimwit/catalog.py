@@ -105,6 +105,8 @@ def chsh() -> BellFunctional:
 
 def gamma_state(gamma: float) -> np.ndarray:
     """(|00> + gamma |11> + |22>) / sqrt(2 + gamma^2) on two qutrits."""
+    if not math.isfinite(gamma):
+        raise ConfigError(f"gamma must be finite, got {gamma}")
     v = np.zeros(9, dtype=complex)
     v[0] = 1.0
     v[4] = gamma
@@ -114,6 +116,8 @@ def gamma_state(gamma: float) -> np.ndarray:
 
 def theta_state(theta: float) -> np.ndarray:
     """cos(theta)|00> + sin(theta)|11> on two qubits."""
+    if not math.isfinite(theta):
+        raise ConfigError(f"theta must be finite, got {theta}")
     v = np.zeros(4, dtype=complex)
     v[0] = math.cos(theta)
     v[3] = math.sin(theta)
@@ -225,7 +229,9 @@ def witness_report(
     than ``gap_threshold``, not a proof.
     """
     if d < 2:
-        raise ConfigError("witness dimension must be >= 2")
+        raise ConfigError(f"witness dimension must be >= 2, got {d}")
+    if not math.isfinite(gap_threshold):
+        raise ConfigError(f"gap threshold must be finite, got {gap_threshold}")
     cfg = SeesawConfig() if cfg is None else cfg
     bound, _ = local_bound(f)
     value_d = seesaw(f, d, d, cfg, jobs=jobs).best_value
@@ -248,8 +254,12 @@ def iphi_sweep(phis, dims=(2, 3), cfg: SeesawConfig | None = None, jobs: int = 1
     """Local bound and per-dimension best-found values along a phi grid.
 
     Returns one dict per grid point with keys ``phi``, ``local_bound``, and
-    ``value_d<d>`` for each requested dimension.
+    ``value_d<d>`` for each requested dimension.  A non-finite angle anywhere
+    in the grid is a ``ConfigError`` before any see-saw runs.
     """
+    phis = np.asarray(phis, dtype=float)
+    if not np.isfinite(phis).all():
+        raise ConfigError("phi grid has a non-finite angle")
     cfg = SeesawConfig() if cfg is None else cfg
     rows = []
     for phi in phis:

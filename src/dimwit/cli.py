@@ -8,7 +8,8 @@ manifest's ``duration_s``.
 
 Exit codes: 0 success (witness: Witnessed), 1 witness NotWitnessed, 2 parse or
 input error, 3 scenario/signaling mismatch, 4 enumeration space too large,
-5 invalid dimensions or configuration.
+5 invalid dimensions or configuration.  A failure's code is the ``exit_code``
+of its error type in ``dimwit.errors``.
 """
 
 from __future__ import annotations
@@ -25,41 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bellfmt, catalog, grothendieck, localbound
-from .errors import (
-    ConfigError,
-    DimwitError,
-    InvalidFunctionalError,
-    InvalidModelError,
-    InvalidTableError,
-    MatrixTooLargeError,
-    ParseError,
-    ScenarioMismatchError,
-    SignalingError,
-    StrategySpaceTooLargeError,
-    ZeroMatrixError,
-)
+from .errors import ConfigError, DimwitError, InvalidFunctionalError
 from .scenario import AVERAGE, PARTNER_SETTING_ZERO, evaluate
 from .seesaw import SeesawConfig, seesaw
 
 DEFAULT_SEED = 0
-
-
-class _Failure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-def _fail_code(exc: Exception) -> int:
-    if isinstance(exc, (ParseError, InvalidFunctionalError, InvalidTableError, ZeroMatrixError)):
-        return 2
-    if isinstance(exc, (ScenarioMismatchError, SignalingError)):
-        return 3
-    if isinstance(exc, (StrategySpaceTooLargeError, MatrixTooLargeError)):
-        return 4
-    if isinstance(exc, (ConfigError, InvalidModelError)):
-        return 5
-    return 2
 
 
 @dataclass
@@ -94,7 +65,7 @@ def _resolve_seed(args) -> int:
         try:
             return int(env)
         except ValueError:
-            raise _Failure(5, f"DIMWIT_SEED must be an integer, got {env!r}") from None
+            raise ConfigError(f"DIMWIT_SEED must be an integer, got {env!r}") from None
     return DEFAULT_SEED
 
 
@@ -113,7 +84,7 @@ def _load_functional(arg: str):
     try:
         return catalog.by_name(arg), arg
     except ConfigError as exc:
-        raise _Failure(2, f"{arg!r} is not an existing file; {exc}") from None
+        raise InvalidFunctionalError(f"{arg!r} is not an existing file; {exc}") from None
 
 
 def _jobs_default() -> int:
@@ -173,26 +144,24 @@ def _seesaw_config(args, d_a: int, d_b: int) -> tuple[SeesawConfig, int, dict]:
     restarts = args.restarts if args.restarts is not None else _default_restarts(d_a, d_b)
     fixed_state = None
     if getattr(args, "fixed_theta", None) is not None and getattr(args, "fixed_gamma", None) is not None:
-        raise _Failure(5, "--fixed-theta and --fixed-gamma are mutually exclusive")
+        raise ConfigError("--fixed-theta and --fixed-gamma are mutually exclusive")
     if getattr(args, "fixed_theta", None) is not None:
         if (d_a, d_b) != (2, 2):
-            raise _Failure(5, "--fixed-theta requires --da 2 --db 2")
+            raise ConfigError("--fixed-theta requires --da 2 --db 2")
         fixed_state = catalog.theta_state(args.fixed_theta)
     if getattr(args, "fixed_gamma", None) is not None:
         if (d_a, d_b) != (3, 3):
-            raise _Failure(5, "--fixed-gamma requires --da 3 --db 3")
+            raise ConfigError("--fixed-gamma requires --da 3 --db 3")
         fixed_state = catalog.gamma_state(args.fixed_gamma)
     cfg = SeesawConfig(
         restarts=restarts,
         max_iterations=args.max_iterations,
-        convergence_tol=args.tol,
         seed=seed,
         fixed_state=fixed_state,
     )
     echo = {
         "restarts": restarts,
         "max_iterations": args.max_iterations,
-        "convergence_tol": args.tol,
         "d_a": d_a,
         "d_b": d_b,
         "jobs": args.jobs,
@@ -203,8 +172,6 @@ def _seesaw_config(args, d_a: int, d_b: int) -> tuple[SeesawConfig, int, dict]:
 
 
 def cmd_seesaw(args) -> int:
-    if args.da < 2 or args.db < 2:
-        raise _Failure(5, f"local dimensions must be >= 2, got ({args.da},{args.db})")
     cfg, seed, echo = _seesaw_config(args, args.da, args.db)
     manifest = _Manifest(sys.argv[1:], seed, echo, time.monotonic())
     functional, name = _load_functional(args.functional)
@@ -246,9 +213,9 @@ def cmd_seesaw(args) -> int:
 
 def cmd_curve(args) -> int:
     if args.family != "iphi":
-        raise _Failure(5, f"unknown curve family {args.family!r}")
+        raise ConfigError(f"unknown curve family {args.family!r}")
     if args.steps < 1:
-        raise _Failure(5, f"--steps must be >= 1, got {args.steps}")
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     dims = []
     for token in args.dims.split(","):
         token = token.strip()
@@ -256,33 +223,28 @@ def cmd_curve(args) -> int:
             try:
                 d = int(token)
             except ValueError:
-                raise _Failure(5, f"curve dimension {token!r} is not an integer") from None
+                raise ConfigError(f"curve dimension {token!r} is not an integer") from None
             if d < 2:
-                raise _Failure(5, f"curve dimensions must be >= 2, got {d}")
+                raise ConfigError(f"curve dimensions must be >= 2, got {d}")
             if d in dims:
-                raise _Failure(5, f"curve dimension {d} is given twice")
+                raise ConfigError(f"curve dimension {d} is given twice")
             dims.append(d)
     if not dims:
-        raise _Failure(5, "no dimensions given")
-    seed = _resolve_seed(args)
-    restarts = args.restarts if args.restarts is not None else _default_restarts(max(dims), max(dims))
-    cfg = SeesawConfig(
-        restarts=restarts,
-        max_iterations=args.max_iterations,
-        convergence_tol=args.tol,
-        seed=seed,
-    )
+        raise ConfigError("no dimensions given")
+    cfg, seed, _ = _seesaw_config(args, max(dims), max(dims))
     echo = {
         "family": args.family,
         "steps": args.steps,
         "dims": dims,
-        "restarts": restarts,
+        "restarts": cfg.restarts,
         "phi_min": args.phi_min,
         "phi_max": args.phi_max,
         "jobs": args.jobs,
     }
     manifest = _Manifest(sys.argv[1:], seed, echo, time.monotonic())
-    phis = np.linspace(args.phi_min, args.phi_max, args.steps)
+    # An infinite end makes linspace warn; iphi_sweep rejects the grid.
+    with np.errstate(invalid="ignore"):
+        phis = np.linspace(args.phi_min, args.phi_max, args.steps)
     rows = catalog.iphi_sweep(phis, dims, cfg, jobs=args.jobs)
     header = ["phi", "local_bound"] + [f"value_d{d}" for d in dims]
     lines = [",".join(header)]
@@ -299,8 +261,6 @@ def cmd_curve(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    if args.d < 2:
-        raise _Failure(5, f"witness dimension must be >= 2, got {args.d}")
     cfg, seed, echo = _seesaw_config(args, args.d, args.d)
     echo["threshold"] = args.threshold
     manifest = _Manifest(sys.argv[1:], seed, echo, time.monotonic())
@@ -324,8 +284,6 @@ def cmd_witness(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    if args.action != "emit":
-        raise _Failure(5, f"unknown catalog action {args.action!r}")
     functional = catalog.by_name(args.name)
     text = bellfmt.serialize_functional(functional)
     if args.out is not None:
@@ -346,7 +304,6 @@ def cmd_grothendieck(args) -> int:
     cfg = SeesawConfig(
         restarts=args.restarts,
         max_iterations=args.max_iterations,
-        convergence_tol=args.tol,
         seed=seed,
     )
     value, strategy = grothendieck.vector_seesaw(normalized, args.n, cfg)
@@ -377,7 +334,6 @@ def _add_seesaw_knobs(p: argparse.ArgumentParser, fixed_state: bool = False) -> 
     p.add_argument("--restarts", type=int, default=None, help="random restarts (default scales with dimension)")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: DIMWIT_SEED, then 0)")
     p.add_argument("--max-iterations", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-10, help="per-iteration improvement threshold")
     p.add_argument(
         "--jobs",
         type=int,
@@ -447,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-iterations", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_grothendieck)
     return parser
@@ -458,12 +413,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _Failure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except DimwitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _fail_code(exc)
+        return exc.exit_code
     except (OSError, UnicodeDecodeError) as exc:
         # Unreadable input: missing, a directory, not UTF-8, ...
         print(f"error: {exc}", file=sys.stderr)

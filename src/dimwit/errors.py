@@ -1,8 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; ``exit_code`` is each one's CLI exit status."""
 
 
 class DimwitError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class NotHermitianError(DimwitError):
@@ -24,9 +26,13 @@ class DimensionMismatchError(DimwitError):
 class ScenarioMismatchError(DimwitError):
     """Functional and table (or model) belong to different scenarios."""
 
+    exit_code = 3
+
 
 class SignalingError(DimwitError):
     """Per-partner-setting marginals of a table disagree beyond tolerance."""
+
+    exit_code = 3
 
 
 class InvalidTableError(DimwitError):
@@ -40,6 +46,8 @@ class InvalidFunctionalError(DimwitError):
 class InvalidModelError(DimwitError):
     """Quantum model violates state-norm or POVM constraints."""
 
+    exit_code = 5
+
 
 class WrongOutcomeCountError(DimwitError):
     """Measurement update applied to a setting with the wrong outcome count."""
@@ -48,9 +56,13 @@ class WrongOutcomeCountError(DimwitError):
 class ConfigError(DimwitError):
     """Invalid optimizer configuration."""
 
+    exit_code = 5
+
 
 class StrategySpaceTooLargeError(DimwitError):
     """Deterministic-strategy enumeration would exceed the configured cap."""
+
+    exit_code = 4
 
 
 class ParseError(DimwitError):
@@ -90,3 +102,5 @@ class ZeroMatrixError(DimwitError):
 
 class MatrixTooLargeError(DimwitError):
     """Correlation matrix exceeds the exact sign-enumeration size cap."""
+
+    exit_code = 4

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, MatrixTooLargeError, ZeroMatrixError
 from .localbound import _best_strategy, strategy_value
 from .scenario import BellFunctional, BellScenario
-from .seesaw import SeesawConfig, spawn_rng
+from .seesaw import CONVERGENCE_TOL, SeesawConfig, spawn_rng
 
 #: 2^m sign vectors are enumerated exactly; beyond this the cost is unreasonable.
 ENUMERATION_CAP = 26
@@ -104,7 +104,7 @@ def refine_vectors(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray, cfg: Sees
         new_value = _objective(matrix, xs, ys)
         improvement = new_value - value
         value = new_value
-        if improvement < cfg.convergence_tol:
+        if improvement < CONVERGENCE_TOL:
             break
     return value, xs, ys
 
@@ -117,7 +117,6 @@ def vector_seesaw(f: CorrelationFunctional, n: int, cfg: SeesawConfig | None = N
     see-saw.  Returns (value, VectorStrategy).
     """
     cfg = SeesawConfig() if cfg is None else cfg
-    cfg.validate()
     if n < 1:
         raise ConfigError(f"vector dimension must be >= 1, got {n}")
     if f.local_norm is None:

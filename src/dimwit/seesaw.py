@@ -62,38 +62,40 @@ RESTART_BATCH = 16
 #: Round-robin passes over the outcome pairs of a setting with three or more
 #: outcomes in each measurement update.
 PAIR_PASSES = 3
+#: A restart has converged once one full iteration improves the objective by
+#: less than this; ``grothendieck.vector_seesaw`` uses it too.
+CONVERGENCE_TOL = 1e-10
 
 _LINALG_ERRORS = (NotHermitianError, NoConvergenceError, NotPSDError)
 
 
 @dataclass(frozen=True, eq=False)
 class SeesawConfig:
-    """Knobs for the restart loop; defaults suit scenarios up to two qutrits.
-    The pairwise-exchange passes per update are the constant ``PAIR_PASSES``."""
+    """Knobs for the restart loop, checked on construction (``ConfigError``);
+    defaults suit scenarios up to two qutrits.  The pairwise-exchange passes
+    per update and the convergence threshold are the constants
+    ``PAIR_PASSES`` and ``CONVERGENCE_TOL``."""
 
     restarts: int = 50
     max_iterations: int = 500
-    convergence_tol: float = 1e-10
     seed: int = 0
     fixed_state: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.restarts < 1:
+            raise ConfigError("restarts must be >= 1")
+        if self.max_iterations < 1:
+            raise ConfigError("max_iterations must be >= 1")
         if self.fixed_state is not None:
             state = np.asarray(self.fixed_state, dtype=complex).reshape(-1)
+            if not np.isfinite(state).all():
+                raise ConfigError("fixed_state has a non-finite entry")
             norm = float(np.linalg.norm(state))
             if norm == 0.0:
                 raise ConfigError("fixed_state must be a nonzero vector")
             state = state / norm
             state.flags.writeable = False
             object.__setattr__(self, "fixed_state", state)
-
-    def validate(self) -> None:
-        if self.restarts < 1:
-            raise ConfigError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
-        if not self.convergence_tol > 0:
-            raise ConfigError("convergence_tol must be > 0")
 
 
 @dataclass
@@ -355,7 +357,7 @@ def _lockstep(f: BellFunctional, models, cfg: SeesawConfig) -> list[tuple]:
             active = _guarded(step, active, errors)
         previous = values[active]
         values[active] = stacked_values(f, states[active], stacks_a[active], stacks_b[active])
-        done = values[active] - previous < cfg.convergence_tol
+        done = values[active] - previous < CONVERGENCE_TOL
         converged[active[done]] = True
         active = active[~done]
         if not active.size:
@@ -385,7 +387,7 @@ def refine(f: BellFunctional, model: QuantumModel, cfg: SeesawConfig):
     interact once the state and the partner's POVMs are fixed, so this equals
     updating them one by one in index order.  Returns (value, model,
     iterations, converged); convergence means one full iteration improved
-    the objective by less than ``convergence_tol``.  This is the lockstep
+    the objective by less than ``CONVERGENCE_TOL``.  This is the lockstep
     loop of ``seesaw`` on a batch of one, so a restart gives the same result
     here as inside a batch; a linear-algebra error is raised.
     """
@@ -431,7 +433,6 @@ def seesaw(
     only the affected restart (with a warning).
     """
     cfg = SeesawConfig() if cfg is None else cfg
-    cfg.validate()
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if d_a < 2 or d_b < 2:

@@ -1,7 +1,20 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from dimwit.scenario import BellFunctional, BellScenario, ProbabilityTable
+
+
+@pytest.fixture
+def no_restarts(monkeypatch):
+    """Fail the test if a see-saw restart runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a see-saw restart ran")
+
+    # "dimwit.seesaw" as a dotted path would resolve to the re-exported function.
+    monkeypatch.setattr(importlib.import_module("dimwit.seesaw"), "_lockstep", refuse)
 
 
 def random_scenario(rng, max_settings=3, max_outcomes=4) -> BellScenario:

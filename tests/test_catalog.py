@@ -153,6 +153,24 @@ def test_witness_report_not_witnessed_for_chsh():
         catalog.witness_report(catalog.chsh(), 1, cfg)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf])
+def test_witness_report_rejects_non_finite_threshold(no_restarts, threshold):
+    with pytest.raises(ConfigError, match="threshold"):
+        catalog.witness_report(catalog.chsh(), 2, SeesawConfig(restarts=2), gap_threshold=threshold)
+
+
+def test_iphi_sweep_rejects_non_finite_grid_before_any_seesaw(no_restarts):
+    with pytest.raises(ConfigError, match="non-finite angle"):
+        catalog.iphi_sweep([0.0, 0.5, math.nan], dims=(2,), cfg=SeesawConfig(restarts=2))
+
+
+@pytest.mark.parametrize("state", [catalog.theta_state, catalog.gamma_state])
+def test_special_states_reject_non_finite_angles(state):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            state(bad)
+
+
 def test_witness_report_e_gap():
     cfg = SeesawConfig(restarts=40, seed=2)
     report = catalog.witness_report(catalog.expression_E(), 2, cfg, functional_id="E")

@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from dimwit import bellfmt, catalog, grothendieck
-from dimwit.cli import _fail_code, main
-from dimwit.errors import InvalidFunctionalError, NotPSDError
+from dimwit import bellfmt, catalog, errors, grothendieck
+from dimwit.cli import main
+from dimwit.errors import NotPSDError
 from dimwit.localbound import local_bound, local_bound_min, strategy_table
 from dimwit.scenario import bell_operator, uniform_table
 from dimwit.seesaw import seeded_models
@@ -155,6 +155,14 @@ def test_seesaw_cli_rejects_non_positive_jobs(capsys, jobs):
     assert "jobs" in err and out == ""
 
 
+def test_seesaw_cli_rejects_non_finite_fixed_theta(capsys, no_restarts):
+    code, out, err = run_cli(
+        capsys, "seesaw", "chsh", "--da", "2", "--db", "2", "--restarts", "2", "--fixed-theta", "nan"
+    )
+    assert code == 5
+    assert out == "" and "finite" in err
+
+
 def test_seesaw_cli_fixed_theta(capsys):
     theta = math.pi / 8.0
     code, out, _ = run_cli(
@@ -224,6 +232,13 @@ def test_witness_cli_iphi_witnessed(capsys):
     assert payload["gap"] > 0.01
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_witness_cli_rejects_non_finite_threshold(capsys, no_restarts, threshold):
+    code, out, err = run_cli(capsys, "witness", "chsh", "--d", "2", "--threshold", threshold)
+    assert code == 5
+    assert out == "" and "threshold" in err
+
+
 def test_curve_cli(tmp_path, capsys):
     out_path = tmp_path / "curve.csv"
     code, out, _ = run_cli(
@@ -258,6 +273,15 @@ def test_curve_cli_rejects_bad_or_repeated_dims(tmp_path, capsys, dims):
     assert code == 5
     assert err.startswith("error: curve dimension")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--phi-min", "nan"), ("--phi-max", "nan"), ("--phi-max", "inf")])
+def test_curve_cli_rejects_non_finite_phi(tmp_path, capsys, no_restarts, flag, value):
+    out_path = tmp_path / "c.csv"
+    code, _, err = run_cli(capsys, "curve", "--steps", "3", flag, value, "--out", str(out_path))
+    assert code == 5
+    assert "non-finite angle" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_curve_cli_rows_at_zero_and_quarter_pi(tmp_path, capsys):
@@ -379,8 +403,23 @@ def test_non_utf8_functional_file_exits_2(tmp_path, capsys):
     assert out == "" and err.startswith("error: ") and "utf-8" in err
 
 
-def test_invalid_functional_exits_2():
-    assert _fail_code(InvalidFunctionalError("functional has a non-finite coefficient")) == 2
+# The exit-code table of the cli docstring; every other error type exits 2.
+EXIT_CODES = {
+    errors.ScenarioMismatchError: 3,
+    errors.SignalingError: 3,
+    errors.StrategySpaceTooLargeError: 4,
+    errors.MatrixTooLargeError: 4,
+    errors.ConfigError: 5,
+    errors.InvalidModelError: 5,
+}
+ERROR_TYPES = [
+    t for t in vars(errors).values() if isinstance(t, type) and issubclass(t, errors.DimwitError)
+]
+
+
+@pytest.mark.parametrize("error_type", ERROR_TYPES, ids=lambda t: t.__name__)
+def test_error_type_exit_code(error_type):
+    assert error_type.exit_code == EXIT_CODES.get(error_type, 2)
 
 
 def test_grothendieck_cli_bad_matrix(tmp_path, capsys):

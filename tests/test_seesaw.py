@@ -372,11 +372,9 @@ def test_soundness_against_certified_bounds():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        SeesawConfig(restarts=0).validate()
+        SeesawConfig(restarts=0)
     with pytest.raises(ConfigError):
-        SeesawConfig(convergence_tol=0.0).validate()
-    with pytest.raises(ConfigError):
-        SeesawConfig(max_iterations=0).validate()
+        SeesawConfig(max_iterations=0)
     with pytest.raises(ConfigError):
         SeesawConfig(fixed_state=np.zeros(4))
     f = catalog.chsh()
@@ -384,6 +382,12 @@ def test_config_validation():
         seesaw(f, 1, 2, SeesawConfig())
     with pytest.raises(ConfigError):
         seesaw(f, 2, 2, SeesawConfig(fixed_state=np.ones(9)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_config_rejects_non_finite_fixed_state(bad):
+    with pytest.raises(ConfigError, match="non-finite"):
+        SeesawConfig(fixed_state=[bad, 0.0, 0.0, 1.0])
 
 
 def test_aborted_restart_is_recorded(monkeypatch):
