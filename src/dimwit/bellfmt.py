@@ -11,9 +11,9 @@ blank lines (LF or CRLF; LF is emitted):
 
 Reals are decimals (scientific notation accepted) or exact rationals ``p/q``;
 only a coefficient's floating value is kept, not its text.  Duplicate terms
-are summed.  ``parse_functional`` reads the lines once, adding each term to
-the coefficient arrays as it goes, so a file with several faults reports the
-first one by line.  Serialization is canonical: scenario, constant,
+are summed.  ``parse_functional`` reads the lines once, adding each term at
+its index of the coefficient tensor as it goes, so a file with several faults
+reports the first one by line.  Serialization is canonical: scenario, constant,
 marginals, then joint terms sorted by (x, y, a, b), with zero coefficients
 omitted.
 """
@@ -35,7 +35,7 @@ from .errors import (
     RaggedRowsError,
     TermIndexError,
 )
-from .scenario import BellFunctional, BellScenario, ProbabilityTable
+from .scenario import BellFunctional, BellScenario, ProbabilityTable, _coefficient_shape
 
 _REAL = r"[+-]?(?:\d+\s*/\s*\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
 _SCENARIO_RE = re.compile(
@@ -79,9 +79,9 @@ def parse_functional(text: str) -> BellFunctional:
     """Parse `.bell` text into a functional in one pass over its lines.
 
     Each term is checked (syntax, finite coefficient, indices inside the
-    scenario, duplicate sum within the float range) and added to the
-    coefficient arrays as its line is read, so the first faulty line is the
-    one reported."""
+    scenario, duplicate sum within the float range) and added at its index of
+    the coefficient tensor as its line is read, so the first faulty line is
+    the one reported."""
     sc = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -99,28 +99,25 @@ def parse_functional(text: str) -> BellFunctional:
                 sc = BellScenario(outcomes_a, outcomes_b)
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno, column=1) from exc
-            joint = [[np.zeros((va, vb)) for vb in sc.outcomes_b] for va in sc.outcomes_a]
-            marg_a = [np.zeros(v) for v in sc.outcomes_a]
-            marg_b = [np.zeros(v) for v in sc.outcomes_b]
-            constant = np.zeros(())
+            c = np.zeros(_coefficient_shape(sc))
             continue
         if sc is None:
             raise MissingScenarioError(
                 "terms appear before any scenario declaration", line=lineno, column=1
             )
-        slot = None
+        index = None
         if m := _CONST_RE.match(line):
-            slot, index = constant, ()
+            index = (-1, -1, 0, 0)
         elif m := _MARG_A_RE.match(line):
             a, x = int(m.group(2)), int(m.group(3))
             term = f"PA({a}|{x})"
             if 0 <= x < sc.settings_a and 0 <= a < sc.outcomes_a[x]:
-                slot, index = marg_a[x], a
+                index = (x, -1, a, 0)
         elif m := _MARG_B_RE.match(line):
             b, y = int(m.group(2)), int(m.group(3))
             term = f"PB({b}|{y})"
             if 0 <= y < sc.settings_b and 0 <= b < sc.outcomes_b[y]:
-                slot, index = marg_b[y], b
+                index = (-1, y, 0, b)
         elif m := _JOINT_RE.match(line):
             a, b, x, y = (int(m.group(i)) for i in range(2, 6))
             term = f"P({a} {b}|{x} {y})"
@@ -130,21 +127,21 @@ def parse_functional(text: str) -> BellFunctional:
                 and 0 <= a < sc.outcomes_a[x]
                 and 0 <= b < sc.outcomes_b[y]
             ):
-                slot, index = joint[x][y], (a, b)
+                index = (x, y, a, b)
         else:
             prefix = _REAL_PREFIX_RE.match(line)
             column = (prefix.end() + 1) if prefix else 1
             raise ParseError(f"unrecognized term syntax: {line!r}", line=lineno, column=column)
         value = _parse_real(m, lineno)
-        if slot is None:
+        if index is None:
             raise TermIndexError(f"{term} is outside the scenario", line=lineno)
-        total = float(slot[index]) + value
+        total = float(c[index]) + value
         if not math.isfinite(total):
             raise ParseError("duplicate terms sum beyond the float range", line=lineno)
-        slot[index] = total
+        c[index] = total
     if sc is None:
         raise MissingScenarioError("no scenario declaration found", line=None, column=None)
-    return BellFunctional(sc, joint, marg_a, marg_b, float(constant))
+    return BellFunctional._from_coefficients(sc, c)
 
 
 def _scenario_line(sc: BellScenario) -> str:
@@ -183,7 +180,8 @@ def serialize_functional(f: BellFunctional) -> str:
 def parse_correlation_matrix(text: str):
     """Parse an m x m comma-separated real matrix into a correlation functional.
 
-    The matrix is stored as given; normalization is a separate, explicit step.
+    A non-numeric or non-finite cell raises ``NonNumericError`` at its line and
+    column.  The matrix is stored as given; normalization is a separate step.
     """
     from .grothendieck import CorrelationFunctional
 
@@ -201,6 +199,8 @@ def parse_correlation_matrix(text: str):
                 raise NonNumericError(
                     f"non-numeric cell {cell!r}", line=lineno, column=col
                 ) from None
+            if not math.isfinite(values[-1]):
+                raise NonNumericError(f"cell {cell!r} is not finite", line=lineno, column=col)
         rows.append((lineno, values))
     if not rows:
         raise RaggedRowsError("empty correlation matrix", line=1, column=1)
@@ -229,8 +229,8 @@ TABLE_HEADER = ["x", "y", "a", "b", "p"]
 def parse_table_csv(text: str, renormalize: bool = False) -> ProbabilityTable:
     """Read a probability table from CSV with header ``x,y,a,b,p``.
 
-    Every (x, y, a, b) combination must appear exactly once; the scenario's
-    outcome counts are inferred from the indices present.
+    Every (x, y, a, b) combination must appear exactly once and no index may
+    be negative; the scenario's outcome counts are inferred from the indices.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -253,6 +253,8 @@ def parse_table_csv(text: str, renormalize: bool = False) -> ProbabilityTable:
         except ValueError:
             raise ParseError(f"malformed row {row!r}", line=lineno, column=1) from None
         key = (x, y, a, b)
+        if min(key) < 0:
+            raise ParseError(f"negative index in (x,y,a,b)={key}", line=lineno, column=1)
         if key in entries:
             raise ParseError(f"duplicate row for (x,y,a,b)={key}", line=lineno, column=1)
         entries[key] = p

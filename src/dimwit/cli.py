@@ -212,8 +212,6 @@ def cmd_seesaw(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    if args.family != "iphi":
-        raise ConfigError(f"unknown curve family {args.family!r}")
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     dims = []
@@ -233,7 +231,6 @@ def cmd_curve(args) -> int:
         raise ConfigError("no dimensions given")
     cfg, seed, _ = _seesaw_config(args, max(dims), max(dims))
     echo = {
-        "family": args.family,
         "steps": args.steps,
         "dims": dims,
         "restarts": cfg.restarts,
@@ -375,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_seesaw)
 
     p = sub.add_parser("curve", help="sweep the iphi family and write a CSV")
-    p.add_argument("--family", default="iphi")
     p.add_argument("--steps", type=int, default=64)
     p.add_argument("--dims", default="2,3")
     p.add_argument("--phi-min", type=float, default=0.0)

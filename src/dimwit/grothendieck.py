@@ -141,7 +141,6 @@ def correlator_bell(f: CorrelationFunctional) -> BellFunctional:
     """The correlation functional as an ordinary Bell functional on m binary
     settings per side: +M_ij on equal outcomes, -M_ij on unequal."""
     m = f.m
-    sc = BellScenario((2,) * m, (2,) * m)
-    pattern = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    joint = [[f.matrix[i, j] * pattern for j in range(m)] for i in range(m)]
-    return BellFunctional(sc, joint)
+    c = np.zeros((m + 1, m + 1, 2, 2))
+    c[:m, :m] = f.matrix[:, :, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return BellFunctional._from_coefficients(BellScenario((2,) * m, (2,) * m), c)

@@ -9,14 +9,15 @@ functional is the linear form
           + constant
 
 evaluated either on a raw probability table (``evaluate``) or on a quantum
-model.  Every quantum-side quantity - the Bell operator, the model's value, its
+model.  A functional stores only its coefficient tensor
+(``BellFunctional.coefficients``); the blocks above are read-only views into
+it.  Every quantum-side quantity - the Bell operator, the model's value, its
 probability table, and the see-saw's per-setting operators - is a contraction
-of the functional's compiled coefficient tensor (``BellFunctional.coefficients``)
-with the parties' stacked POVMs (``povm_stack``).  The ``stacked_*``
-functions do these contractions for a batch of models at once, and the
-single-model functions are batches of one.  ``evaluate`` keeps its own loops
-over the blocks as an independent recompute path.  All types are immutable
-values and every operation is a pure function.
+of that tensor with the parties' stacked POVMs (``povm_stack``).  The
+``stacked_*`` functions do these contractions for a batch of models at once,
+and the single-model functions are batches of one.  ``evaluate`` keeps its
+own loops over the blocks as an independent recompute path.  All types are
+immutable values and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -73,82 +74,74 @@ class BellScenario:
         return len(self.outcomes_b)
 
 
-def _frozen(arr) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
+def _coefficient_shape(sc: BellScenario) -> tuple[int, int, int, int]:
+    """Shape of a ``BellFunctional.coefficients`` tensor for the scenario."""
+    return (sc.settings_a + 1, sc.settings_b + 1, max(sc.outcomes_a), max(sc.outcomes_b))
+
+
+def _block(arr, shape: tuple[int, ...], name: str) -> np.ndarray:
+    out = np.asarray(arr, dtype=float)
+    if out.shape != shape:
+        raise DimensionMismatchError(f"{name} has shape {out.shape}, expected {shape}")
     return out
-
-
-def _zero_joint(scenario: BellScenario):
-    return [
-        [np.zeros((va, vb)) for vb in scenario.outcomes_b] for va in scenario.outcomes_a
-    ]
 
 
 class BellFunctional:
     """Linear functional on probability tables of a fixed scenario.
 
-    ``joint[x][y]`` is the (outcomes_a[x], outcomes_b[y]) coefficient block;
-    ``marginal_a[x]`` / ``marginal_b[y]`` are per-setting marginal coefficient
-    vectors, and ``constant`` is an additive offset.
-
-    ``coefficients`` is the compiled form, built once here: a read-only tensor
-    C of shape (settings_a + 1, settings_b + 1, max(outcomes_a),
-    max(outcomes_b)).  Setting -1 of each party is an identity slot with the
-    single outcome 0, so
+    Its one stored form is ``coefficients``: a read-only tensor C of shape
+    (settings_a + 1, settings_b + 1, max(outcomes_a), max(outcomes_b)).  Setting
+    -1 of each party is an identity slot with the single outcome 0, so
 
         C[x, y, a, b] = joint[x][y][a, b]      C[x, -1, a, 0] = marginal_a[x][a]
         C[-1, y, 0, b] = marginal_b[y][b]      C[-1, -1, 0, 0] = constant
 
     and every other slot, including outcomes past a setting's count, is zero.
+    The (outcomes_a[x], outcomes_b[y]) blocks ``joint[x][y]`` and the marginal
+    vectors ``marginal_a[x]`` / ``marginal_b[y]`` are read-only views into C.
     With operators stacked the same way (``povm_stack``), the value is
     sum C[x, y, a, b] <A_xa ⊗ B_yb> for any operators, whether or not they
-    sum to the identity.  Non-finite coefficients raise
-    ``InvalidFunctionalError``.
+    sum to the identity.  The constructor copies the blocks into a new C; a
+    block of the wrong shape raises ``DimensionMismatchError`` and a
+    non-finite coefficient ``InvalidFunctionalError``.
     """
 
     def __init__(self, scenario, joint=None, marginal_a=None, marginal_b=None, constant=0.0):
-        self.scenario = scenario
-        joint = _zero_joint(scenario) if joint is None else joint
-        if marginal_a is None:
-            marginal_a = [np.zeros(v) for v in scenario.outcomes_a]
-        if marginal_b is None:
-            marginal_b = [np.zeros(v) for v in scenario.outcomes_b]
-        self.joint = tuple(
-            tuple(_frozen(joint[x][y]) for y in range(scenario.settings_b))
-            for x in range(scenario.settings_a)
-        )
-        self.marginal_a = tuple(_frozen(m) for m in marginal_a)
-        self.marginal_b = tuple(_frozen(m) for m in marginal_b)
-        self.constant = float(constant)
-        c = np.zeros(
-            (
-                scenario.settings_a + 1,
-                scenario.settings_b + 1,
-                max(scenario.outcomes_a),
-                max(scenario.outcomes_b),
-            )
-        )
+        c = np.zeros(_coefficient_shape(scenario))
         for x, va in enumerate(scenario.outcomes_a):
+            if joint is not None:
+                for y, vb in enumerate(scenario.outcomes_b):
+                    c[x, y, :va, :vb] = _block(joint[x][y], (va, vb), f"joint block ({x},{y})")
+            if marginal_a is not None:
+                c[x, -1, :va, 0] = _block(marginal_a[x], (va,), f"marginal_a[{x}]")
+        if marginal_b is not None:
             for y, vb in enumerate(scenario.outcomes_b):
-                if self.joint[x][y].shape != (va, vb):
-                    raise DimensionMismatchError(
-                        f"joint block ({x},{y}) has shape {self.joint[x][y].shape}, "
-                        f"expected ({va},{vb})"
-                    )
-                c[x, y, :va, :vb] = self.joint[x][y]
-            if self.marginal_a[x].shape != (va,):
-                raise DimensionMismatchError(f"marginal_a[{x}] has wrong shape")
-            c[x, -1, :va, 0] = self.marginal_a[x]
-        for y, vb in enumerate(scenario.outcomes_b):
-            if self.marginal_b[y].shape != (vb,):
-                raise DimensionMismatchError(f"marginal_b[{y}] has wrong shape")
-            c[-1, y, 0, :vb] = self.marginal_b[y]
-        c[-1, -1, 0, 0] = self.constant
+                c[-1, y, 0, :vb] = _block(marginal_b[y], (vb,), f"marginal_b[{y}]")
+        c[-1, -1, 0, 0] = float(constant)
+        self._set(scenario, c)
+
+    @classmethod
+    def _from_coefficients(cls, scenario: BellScenario, c: np.ndarray) -> "BellFunctional":
+        """A functional that takes ownership of the tensor ``c``, which must
+        have the scenario's shape and zeros in every padding slot."""
+        f = cls.__new__(cls)
+        f._set(scenario, c)
+        return f
+
+    def _set(self, scenario: BellScenario, c: np.ndarray) -> None:
         if not np.isfinite(c).all():
             raise InvalidFunctionalError("functional has a non-finite coefficient")
         c.flags.writeable = False
+        self.scenario = scenario
         self.coefficients = c
+        rows_a, rows_b = tuple(enumerate(scenario.outcomes_a)), tuple(enumerate(scenario.outcomes_b))
+        self.joint = tuple(tuple(c[x, y, :va, :vb] for y, vb in rows_b) for x, va in rows_a)
+        self.marginal_a = tuple(c[x, -1, :va, 0] for x, va in rows_a)
+        self.marginal_b = tuple(c[-1, y, 0, :vb] for y, vb in rows_b)
+
+    @property
+    def constant(self) -> float:
+        return float(self.coefficients[-1, -1, 0, 0])
 
     def __eq__(self, other):
         if not isinstance(other, BellFunctional):
@@ -162,25 +155,15 @@ class BellFunctional:
             return NotImplemented
         if self.scenario != other.scenario:
             raise ScenarioMismatchError("cannot add functionals of different scenarios")
-        return BellFunctional(
-            self.scenario,
-            [
-                [self.joint[x][y] + other.joint[x][y] for y in range(self.scenario.settings_b)]
-                for x in range(self.scenario.settings_a)
-            ],
-            [a + b for a, b in zip(self.marginal_a, other.marginal_a)],
-            [a + b for a, b in zip(self.marginal_b, other.marginal_b)],
-            self.constant + other.constant,
-        )
+        with np.errstate(over="ignore"):  # an overflow fails the finiteness check
+            c = self.coefficients + other.coefficients
+        return BellFunctional._from_coefficients(self.scenario, c)
 
     def scaled(self, alpha: float) -> "BellFunctional":
-        return BellFunctional(
-            self.scenario,
-            [[alpha * blk for blk in row] for row in self.joint],
-            [alpha * m for m in self.marginal_a],
-            [alpha * m for m in self.marginal_b],
-            alpha * self.constant,
-        )
+        # An overflow or inf * 0 gives inf or NaN, which the finiteness check rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = alpha * self.coefficients
+        return BellFunctional._from_coefficients(self.scenario, c)
 
     def __mul__(self, alpha):
         return self.scaled(float(alpha))
@@ -384,21 +367,21 @@ def povm_stack(povms, width: int) -> np.ndarray:
     return stack
 
 
-def _require_counts(f: BellFunctional, povms_a, povms_b) -> None:
+def _stacks(f: BellFunctional, povms_a, povms_b) -> tuple[np.ndarray, np.ndarray]:
     counts_a = tuple(len(s) for s in povms_a)
     counts_b = tuple(len(s) for s in povms_b)
     if counts_a != f.scenario.outcomes_a or counts_b != f.scenario.outcomes_b:
         raise DimensionMismatchError(
             f"POVM outcome counts {(counts_a, counts_b)} do not match the scenario"
         )
+    c = f.coefficients
+    return povm_stack(povms_a, c.shape[2]), povm_stack(povms_b, c.shape[3])
 
 
 def model_stacks(f: BellFunctional, m: QuantumModel) -> tuple[np.ndarray, np.ndarray]:
     """The model's POVMs as ``povm_stack`` arrays at the widths of ``f``'s
     coefficient tensor, after checking the outcome counts against its scenario."""
-    _require_counts(f, m.povms_a, m.povms_b)
-    c = f.coefficients
-    return povm_stack(m.povms_a, c.shape[2]), povm_stack(m.povms_b, c.shape[3])
+    return _stacks(f, m.povms_a, m.povms_b)
 
 
 # The ``stacked_*`` contractions below take a batch of B models: states as a
@@ -475,10 +458,7 @@ def stacked_party_operators(
 
 def bell_operator(f: BellFunctional, povms_a, povms_b) -> np.ndarray:
     """Operator whose expectation in a state gives the functional's value."""
-    _require_counts(f, povms_a, povms_b)
-    c = f.coefficients
-    stack_a = povm_stack(povms_a, c.shape[2])
-    stack_b = povm_stack(povms_b, c.shape[3])
+    stack_a, stack_b = _stacks(f, povms_a, povms_b)
     return stacked_bell_operator(f, stack_a[None], stack_b[None])[0]
 
 

@@ -159,16 +159,13 @@ def seeded_models(scenario: BellScenario, d_a: int, d_b: int, seed: int, count: 
     ]
 
 
-def update_state(f: BellFunctional, model: QuantumModel, fixed_state=None) -> QuantumModel:
+def update_state(f: BellFunctional, model: QuantumModel) -> QuantumModel:
     """Move the state into the Bell operator's top eigenspace.
 
     Within a degenerate top eigenspace the previous state's projection is kept
-    (when its norm is at least 1e-6) to avoid cycling; a pinned ``fixed_state``
-    makes this a no-op.  The objective never decreases.  This is the
-    see-saw's state step on a batch of one.
+    (when its norm is at least 1e-6) to avoid cycling.  The objective never
+    decreases.  This is the see-saw's state step on a batch of one.
     """
-    if fixed_state is not None:
-        return model
     stack_a, stack_b = model_stacks(f, model)
     return replace(model, state=_state_step(f, model.state[None], stack_a[None], stack_b[None])[0])
 

@@ -201,6 +201,10 @@ def test_correlation_matrix_parsing():
     with pytest.raises(NonNumericError) as err:
         bellfmt.parse_correlation_matrix("1,x\n3,4\n")
     assert err.value.line == 1 and err.value.column == 2
+    for cell in ("nan", "inf", "-inf", "1e309"):
+        with pytest.raises(NonNumericError) as err:
+            bellfmt.parse_correlation_matrix(f"1,2\n3,{cell}\n")
+        assert err.value.line == 2 and err.value.column == 2
 
 
 def test_correlation_matrix_round_trip(rng):
@@ -229,6 +233,12 @@ def test_table_csv_errors():
     assert err.value.line == 3
     with pytest.raises(ParseError):
         bellfmt.parse_table_csv(header + "0,0,0,0,0.5\n0,0,0,0,0.5\n")
+    # a negative index is reported at its row, not dropped
+    full = "0,0,0,0,0.25\n0,0,0,1,0.25\n0,0,1,0,0.25\n0,0,1,1,0.25\n"
+    for row in ("-1,0,0,0,0.7", "0,-1,0,0,0.7", "0,0,-1,0,0.7", "0,0,0,-1,0.7"):
+        with pytest.raises(ParseError) as err:
+            bellfmt.parse_table_csv(header + full + row + "\n")
+        assert err.value.line == 6
     # missing rows are forbidden
     rows = header + "0,0,0,0,0.5\n0,0,0,1,0.25\n0,0,1,0,0.25\n"
     with pytest.raises(InvalidTableError):

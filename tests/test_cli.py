@@ -69,6 +69,15 @@ def test_eval_malformed_table_row_exits_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_eval_negative_table_index_exits_2(tmp_path, capsys):
+    f_path = emit(tmp_path, "chsh")
+    t_path = write_uniform_table(tmp_path, catalog.chsh())
+    t_path.write_text(t_path.read_text() + "-1,0,0,0,0.7\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", str(f_path), str(t_path))
+    assert code == 2
+    assert out == "" and "line 18" in err
+
+
 def test_eval_scenario_mismatch_exits_3(tmp_path, capsys):
     f_path = emit(tmp_path, "chsh")
     t_path = write_uniform_table(tmp_path, catalog.cglmp_C())
@@ -243,7 +252,7 @@ def test_curve_cli(tmp_path, capsys):
     out_path = tmp_path / "curve.csv"
     code, out, _ = run_cli(
         capsys,
-        "curve", "--family", "iphi", "--steps", "3",
+        "curve", "--steps", "3",
         "--restarts", "6", "--seed", "13", "--jobs", "1", "--out", str(out_path),
     )
     assert code == 0
@@ -427,6 +436,15 @@ def test_grothendieck_cli_bad_matrix(tmp_path, capsys):
     m_path.write_text("1,x\n1,2\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "grothendieck", "-m", str(m_path), "--n", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "1e309"])
+def test_grothendieck_cli_non_finite_cell_exits_2(tmp_path, capsys, cell):
+    m_path = tmp_path / "bad.csv"
+    m_path.write_text(f"1,2\n{cell},3\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "grothendieck", "-m", str(m_path), "--n", "2")
+    assert code == 2
+    assert out == "" and "line 2" in err
 
 
 def test_console_script_entry_point():

@@ -2,13 +2,17 @@
 reference, and the see-saw's per-setting operators against the value change
 they predict."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dimwit import catalog
+from dimwit import bellfmt, catalog
+from dimwit.errors import DimensionMismatchError
+from dimwit.grothendieck import CorrelationFunctional, correlator_bell
 from dimwit.scenario import (
+    BellFunctional,
     BellScenario,
     QuantumModel,
     bell_operator,
@@ -120,6 +124,92 @@ def test_coefficient_tensor_layout():
     assert c[0, -1, 0, 0] == f.marginal_a[0][0] == 1.0
     assert not c[0, :, 2, :].any()  # Alice's binary setting padded to 3 outcomes
     assert not c[-1, :, 1:, :].any() and not c[:, -1, :, 1:].any()
+
+
+def blockwise(op, *fs) -> BellFunctional:
+    """The block constructor given op of the functionals' blocks and constants."""
+    sc = fs[0].scenario
+    return BellFunctional(
+        sc,
+        [
+            [op(*(g.joint[x][y] for g in fs)) for y in range(sc.settings_b)]
+            for x in range(sc.settings_a)
+        ],
+        [op(*(g.marginal_a[x] for g in fs)) for x in range(sc.settings_a)],
+        [op(*(g.marginal_b[y] for g in fs)) for y in range(sc.settings_b)],
+        op(*(g.constant for g in fs)),
+    )
+
+
+def assert_tensor_form(f: BellFunctional) -> None:
+    """``f`` holds its tensor and read-only views into it, zero outside the blocks."""
+    sc, c = f.scenario, f.coefficients
+    used = np.zeros(c.shape, dtype=bool)
+    for x, va in enumerate(sc.outcomes_a):
+        for y, vb in enumerate(sc.outcomes_b):
+            used[x, y, :va, :vb] = True
+        used[x, -1, :va, 0] = True
+    for y, vb in enumerate(sc.outcomes_b):
+        used[-1, y, 0, :vb] = True
+    used[-1, -1, 0, 0] = True
+    assert not c[~used].any()
+    assert set(vars(f)) == {"scenario", "coefficients", "joint", "marginal_a", "marginal_b"}
+    views = [blk for row in f.joint for blk in row] + [*f.marginal_a, *f.marginal_b]
+    assert not c.flags.writeable
+    for view in views:
+        assert np.shares_memory(view, c) and not view.flags.writeable
+    assert f.constant == c[-1, -1, 0, 0]
+
+
+def test_every_constructor_stores_one_tensor(rng):
+    for _ in range(30):
+        f = random_functional(rng)
+        g = random_functional(rng, f.scenario)
+        cases = [
+            (f, blockwise(lambda u: u, f)),
+            (f + g, blockwise(lambda u, v: u + v, f, g)),
+            (2.5 * f, blockwise(lambda u: 2.5 * u, f)),
+            (-f, blockwise(lambda u: -u, f)),
+            (bellfmt.parse_functional(bellfmt.serialize_functional(f)), f),
+        ]
+        for got, expected in cases:
+            assert_tensor_form(got)
+            assert got == expected
+    for m in (1, 4, 7):
+        matrix = rng.normal(size=(m, m))
+        pattern = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        got = correlator_bell(CorrelationFunctional(matrix))
+        assert_tensor_form(got)
+        assert got == BellFunctional(
+            BellScenario((2,) * m, (2,) * m),
+            [[matrix[i, j] * pattern for j in range(m)] for i in range(m)],
+        )
+
+
+def test_functional_copies_the_callers_blocks():
+    sc = BellScenario((2,), (2, 3))
+    joint = [[np.ones((2, 2)), np.ones((2, 3))]]
+    marginal_a, marginal_b = [np.ones(2)], [np.ones(2), np.ones(3)]
+    f = BellFunctional(sc, joint, marginal_a, marginal_b, 1.0)
+    before = f.coefficients.copy()
+    joint[0][1][1, 2] = marginal_a[0][1] = marginal_b[1][2] = 7.0
+    assert np.array_equal(f.coefficients, before)
+    with pytest.raises(ValueError):
+        f.joint[0][1][1, 2] = 7.0
+
+
+@pytest.mark.parametrize(
+    "blocks, name",
+    [
+        ({"joint": [[np.zeros((2, 2)), np.zeros((2, 2))]]}, "joint block (0,1)"),
+        ({"joint": [[np.zeros((2, 2)), np.zeros((1, 3))]]}, "joint block (0,1)"),
+        ({"marginal_a": [np.zeros(3)]}, "marginal_a[0]"),
+        ({"marginal_b": [np.zeros(2), np.zeros((3, 1))]}, "marginal_b[1]"),
+    ],
+)
+def test_wrong_block_shape_is_named(blocks, name):
+    with pytest.raises(DimensionMismatchError, match=re.escape(name)):
+        BellFunctional(BellScenario((2,), (2, 3)), **blocks)
 
 
 def test_bell_operator_matches_kron_reference(rng):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,10 @@ def test_functional_rejects_non_finite_coefficients():
         BellFunctional(sc, constant=np.nan)
     with pytest.raises(InvalidFunctionalError):
         BellFunctional(sc, constant=1e308).scaled(10.0)
+    with pytest.raises(InvalidFunctionalError):
+        BellFunctional(sc, constant=1e308) + BellFunctional(sc, constant=1e308)
+    with pytest.raises(InvalidFunctionalError):
+        math.inf * BellFunctional(sc, constant=1.0)
 
 
 def test_bell_operator_constant_only():

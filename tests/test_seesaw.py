@@ -78,13 +78,6 @@ def test_update_state_degenerate_keeps_previous():
     assert np.abs(updated.state - model.state).max() < 1e-12
 
 
-def test_update_state_fixed_state_is_noop():
-    f = catalog.chsh()
-    model = seeded_models(f.scenario, 2, 2, seed=3, count=1)[0]
-    updated = update_state(f, model, fixed_state=model.state)
-    assert updated is model
-
-
 def test_binary_update_marginal_only():
     # F_0 - F_1 = 2 * rho_A = diag(2, 0) for the |00> state, so the first
     # element becomes the projector onto |0>.
