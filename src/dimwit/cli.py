@@ -296,19 +296,17 @@ def cmd_grothendieck(args) -> int:
     echo = {"n": args.n, "restarts": args.restarts, "max_iterations": args.max_iterations}
     manifest = _Manifest(sys.argv[1:], seed, echo, time.monotonic())
     raw = bellfmt.parse_correlation_matrix(Path(args.matrix).read_text(encoding="utf-8"))
-    norm = grothendieck.local_norm(raw.matrix)
-    normalized = grothendieck.normalize_by(raw.matrix, norm)
     cfg = SeesawConfig(
         restarts=args.restarts,
         max_iterations=args.max_iterations,
         seed=seed,
     )
-    value, strategy = grothendieck.vector_seesaw(normalized, args.n, cfg)
+    norm, value, strategy = grothendieck.search(raw.matrix, args.n, cfg)
     if args.json:
         _emit_json(
             {
                 "matrix": args.matrix,
-                "m": normalized.m,
+                "m": raw.m,
                 "local_norm": norm,
                 "n": args.n,
                 "value": value,

@@ -7,6 +7,11 @@ correlators c_ij in [-1, 1].  Its exact maximum over classical sign choices
 normalized form over unit vectors in R^N (c_ij = x_i . y_j) is then a lower
 bound on the order-N Grothendieck constant.  N = 3 corresponds to projective
 qubit measurements on a maximally entangled pair.
+
+The sign enumeration is ``localbound``'s on ``correlator_bell(M)``, which
+flipping every sign leaves unchanged, so it scores only the 2^(m-1) sign
+vectors x with x_0 fixed.  The unit-vector search runs all its restarts in
+lockstep on stacked (restarts, m, N) arrays.
 """
 
 from __future__ import annotations
@@ -58,9 +63,10 @@ class VectorStrategy:
 def local_norm(matrix) -> float:
     """Exact max of |sum_ij M_ij x_i y_j| over sign vectors x, y: the
     ``strategy_value`` of the best strategy that ``local_bound``'s search finds
-    on ``correlator_bell(M)``, over Alice's 2^m sign vectors with Bob's signs as
-    his best response.  Requires m <= 26, not the search's strategy-space cap;
-    non-square, empty or non-finite matrices raise ``ConfigError``."""
+    on ``correlator_bell(M)``, over Alice's 2^(m-1) sign vectors with x_0 fixed
+    and Bob's signs as his best response.  Requires m <= 26, not the search's
+    strategy-space cap; non-square, empty or non-finite matrices raise
+    ``ConfigError``."""
     cf = CorrelationFunctional(matrix)
     if cf.m > ENUMERATION_CAP:
         raise MatrixTooLargeError(
@@ -83,58 +89,81 @@ def normalize_by(matrix, norm: float) -> CorrelationFunctional:
 
 
 def _normalize_rows(vectors: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Unit-normalize rows; rows with zero target keep their previous vector."""
-    norms = np.linalg.norm(vectors, axis=1)
-    out = fallback.copy()
-    good = norms > 0.0
-    out[good] = vectors[good] / norms[good, None]
-    return out
+    """Unit-normalize rows (along the last axis); rows with zero target keep
+    their previous vector."""
+    norms = np.sqrt(np.add.reduce(vectors * vectors, axis=-1, keepdims=True))
+    return np.divide(vectors, norms, out=fallback.copy(), where=norms > 0.0)
 
 
-def _objective(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> float:
-    return float((matrix * (xs @ ys.T)).sum())
+def _objectives(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """sum_ij M_ij x_i . y_j for each member of (R, m, n) stacks."""
+    return (matrix * (xs @ ys.transpose(0, 2, 1))).reshape(len(xs), -1).sum(axis=1)
+
+
+def _lockstep(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray, max_iterations: int):
+    """Alternating exact best responses on (R, m, n) stacks of start vectors,
+    updated in place; a member leaves the active set once an iteration
+    improves its objective by less than ``CONVERGENCE_TOL``.  Returns the R
+    final objectives."""
+    values = _objectives(matrix, xs, ys)
+    active = np.arange(len(xs))
+    for _ in range(max_iterations):
+        xs[active] = _normalize_rows(matrix @ ys[active], xs[active])
+        ys[active] = _normalize_rows(matrix.T @ xs[active], ys[active])
+        previous = values[active]
+        values[active] = _objectives(matrix, xs[active], ys[active])
+        active = active[values[active] - previous >= CONVERGENCE_TOL]
+        if not active.size:
+            break
+    return values
 
 
 def refine_vectors(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray, cfg: SeesawConfig):
-    """Alternating exact best responses from a given strategy; monotone."""
-    value = _objective(matrix, xs, ys)
-    for _ in range(cfg.max_iterations):
-        xs = _normalize_rows(matrix @ ys, xs)
-        ys = _normalize_rows(matrix.T @ xs, ys)
-        new_value = _objective(matrix, xs, ys)
-        improvement = new_value - value
-        value = new_value
-        if improvement < CONVERGENCE_TOL:
-            break
-    return value, xs, ys
+    """Alternating exact best responses from a given strategy; monotone.
+    This is the lockstep loop of ``vector_seesaw`` on a batch of one, so a
+    restart gives the same result here as inside a batch."""
+    xs, ys = np.array([xs], dtype=float), np.array([ys], dtype=float)
+    values = _lockstep(matrix, xs, ys, cfg.max_iterations)
+    return float(values[0]), xs[0], ys[0]
+
+
+def _check_dimension(n: int) -> None:
+    if n < 1:
+        raise ConfigError(f"vector dimension must be >= 1, got {n}")
 
 
 def vector_seesaw(f: CorrelationFunctional, n: int, cfg: SeesawConfig | None = None):
     """Best found value of sum_ij M_ij x_i . y_j over unit vectors in R^n.
 
     Alternating exact best responses (x_i follows sum_j M_ij y_j, then
-    symmetrically) with the same restart and merge semantics as the quantum
-    see-saw.  Returns (value, VectorStrategy).
+    symmetrically).  Restart r starts from vectors drawn from
+    ``spawn_rng(cfg.seed, r)``; all restarts run in lockstep as (R, m, n)
+    stacks, and the best value wins, the earliest restart on a tie, as in
+    the quantum see-saw.  Returns (value, VectorStrategy).
     """
     cfg = SeesawConfig() if cfg is None else cfg
-    if n < 1:
-        raise ConfigError(f"vector dimension must be >= 1, got {n}")
+    _check_dimension(n)
     if f.local_norm is None:
         raise ConfigError("normalize the correlation functional before the search")
-    matrix = f.matrix
     m = f.m
-    best_value = -np.inf
-    best: tuple[np.ndarray, np.ndarray] | None = None
+    xs, ys = np.empty((cfg.restarts, m, n)), np.empty((cfg.restarts, m, n))
     for restart in range(cfg.restarts):
         rng = spawn_rng(cfg.seed, restart)
-        xs = _normalize_rows(rng.normal(size=(m, n)), np.eye(m, n))
-        ys = _normalize_rows(rng.normal(size=(m, n)), np.eye(m, n))
-        value, xs, ys = refine_vectors(matrix, xs, ys, cfg)
-        if value > best_value:
-            best_value = value
-            best = (xs, ys)
-    assert best is not None
-    return best_value, VectorStrategy(*best)
+        xs[restart] = _normalize_rows(rng.normal(size=(m, n)), np.eye(m, n))
+        ys[restart] = _normalize_rows(rng.normal(size=(m, n)), np.eye(m, n))
+    values = _lockstep(f.matrix, xs, ys, cfg.max_iterations)
+    best = int(np.argmax(values))
+    return float(values[best]), VectorStrategy(xs[best], ys[best])
+
+
+def search(matrix, n: int, cfg: SeesawConfig):
+    """``local_norm`` of a raw matrix, then ``vector_seesaw`` on the matrix
+    normalized by it; ``n`` is checked before the 2^m enumeration.  Returns
+    (local_norm, value, VectorStrategy)."""
+    _check_dimension(n)
+    norm = local_norm(matrix)
+    value, strategy = vector_seesaw(normalize_by(matrix, norm), n, cfg)
+    return norm, value, strategy
 
 
 def correlator_bell(f: CorrelationFunctional) -> BellFunctional:

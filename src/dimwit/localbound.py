@@ -4,7 +4,10 @@ A deterministic strategy fixes one outcome per setting for each party; the
 maximum of a functional over all shared-randomness models is attained at one
 of these, so enumeration gives the exact local bound.  ``_best_strategy``, the
 package's one enumerator, folds Bob into a per-setting best response, so it
-costs (Alice strategies) x (sum of Bob outcome counts).
+costs (Alice strategies) x (sum of Bob outcome counts).  A functional that
+flipping every outcome leaves unchanged, such as every ``correlator_bell``,
+scores each Alice strategy and its complement alike, so only the half with
+Alice's setting 0 at outcome 0 is scored.
 """
 
 from __future__ import annotations
@@ -58,6 +61,18 @@ def strategy_value(f: BellFunctional, s: DeterministicStrategy) -> float:
     return float(total)
 
 
+def _flip_symmetric(c: np.ndarray) -> bool:
+    """Whether flipping every outcome of both parties leaves the coefficient
+    tensor ``c`` exactly unchanged: every setting binary, each joint block
+    invariant under flipping both outcomes, and each marginal flat."""
+    return (
+        c.shape[2:] == (2, 2)
+        and np.array_equal(c[:-1, :-1], c[:-1, :-1, ::-1, ::-1])
+        and np.array_equal(c[:-1, -1, 0, 0], c[:-1, -1, 1, 0])
+        and np.array_equal(c[-1, :-1, 0, 0], c[-1, :-1, 0, 1])
+    )
+
+
 def _best_strategy(f: BellFunctional, sign: float) -> DeterministicStrategy:
     """The deterministic strategy maximising ``sign`` times ``f``: the
     lexicographically smallest among those of maximal score.  Alice's
@@ -66,20 +81,29 @@ def _best_strategy(f: BellFunctional, sign: float) -> DeterministicStrategy:
     block folded from the prefix's row; a block replaces the best only on
     strict improvement.  A score adds, in order, the constant, Alice's
     marginals by setting, then per Bob setting the max over his outcomes of
-    (his marginal, then the joint terms by Alice setting)."""
+    (his marginal, then the joint terms by Alice setting).
+
+    For a flip-symmetric functional (``_flip_symmetric``) Alice's setting 0
+    runs over outcome 0 only.  The complement of a strategy adds equal terms
+    in the same order, so it scores bit for bit the same; the strategies with
+    a_0 = 0 come first in ``product`` order, so the first maximiser, and with
+    it the value, is the one the full enumeration finds."""
     sc = f.scenario
     c = sign * f.coefficients
     width, settings_b = c.shape[3], sc.settings_b
+    counts = sc.outcomes_a
+    if _flip_symmetric(c):
+        counts = (1,) + counts[1:]
     split = sc.settings_a
-    while split and math.prod(sc.outcomes_a[split - 1 :]) * width * settings_b <= _CHUNK_CELLS:
+    while split and math.prod(counts[split - 1 :]) * width * settings_b <= _CHUNK_CELLS:
         split -= 1
-    trailing = sc.outcomes_a[split:]
+    trailing = counts[split:]
     # Bob's scores are laid out (Alice row, outcome, setting); outcomes past a
     # setting's count are -inf so they never win.
     padded = np.arange(width)[:, None] >= np.array(sc.outcomes_b)
     bob_marginal = np.where(padded, -np.inf, c[-1, :settings_b, 0, :].T)
     best_score, best = -math.inf, None
-    for prefix in product(*(range(v) for v in sc.outcomes_a[:split])):
+    for prefix in product(*(range(v) for v in counts[:split])):
         total = np.full(1, c[-1, -1, 0, 0])
         row = bob_marginal.copy()
         for x, a in enumerate(prefix):

@@ -79,6 +79,12 @@ def _coefficient_shape(sc: BellScenario) -> tuple[int, int, int, int]:
     return (sc.settings_a + 1, sc.settings_b + 1, max(sc.outcomes_a), max(sc.outcomes_b))
 
 
+def _counted(items, count: int, name: str):
+    if len(items) != count:
+        raise DimensionMismatchError(f"{name} has {len(items)} entries, expected {count}")
+    return items
+
+
 def _block(arr, shape: tuple[int, ...], name: str) -> np.ndarray:
     out = np.asarray(arr, dtype=float)
     if out.shape != shape:
@@ -102,21 +108,28 @@ class BellFunctional:
     With operators stacked the same way (``povm_stack``), the value is
     sum C[x, y, a, b] <A_xa ⊗ B_yb> for any operators, whether or not they
     sum to the identity.  The constructor copies the blocks into a new C; a
-    block of the wrong shape raises ``DimensionMismatchError`` and a
-    non-finite coefficient ``InvalidFunctionalError``.
+    block of the wrong shape, or a list with the wrong number of blocks,
+    raises ``DimensionMismatchError`` and a non-finite coefficient
+    ``InvalidFunctionalError``.
     """
 
     def __init__(self, scenario, joint=None, marginal_a=None, marginal_b=None, constant=0.0):
         c = np.zeros(_coefficient_shape(scenario))
-        for x, va in enumerate(scenario.outcomes_a):
-            if joint is not None:
-                for y, vb in enumerate(scenario.outcomes_b):
-                    c[x, y, :va, :vb] = _block(joint[x][y], (va, vb), f"joint block ({x},{y})")
-            if marginal_a is not None:
-                c[x, -1, :va, 0] = _block(marginal_a[x], (va,), f"marginal_a[{x}]")
+        outcomes_a, outcomes_b = scenario.outcomes_a, scenario.outcomes_b
+        if joint is not None:
+            rows = _counted(joint, len(outcomes_a), "joint")
+            for x, (va, row) in enumerate(zip(outcomes_a, rows)):
+                blocks = _counted(row, len(outcomes_b), f"joint[{x}]")
+                for y, (vb, blk) in enumerate(zip(outcomes_b, blocks)):
+                    c[x, y, :va, :vb] = _block(blk, (va, vb), f"joint block ({x},{y})")
+        if marginal_a is not None:
+            vectors = _counted(marginal_a, len(outcomes_a), "marginal_a")
+            for x, (va, vec) in enumerate(zip(outcomes_a, vectors)):
+                c[x, -1, :va, 0] = _block(vec, (va,), f"marginal_a[{x}]")
         if marginal_b is not None:
-            for y, vb in enumerate(scenario.outcomes_b):
-                c[-1, y, 0, :vb] = _block(marginal_b[y], (vb,), f"marginal_b[{y}]")
+            vectors = _counted(marginal_b, len(outcomes_b), "marginal_b")
+            for y, (vb, vec) in enumerate(zip(outcomes_b, vectors)):
+                c[-1, y, 0, :vb] = _block(vec, (vb,), f"marginal_b[{y}]")
         c[-1, -1, 0, 0] = float(constant)
         self._set(scenario, c)
 

@@ -362,6 +362,116 @@ def test_grothendieck_cli_enumerates_sign_vectors_once(tmp_path, capsys, monkeyp
     assert json.loads(out)["local_norm"] == 2.0
 
 
+@pytest.mark.parametrize("flag", ["--n", "--restarts", "--max-iterations"])
+def test_grothendieck_cli_rejects_bad_options_before_enumerating(
+    tmp_path, capsys, monkeypatch, flag
+):
+    def refuse(matrix):
+        raise AssertionError("the sign enumeration ran")
+
+    monkeypatch.setattr(grothendieck, "local_norm", refuse)
+    m_path = tmp_path / "chsh.csv"
+    m_path.write_text("1,1\n1,-1\n", encoding="utf-8")
+    options = ["--n", "2", "--restarts", "2", "--max-iterations", "5"]
+    options[options.index(flag) + 1] = "0"
+    code, out, _ = run_cli(capsys, "grothendieck", "-m", str(m_path), *options)
+    assert (code, out) == (errors.ConfigError.exit_code, "")
+
+
+# Payloads, with the input path and ``manifest`` removed, of the two
+# ``test_cli_payloads_are_pinned`` commands; every float is compared with ``==``.
+GOLDEN_GROTHENDIECK = {
+    "local_norm": 96.48565216171869,
+    "m": 16,
+    "n": 3,
+    "schema": 1,
+    "value": 1.0817364031343857,
+    "value_label": "best found (heuristic)",
+    "x_vectors": [
+        [0.18373364629642056, -0.9806775820940687, -0.06718204519626354],
+        [0.6610135099949346, 0.6558048586688535, 0.3646657743064207],
+        [0.5313559224911949, 0.7351067768436496, 0.4210450216687904],
+        [-0.39246632058772435, 0.7584244961565627, 0.5203484129254141],
+        [-0.15745858756325126, 0.9701403891099928, 0.1844841961255698],
+        [-0.8697564224914528, 0.12569694110251523, -0.4772044053991332],
+        [-0.5570709185223918, 0.8271044583145322, 0.07463381789003644],
+        [-0.10394010817198372, -0.9438437565359904, -0.31361667232662577],
+        [-0.038882126774464856, -0.8975348740280396, -0.439225830434602],
+        [0.5492422712265109, -0.8187492878132587, -0.167279799148688],
+        [-0.28104934756696537, -0.04357542209944992, 0.9587035239431625],
+        [0.6287844183255983, -0.7775794513476917, -0.0005933909013566112],
+        [-0.39686616755142784, 0.8763355188826987, 0.2730078815668761],
+        [0.09241317991421812, 0.9487126340979496, 0.30233117947223453],
+        [0.5970042855123364, -0.25121338432878404, 0.7618908836664101],
+        [-0.7904156839585504, -0.6001316041173405, -0.12282143254287844],
+    ],
+    "y_vectors": [
+        [0.017366924526834523, 0.8431861532957787, 0.5373411400802538],
+        [0.7703882148782745, -0.6375212045791256, -0.008289275519983917],
+        [-0.3707286675209421, -0.9235165779794892, 0.09837370215256173],
+        [0.4139335665994487, -0.909898040279293, 0.027286603639180358],
+        [-0.29850499463298513, -0.7912742322079785, -0.5336476905438975],
+        [0.8802696502342812, 0.4244463994982073, 0.2120627190937261],
+        [0.7556365137499347, -0.44684370032736115, 0.4788989105913649],
+        [-0.18369025056453914, 0.9237727502226332, 0.33600862755835503],
+        [-0.39707467661300905, 0.9176303895031352, 0.016916543766346073],
+        [-0.5283321448732452, 0.8453696081408885, 0.07883761998790122],
+        [0.25427785557577437, 0.9229747218757116, 0.28889519716021306],
+        [-0.16043952700900993, -0.7781376205637194, -0.6072569486111775],
+        [-0.31607684758749066, 0.8329388399090687, 0.4542117517084833],
+        [-0.7511897354369454, 0.6386277635539158, -0.16693879415011936],
+        [0.9242302214069189, 0.3538538401009296, 0.1434780738787059],
+        [-0.09416944368360554, 0.617436160608786, 0.780963957842487],
+    ],
+}
+GOLDEN_LOCAL_BOUND = {
+    "max": {
+        "kind": "max",
+        "schema": 1,
+        "strategy": {
+            "assignment_a": [0, 0, 1, 0, 1, 1, 1, 1, 0],
+            "assignment_b": [1, 1, 1, 0, 0, 1, 1, 1, 0],
+        },
+        "value": 34.4692159703901,
+    },
+    "min": {
+        "kind": "min",
+        "schema": 1,
+        "strategy": {
+            "assignment_a": [0, 0, 1, 0, 1, 1, 1, 1, 0],
+            "assignment_b": [0, 0, 0, 1, 1, 0, 0, 0, 1],
+        },
+        "value": -34.4692159703901,
+    },
+}
+
+
+def test_cli_payloads_are_pinned(tmp_path, capsys):
+    matrix = np.random.default_rng(16).normal(size=(16, 16))
+    m_path = tmp_path / "m16.csv"
+    m_path.write_text(bellfmt.serialize_correlation_matrix(matrix), encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "grothendieck", "-m", str(m_path), "--n", "3", "--restarts", "5", "--seed", "2", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    payload.pop("manifest")
+    assert payload.pop("matrix") == str(m_path)
+    assert payload == GOLDEN_GROTHENDIECK
+
+    matrix = np.random.default_rng(9).normal(size=(9, 9))
+    f = grothendieck.correlator_bell(grothendieck.CorrelationFunctional(matrix))
+    bell_path = tmp_path / "m9.bell"
+    bell_path.write_text(bellfmt.serialize_functional(f), encoding="utf-8")
+    for kind, extra in (("max", []), ("min", ["--min"])):
+        code, out, _ = run_cli(capsys, "local-bound", str(bell_path), *extra, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        payload.pop("manifest")
+        assert payload.pop("functional") == str(bell_path)
+        assert payload == GOLDEN_LOCAL_BOUND[kind]
+
+
 @pytest.mark.parametrize(
     "text",
     [

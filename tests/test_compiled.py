@@ -212,6 +212,27 @@ def test_wrong_block_shape_is_named(blocks, name):
         BellFunctional(BellScenario((2,), (2, 3)), **blocks)
 
 
+_Z2, _Z22 = np.zeros(2), np.zeros((2, 2))
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ({"joint": [[_Z22]]}, "joint has 1 entries, expected 2"),
+        ({"joint": [[_Z22], [_Z22], [_Z22]]}, "joint has 3 entries, expected 2"),
+        ({"joint": [[_Z22], [_Z22, _Z22]]}, "joint[1] has 2 entries, expected 1"),
+        ({"joint": [[_Z22], []]}, "joint[1] has 0 entries, expected 1"),
+        ({"marginal_a": [_Z2] * 3}, "marginal_a has 3 entries, expected 2"),
+        ({"marginal_a": [_Z2]}, "marginal_a has 1 entries, expected 2"),
+        ({"marginal_b": [_Z2] * 2}, "marginal_b has 2 entries, expected 1"),
+        ({"marginal_b": []}, "marginal_b has 0 entries, expected 1"),
+    ],
+)
+def test_wrong_block_count_is_named(blocks, message):
+    with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+        BellFunctional(BellScenario((2, 2), (2,)), **blocks)
+
+
 def test_bell_operator_matches_kron_reference(rng):
     for f, m, _ in cases(rng):
         op = bell_operator(f, m.povms_a, m.povms_b)

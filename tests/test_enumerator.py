@@ -141,3 +141,74 @@ def test_local_norm_across_several_blocks(rng):
     bits = (np.arange(1 << m)[None, :] >> np.arange(m)[:, None]) & 1
     expected = float(np.abs(matrix @ (2.0 * bits - 1.0)).sum(axis=0).max())
     assert abs(grothendieck.local_norm(matrix) - expected) < 1e-12 * expected
+
+
+def symmetric_functionals(rng):
+    """Functionals that flipping every outcome leaves unchanged: correlator
+    forms of real and integer matrices (integers tie often), and general
+    [[p, q], [q, p]] joint blocks with flat marginals and a constant."""
+    for m in (1, 2, 5, 8):
+        for matrix in (rng.normal(size=(m, m)), rng.integers(-1, 2, size=(m, m))):
+            yield grothendieck.correlator_bell(grothendieck.CorrelationFunctional(matrix))
+    sc = BellScenario((2,) * 5, (2,) * 3)
+    for draw in (rng.normal, lambda size: rng.integers(-2, 3, size=size)):
+        p, q = draw(size=(5, 3)), draw(size=(5, 3))
+        joint = [
+            [np.array([[p[x, y], q[x, y]], [q[x, y], p[x, y]]]) for y in range(3)] for x in range(5)
+        ]
+        marginal_a = [np.full(2, v) for v in draw(size=5)]
+        marginal_b = [np.full(2, v) for v in draw(size=3)]
+        yield BellFunctional(sc, joint, marginal_a, marginal_b, 1.5)
+
+
+def nudged(f: BellFunctional, index) -> BellFunctional:
+    """``f`` with one coefficient moved by one ulp."""
+    c = f.coefficients.copy()
+    c[index] = np.nextafter(c[index], np.inf)
+    return BellFunctional._from_coefficients(f.scenario, c)
+
+
+# Setting 0 is in the loop over leading settings at 1 cell, in the trailing
+# block at the default, and both sides of the split are used in between.
+@pytest.mark.parametrize("chunk_cells", [1, 16, localbound._CHUNK_CELLS])
+def test_symmetric_functionals_match_oracle(rng, chunk_cells):
+    with mock.patch.object(localbound, "_CHUNK_CELLS", chunk_cells):
+        for f in symmetric_functionals(rng):
+            assert localbound._flip_symmetric(f.coefficients)
+            assert_matches_oracle(f)
+            # A one-ulp change in a joint term, an Alice or a Bob marginal
+            # breaks the symmetry, so the full enumeration runs.
+            for index in ((0, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, 0)):
+                g = nudged(f, index)
+                assert not localbound._flip_symmetric(g.coefficients)
+                assert_matches_oracle(g)
+
+
+def test_correlator_minimum_is_minus_maximum(rng):
+    for m in (1, 3, 6, 9):
+        for matrix in (rng.normal(size=(m, m)), rng.integers(-2, 3, size=(m, m))):
+            f = grothendieck.correlator_bell(grothendieck.CorrelationFunctional(matrix))
+            assert local_bound_min(f)[0] == -local_bound(f)[0]
+
+
+def test_symmetric_functional_scores_half_of_alices_strategies(rng, monkeypatch):
+    prefixes = []
+
+    def counting_product(*ranges):
+        for prefix in product(*ranges):
+            prefixes.append(prefix)
+            yield prefix
+
+    # One cell per block puts every Alice setting in the counted loop.
+    monkeypatch.setattr(localbound, "_CHUNK_CELLS", 1)
+    monkeypatch.setattr(localbound, "product", counting_product)
+    m = 6
+    f = grothendieck.correlator_bell(grothendieck.CorrelationFunctional(rng.normal(size=(m, m))))
+    for bound in (local_bound, local_bound_min):
+        prefixes.clear()
+        bound(f)
+        assert len(prefixes) == 2 ** (m - 1)
+        assert {prefix[0] for prefix in prefixes} == {0}
+        prefixes.clear()
+        bound(nudged(f, (0, 0, 0, 0)))
+        assert len(prefixes) == 2**m

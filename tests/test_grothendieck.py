@@ -15,7 +15,7 @@ from dimwit.grothendieck import (
     vector_seesaw,
 )
 from dimwit.localbound import local_bound
-from dimwit.seesaw import SeesawConfig, seesaw
+from dimwit.seesaw import CONVERGENCE_TOL, SeesawConfig, seesaw, spawn_rng
 
 CHSH_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]])
 
@@ -28,6 +28,29 @@ def naive_local_norm(matrix):
         for ys in product((-1.0, 1.0), repeat=m):
             best = max(best, abs(float(np.array(xs) @ matrix @ np.array(ys))))
     return best
+
+
+def unit_rows(vectors, fallback):
+    norms = np.linalg.norm(vectors, axis=1)
+    out = fallback.copy()
+    good = norms > 0.0
+    out[good] = vectors[good] / norms[good, None]
+    return out
+
+
+def loop_refine(matrix, xs, ys, max_iterations):
+    """Oracle: one restart's alternating best responses, one iteration at a
+    time; returns (value, xs, ys, iterations)."""
+    value = float((matrix * (xs @ ys.T)).sum())
+    for iterations in range(1, max_iterations + 1):
+        xs = unit_rows(matrix @ ys, xs)
+        ys = unit_rows(matrix.T @ xs, ys)
+        new_value = float((matrix * (xs @ ys.T)).sum())
+        improvement = new_value - value
+        value = new_value
+        if improvement < CONVERGENCE_TOL:
+            break
+    return value, xs, ys, iterations
 
 
 def test_local_norm_examples():
@@ -82,6 +105,39 @@ def test_vector_seesaw_chsh():
     assert abs(v3 - math.sqrt(2.0)) < 1e-8  # the optimum is planar
     assert np.allclose(np.linalg.norm(strat.x_vectors, axis=1), 1.0, atol=1e-10)
     assert np.allclose(np.linalg.norm(strat.y_vectors, axis=1), 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("max_iterations", [1, 2, 500])
+def test_vector_seesaw_is_the_best_of_single_restarts(rng, max_iterations):
+    # The lockstep batch against each restart run alone, both from the
+    # spawn_rng starts; results must agree bit for bit.
+    for m, n, restarts in ((2, 1, 3), (5, 2, 4), (7, 3, 5), (16, 3, 6)):
+        matrix = rng.normal(size=(m, m))
+        if m > 2:
+            matrix[1, :] = 0.0  # x_1 and y_2 have no best response: they keep
+            matrix[:, 2] = 0.0  # their start vectors
+        norm = normalize(matrix)
+        cfg = SeesawConfig(restarts=restarts, max_iterations=max_iterations, seed=m)
+        best_value, best, iterations = -np.inf, None, []
+        for r in range(restarts):
+            start = spawn_rng(cfg.seed, r)
+            xs = unit_rows(start.normal(size=(m, n)), np.eye(m, n))
+            ys = unit_rows(start.normal(size=(m, n)), np.eye(m, n))
+            value, xs_r, ys_r, used = loop_refine(norm.matrix, xs, ys, max_iterations)
+            single = refine_vectors(norm.matrix, xs, ys, cfg)
+            assert single[0] == value
+            assert single[1].tobytes() == xs_r.tobytes() and single[2].tobytes() == ys_r.tobytes()
+            iterations.append(used)
+            if value > best_value:
+                best_value, best = value, (xs_r, ys_r)
+        if max_iterations == 500 and m > 2:
+            assert len(set(iterations)) > 1  # members leave the batch at different times
+        value, strategy = vector_seesaw(norm, n, cfg)
+        assert value == best_value
+        assert strategy.x_vectors.tobytes() == best[0].tobytes()
+        assert strategy.y_vectors.tobytes() == best[1].tobytes()
+        if m > 2:
+            assert (strategy.x_vectors[1] != 0.0).any() and (strategy.y_vectors[2] != 0.0).any()
 
 
 def test_vector_seesaw_requires_normalized():
