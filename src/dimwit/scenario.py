@@ -397,10 +397,11 @@ def model_stacks(f: BellFunctional, m: QuantumModel) -> tuple[np.ndarray, np.nda
     return _stacks(f, m.povms_a, m.povms_b)
 
 
-# The ``stacked_*`` contractions below take a batch of B models: states as a
-# (B, d_a d_b) array and each party's POVMs as a (B, settings + 1, width, d, d)
-# array in the ``povm_stack`` layout.  Every product is a per-member matrix
-# product, so a member's result does not depend on the rest of its batch.
+# The contractions below take a batch of B models: states as a (B, d_a d_b)
+# array and each party's POVMs as a (B, settings + 1, width, d, d) array in the
+# ``povm_stack`` layout.  Every product is a per-member matrix product, so a
+# member's result does not depend on the rest of its batch.  The see-saw builds
+# each ``contraction_matrix`` once per run; the ``stacked_*`` forms build it per call.
 
 
 def _flat(stacks: np.ndarray) -> np.ndarray:
@@ -409,21 +410,34 @@ def _flat(stacks: np.ndarray) -> np.ndarray:
     return stacks.reshape(n, x * w, d * d)
 
 
-def _partner_sums(c: np.ndarray, partner: np.ndarray) -> np.ndarray:
-    """K[i, x, a] = sum_yb c[x, y, a, b] partner[i, y, b] as (B, X, W, d, d)."""
+def contraction_matrix(f: BellFunctional, party: str | None = None, settings=None) -> np.ndarray:
+    """C as the complex matrix M[(x, a), (y, b)] = C[x, y, a, b] that turns a
+    flattened partner stack into K[x, a] = sum_yb C[x, y, a, b] partner[y, b]:
+    every slot for the Bell operator, or for party "A" or "B" the rows of its
+    ``settings`` (default: all but the identity slot), with C.transpose(1, 0,
+    3, 2) for Bob."""
+    c = f.coefficients
+    if party == "B":
+        c = c.transpose(1, 0, 3, 2)
+    elif party not in (None, "A"):
+        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
+    if party is not None:
+        c = c[: len(c) - 1] if settings is None else c[list(settings)]
     x, y, w, v = c.shape
-    d = partner.shape[-1]
-    k = c.transpose(0, 2, 1, 3).reshape(x * w, y * v) @ _flat(partner)
-    return k.reshape(len(partner), x, w, d, d)
+    return c.transpose(0, 2, 1, 3).reshape(x * w, y * v).astype(complex)
+
+
+def bell_operators(matrix: np.ndarray, stacks_a: np.ndarray, stacks_b: np.ndarray) -> np.ndarray:
+    """Bell operators sum_xa A_xa ⊗ K_xa of a batch, as (B, d_a d_b, d_a d_b),
+    with K the partner sums of Bob's stacks by ``contraction_matrix(f)``."""
+    n, d_a, d_b = len(stacks_a), stacks_a.shape[-1], stacks_b.shape[-1]
+    op = _flat(stacks_a).swapaxes(-1, -2) @ (matrix @ _flat(stacks_b))
+    return op.reshape(n, d_a, d_a, d_b, d_b).transpose(0, 1, 3, 2, 4).reshape(n, d_a * d_b, d_a * d_b)
 
 
 def stacked_bell_operator(f: BellFunctional, stacks_a: np.ndarray, stacks_b: np.ndarray) -> np.ndarray:
-    """Bell operators sum_xa A_xa ⊗ K_xa of a batch, as (B, d_a d_b, d_a d_b),
-    with K_xa = sum_yb C[x, y, a, b] B_yb."""
-    n, d_a, d_b = len(stacks_a), stacks_a.shape[-1], stacks_b.shape[-1]
-    partner = _flat(_partner_sums(f.coefficients, stacks_b))
-    op = _flat(stacks_a).swapaxes(-1, -2) @ partner
-    return op.reshape(n, d_a, d_a, d_b, d_b).transpose(0, 1, 3, 2, 4).reshape(n, d_a * d_b, d_a * d_b)
+    """``bell_operators`` of ``f``'s batch, building its matrix on the call."""
+    return bell_operators(contraction_matrix(f), stacks_a, stacks_b)
 
 
 def stacked_correlations(states: np.ndarray, stacks_a: np.ndarray, stacks_b: np.ndarray) -> np.ndarray:
@@ -443,6 +457,20 @@ def stacked_values(f: BellFunctional, states: np.ndarray, stacks_a: np.ndarray, 
     return (f.coefficients * t).reshape(len(t), f.coefficients.size).sum(axis=1)
 
 
+def party_operators(
+    matrix: np.ndarray, states: np.ndarray, stacks_a: np.ndarray, stacks_b: np.ndarray, party: str
+) -> np.ndarray:
+    """``stacked_party_operators`` for the settings whose rows
+    ``matrix = contraction_matrix(f, party, settings)`` holds."""
+    psi = states.reshape(len(states), 1, 1, stacks_a.shape[-1], stacks_b.shape[-1])
+    own, partner = (stacks_a, stacks_b) if party == "A" else (stacks_b, stacks_a)
+    psi = psi if party == "A" else psi.swapaxes(-1, -2)
+    n, _, width, _, _ = own.shape
+    k = (matrix @ _flat(partner)).reshape(n, len(matrix) // width, width, *partner.shape[-2:])
+    ops = psi @ k.swapaxes(-1, -2) @ psi.conj().swapaxes(-1, -2)
+    return (ops + ops.conj().swapaxes(-1, -2)) / 2.0
+
+
 def stacked_party_operators(
     f: BellFunctional, states: np.ndarray, stacks_a: np.ndarray, stacks_b: np.ndarray, party: str, settings
 ) -> np.ndarray:
@@ -454,19 +482,9 @@ def stacked_party_operators(
     count are zero.  For Alice, F = Psi K_xaᵀ Psi† with K_xa = sum_yb
     C[x, y, a, b] B_yb and Psi the state as a d_a x d_b matrix.  Bob is the
     same contraction with the parties swapped: C.transpose(1, 0, 3, 2),
-    Alice's POVMs, and Psiᵀ.
+    Alice's POVMs, and Psiᵀ.  The matrix of ``f`` is built on the call.
     """
-    psi = states.reshape(len(states), 1, 1, stacks_a.shape[-1], stacks_b.shape[-1])
-    if party == "A":
-        c, partner = f.coefficients, stacks_b
-    elif party == "B":
-        c, partner = f.coefficients.transpose(1, 0, 3, 2), stacks_a
-        psi = psi.swapaxes(-1, -2)
-    else:
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    k = _partner_sums(c[list(settings)], partner)
-    ops = psi @ k.swapaxes(-1, -2) @ psi.conj().swapaxes(-1, -2)
-    return (ops + ops.conj().swapaxes(-1, -2)) / 2.0
+    return party_operators(contraction_matrix(f, party, settings), states, stacks_a, stacks_b, party)
 
 
 def bell_operator(f: BellFunctional, povms_a, povms_b) -> np.ndarray:

@@ -14,16 +14,17 @@ non-decreasing and every iterate is a feasible model - values are honest
 lower bounds on the dimension-restricted maximum, found heuristically.
 
 Restarts run in lockstep batches.  ``seesaw`` cuts the restart indices into
-consecutive batches of ``RESTART_BATCH``.  A batch holds its members' states
-as one (B, d_a d_b) array and each party's POVMs as one (B, settings + 1,
-width, d, d) array in the ``povm_stack`` layout, so each step above is a few
-stacked contractions and eigensolves for the whole batch, and a model is
-built only once per restart, at the end.  Members that converge leave the
-active set.  Every stacked operation acts member by member, so a restart's
-iterates do not depend on its batch; ``refine`` is the same loop on a batch
-of one.  If a stacked step raises a linear-algebra error, that step is re-run
-member by member and only the members that raise are aborted.  A process
-pool, when asked for, maps over batches, and only when there are two or more.
+consecutive batches of ``RESTART_BATCH``.  A batch holds its active members,
+in restart order, as whole arrays: states as one (B, d_a d_b) array and each
+party's POVMs as one (B, settings + 1, width, d, d) array in the
+``povm_stack`` layout.  The functional's contraction matrices are built once
+per batch, so each step above is a few stacked contractions and eigensolves
+on those arrays.  A member that converges or is aborted is built into a model
+and its rows are dropped.  Every stacked operation acts member by member, so
+a restart's iterates do not depend on its batch; ``refine`` is the same loop
+on a batch of one.  If a stacked step raises a linear-algebra error, that step
+is re-run member by member and only the members that raise are aborted.  A
+process pool, when asked for, maps over batches, when there are two or more.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -40,9 +42,10 @@ from .scenario import (
     BellFunctional,
     BellScenario,
     QuantumModel,
+    bell_operators,
+    contraction_matrix,
     model_stacks,
-    stacked_bell_operator,
-    stacked_party_operators,
+    party_operators,
     stacked_values,
 )
 
@@ -86,6 +89,8 @@ class SeesawConfig:
             raise ConfigError("restarts must be >= 1")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.fixed_state is not None:
             state = np.asarray(self.fixed_state, dtype=complex).reshape(-1)
             if not np.isfinite(state).all():
@@ -167,14 +172,16 @@ def update_state(f: BellFunctional, model: QuantumModel) -> QuantumModel:
     decreases.  This is the see-saw's state step on a batch of one.
     """
     stack_a, stack_b = model_stacks(f, model)
-    return replace(model, state=_state_step(f, model.state[None], stack_a[None], stack_b[None])[0])
+    states = _state_step(contraction_matrix(f), model.state[None], stack_a[None], stack_b[None])
+    return replace(model, state=states[0])
 
 
-def _state_step(f: BellFunctional, states, stacks_a, stacks_b) -> np.ndarray:
-    """New (B, d_a d_b) states of a batch (see ``update_state``): one stacked
-    eigensolve of the Bell operators, the top cluster picked by a per-member
-    eigenvalue mask."""
-    eig = linalg.eig_hermitian(stacked_bell_operator(f, stacks_a, stacks_b))
+def _state_step(bell: np.ndarray, states, stacks_a, stacks_b) -> np.ndarray:
+    """New (B, d_a d_b) states of a batch (see ``update_state``), with
+    ``bell`` the functional's ``contraction_matrix``: one stacked eigensolve
+    of the Bell operators, the top cluster picked by a per-member eigenvalue
+    mask."""
+    eig = linalg.eig_hermitian(bell_operators(bell, stacks_a, stacks_b))
     top = eig.eigenvalues[:, :1]
     cluster = eig.eigenvalues >= top - DEGENERACY_TOL * np.maximum(1.0, np.abs(top))
     vecs = eig.eigenvectors * cluster[:, None, :]
@@ -191,66 +198,89 @@ def _exchange_pairs(ops, elements, counts) -> np.ndarray:
     Each pair (a, a') runs once over every member and setting at a time;
     per-member masks skip pairs past a setting's outcome ``counts``, pairs
     with an empty sum and no-gain exchanges, so each setting sees the same
-    sequence of exchanges as it would alone.
+    sequence of exchanges as it would alone.  Rows are gathered only when
+    some are skipped.
     """
     n, m, width, d, _ = elements.shape
-    elements = elements.reshape(n * m, width, d, d).copy()
+    elements = elements.copy().reshape(n * m, width, d, d)
     ops = ops.reshape(n * m, width, d, d)
     counts = np.tile(counts, n)
     for _ in range(PAIR_PASSES):
         for a in range(width):
             for a2 in range(a + 1, width):
                 s = elements[:, a] + elements[:, a2]
-                live = np.flatnonzero((counts > a2) & (np.abs(s).max(axis=(-1, -2)) >= 1e-15))
-                if not live.size:
+                live = (counts > a2) & (np.abs(s).max(axis=(-1, -2)) >= 1e-15)
+                if not live.any():
                     continue
-                s = s[live]
-                delta = ops[live, a] - ops[live, a2]
-                root = s.copy()
+                rows = slice(None) if live.all() else np.flatnonzero(live)
+                s = s[rows]
+                delta = ops[rows, a] - ops[rows, a2]
+                root = s
                 drifted = np.abs(s @ s - s).max(axis=(-1, -2)) > PROJECTOR_DRIFT_TOL
                 if drifted.any():
+                    root = s.copy()
                     root[drifted] = linalg.psd_pseudo_sqrt(s[drifted], EXCHANGE_TOL)
                 sandwiched = root @ delta @ root
                 pos = linalg.positive_projector(sandwiched, EXCHANGE_TOL)
                 # Skip no-gain exchanges (ties): keeps fully degenerate POVMs
                 # unchanged instead of shoving their mass onto one element.
                 gain = np.trace(pos @ sandwiched, axis1=-2, axis2=-1).real
-                current = np.trace(elements[live, a] @ delta, axis1=-2, axis2=-1).real
+                current = np.trace(elements[rows, a] @ delta, axis1=-2, axis2=-1).real
                 better = gain - current > 1e-13 * np.maximum(1.0, np.abs(current))
                 if not better.any():
                     continue
-                root = root[better]
-                new_a = root @ pos[better] @ root
+                if not better.all():
+                    rows = np.flatnonzero(live)[better]
+                    root, pos, s = root[better], pos[better], s[better]
+                new_a = root @ pos @ root
                 new_a = (new_a + new_a.conj().swapaxes(-1, -2)) / 2.0
-                elements[live[better], a] = new_a
-                elements[live[better], a2] = s[better] - new_a
+                elements[rows, a] = new_a
+                elements[rows, a2] = s - new_a
     return elements.reshape(n, m, width, d, d)
 
 
-def _party_step(f: BellFunctional, states, stacks_a, stacks_b, party: str, settings) -> np.ndarray:
-    """The party's new POVM stack after re-optimizing the listed settings of
-    every member of a batch in one step.
+def _party_plan(f: BellFunctional, party: str, settings=None) -> tuple:
+    """What a party step needs from ``f`` alone, built once per run: the
+    party, the ``contraction_matrix`` of the updated settings (default: all),
+    for the binary settings and for the rest their (operator rows, POVM
+    places) - ``None`` if empty, slices if all - and the rest's counts."""
+    counts = np.asarray(f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b)
+    places = slice(0, len(counts)) if settings is None else np.asarray(list(settings), dtype=int)
+    updated = counts[places]
+    groups = []
+    for mask in (updated == 2, updated > 2):
+        if mask.all():
+            groups.append((slice(None), places))
+        elif mask.any():
+            groups.append((np.flatnonzero(mask), np.arange(len(counts))[places][mask]))
+        else:
+            groups.append(None)
+    return party, contraction_matrix(f, party, settings), *groups, updated[updated > 2]
 
-    One contraction builds every setting's F; all binary settings of all
-    members are solved by one stacked ``positive_projector`` call (the first
-    element becomes the projector onto the positive eigenspace of F_0 - F_1);
-    settings with three or more outcomes run ``PAIR_PASSES`` rounds of
-    pairwise exchanges over the whole stack.  F of one setting does not
-    depend on the party's other settings, so the result equals updating the
-    settings one after another.
+
+def _party_step(plan: tuple, states, stacks_a, stacks_b) -> np.ndarray:
+    """The party's new POVM stack after re-optimizing the settings of a
+    ``_party_plan`` for every member of a batch in one step.
+
+    One contraction by the plan's prebuilt matrix gives every setting's F;
+    all binary settings of all members are solved by one stacked
+    ``positive_projector`` call (the first element becomes the projector onto
+    the positive eigenspace of F_0 - F_1); settings with three or more
+    outcomes run ``PAIR_PASSES`` rounds of pairwise exchanges over the whole
+    stack.  F of one setting does not depend on the party's other settings,
+    so the result equals updating the settings one after another.
     """
-    settings = np.asarray(list(settings), dtype=int)
-    ops = stacked_party_operators(f, states, stacks_a, stacks_b, party, settings)
-    counts = np.asarray(f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b)[settings]
+    party, matrix, binary, multi, counts = plan
+    ops = party_operators(matrix, states, stacks_a, stacks_b, party)
     povms = (stacks_a if party == "A" else stacks_b).copy()
-    binary = counts == 2
-    if binary.any():
-        m0 = linalg.positive_projector(ops[:, binary, 0] - ops[:, binary, 1], EXCHANGE_TOL)
-        povms[:, settings[binary], 0] = m0
-        povms[:, settings[binary], 1] = np.eye(m0.shape[-1]) - m0
-    if not binary.all():
-        multi = settings[~binary]
-        povms[:, multi] = _exchange_pairs(ops[:, ~binary], povms[:, multi], counts[~binary])
+    if binary is not None:
+        rows, places = binary
+        m0 = linalg.positive_projector(ops[:, rows, 0] - ops[:, rows, 1], EXCHANGE_TOL)
+        povms[:, places, 0] = m0
+        povms[:, places, 1] = np.eye(m0.shape[-1]) - m0
+    if multi is not None:
+        rows, places = multi
+        povms[:, places] = _exchange_pairs(ops[:, rows], povms[:, places], counts)
     return povms
 
 
@@ -262,7 +292,7 @@ def _povms(stack: np.ndarray, counts) -> tuple:
 def _update_party(f: BellFunctional, model: QuantumModel, party: str, settings) -> QuantumModel:
     """``_party_step`` on a batch of one model."""
     stack_a, stack_b = model_stacks(f, model)
-    stack = _party_step(f, model.state[None], stack_a[None], stack_b[None], party, settings)[0]
+    stack = _party_step(_party_plan(f, party, settings), model.state[None], stack_a[None], stack_b[None])[0]
     if party == "A":
         return replace(model, povms_a=_povms(stack, f.scenario.outcomes_a))
     return replace(model, povms_b=_povms(stack, f.scenario.outcomes_b))
@@ -300,80 +330,72 @@ def update_measurement_multi(f: BellFunctional, model: QuantumModel, party: str,
     return _update_party(f, model, party, [setting])
 
 
-def _guarded(step, active: np.ndarray, errors: dict) -> np.ndarray:
-    """Run ``step`` on the active members at once.  If that raises a
-    linear-algebra error, re-run it member by member, record each member that
-    raises in ``errors`` and drop it.  Returns the members still active."""
-    if not active.size:
-        return active
+def _guarded(step, slot: int, work: list, aborted: dict) -> None:
+    """Set ``work[slot]`` to ``step`` run on all working rows at once.  If
+    that raises a linear-algebra error, re-run it row by row, record the
+    restart (``work[-1]``) of each row that raises in ``aborted`` and drop
+    that row from every working array."""
+    if not len(work[-1]):
+        return
     try:
-        step(active)
-        return active
+        work[slot] = step(*work[:3])
+        return
     except _LINALG_ERRORS:
         pass
-    survivors = []
-    for i in active:
+    kept, parts = [], []
+    for i, restart in enumerate(work[-1]):
         try:
-            step(active[active == i])
-            survivors.append(i)
+            parts.append(step(*(w[i : i + 1] for w in work[:3])))
+            kept.append(i)
         except _LINALG_ERRORS as exc:
-            errors[int(i)] = exc
-    return np.array(survivors, dtype=int)
+            aborted[int(restart)] = exc
+    work[:] = [w[kept] for w in work]
+    if parts:
+        work[slot] = np.concatenate(parts)
 
 
 def _lockstep(f: BellFunctional, models, cfg: SeesawConfig) -> list[tuple]:
     """Run ``refine``'s schedule on a batch of start models in lockstep.
 
-    Returns one (value, model, iterations, converged, error) per model; a
-    member that a linear-algebra error aborted gets (-inf, None, 0, False,
-    the exception).  Only the final model of each member is built.
+    The Bell operator's ``contraction_matrix`` and each ``_party_plan`` are
+    built once.  The working arrays - states, POVM stacks, values and
+    restart indices - hold the active members in restart order; a member
+    that stops is written out and its rows dropped, so each step runs on
+    whole arrays.  Returns one (value, model, iterations, converged, error)
+    per model; an aborted member gets (-inf, None, 0, False, the exception).
     """
-    n, d_a, d_b = len(models), models[0].d_a, models[0].d_b
+    d_a, d_b = models[0].d_a, models[0].d_b
     states = np.stack([m.state for m in models])
     stacks_a, stacks_b = (np.stack(s) for s in zip(*(model_stacks(f, m) for m in models)))
     values = stacked_values(f, states, stacks_a, stacks_b)
-    iterations = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
-    errors: dict[int, Exception] = {}
-    settings_a, settings_b = range(f.scenario.settings_a), range(f.scenario.settings_b)
+    work = [states, stacks_a, stacks_b, values, np.arange(len(models))]
+    steps = [(1, partial(_party_step, _party_plan(f, "A"))), (2, partial(_party_step, _party_plan(f, "B")))]
+    if cfg.fixed_state is None:
+        steps.insert(0, (0, partial(_state_step, contraction_matrix(f))))
+    outcomes: dict[int, tuple] = {}
+    aborted: dict[int, Exception] = {}
 
-    def state(i):
-        states[i] = _state_step(f, states[i], stacks_a[i], stacks_b[i])
+    def write_out(done, iterations, converged):
+        if not done.any():
+            return
+        states, stacks_a, stacks_b, values, restarts = work
+        for i in np.flatnonzero(done):
+            povms = _povms(stacks_a[i].copy(), f.scenario.outcomes_a), _povms(stacks_b[i].copy(), f.scenario.outcomes_b)
+            model = QuantumModel(d_a, d_b, states[i].copy(), *povms)
+            outcomes[int(restarts[i])] = (float(values[i]), model, iterations, converged, None)
+        work[:] = [w[~done] for w in work]
 
-    def alice(i):
-        stacks_a[i] = _party_step(f, states[i], stacks_a[i], stacks_b[i], "A", settings_a)
-
-    def bob(i):
-        stacks_b[i] = _party_step(f, states[i], stacks_a[i], stacks_b[i], "B", settings_b)
-
-    steps = (alice, bob) if cfg.fixed_state is not None else (state, alice, bob)
-    active = np.arange(n)
-    for _ in range(cfg.max_iterations):
-        iterations[active] += 1
-        for step in steps:
-            active = _guarded(step, active, errors)
-        previous = values[active]
-        values[active] = stacked_values(f, states[active], stacks_a[active], stacks_b[active])
-        done = values[active] - previous < CONVERGENCE_TOL
-        converged[active[done]] = True
-        active = active[~done]
-        if not active.size:
-            break
-
-    outcomes = []
-    for i in range(n):
-        if i in errors:
-            outcomes.append((-np.inf, None, 0, False, errors[i]))
-            continue
-        model = QuantumModel(
-            d_a,
-            d_b,
-            states[i].copy(),
-            _povms(stacks_a[i].copy(), f.scenario.outcomes_a),
-            _povms(stacks_b[i].copy(), f.scenario.outcomes_b),
-        )
-        outcomes.append((float(values[i]), model, int(iterations[i]), bool(converged[i]), None))
-    return outcomes
+    iteration = 0
+    while len(work[-1]) and iteration < cfg.max_iterations:
+        iteration += 1
+        for slot, step in steps:
+            _guarded(step, slot, work, aborted)
+        values = stacked_values(f, *work[:3])
+        done = values - work[3] < CONVERGENCE_TOL
+        work[3] = values
+        write_out(done, iteration, True)
+    write_out(np.ones(len(work[-1]), dtype=bool), iteration, False)
+    return [(-np.inf, None, 0, False, aborted[i]) if i in aborted else outcomes[i] for i in range(len(models))]
 
 
 def refine(f: BellFunctional, model: QuantumModel, cfg: SeesawConfig):

@@ -194,6 +194,36 @@ def test_seesaw_env_seed(tmp_path, capsys, monkeypatch):
     assert code == 5 and "DIMWIT_SEED" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("command", ["seesaw", "witness", "curve", "grothendieck"])
+def test_negative_seed_exits_5_before_any_work(tmp_path, capsys, monkeypatch, no_restarts, command, source):
+    """A negative seed, from ``--seed`` or ``DIMWIT_SEED``, is a configuration
+    error: exit 5, nothing on stdout, no traceback, and neither a see-saw
+    restart nor the Grothendieck sign enumeration runs."""
+
+    def refuse(matrix):
+        raise AssertionError("the sign enumeration ran")
+
+    monkeypatch.setattr(grothendieck, "local_norm", refuse)
+    m_path = tmp_path / "chsh.csv"
+    m_path.write_text("1,1\n1,-1\n", encoding="utf-8")
+    out_path = tmp_path / "curve.csv"
+    argv = {
+        "seesaw": ["seesaw", "chsh", "--da", "2", "--db", "2"],
+        "witness": ["witness", "chsh", "--d", "2"],
+        "curve": ["curve", "--steps", "2", "--out", str(out_path)],
+        "grothendieck": ["grothendieck", "-m", str(m_path), "--n", "2"],
+    }[command] + ["--restarts", "2"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("DIMWIT_SEED", "-1")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (errors.ConfigError.exit_code, "")
+    assert "seed must be >= 0" in err and "Traceback" not in err
+    assert not out_path.exists()
+
+
 def _reject_constant(constant):
     raise ValueError(f"invalid JSON constant {constant}")
 

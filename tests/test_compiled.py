@@ -308,6 +308,23 @@ def test_setting_operators_predict_value_change(rng):
                 assert abs(after - before - predicted) < 1e-12
 
 
+def test_setting_operators_of_a_subset_slice_the_full_stack(rng):
+    """Per-setting operators of a subset or a permutation of a party's
+    settings are, bit for bit, the rows of the all-settings call, on a batch
+    of models in a scenario with two- and three-outcome settings."""
+    scenario = BellScenario((2, 3, 2), (3, 2, 3))
+    f = random_functional(rng, scenario)
+    for d_a, d_b in ((2, 3), (3, 2)):
+        models = [random_model(rng, scenario, d_a, d_b) for _ in range(3)]
+        states = np.stack([m.state for m in models])
+        stacks_a, stacks_b = (np.stack(s) for s in zip(*(model_stacks(f, m) for m in models)))
+        for party in ("A", "B"):
+            full = stacked_party_operators(f, states, stacks_a, stacks_b, party, range(3))
+            for settings in ([2, 0], [1], [0, 2], [2, 1, 0], [1, 1]):
+                subset = stacked_party_operators(f, states, stacks_a, stacks_b, party, settings)
+                assert np.array_equal(subset, full[:, settings])
+
+
 def test_setting_operators_reject_unknown_party(rng):
     f = random_functional(rng, RAGGED)
     with pytest.raises(ValueError):

@@ -321,6 +321,30 @@ def test_restart_alone_equals_restart_in_full_batch(kind, d_a, d_b, seed):
         assert_same_model(alone[1], model)
 
 
+@pytest.mark.parametrize(
+    "kind, d_a, d_b, fixed",
+    [("E", 3, 3, False), ("ragged", 3, 3, True), ("binary", 2, 2, True), ("E", 2, 2, True)],
+    ids=["three-step-E", "two-step-ragged", "two-step-binary", "two-step-E"],
+)
+def test_members_stopping_at_different_iterations_equal_refine(kind, d_a, d_b, fixed):
+    """On both schedules - with the state step, and with a fixed state, which
+    skips it - a batch whose members stop at different iterations, so its
+    working arrays shrink several times, gives each member exactly what
+    ``refine`` gives it alone."""
+    seed = 7
+    state = ss._random_state(d_a * d_b, np.random.default_rng(seed)) if fixed else None
+    f = batch_functional(kind, seed)
+    cfg = SeesawConfig(seed=seed, max_iterations=60, fixed_state=state)
+    batch = ss._batch_task((f, d_a, d_b, cfg, range(RESTART_BATCH)))
+    assert len({iterations for _, _, _, iterations, _, _ in batch}) > 1
+    for index, value, model, iterations, converged, error in batch:
+        assert error is None
+        start = ss._random_model(f.scenario, d_a, d_b, spawn_rng(seed, index), cfg.fixed_state)
+        alone = refine(f, start, cfg)
+        assert alone[0] == value and alone[2] == iterations and alone[3] == converged
+        assert_same_model(alone[1], model)
+
+
 def test_lockstep_monotone_and_feasible_per_member():
     """Every member's objective never decreases from one iteration to the
     next, and every member's model stays a valid one."""
@@ -381,6 +405,12 @@ def test_config_validation():
 def test_config_rejects_non_finite_fixed_state(bad):
     with pytest.raises(ConfigError, match="non-finite"):
         SeesawConfig(fixed_state=[bad, 0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+def test_config_rejects_negative_seed(seed):
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        SeesawConfig(seed=seed)
 
 
 def test_aborted_restart_is_recorded(monkeypatch):
