@@ -153,27 +153,18 @@ def _scenario_line(sc: BellScenario) -> str:
 
 def serialize_functional(f: BellFunctional) -> str:
     """Canonical text for a functional; ``parse_functional`` inverts it exactly."""
-    sc = f.scenario
-    lines = [_scenario_line(sc)]
+    lines = [_scenario_line(f.scenario)]
     if f.constant != 0.0:
         lines.append(f"const {format_real(f.constant)}")
-    for x in range(sc.settings_a):
-        for a in range(sc.outcomes_a[x]):
-            v = f.marginal_a[x][a]
-            if v != 0.0:
-                lines.append(f"{format_real(v)} PA({a}|{x})")
-    for y in range(sc.settings_b):
-        for b in range(sc.outcomes_b[y]):
-            v = f.marginal_b[y][b]
-            if v != 0.0:
-                lines.append(f"{format_real(v)} PB({b}|{y})")
-    for x in range(sc.settings_a):
-        for y in range(sc.settings_b):
-            blk = f.joint[x][y]
-            for a in range(sc.outcomes_a[x]):
-                for b in range(sc.outcomes_b[y]):
-                    if blk[a, b] != 0.0:
-                        lines.append(f"{format_real(blk[a, b])} P({a} {b}|{x} {y})")
+    # The tensor is zero past each setting's outcome count, and argwhere
+    # walks it in canonical (row-major) order.
+    c = f.coefficients
+    for x, a in np.argwhere(c[:-1, -1, :, 0]):
+        lines.append(f"{format_real(c[x, -1, a, 0])} PA({a}|{x})")
+    for y, b in np.argwhere(c[-1, :-1, 0, :]):
+        lines.append(f"{format_real(c[-1, y, 0, b])} PB({b}|{y})")
+    for x, y, a, b in np.argwhere(c[:-1, :-1]):
+        lines.append(f"{format_real(c[x, y, a, b])} P({a} {b}|{x} {y})")
     return "\n".join(lines) + "\n"
 
 

@@ -118,15 +118,6 @@ def _lockstep(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray, max_iterations
     return values
 
 
-def refine_vectors(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray, cfg: SeesawConfig):
-    """Alternating exact best responses from a given strategy; monotone.
-    This is the lockstep loop of ``vector_seesaw`` on a batch of one, so a
-    restart gives the same result here as inside a batch."""
-    xs, ys = np.array([xs], dtype=float), np.array([ys], dtype=float)
-    values = _lockstep(matrix, xs, ys, cfg.max_iterations)
-    return float(values[0]), xs[0], ys[0]
-
-
 def _check_dimension(n: int) -> None:
     if n < 1:
         raise ConfigError(f"vector dimension must be >= 1, got {n}")

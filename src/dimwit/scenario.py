@@ -14,10 +14,11 @@ model.  A functional stores only its coefficient tensor
 it.  Every quantum-side quantity - the Bell operator, the model's value, its
 probability table, and the see-saw's per-setting operators - is a contraction
 of that tensor with the parties' stacked POVMs (``povm_stack``).  The
-``stacked_*`` functions do these contractions for a batch of models at once,
-and the single-model functions are batches of one.  ``evaluate`` keeps its
-own loops over the blocks as an independent recompute path.  All types are
-immutable values and every operation is a pure function.
+batched functions do these contractions for a batch of models at once, the
+Bell operator and the per-setting operators by a prebuilt
+``contraction_matrix``, and the single-model functions are batches of one.
+``evaluate`` keeps its own loops over the blocks as an independent recompute
+path.  All types are immutable values and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -230,31 +231,25 @@ class ProbabilityTable:
 
     def marginal_a(self, x: int, policy: str = PARTNER_SETTING_ZERO) -> np.ndarray:
         """P_A(a|x) under the given partner-setting policy."""
-        if policy == PARTNER_SETTING_ZERO:
-            return self.p[x][0].sum(axis=1)
-        if policy == AVERAGE:
-            stack = np.stack([self.p[x][y].sum(axis=1) for y in range(self.scenario.settings_b)])
-            spread = float((stack.max(axis=0) - stack.min(axis=0)).max())
-            if spread > SIGNALING_TOL:
-                raise SignalingError(
-                    f"Alice marginals for x={x} vary by {spread:.3e} across Bob settings"
-                )
-            return stack.mean(axis=0)
-        raise ValueError(f"unknown marginal policy {policy!r}")
+        return _marginal(self.p[x], 1, policy, f"Alice marginals for x={x}", "Bob")
 
     def marginal_b(self, y: int, policy: str = PARTNER_SETTING_ZERO) -> np.ndarray:
         """P_B(b|y) under the given partner-setting policy."""
-        if policy == PARTNER_SETTING_ZERO:
-            return self.p[0][y].sum(axis=0)
-        if policy == AVERAGE:
-            stack = np.stack([self.p[x][y].sum(axis=0) for x in range(self.scenario.settings_a)])
-            spread = float((stack.max(axis=0) - stack.min(axis=0)).max())
-            if spread > SIGNALING_TOL:
-                raise SignalingError(
-                    f"Bob marginals for y={y} vary by {spread:.3e} across Alice settings"
-                )
-            return stack.mean(axis=0)
-        raise ValueError(f"unknown marginal policy {policy!r}")
+        return _marginal([row[y] for row in self.p], 0, policy, f"Bob marginals for y={y}", "Alice")
+
+
+def _marginal(blocks, axis: int, policy: str, name: str, partner: str) -> np.ndarray:
+    """One party's marginal from its blocks against each partner setting in
+    order, summing out the partner's outcomes along ``axis``."""
+    if policy == PARTNER_SETTING_ZERO:
+        return blocks[0].sum(axis=axis)
+    if policy == AVERAGE:
+        stack = np.stack([blk.sum(axis=axis) for blk in blocks])
+        spread = float((stack.max(axis=0) - stack.min(axis=0)).max())
+        if spread > SIGNALING_TOL:
+            raise SignalingError(f"{name} vary by {spread:.3e} across {partner} settings")
+        return stack.mean(axis=0)
+    raise ValueError(f"unknown marginal policy {policy!r}")
 
 
 def uniform_table(scenario: BellScenario) -> ProbabilityTable:
@@ -401,7 +396,7 @@ def model_stacks(f: BellFunctional, m: QuantumModel) -> tuple[np.ndarray, np.nda
 # array and each party's POVMs as a (B, settings + 1, width, d, d) array in the
 # ``povm_stack`` layout.  Every product is a per-member matrix product, so a
 # member's result does not depend on the rest of its batch.  The see-saw builds
-# each ``contraction_matrix`` once per run; the ``stacked_*`` forms build it per call.
+# each ``contraction_matrix`` once per run.
 
 
 def _flat(stacks: np.ndarray) -> np.ndarray:
@@ -410,19 +405,19 @@ def _flat(stacks: np.ndarray) -> np.ndarray:
     return stacks.reshape(n, x * w, d * d)
 
 
-def contraction_matrix(f: BellFunctional, party: str | None = None, settings=None) -> np.ndarray:
+def contraction_matrix(f: BellFunctional, party: str | None = None) -> np.ndarray:
     """C as the complex matrix M[(x, a), (y, b)] = C[x, y, a, b] that turns a
     flattened partner stack into K[x, a] = sum_yb C[x, y, a, b] partner[y, b]:
     every slot for the Bell operator, or for party "A" or "B" the rows of its
-    ``settings`` (default: all but the identity slot), with C.transpose(1, 0,
-    3, 2) for Bob."""
+    settings (all but the identity slot), with C.transpose(1, 0, 3, 2) for
+    Bob."""
     c = f.coefficients
     if party == "B":
         c = c.transpose(1, 0, 3, 2)
     elif party not in (None, "A"):
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
     if party is not None:
-        c = c[: len(c) - 1] if settings is None else c[list(settings)]
+        c = c[: len(c) - 1]
     x, y, w, v = c.shape
     return c.transpose(0, 2, 1, 3).reshape(x * w, y * v).astype(complex)
 
@@ -433,11 +428,6 @@ def bell_operators(matrix: np.ndarray, stacks_a: np.ndarray, stacks_b: np.ndarra
     n, d_a, d_b = len(stacks_a), stacks_a.shape[-1], stacks_b.shape[-1]
     op = _flat(stacks_a).swapaxes(-1, -2) @ (matrix @ _flat(stacks_b))
     return op.reshape(n, d_a, d_a, d_b, d_b).transpose(0, 1, 3, 2, 4).reshape(n, d_a * d_b, d_a * d_b)
-
-
-def stacked_bell_operator(f: BellFunctional, stacks_a: np.ndarray, stacks_b: np.ndarray) -> np.ndarray:
-    """``bell_operators`` of ``f``'s batch, building its matrix on the call."""
-    return bell_operators(contraction_matrix(f), stacks_a, stacks_b)
 
 
 def stacked_correlations(states: np.ndarray, stacks_a: np.ndarray, stacks_b: np.ndarray) -> np.ndarray:
@@ -460,8 +450,18 @@ def stacked_values(f: BellFunctional, states: np.ndarray, stacks_a: np.ndarray, 
 def party_operators(
     matrix: np.ndarray, states: np.ndarray, stacks_a: np.ndarray, stacks_b: np.ndarray, party: str
 ) -> np.ndarray:
-    """``stacked_party_operators`` for the settings whose rows
-    ``matrix = contraction_matrix(f, party, settings)`` holds."""
+    """Per-outcome Hermitian operators F[i, x, a] of member i for each
+    setting x of one party, with ``matrix = contraction_matrix(f, party)``,
+    such that the objective restricted to setting x's POVM is
+    sum_a tr(M_xa F[i, x, a]) plus terms independent of it.
+
+    Returns a (B, settings, width, d, d) array; outcomes past a setting's
+    count are zero.  For Alice, F = Psi K_xaᵀ Psi† with K_xa = sum_yb
+    C[x, y, a, b] B_yb and Psi the state as a d_a x d_b matrix.  Bob is the
+    same contraction with the parties swapped: C.transpose(1, 0, 3, 2),
+    Alice's POVMs, and Psiᵀ.  F of one setting reads only the state and the
+    partner's POVMs, never the party's own.
+    """
     psi = states.reshape(len(states), 1, 1, stacks_a.shape[-1], stacks_b.shape[-1])
     own, partner = (stacks_a, stacks_b) if party == "A" else (stacks_b, stacks_a)
     psi = psi if party == "A" else psi.swapaxes(-1, -2)
@@ -471,26 +471,10 @@ def party_operators(
     return (ops + ops.conj().swapaxes(-1, -2)) / 2.0
 
 
-def stacked_party_operators(
-    f: BellFunctional, states: np.ndarray, stacks_a: np.ndarray, stacks_b: np.ndarray, party: str, settings
-) -> np.ndarray:
-    """Per-outcome Hermitian operators F[i, s, a] of member i for each setting
-    x = settings[s] of one party, such that the objective restricted to
-    setting x's POVM is sum_a tr(M_xa F[i, s, a]) plus terms independent of it.
-
-    Returns a (B, len(settings), width, d, d) array; outcomes past a setting's
-    count are zero.  For Alice, F = Psi K_xaᵀ Psi† with K_xa = sum_yb
-    C[x, y, a, b] B_yb and Psi the state as a d_a x d_b matrix.  Bob is the
-    same contraction with the parties swapped: C.transpose(1, 0, 3, 2),
-    Alice's POVMs, and Psiᵀ.  The matrix of ``f`` is built on the call.
-    """
-    return party_operators(contraction_matrix(f, party, settings), states, stacks_a, stacks_b, party)
-
-
 def bell_operator(f: BellFunctional, povms_a, povms_b) -> np.ndarray:
     """Operator whose expectation in a state gives the functional's value."""
     stack_a, stack_b = _stacks(f, povms_a, povms_b)
-    return stacked_bell_operator(f, stack_a[None], stack_b[None])[0]
+    return bell_operators(contraction_matrix(f), stack_a[None], stack_b[None])[0]
 
 
 def model_value(f: BellFunctional, m: QuantumModel) -> float:

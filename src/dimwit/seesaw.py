@@ -5,7 +5,9 @@ then repeats: replace the state by (a vector in) the Bell operator's top
 eigenspace, then re-optimize all of Alice's measurement settings in one step,
 then all of Bob's.  Once the state and the partner's POVMs are fixed, the
 objective splits into one independent term per setting of the party, so a
-party step gives the same model as updating its settings one at a time.
+party step gives the same model as updating its settings one at a time, and
+``update_measurement_binary`` / ``update_measurement_multi`` are that step
+on one model with only the named setting's new POVM kept.
 Binary settings are solved exactly by a positive-eigenspace split, all of a
 party's at once on a stack; settings with three or more outcomes cycle
 through exact pairwise exchanges that redistribute each pair's sum
@@ -120,7 +122,10 @@ class SeesawResult:
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
-    """Counter-derived RNG stream; identical regardless of execution order."""
+    """Counter-derived RNG stream; identical regardless of execution order.
+    A negative seed raises ``ConfigError``."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
@@ -239,28 +244,26 @@ def _exchange_pairs(ops, elements, counts) -> np.ndarray:
     return elements.reshape(n, m, width, d, d)
 
 
-def _party_plan(f: BellFunctional, party: str, settings=None) -> tuple:
+def _party_plan(f: BellFunctional, party: str) -> tuple:
     """What a party step needs from ``f`` alone, built once per run: the
-    party, the ``contraction_matrix`` of the updated settings (default: all),
-    for the binary settings and for the rest their (operator rows, POVM
-    places) - ``None`` if empty, slices if all - and the rest's counts."""
+    party, its ``contraction_matrix``, the index of its binary settings and
+    that of the rest - ``None`` if empty, a slice if all, else an index
+    array, the same for operators and POVMs - and the rest's counts."""
     counts = np.asarray(f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b)
-    places = slice(0, len(counts)) if settings is None else np.asarray(list(settings), dtype=int)
-    updated = counts[places]
     groups = []
-    for mask in (updated == 2, updated > 2):
+    for mask in (counts == 2, counts > 2):
         if mask.all():
-            groups.append((slice(None), places))
+            groups.append(slice(0, len(counts)))
         elif mask.any():
-            groups.append((np.flatnonzero(mask), np.arange(len(counts))[places][mask]))
+            groups.append(np.flatnonzero(mask))
         else:
             groups.append(None)
-    return party, contraction_matrix(f, party, settings), *groups, updated[updated > 2]
+    return party, contraction_matrix(f, party), *groups, counts[counts > 2]
 
 
 def _party_step(plan: tuple, states, stacks_a, stacks_b) -> np.ndarray:
-    """The party's new POVM stack after re-optimizing the settings of a
-    ``_party_plan`` for every member of a batch in one step.
+    """The party's new POVM stack after re-optimizing all of its settings
+    for every member of a batch in one step.
 
     One contraction by the plan's prebuilt matrix gives every setting's F;
     all binary settings of all members are solved by one stacked
@@ -274,13 +277,11 @@ def _party_step(plan: tuple, states, stacks_a, stacks_b) -> np.ndarray:
     ops = party_operators(matrix, states, stacks_a, stacks_b, party)
     povms = (stacks_a if party == "A" else stacks_b).copy()
     if binary is not None:
-        rows, places = binary
-        m0 = linalg.positive_projector(ops[:, rows, 0] - ops[:, rows, 1], EXCHANGE_TOL)
-        povms[:, places, 0] = m0
-        povms[:, places, 1] = np.eye(m0.shape[-1]) - m0
+        m0 = linalg.positive_projector(ops[:, binary, 0] - ops[:, binary, 1], EXCHANGE_TOL)
+        povms[:, binary, 0] = m0
+        povms[:, binary, 1] = np.eye(m0.shape[-1]) - m0
     if multi is not None:
-        rows, places = multi
-        povms[:, places] = _exchange_pairs(ops[:, rows], povms[:, places], counts)
+        povms[:, multi] = _exchange_pairs(ops[:, multi], povms[:, multi], counts)
     return povms
 
 
@@ -289,25 +290,30 @@ def _povms(stack: np.ndarray, counts) -> tuple:
     return tuple(tuple(stack[x, :v]) for x, v in enumerate(counts))
 
 
-def _update_party(f: BellFunctional, model: QuantumModel, party: str, settings) -> QuantumModel:
-    """``_party_step`` on a batch of one model."""
+def _update_setting(f: BellFunctional, model: QuantumModel, party: str, setting: int, binary: bool) -> QuantumModel:
+    """``_party_step`` over the whole party on a batch of one model, keeping
+    only ``setting``'s new POVM; ``WrongOutcomeCountError`` unless the
+    setting has two outcomes (``binary``) or three or more (not ``binary``).
+    A setting's operators read only the state and the partner's POVMs, so
+    this is the step restricted to the setting."""
+    v = (f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b)[setting]
+    if (v == 2) != binary:
+        raise WrongOutcomeCountError(
+            f"setting {setting} of party {party} has {v} outcomes, expected {'2' if binary else '>= 3'}"
+        )
     stack_a, stack_b = model_stacks(f, model)
-    stack = _party_step(_party_plan(f, party, settings), model.state[None], stack_a[None], stack_b[None])[0]
-    if party == "A":
-        return replace(model, povms_a=_povms(stack, f.scenario.outcomes_a))
-    return replace(model, povms_b=_povms(stack, f.scenario.outcomes_b))
+    stack = _party_step(_party_plan(f, party), model.state[None], stack_a[None], stack_b[None])[0]
+    name = "povms_a" if party == "A" else "povms_b"
+    povms = list(getattr(model, name))
+    povms[setting] = tuple(stack[:-1][setting, : len(povms[setting])])
+    return replace(model, **{name: tuple(povms)})
 
 
 def update_measurement_binary(f: BellFunctional, model: QuantumModel, party: str, setting: int) -> QuantumModel:
     """Exact maximizer for a two-outcome setting: the first element becomes
     the projector onto the positive eigenspace of F_0 - F_1.  This is the
     see-saw's party step restricted to one setting."""
-    counts = f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b
-    if counts[setting] != 2:
-        raise WrongOutcomeCountError(
-            f"setting {setting} of party {party} has {counts[setting]} outcomes, expected 2"
-        )
-    return _update_party(f, model, party, [setting])
+    return _update_setting(f, model, party, setting, binary=True)
 
 
 def update_measurement_multi(f: BellFunctional, model: QuantumModel, party: str, setting: int) -> QuantumModel:
@@ -321,13 +327,7 @@ def update_measurement_multi(f: BellFunctional, model: QuantumModel, party: str,
     preserved and the objective never decreases.  This is the see-saw's party
     step restricted to one setting.
     """
-    counts = f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b
-    v = counts[setting]
-    if v < 3:
-        raise WrongOutcomeCountError(
-            f"setting {setting} of party {party} has {v} outcomes, expected >= 3"
-        )
-    return _update_party(f, model, party, [setting])
+    return _update_setting(f, model, party, setting, binary=False)
 
 
 def _guarded(step, slot: int, work: list, aborted: dict) -> None:

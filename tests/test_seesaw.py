@@ -1,5 +1,6 @@
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from dimwit import catalog
 
 ss = importlib.import_module("dimwit.seesaw")
 from dimwit.errors import ConfigError, NotPSDError, WrongOutcomeCountError
-from dimwit.scenario import BellFunctional, BellScenario, bell_operator, model_value, table_of
+from dimwit.scenario import BellFunctional, BellScenario, bell_operator, model_stacks, model_value, table_of
 from dimwit.seesaw import (
     RESTART_BATCH,
     SeesawConfig,
@@ -109,6 +110,22 @@ def test_binary_update_wrong_outcome_count():
         update_measurement_binary(f, model, "A", 1)
     with pytest.raises(WrongOutcomeCountError):
         update_measurement_multi(f, model, "A", 0)
+
+
+def test_negative_setting_counts_from_the_end(rng):
+    """Setting -1 is the party's last setting, as in ``povms_a[-1]``, for
+    both kinds of update."""
+    sc = BellScenario((3, 2), (2, 3))
+    f = random_functional(rng, sc)
+    model = seeded_models(sc, 2, 3, seed=1, count=1)[0]
+    for party, update in (("A", update_measurement_binary), ("B", update_measurement_multi)):
+        got, want = update(f, model, party, -1), update(f, model, party, 1)
+        assert all(
+            np.array_equal(m1, m2)
+            for s1, s2 in zip(got.povms_a + got.povms_b, want.povms_a + want.povms_b)
+            for m1, m2 in zip(s1, s2)
+        )
+        assert model_value(f, got) > model_value(f, model)
 
 
 def test_multi_update_degenerate_left_unchanged():
@@ -216,8 +233,12 @@ def test_party_step_equals_setting_by_setting_and_is_monotone(rng):
                 model = update_state(f, model)
                 assert model_value(f, model) >= value - 1e-12
                 value = model_value(f, model)
-                for party, n in (("A", sc.settings_a), ("B", sc.settings_b)):
-                    step = ss._update_party(f, model, party, range(n))
+                for party, counts in (("A", sc.outcomes_a), ("B", sc.outcomes_b)):
+                    stack_a, stack_b = model_stacks(f, model)
+                    plan = ss._party_plan(f, party)
+                    stack = ss._party_step(plan, model.state[None], stack_a[None], stack_b[None])[0]
+                    name = "povms_a" if party == "A" else "povms_b"
+                    step = replace(model, **{name: ss._povms(stack, counts)})
                     ref = _setting_by_setting(f, model, party)
                     for got, want in zip(step.povms_a + step.povms_b, ref.povms_a + ref.povms_b):
                         for m1, m2 in zip(got, want):
@@ -512,6 +533,20 @@ def test_cglmp_best_model_stays_projective():
     for setting in result.best_model.povms_a + result.best_model.povms_b:
         for m in setting:
             assert np.abs(m @ m - m).max() < 1e-8
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda: spawn_rng(-3, 0),
+        lambda: spawn_rng(-1),
+        lambda: seeded_models(BellScenario((2, 2), (2, 2)), 2, 2, seed=-1, count=1),
+    ],
+    ids=["spawn_rng-keyed", "spawn_rng", "seeded_models"],
+)
+def test_negative_seed_is_a_config_error(draw):
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        draw()
 
 
 def test_spawn_rng_counter_streams():
