@@ -38,22 +38,34 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 
 def _require_hermitian(a, tol: float) -> np.ndarray:
     """``a`` as a complex (..., n, n) array, checked and symmetrized; every
-    member of a stack must pass."""
+    member of a stack must pass.
+
+    ``tol`` is relative: a member fails when max |m - m†| exceeds
+    ``tol * max(1, max |m|)``, so the rounding of a product of large entries
+    does not count as asymmetry.  Only a stack that fails the absolute test
+    pays for the finiteness test and the per-member scales.
+    """
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.size == 0:
         raise DimensionMismatchError(
             f"expected a square matrix or a stack of them, got shape {np.shape(a)}"
         )
-    # NaN compares False against every tolerance, so reject it up front.
-    if not np.isfinite(m).all():
-        raise NotHermitianError("matrix has non-finite entries")
-    deviation = float(np.abs(m - _adjoint(m)).max())
-    if deviation > tol:
-        raise NotHermitianError(
-            f"matrix deviates from Hermiticity by {deviation:.3e} (tol {tol:.1e})"
-        )
+    adjoint = _adjoint(m)
+    # inf - inf gives NaN, which fails the NaN-safe test below without a warning.
+    with np.errstate(invalid="ignore"):
+        asymmetry = np.abs(m - adjoint)
+    if not asymmetry.max() <= tol:
+        if not np.isfinite(m).all():
+            raise NotHermitianError("matrix has non-finite entries")
+        deviations = asymmetry.max(axis=(-1, -2))
+        excess = deviations / np.maximum(1.0, np.abs(m).max(axis=(-1, -2)))
+        if excess.max() > tol:
+            deviation = float(deviations.flat[excess.argmax()])
+            raise NotHermitianError(
+                f"matrix deviates from Hermiticity by {deviation:.3e} (tol {tol:.1e})"
+            )
     # Symmetrize once the check passed so downstream math sees an exact Hermitian.
-    return (m + _adjoint(m)) / 2.0
+    return (m + adjoint) / 2.0
 
 
 def eig_hermitian(a, tol: float = HERMITICITY_TOL) -> HermitianEig:
@@ -63,8 +75,8 @@ def eig_hermitian(a, tol: float = HERMITICITY_TOL) -> HermitianEig:
     eigenvector columns.  A (..., n, n) stack gives (..., n) eigenvalues and
     (..., n, n) eigenvectors, member by member as separate calls would.
     Raises ``NotHermitianError`` if any member has non-finite entries or
-    deviates from A = A† by more than ``tol``, and ``NoConvergenceError`` if
-    LAPACK reports that it did not converge.
+    deviates from A = A† by more than ``tol * max(1, max |A|)``, and
+    ``NoConvergenceError`` if LAPACK reports that it did not converge.
 
     Eigenvectors within a degenerate cluster are solver-dependent; callers
     must only rely on spectral projectors.

@@ -64,8 +64,9 @@ PROJECTOR_DRIFT_TOL = 1e-11
 #: batch, so this trades memory against per-call overhead without changing
 #: any result.
 RESTART_BATCH = 16
-#: Round-robin passes over the outcome pairs of a setting with three or more
-#: outcomes in each measurement update.
+#: Round-robin passes, at most, over the outcome pairs of a setting with three
+#: or more outcomes in each measurement update; the passes stop early once one
+#: changes no element.
 PAIR_PASSES = 3
 #: A restart has converged once one full iteration improves the objective by
 #: less than this; ``grothendieck.vector_seesaw`` uses it too.
@@ -77,8 +78,8 @@ _LINALG_ERRORS = (NotHermitianError, NoConvergenceError, NotPSDError)
 @dataclass(frozen=True, eq=False)
 class SeesawConfig:
     """Knobs for the restart loop, checked on construction (``ConfigError``);
-    defaults suit scenarios up to two qutrits.  The pairwise-exchange passes
-    per update and the convergence threshold are the constants
+    defaults suit scenarios up to two qutrits.  The cap on pairwise-exchange
+    passes per update and the convergence threshold are the constants
     ``PAIR_PASSES`` and ``CONVERGENCE_TOL``."""
 
     restarts: int = 50
@@ -205,42 +206,61 @@ def _exchange_pairs(ops, elements, counts) -> np.ndarray:
     with an empty sum and no-gain exchanges, so each setting sees the same
     sequence of exchanges as it would alone.  Rows are gathered only when
     some are skipped.
+
+    With R = sqrt(S) and X = R Δ R for Δ = F_a - F_a', the best element
+    R P R (P the projector onto X's eigenvectors V₊ with eigenvalues above
+    ``EXCHANGE_TOL``) reaches tr(P X), the sum of those eigenvalues, so one
+    eigensolve of X gives both the gain and the new element W W† with
+    W = R V₊.  The current tr(M_a Δ) is an elementwise sum, Δ being
+    Hermitian.  A pass that changes no row is a fixed point: the next pass
+    would see the same elements and repeat it, so the passes stop there.
     """
     n, m, width, d, _ = elements.shape
     elements = elements.copy().reshape(n * m, width, d, d)
     ops = ops.reshape(n * m, width, d, d)
     counts = np.tile(counts, n)
+    pairs = [
+        (a, a2, counts > a2, ops[:, a] - ops[:, a2])
+        for a in range(width)
+        for a2 in range(a + 1, width)
+    ]
     for _ in range(PAIR_PASSES):
-        for a in range(width):
-            for a2 in range(a + 1, width):
-                s = elements[:, a] + elements[:, a2]
-                live = (counts > a2) & (np.abs(s).max(axis=(-1, -2)) >= 1e-15)
-                if not live.any():
-                    continue
-                rows = slice(None) if live.all() else np.flatnonzero(live)
-                s = s[rows]
-                delta = ops[rows, a] - ops[rows, a2]
-                root = s
-                drifted = np.abs(s @ s - s).max(axis=(-1, -2)) > PROJECTOR_DRIFT_TOL
-                if drifted.any():
-                    root = s.copy()
-                    root[drifted] = linalg.psd_pseudo_sqrt(s[drifted], EXCHANGE_TOL)
-                sandwiched = root @ delta @ root
-                pos = linalg.positive_projector(sandwiched, EXCHANGE_TOL)
-                # Skip no-gain exchanges (ties): keeps fully degenerate POVMs
-                # unchanged instead of shoving their mass onto one element.
-                gain = np.trace(pos @ sandwiched, axis1=-2, axis2=-1).real
-                current = np.trace(elements[rows, a] @ delta, axis1=-2, axis2=-1).real
-                better = gain - current > 1e-13 * np.maximum(1.0, np.abs(current))
-                if not better.any():
-                    continue
-                if not better.all():
-                    rows = np.flatnonzero(live)[better]
-                    root, pos, s = root[better], pos[better], s[better]
-                new_a = root @ pos @ root
-                new_a = (new_a + new_a.conj().swapaxes(-1, -2)) / 2.0
-                elements[rows, a] = new_a
-                elements[rows, a2] = s - new_a
+        changed = False
+        for a, a2, valid, delta in pairs:
+            s = elements[:, a] + elements[:, a2]
+            live = valid & (np.abs(s).max(axis=(-1, -2)) >= 1e-15)
+            n_live = np.count_nonzero(live)
+            if not n_live:
+                continue
+            rows = slice(None) if n_live == len(live) else live.nonzero()[0]
+            s, delta = s[rows], delta[rows]
+            root = s
+            drifted = np.abs(s @ s - s).max(axis=(-1, -2)) > PROJECTOR_DRIFT_TOL
+            if np.count_nonzero(drifted):
+                root = s.copy()
+                root[drifted] = linalg.psd_pseudo_sqrt(s[drifted], EXCHANGE_TOL)
+            eig = linalg.eig_hermitian(root @ delta @ root, EXCHANGE_TOL)
+            above = eig.eigenvalues > EXCHANGE_TOL
+            gain = (eig.eigenvalues * above).sum(axis=-1)
+            current = (elements[rows, a] * delta.conj()).real.sum(axis=(-1, -2))
+            # Skip no-gain exchanges (ties): keeps fully degenerate POVMs
+            # unchanged instead of shoving their mass onto one element.
+            better = gain - current > 1e-13 * np.maximum(1.0, np.abs(current))
+            n_better = np.count_nonzero(better)
+            if not n_better:
+                continue
+            vecs = eig.eigenvectors * above[:, None, :]
+            if n_better < len(better):
+                rows = live.nonzero()[0][better]
+                root, vecs, s = root[better], vecs[better], s[better]
+            w = root @ vecs
+            new_a = w @ w.conj().swapaxes(-1, -2)
+            new_a = (new_a + new_a.conj().swapaxes(-1, -2)) / 2.0
+            elements[rows, a] = new_a
+            elements[rows, a2] = s - new_a
+            changed = True
+        if not changed:
+            break
     return elements.reshape(n, m, width, d, d)
 
 
@@ -269,9 +289,9 @@ def _party_step(plan: tuple, states, stacks_a, stacks_b) -> np.ndarray:
     all binary settings of all members are solved by one stacked
     ``positive_projector`` call (the first element becomes the projector onto
     the positive eigenspace of F_0 - F_1); settings with three or more
-    outcomes run ``PAIR_PASSES`` rounds of pairwise exchanges over the whole
-    stack.  F of one setting does not depend on the party's other settings,
-    so the result equals updating the settings one after another.
+    outcomes run up to ``PAIR_PASSES`` rounds of pairwise exchanges over the
+    whole stack.  F of one setting does not depend on the party's other
+    settings, so the result equals updating the settings one after another.
     """
     party, matrix, binary, multi, counts = plan
     ops = party_operators(matrix, states, stacks_a, stacks_b, party)
@@ -317,8 +337,9 @@ def update_measurement_binary(f: BellFunctional, model: QuantumModel, party: str
 
 
 def update_measurement_multi(f: BellFunctional, model: QuantumModel, party: str, setting: int) -> QuantumModel:
-    """``PAIR_PASSES`` rounds of round-robin exact pairwise exchanges for a
-    setting with >= 3 outcomes.
+    """Up to ``PAIR_PASSES`` rounds of round-robin exact pairwise exchanges
+    for a setting with >= 3 outcomes, stopping after a round that changes no
+    element: the next round would repeat it exactly.
 
     For each ordered pair (a, a') the sum S = M_a + M_a' is held fixed and
     tr(M_a (F_a - F_a')) is maximized over 0 <= M_a <= S; the closed-form

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,69 @@ def test_stack_lapack_failure_raises_no_convergence(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NoConvergenceError):
         linalg.positive_projector(_stack(rng, 3, 2))
+
+
+def _non_finite_cases():
+    inf = np.inf
+    cases = {
+        "nan-off-diagonal": [[0.0, np.nan], [0.0, 1.0]],
+        "inf-off-diagonal": [[0.0, inf], [0.0, 1.0]],
+        "minus-inf-off-diagonal": [[0.0, -inf], [0.0, 1.0]],
+        "inf-both-off-diagonals": [[0.0, inf], [inf, 1.0]],
+        "inf-diagonal": [[inf, 0.0], [0.0, 1.0]],
+        "complex-inf": [[0.0, complex(inf, inf)], [complex(inf, -inf), 1.0]],
+    }
+    return {k: np.array(v, dtype=complex) for k, v in cases.items()}
+
+
+@pytest.mark.parametrize("name", sorted(_non_finite_cases()))
+def test_non_finite_entries_raise_without_a_warning(name):
+    """Each non-finite pattern, alone or inside a stack, is rejected with the
+    non-finite message and no ``RuntimeWarning`` (inf - inf is NaN)."""
+    m = _non_finite_cases()[name]
+    stack = np.stack([np.eye(2, dtype=complex), m])
+    for a in (m, stack):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitianError, match="^matrix has non-finite entries$"):
+                linalg.eig_hermitian(a)
+
+
+def test_deviation_just_above_tol_rejected_at_unit_scale():
+    tol = 1e-9
+    for scale in (1.0, 0.5, 1e-6):  # max |m| <= 1: the tolerance is absolute
+        for offset, ok in ((0.9 * tol, True), (1.1 * tol, False)):
+            m = np.array([[0.0, scale], [scale + offset, 0.0]], dtype=complex)
+            if ok:
+                linalg.eig_hermitian(m, tol)
+            else:
+                with pytest.raises(NotHermitianError, match="deviates from Hermiticity by 1.100e-09"):
+                    linalg.eig_hermitian(m, tol)
+
+
+def test_tolerance_is_relative_to_each_members_largest_entry(rng):
+    """Above unit scale the tolerance grows with max |m|, so a product of
+    large entries passes; a large member does not loosen a small one."""
+    tol = 1e-9
+    big = 1e8 * random_hermitian(rng, 3)
+    top = np.abs(big).max()
+    for factor, ok in ((0.9, True), (1.1, False)):
+        m = big.copy()
+        m[0, 1] += factor * tol * top
+        if ok:
+            linalg.eig_hermitian(m, tol)
+        else:
+            with pytest.raises(NotHermitianError, match="deviates from Hermiticity"):
+                linalg.eig_hermitian(m, tol)
+    small = np.zeros((3, 3), dtype=complex)
+    small[0, 1] = 2 * tol
+    with pytest.raises(NotHermitianError, match="deviates from Hermiticity by 2.000e-09"):
+        linalg.eig_hermitian(np.stack([big, small]), tol)
+
+
+def test_guard_output_is_the_exact_symmetrization(rng):
+    for shape in ((3, 3), (5, 4, 4), (2, 3, 2, 2)):
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        m = (g + g.conj().swapaxes(-1, -2)) / 2.0 + 1e-12 * g
+        want = (m + m.conj().swapaxes(-1, -2)) / 2.0
+        assert np.array_equal(linalg._require_hermitian(m, linalg.HERMITICITY_TOL), want)

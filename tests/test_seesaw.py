@@ -1,12 +1,13 @@
 import importlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimwit import catalog
+from dimwit import catalog, linalg
 
 ss = importlib.import_module("dimwit.seesaw")
 from dimwit.errors import ConfigError, NotPSDError, WrongOutcomeCountError
@@ -555,3 +556,168 @@ def test_spawn_rng_counter_streams():
     a2 = spawn_rng(5, 0).normal(size=3)
     assert np.array_equal(a, a2)
     assert not np.array_equal(a, b)
+
+
+def _reference_exchange_pairs(ops, elements, counts):
+    """Reference exchange loop: always ``PAIR_PASSES`` full passes, the gain
+    as tr(P X) with P from ``positive_projector``, the new element as R P R."""
+    n, m, width, d, _ = elements.shape
+    elements = elements.copy().reshape(n * m, width, d, d)
+    ops = ops.reshape(n * m, width, d, d)
+    counts = np.tile(counts, n)
+    for _ in range(ss.PAIR_PASSES):
+        for a in range(width):
+            for a2 in range(a + 1, width):
+                s = elements[:, a] + elements[:, a2]
+                live = (counts > a2) & (np.abs(s).max(axis=(-1, -2)) >= 1e-15)
+                if not live.any():
+                    continue
+                rows = slice(None) if live.all() else np.flatnonzero(live)
+                s = s[rows]
+                delta = ops[rows, a] - ops[rows, a2]
+                root = s
+                drifted = np.abs(s @ s - s).max(axis=(-1, -2)) > ss.PROJECTOR_DRIFT_TOL
+                if drifted.any():
+                    root = s.copy()
+                    root[drifted] = linalg.psd_pseudo_sqrt(s[drifted], ss.EXCHANGE_TOL)
+                sandwiched = root @ delta @ root
+                pos = linalg.positive_projector(sandwiched, ss.EXCHANGE_TOL)
+                gain = np.trace(pos @ sandwiched, axis1=-2, axis2=-1).real
+                current = np.trace(elements[rows, a] @ delta, axis1=-2, axis2=-1).real
+                better = gain - current > 1e-13 * np.maximum(1.0, np.abs(current))
+                if not better.any():
+                    continue
+                if not better.all():
+                    rows = np.flatnonzero(live)[better]
+                    root, pos, s = root[better], pos[better], s[better]
+                new_a = root @ pos @ root
+                new_a = (new_a + new_a.conj().swapaxes(-1, -2)) / 2.0
+                elements[rows, a] = new_a
+                elements[rows, a2] = s - new_a
+    return elements.reshape(n, m, width, d, d)
+
+
+def _random_povm(rng, d, v, projective):
+    """v PSD elements summing to the identity: a random projective split, or
+    R^-1/2 G_k R^-1/2 for random PSD G_k with R their sum (no element, and
+    no pair sum, a projector)."""
+    if projective:
+        return np.stack(ss._random_projective_povm(d, v, rng))
+    g = rng.normal(size=(v, d, d)) + 1j * rng.normal(size=(v, d, d))
+    g = g @ g.conj().swapaxes(-1, -2)
+    eig = np.linalg.eigh(g.sum(axis=0))
+    inv_root = (eig.eigenvectors / np.sqrt(eig.eigenvalues)) @ eig.eigenvectors.conj().T
+    m = inv_root @ g @ inv_root
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _exchange_inputs(rng, members, counts, d, projective):
+    """Operators and POVMs in the (B, settings, width, d, d) layout of
+    ``party_operators``: outcomes past a setting's count are zero."""
+    width = max(counts)
+    ops = np.zeros((members, len(counts), width, d, d), dtype=complex)
+    povms = np.zeros_like(ops)
+    for i in range(members):
+        for x, v in enumerate(counts):
+            g = rng.normal(size=(v, d, d)) + 1j * rng.normal(size=(v, d, d))
+            ops[i, x, :v] = (g + g.conj().swapaxes(-1, -2)) / 2.0
+            povms[i, x, :v] = _random_povm(rng, d, v, projective)
+    return ops, povms, np.array(counts)
+
+
+def _objective(ops, povms):
+    return (povms * ops.conj()).real.sum(axis=(-1, -2, -3))
+
+
+def _assert_feasible(povms, counts):
+    d = povms.shape[-1]
+    for x, v in enumerate(counts):
+        assert np.abs(povms[:, x, v:]).max(initial=0.0) == 0.0
+        assert np.abs(povms[:, x].sum(axis=1) - np.eye(d)).max() < 1e-10
+        assert np.linalg.eigvalsh(povms[:, x, :v]).min() > -1e-10
+
+
+EXCHANGE_CASES = [
+    (101, (3, 4, 3), 2, True),
+    (102, (4, 3), 3, True),
+    (103, (3,), 3, False),
+    (104, (3, 4), 3, False),
+    (105, (4, 3, 4), 2, False),
+]
+
+
+@pytest.mark.parametrize("seed, counts, d, projective", EXCHANGE_CASES)
+def test_exchange_pairs_match_the_reference_loop(seed, counts, d, projective):
+    """On random ragged settings - padded outcomes, projective elements and
+    non-projector pair sums that take the square-root branch - the exchange
+    loop agrees with the loop that builds the positive projector."""
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        ops, povms, c = _exchange_inputs(rng, 5, counts, d, projective)
+        got = ss._exchange_pairs(ops, povms, c)
+        want = _reference_exchange_pairs(ops, povms, c)
+        assert np.abs(got - want).max() < 1e-10
+        assert not np.array_equal(got, povms)
+
+
+@pytest.mark.parametrize("seed, counts, d, projective", EXCHANGE_CASES)
+def test_exchange_pass_is_monotone_and_feasible(monkeypatch, seed, counts, d, projective):
+    """One pass at a time: every member's objective never decreases and its
+    POVMs stay PSD, sum to the identity and keep padded outcomes zero."""
+    monkeypatch.setattr(ss, "PAIR_PASSES", 1)
+    rng = np.random.default_rng(seed + 100)
+    ops, povms, c = _exchange_inputs(rng, 5, counts, d, projective)
+    value = _objective(ops, povms)
+    for _ in range(6):
+        povms = ss._exchange_pairs(ops, povms, c)
+        _assert_feasible(povms, counts)
+        new = _objective(ops, povms)
+        assert (new >= value - 1e-12).all()
+        value = new
+
+
+@pytest.mark.parametrize("counts, d", [((3, 4, 3), 2), ((4, 3), 3)])
+def test_exchange_fixed_point_is_returned_after_one_pass(monkeypatch, counts, d):
+    """Repeated calls on fixed operators reach elements that a call returns
+    bit for bit; fed back in, such a fixed point costs a single pass of
+    eigensolves and comes back unchanged."""
+    rng = np.random.default_rng(31)
+    ops, povms, c = _exchange_inputs(rng, 4, counts, d, True)
+    for _ in range(200):
+        out = ss._exchange_pairs(ops, povms, c)
+        if np.array_equal(out, povms):
+            break
+        povms = out
+    else:
+        raise AssertionError("no fixed point within 200 calls")
+    real = linalg.eig_hermitian
+
+    def eigensolves(passes):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "eig_hermitian", counting)
+            patch.setattr(ss, "PAIR_PASSES", passes)
+            again = ss._exchange_pairs(ops, out, c)
+        assert np.array_equal(again, out)
+        return len(calls)
+
+    assert 0 < eigensolves(ss.PAIR_PASSES) == eigensolves(1)
+
+
+@pytest.mark.parametrize("name", ["cglmp-c", "E"])
+def test_large_coefficients_do_not_abort(name):
+    """The see-saw's own products drift from Hermitian by about 1e-16 |C|;
+    with a relative Hermiticity tolerance a functional scaled by 1e8 runs
+    without an abort and finds the unscaled value times 1e8."""
+    f = catalog.by_name(name)
+    cfg = SeesawConfig(restarts=8, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = seesaw(f.scaled(1e8), 3, 3, cfg)
+    assert scaled.aborted == {}
+    assert abs(scaled.best_value / 1e8 - seesaw(f, 3, 3, cfg).best_value) < 1e-9
