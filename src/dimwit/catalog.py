@@ -230,8 +230,8 @@ def witness_report(
     """
     if d < 2:
         raise ConfigError(f"witness dimension must be >= 2, got {d}")
-    if not math.isfinite(gap_threshold):
-        raise ConfigError(f"gap threshold must be finite, got {gap_threshold}")
+    if not 0.0 <= gap_threshold < math.inf:
+        raise ConfigError(f"gap threshold must be finite and >= 0, got {gap_threshold}")
     cfg = SeesawConfig() if cfg is None else cfg
     bound, _ = local_bound(f)
     value_d = seesaw(f, d, d, cfg, jobs=jobs).best_value

@@ -333,8 +333,8 @@ def _add_seesaw_knobs(p: argparse.ArgumentParser, fixed_state: bool = False) -> 
         "--jobs",
         type=int,
         default=_jobs_default(),
-        help="worker processes (>= 1); the pool maps over batches of restarts and "
-        "is used only when there are at least two batches",
+        help="worker processes (>= 1), at most one per 16 restarts; each runs a "
+        "contiguous range of restarts in lockstep, and the pool starts only with two or more",
     )
     if fixed_state:
         p.add_argument("--fixed-theta", type=float, default=None, help="pin state cos(t)|00>+sin(t)|11> (2x2 only)")

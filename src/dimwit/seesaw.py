@@ -15,18 +15,19 @@ optimally.  Every step is a closed-form eigenproblem, so the objective is
 non-decreasing and every iterate is a feasible model - values are honest
 lower bounds on the dimension-restricted maximum, found heuristically.
 
-Restarts run in lockstep batches.  ``seesaw`` cuts the restart indices into
-consecutive batches of ``RESTART_BATCH``.  A batch holds its active members,
-in restart order, as whole arrays: states as one (B, d_a d_b) array and each
-party's POVMs as one (B, settings + 1, width, d, d) array in the
+Restarts run in lockstep batches.  ``seesaw`` gives each worker one
+contiguous range of restart indices and runs it as one batch, cut further
+only where ``BATCH_CELLS`` bounds a batch's memory.  A batch holds its active
+members, in restart order, as whole arrays: states as one (B, d_a d_b) array
+and each party's POVMs as one (B, settings + 1, width, d, d) array in the
 ``povm_stack`` layout.  The functional's contraction matrices are built once
 per batch, so each step above is a few stacked contractions and eigensolves
 on those arrays.  A member that converges or is aborted is built into a model
-and its rows are dropped.  Every stacked operation acts member by member, so
-a restart's iterates do not depend on its batch; ``refine`` is the same loop
-on a batch of one.  If a stacked step raises a linear-algebra error, that step
-is re-run member by member and only the members that raise are aborted.  A
-process pool, when asked for, maps over batches, when there are two or more.
+and its rows are dropped, so stragglers share their calls until the last one
+stops.  Every stacked operation acts member by member, so a restart's
+iterates do not depend on its batch; ``refine`` is the same loop on a batch
+of one.  If a stacked step raises a linear-algebra error, that step is re-run
+member by member and only the members that raise are aborted.
 """
 
 from __future__ import annotations
@@ -59,11 +60,11 @@ PREVIOUS_STATE_MIN_OVERLAP = 1e-6
 EXCHANGE_TOL = 1e-9
 #: max |S@S - S| under which a pair sum is treated as an exact projector.
 PROJECTOR_DRIFT_TOL = 1e-11
-#: Restarts per lockstep batch.  Batches are cut from the restart indices
-#: alone, never from ``jobs``, and a member's result does not depend on its
-#: batch, so this trades memory against per-call overhead without changing
-#: any result.
+#: Restarts per worker before ``seesaw`` adds another, and the floor of the
+#: batch bound below; a member's result does not depend on its batch.
 RESTART_BATCH = 16
+#: A batch above that floor holds at most this many Bell-operator entries.
+BATCH_CELLS = 1 << 16
 #: Round-robin passes, at most, over the outcome pairs of a setting with three
 #: or more outcomes in each measurement update; the passes stop early once one
 #: changes no element.
@@ -463,14 +464,15 @@ def seesaw(
     """Best lower bound on the (d_a, d_b)-dimensional maximum of ``f`` over
     ``cfg.restarts`` independent restarts.
 
-    The restart indices are cut into consecutive batches of
-    ``RESTART_BATCH``, and each batch runs in lockstep (see the module
-    docstring).  With ``jobs`` > 1 and at least two batches, a process pool
-    of at most ``jobs`` workers maps over the batches.  Restarts use
-    counter-derived RNG streams, a member's arithmetic does not depend on its
-    batch, and results merge by max with ties going to the earliest restart,
-    so serial and parallel runs agree exactly.  Linear-algebra failures abort
-    only the affected restart (with a warning).
+    The restart indices are cut into the fewest near-equal contiguous ranges
+    that give each of ``min(jobs, ceil(restarts / RESTART_BATCH))`` workers
+    one and hold at most ``max(RESTART_BATCH, BATCH_CELLS // (d_a d_b)^2)``
+    each; a range runs in lockstep as one batch (see the module docstring),
+    and two or more workers map over the ranges in a process pool.  Restarts
+    use counter-derived RNG streams, a member's arithmetic does not depend on
+    its batch, and results merge by max with ties going to the earliest
+    restart, so serial and parallel runs agree exactly.  Linear-algebra
+    failures abort only the affected restart (with a warning).
     """
     cfg = SeesawConfig() if cfg is None else cfg
     if jobs < 1:
@@ -478,15 +480,13 @@ def seesaw(
     if d_a < 2 or d_b < 2:
         raise ConfigError(f"local dimensions must be >= 2, got ({d_a},{d_b})")
     if cfg.fixed_state is not None and cfg.fixed_state.size != d_a * d_b:
-        raise ConfigError(
-            f"fixed_state has length {cfg.fixed_state.size}, expected {d_a * d_b}"
-        )
-    tasks = [
-        (f, d_a, d_b, cfg, range(start, min(start + RESTART_BATCH, cfg.restarts)))
-        for start in range(0, cfg.restarts, RESTART_BATCH)
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        raise ConfigError(f"fixed_state has length {cfg.fixed_state.size}, expected {d_a * d_b}")
+    workers = min(jobs, -(-cfg.restarts // RESTART_BATCH))
+    n_ranges = max(workers, -(-cfg.restarts // max(RESTART_BATCH, BATCH_CELLS // (d_a * d_b) ** 2)))
+    cuts = [cfg.restarts * i // n_ranges for i in range(n_ranges + 1)]
+    tasks = [(f, d_a, d_b, cfg, range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_batch_task, tasks))
     else:
         batches = [_batch_task(t) for t in tasks]

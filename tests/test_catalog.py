@@ -153,7 +153,7 @@ def test_witness_report_not_witnessed_for_chsh():
         catalog.witness_report(catalog.chsh(), 1, cfg)
 
 
-@pytest.mark.parametrize("threshold", [math.nan, math.inf])
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -5.0, -1e-3])
 def test_witness_report_rejects_non_finite_threshold(no_restarts, threshold):
     with pytest.raises(ConfigError, match="threshold"):
         catalog.witness_report(catalog.chsh(), 2, SeesawConfig(restarts=2), gap_threshold=threshold)

@@ -271,9 +271,10 @@ def test_witness_cli_iphi_witnessed(capsys):
     assert payload["gap"] > 0.01
 
 
-@pytest.mark.parametrize("threshold", ["nan", "inf"])
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-5", "-1e-3"])
 def test_witness_cli_rejects_non_finite_threshold(capsys, no_restarts, threshold):
-    code, out, err = run_cli(capsys, "witness", "chsh", "--d", "2", "--threshold", threshold)
+    # "--threshold=" form: argparse reads a bare "-1e-3" as an option.
+    code, out, err = run_cli(capsys, "witness", "chsh", "--d", "2", f"--threshold={threshold}")
     assert code == 5
     assert out == "" and "threshold" in err
 

@@ -297,10 +297,64 @@ def assert_same_result(r1, r2):
 
 
 def test_seesaw_parallel_matches_serial():
-    # Three batches, the last one partial, so the pool really runs.
+    # 35 restarts give two workers uneven ranges, so the pool really runs.
     f = catalog.expression_E()
     cfg = SeesawConfig(restarts=2 * RESTART_BATCH + 3, seed=21)
     assert_same_result(seesaw(f, 2, 2, cfg, jobs=1), seesaw(f, 2, 2, cfg, jobs=2))
+
+
+def test_pool_starts_only_with_two_or_more_workers(monkeypatch):
+    """The pool starts only for two or more workers, at most one per
+    ``RESTART_BATCH`` restarts, and gives each one near-equal contiguous
+    range."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.ranges = []
+            pools.append((max_workers, self.ranges))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            self.ranges.extend(task[-1] for task in tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(ss, "ProcessPoolExecutor", RecordingPool)
+    f = catalog.chsh()
+    for restarts in (4, RESTART_BATCH):
+        seesaw(f, 2, 2, SeesawConfig(restarts=restarts, max_iterations=2), jobs=2)
+    assert pools == []
+    cfg = SeesawConfig(restarts=37, max_iterations=2)
+    parallel = seesaw(f, 2, 2, cfg, jobs=3)
+    (workers, ranges), = pools
+    assert workers == 3 and sorted(map(len, ranges)) == [12, 12, 13]
+    assert [i for r in ranges for i in r] == list(range(37))
+    assert_same_result(parallel, seesaw(f, 2, 2, cfg, jobs=1))
+
+
+def test_batches_stay_within_the_cell_bound(monkeypatch):
+    """A serial run is one lockstep batch unless ``BATCH_CELLS`` caps it."""
+    sizes = []
+    real = ss._lockstep
+
+    def recording(f, models, cfg):
+        sizes.append(len(models))
+        return real(f, models, cfg)
+
+    monkeypatch.setattr(ss, "_lockstep", recording)
+    cfg = SeesawConfig(restarts=40, max_iterations=1)
+    seesaw(catalog.chsh(), 3, 3, cfg)
+    assert sizes == [40]
+    sizes.clear()
+    seesaw(catalog.chsh(), 8, 8, cfg)
+    assert sum(sizes) == 40
+    assert max(sizes) <= max(RESTART_BATCH, ss.BATCH_CELLS // 64**2)
 
 
 def test_seesaw_rejects_non_positive_jobs():
@@ -331,11 +385,13 @@ def batch_functional(kind, seed):
 )
 def test_restart_alone_equals_restart_in_full_batch(kind, d_a, d_b, seed):
     """A restart's value, iteration count, converged flag and model are
-    bit-identical whether ``refine`` runs it alone or it runs in a batch."""
+    bit-identical whether ``refine`` runs it alone or it runs in a batch
+    more than twice ``RESTART_BATCH`` wide."""
     f = batch_functional(kind, seed)
     cfg = SeesawConfig(seed=seed, max_iterations=60)
-    batch = ss._batch_task((f, d_a, d_b, cfg, range(RESTART_BATCH)))
-    starts = seeded_models(f.scenario, d_a, d_b, seed, RESTART_BATCH)
+    size = 2 * RESTART_BATCH + 5
+    batch = ss._batch_task((f, d_a, d_b, cfg, range(size)))
+    starts = seeded_models(f.scenario, d_a, d_b, seed, size)
     for start, (index, value, model, iterations, converged, error) in zip(starts, batch):
         assert error is None
         alone = refine(f, start, cfg)
