@@ -28,6 +28,7 @@ import re
 import numpy as np
 
 from .errors import (
+    InvalidScenarioError,
     InvalidTableError,
     MissingScenarioError,
     NonNumericError,
@@ -97,7 +98,7 @@ def parse_functional(text: str) -> BellFunctional:
             outcomes_b = tuple(int(v) for v in re.split(r"\s*,\s*", m.group(2)))
             try:
                 sc = BellScenario(outcomes_a, outcomes_b)
-            except ValueError as exc:
+            except InvalidScenarioError as exc:
                 raise ParseError(str(exc), line=lineno, column=1) from exc
             c = np.zeros(_coefficient_shape(sc))
             continue
@@ -260,7 +261,7 @@ def parse_table_csv(text: str, renormalize: bool = False) -> ProbabilityTable:
         outcomes_b[y] = max(outcomes_b[y], b + 1)
     try:
         scenario = BellScenario(tuple(outcomes_a), tuple(outcomes_b))
-    except ValueError as exc:
+    except InvalidScenarioError as exc:
         raise InvalidTableError(f"inferred scenario is invalid: {exc}") from exc
     blocks = []
     for x in range(settings_a):

@@ -2,9 +2,13 @@
 
 Subcommands: eval, local-bound, seesaw, curve, witness, catalog, grothendieck.
 Machine-readable output is JSON with a top-level ``schema: 1`` and an embedded
-run manifest (CSV outputs get a ``<file>.manifest.json`` sidecar); identical
-command lines with the same seed produce byte-identical output apart from the
-manifest's ``duration_s``.
+run manifest (CSV outputs get a ``<file>.manifest.json`` sidecar).  The
+manifest holds ``command``, the argv ``main`` received (``sys.argv[1:]`` when
+called with none); ``seed``, the resolved seed (``--seed``, then
+``DIMWIT_SEED``, then 0; null for commands without one); ``config``, every
+other parsed option with its defaults resolved; ``version``; and
+``duration_s``.  Identical command lines with the same seed produce
+byte-identical output apart from the manifest's ``duration_s``.
 
 Exit codes: 0 success (witness: Witnessed), 1 witness NotWitnessed, 2 parse or
 input error, 3 scenario/signaling mismatch, 4 enumeration space too large,
@@ -15,12 +19,13 @@ of its error type in ``dimwit.errors``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,34 +37,32 @@ from .seesaw import SeesawConfig, seesaw
 
 DEFAULT_SEED = 0
 
-
-@dataclass
-class _Manifest:
-    argv: list[str]
-    seed: int | None
-    config: dict
-    started: float
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.argv,
-            "seed": self.seed,
-            "config": self.config,
-            "version": __version__,
-            "duration_s": round(time.monotonic() - self.started, 6),
-        }
+# Namespace entries kept out of ``config``: the handler, the subcommand name
+# (the manifest's ``command`` is the whole argv), what ``main`` records, and
+# the seed, which has its own manifest key.
+_INTERNAL = ("fn", "command", "argv", "started", "seed")
 
 
-def _emit_json(payload: dict, manifest: _Manifest) -> None:
+def _manifest(args) -> dict:
+    return {
+        "command": args.argv,
+        "seed": getattr(args, "seed", None),
+        "config": {k: v for k, v in vars(args).items() if k not in _INTERNAL},
+        "version": __version__,
+        "duration_s": round(time.monotonic() - args.started, 6),
+    }
+
+
+def _emit_json(payload: dict, args) -> None:
     payload = dict(payload)
     payload["schema"] = 1
-    payload["manifest"] = manifest.to_dict()
+    payload["manifest"] = _manifest(args)
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
+def _resolve_seed(seed: int | None) -> int:
+    if seed is not None:
+        return seed
     env = os.environ.get("DIMWIT_SEED")
     if env is not None:
         try:
@@ -88,6 +91,10 @@ def _load_functional(arg: str):
 
 
 def _jobs_default() -> int:
+    # The CPUs this process may run on: an affinity mask can allow fewer
+    # than the machine has.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -98,7 +105,6 @@ def _format_value(v: float) -> str:
 
 
 def cmd_eval(args) -> int:
-    manifest = _Manifest(sys.argv[1:], None, {"policy": args.policy}, time.monotonic())
     functional, _ = _load_functional(args.functional)
     table = bellfmt.parse_table_csv(
         Path(args.table).read_text(encoding="utf-8"), renormalize=args.renormalize
@@ -107,14 +113,13 @@ def cmd_eval(args) -> int:
     value = evaluate(functional, table, policy)
     if args.json:
         payload = {"value": value, "renormalized": table.was_renormalized}
-        _emit_json(payload, manifest)
+        _emit_json(payload, args)
     else:
         print(_format_value(value))
     return 0
 
 
 def cmd_local_bound(args) -> int:
-    manifest = _Manifest(sys.argv[1:], None, {"cap": args.cap, "min": args.min}, time.monotonic())
     functional, name = _load_functional(args.functional)
     if args.min:
         value, strategy = localbound.local_bound_min(functional, args.cap)
@@ -131,7 +136,7 @@ def cmd_local_bound(args) -> int:
                     "assignment_b": list(strategy.assignment_b),
                 },
             },
-            manifest,
+            args,
         )
     else:
         print(_format_value(value))
@@ -139,9 +144,9 @@ def cmd_local_bound(args) -> int:
     return 0
 
 
-def _seesaw_config(args, d_a: int, d_b: int) -> tuple[SeesawConfig, int, dict]:
-    seed = _resolve_seed(args)
-    restarts = args.restarts if args.restarts is not None else _default_restarts(d_a, d_b)
+def _seesaw_config(args, d_a: int, d_b: int) -> SeesawConfig:
+    if args.restarts is None:
+        args.restarts = _default_restarts(d_a, d_b)
     fixed_state = None
     if getattr(args, "fixed_theta", None) is not None and getattr(args, "fixed_gamma", None) is not None:
         raise ConfigError("--fixed-theta and --fixed-gamma are mutually exclusive")
@@ -153,27 +158,16 @@ def _seesaw_config(args, d_a: int, d_b: int) -> tuple[SeesawConfig, int, dict]:
         if (d_a, d_b) != (3, 3):
             raise ConfigError("--fixed-gamma requires --da 3 --db 3")
         fixed_state = catalog.gamma_state(args.fixed_gamma)
-    cfg = SeesawConfig(
-        restarts=restarts,
+    return SeesawConfig(
+        restarts=args.restarts,
         max_iterations=args.max_iterations,
-        seed=seed,
+        seed=args.seed,
         fixed_state=fixed_state,
     )
-    echo = {
-        "restarts": restarts,
-        "max_iterations": args.max_iterations,
-        "d_a": d_a,
-        "d_b": d_b,
-        "jobs": args.jobs,
-        "fixed_theta": getattr(args, "fixed_theta", None),
-        "fixed_gamma": getattr(args, "fixed_gamma", None),
-    }
-    return cfg, seed, echo
 
 
 def cmd_seesaw(args) -> int:
-    cfg, seed, echo = _seesaw_config(args, args.da, args.db)
-    manifest = _Manifest(sys.argv[1:], seed, echo, time.monotonic())
+    cfg = _seesaw_config(args, args.da, args.db)
     functional, name = _load_functional(args.functional)
     result = seesaw(functional, args.da, args.db, cfg, jobs=args.jobs)
     # An aborted restart has no value: JSON gets null (never the invalid
@@ -195,7 +189,7 @@ def cmd_seesaw(args) -> int:
                 "iterations_used": list(result.iterations_used),
                 "converged_flags": list(result.converged_flags),
             },
-            manifest,
+            args,
         )
     else:
         print(f"best value ({catalog.HEURISTIC_LABEL}): {_format_value(result.best_value)}")
@@ -229,16 +223,8 @@ def cmd_curve(args) -> int:
             dims.append(d)
     if not dims:
         raise ConfigError("no dimensions given")
-    cfg, seed, _ = _seesaw_config(args, max(dims), max(dims))
-    echo = {
-        "steps": args.steps,
-        "dims": dims,
-        "restarts": cfg.restarts,
-        "phi_min": args.phi_min,
-        "phi_max": args.phi_max,
-        "jobs": args.jobs,
-    }
-    manifest = _Manifest(sys.argv[1:], seed, echo, time.monotonic())
+    args.dims = dims
+    cfg = _seesaw_config(args, max(dims), max(dims))
     # An infinite end makes linspace warn; iphi_sweep rejects the grid.
     with np.errstate(invalid="ignore"):
         phis = np.linspace(args.phi_min, args.phi_max, args.steps)
@@ -251,32 +237,21 @@ def cmd_curve(args) -> int:
     out = Path(args.out)
     out.write_text(text, encoding="utf-8")
     out.with_suffix(out.suffix + ".manifest.json").write_text(
-        json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(_manifest(args), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
 def cmd_witness(args) -> int:
-    cfg, seed, echo = _seesaw_config(args, args.d, args.d)
-    echo["threshold"] = args.threshold
-    manifest = _Manifest(sys.argv[1:], seed, echo, time.monotonic())
+    cfg = _seesaw_config(args, args.d, args.d)
     functional, name = _load_functional(args.functional)
     report = catalog.witness_report(
         functional, args.d, cfg, gap_threshold=args.threshold, functional_id=name, jobs=args.jobs
     )
-    payload = {
-        "functional": report.functional_id,
-        "dimension": report.dimension,
-        "local_bound": report.local_bound,
-        "value_d": report.value_d,
-        "value_d_plus": report.value_d_plus,
-        "gap": report.gap,
-        "threshold": report.threshold,
-        "verdict": report.verdict,
-        "value_label": report.value_label,
-    }
-    _emit_json(payload, manifest)
+    payload = dataclasses.asdict(report)
+    payload["functional"] = payload.pop("functional_id")
+    _emit_json(payload, args)
     return 0 if report.witnessed() else 1
 
 
@@ -292,14 +267,11 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_grothendieck(args) -> int:
-    seed = _resolve_seed(args)
-    echo = {"n": args.n, "restarts": args.restarts, "max_iterations": args.max_iterations}
-    manifest = _Manifest(sys.argv[1:], seed, echo, time.monotonic())
     raw = bellfmt.parse_correlation_matrix(Path(args.matrix).read_text(encoding="utf-8"))
     cfg = SeesawConfig(
         restarts=args.restarts,
         max_iterations=args.max_iterations,
-        seed=seed,
+        seed=args.seed,
     )
     norm, value, strategy = grothendieck.search(raw.matrix, args.n, cfg)
     if args.json:
@@ -314,7 +286,7 @@ def cmd_grothendieck(args) -> int:
                 "x_vectors": [[float(v) for v in row] for row in strategy.x_vectors],
                 "y_vectors": [[float(v) for v in row] for row in strategy.y_vectors],
             },
-            manifest,
+            args,
         )
     else:
         print(f"local_norm: {_format_value(norm)}")
@@ -325,6 +297,15 @@ def cmd_grothendieck(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes ``-1e-3`` for a negative number as it does ``-1``: argparse's own
+    pattern has no exponent form.  No dimwit option looks like a number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_seesaw_knobs(p: argparse.ArgumentParser, fixed_state: bool = False) -> None:
     p.add_argument("--restarts", type=int, default=None, help="random restarts (default scales with dimension)")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: DIMWIT_SEED, then 0)")
@@ -333,8 +314,9 @@ def _add_seesaw_knobs(p: argparse.ArgumentParser, fixed_state: bool = False) -> 
         "--jobs",
         type=int,
         default=_jobs_default(),
-        help="worker processes (>= 1), at most one per 16 restarts; each runs a "
-        "contiguous range of restarts in lockstep, and the pool starts only with two or more",
+        help="worker processes (>= 1; default: the CPUs this process may run on), at most "
+        "one per 16 restarts; each runs a contiguous range of restarts in lockstep, and the "
+        "pool starts only with two or more",
     )
     if fixed_state:
         p.add_argument("--fixed-theta", type=float, default=None, help="pin state cos(t)|00>+sin(t)|11> (2x2 only)")
@@ -342,7 +324,7 @@ def _add_seesaw_knobs(p: argparse.ArgumentParser, fixed_state: bool = False) -> 
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dimwit", description=__doc__.split("\n\n")[0])
+    parser = _Parser(prog="dimwit", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"dimwit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -403,9 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    started = time.monotonic()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv, args.started = argv, started
     try:
+        if "seed" in vars(args):
+            args.seed = _resolve_seed(args.seed)
         return args.fn(args)
     except DimwitError as exc:
         print(f"error: {exc}", file=sys.stderr)

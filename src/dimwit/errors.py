@@ -23,6 +23,10 @@ class DimensionMismatchError(DimwitError):
     """Operator or vector dimensions are inconsistent."""
 
 
+class InvalidScenarioError(DimwitError, ValueError):
+    """Scenario has a party without settings or a setting with fewer than two outcomes."""
+
+
 class ScenarioMismatchError(DimwitError):
     """Functional and table (or model) belong to different scenarios."""
 

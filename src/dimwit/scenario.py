@@ -32,6 +32,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidFunctionalError,
     InvalidModelError,
+    InvalidScenarioError,
     InvalidTableError,
     ScenarioMismatchError,
     SignalingError,
@@ -62,9 +63,9 @@ class BellScenario:
         object.__setattr__(self, "outcomes_a", tuple(int(v) for v in self.outcomes_a))
         object.__setattr__(self, "outcomes_b", tuple(int(v) for v in self.outcomes_b))
         if not self.outcomes_a or not self.outcomes_b:
-            raise ValueError("each party needs at least one setting")
+            raise InvalidScenarioError("each party needs at least one setting")
         if min(self.outcomes_a) < 2 or min(self.outcomes_b) < 2:
-            raise ValueError("every setting needs at least two outcomes")
+            raise InvalidScenarioError("every setting needs at least two outcomes")
 
     @property
     def settings_a(self) -> int:

@@ -118,6 +118,9 @@ def test_parse_errors_carry_location():
     assert "P(0 2|0 0)" in str(err.value) and err.value.line == 2
     with pytest.raises(ParseError):
         bellfmt.parse_functional("scenario A:2 B:2\nscenario A:2 B:2\n")
+    with pytest.raises(ParseError) as err:
+        bellfmt.parse_functional("# one outcome\nscenario A:2,1 B:2\n")
+    assert "two outcomes" in str(err.value) and err.value.line == 2
 
 
 def test_first_fault_by_line_is_reported():
@@ -243,6 +246,8 @@ def test_table_csv_errors():
     rows = header + "0,0,0,0,0.5\n0,0,0,1,0.25\n0,0,1,0,0.25\n"
     with pytest.raises(InvalidTableError):
         bellfmt.parse_table_csv(rows)
+    with pytest.raises(InvalidTableError, match="inferred scenario is invalid"):
+        bellfmt.parse_table_csv(header + "0,0,0,0,1\n")
 
 
 def test_uniform_table_round_trip():

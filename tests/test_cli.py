@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -273,10 +274,10 @@ def test_witness_cli_iphi_witnessed(capsys):
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-5", "-1e-3"])
 def test_witness_cli_rejects_non_finite_threshold(capsys, no_restarts, threshold):
-    # "--threshold=" form: argparse reads a bare "-1e-3" as an option.
-    code, out, err = run_cli(capsys, "witness", "chsh", "--d", "2", f"--threshold={threshold}")
-    assert code == 5
-    assert out == "" and "threshold" in err
+    for option in ([f"--threshold={threshold}"], ["--threshold", threshold]):
+        code, out, err = run_cli(capsys, "witness", "chsh", "--d", "2", *option)
+        assert code == 5
+        assert out == "" and "threshold" in err
 
 
 def test_curve_cli(tmp_path, capsys):
@@ -322,6 +323,17 @@ def test_curve_cli_rejects_non_finite_phi(tmp_path, capsys, no_restarts, flag, v
     assert code == 5
     assert "non-finite angle" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_curve_cli_takes_negative_exponent_angles(tmp_path, capsys):
+    out_path = tmp_path / "c.csv"
+    code, _, err = run_cli(
+        capsys,
+        "curve", "--phi-min", "-1e-3", "--phi-max", "1e-3", "--steps", "2", "--dims", "2",
+        "--restarts", "1", "--max-iterations", "1", "--jobs", "1", "--out", str(out_path),
+    )
+    assert (code, err) == (0, "")
+    assert [line.split(",")[0] for line in out_path.read_text().splitlines()] == ["phi", "-0.001", "0.001"]
 
 
 def test_curve_cli_rows_at_zero_and_quarter_pi(tmp_path, capsys):
@@ -407,6 +419,79 @@ def test_grothendieck_cli_rejects_bad_options_before_enumerating(
     options[options.index(flag) + 1] = "0"
     code, out, _ = run_cli(capsys, "grothendieck", "-m", str(m_path), *options)
     assert (code, out) == (errors.ConfigError.exit_code, "")
+
+
+MANIFEST_KEYS = {"command", "seed", "config", "version", "duration_s"}
+
+
+@pytest.mark.parametrize("command", ["eval", "local-bound", "seesaw", "witness", "grothendieck", "curve"])
+def test_manifest_records_the_argv_given_to_main(tmp_path, capsys, monkeypatch, command):
+    """Each JSON document (and the curve's sidecar) is strict JSON whose
+    manifest has exactly the five keys and records main's own argv, not the
+    process's command line."""
+    monkeypatch.setattr(sys, "argv", ["dimwit", "extra-arg"])
+    m_path = tmp_path / "chsh.csv"
+    m_path.write_text("1,1\n1,-1\n", encoding="utf-8")
+    out_path = tmp_path / "curve.csv"
+    quick = ["--restarts", "2", "--max-iterations", "2"]
+    argv = {
+        "eval": ["eval", "chsh", str(write_uniform_table(tmp_path, catalog.chsh())), "--json"],
+        "local-bound": ["local-bound", "chsh", "--min", "--json"],
+        "seesaw": ["seesaw", "chsh", "--da", "2", "--db", "2", *quick, "--jobs", "1", "--json"],
+        "witness": ["witness", "chsh", "--d", "2", *quick, "--jobs", "1"],
+        "grothendieck": ["grothendieck", "-m", str(m_path), "--n", "2", *quick, "--json"],
+        "curve": ["curve", "--steps", "2", "--dims", "2", *quick, "--jobs", "1", "--out", str(out_path)],
+    }[command]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code in (0, 1)
+    if command == "curve":
+        out = out_path.with_suffix(".csv.manifest.json").read_text(encoding="utf-8")
+    document = json.loads(out, parse_constant=_reject_constant)
+    manifest = document if command == "curve" else document["manifest"]
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == argv
+
+
+def test_main_without_argv_reads_the_process_command_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["dimwit", "local-bound", "chsh", "--json"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["manifest"]["command"] == ["local-bound", "chsh", "--json"]
+
+
+def test_manifest_config_holds_every_option_with_defaults_resolved(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DIMWIT_SEED", "9")
+    out_path = tmp_path / "c.csv"
+    code, _, _ = run_cli(
+        capsys,
+        "curve", "--steps", "1", "--dims", "3, 2", "--max-iterations", "1", "--jobs", "1",
+        "--out", str(out_path),
+    )
+    assert code == 0
+    manifest = json.loads(out_path.with_suffix(".csv.manifest.json").read_text())
+    assert manifest["seed"] == 9
+    assert manifest["config"] == {
+        "steps": 1, "dims": [3, 2], "phi_min": 0.0, "phi_max": math.pi, "out": str(out_path),
+        "restarts": 150, "max_iterations": 1, "jobs": 1,
+    }
+    code, out, _ = run_cli(
+        capsys, "seesaw", "chsh", "--da", "3", "--db", "2", "--max-iterations", "1", "--jobs", "1", "--json"
+    )
+    assert code == 0
+    manifest = json.loads(out)["manifest"]
+    assert manifest["seed"] == 9
+    assert manifest["config"] == {
+        "functional": "chsh", "da": 3, "db": 2, "restarts": 150, "max_iterations": 1, "jobs": 1,
+        "fixed_theta": None, "fixed_gamma": None, "json": True,
+    }
+
+
+def test_jobs_default_counts_the_cpus_the_process_may_use(capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    code, out, _ = run_cli(
+        capsys, "seesaw", "chsh", "--da", "2", "--db", "2", "--restarts", "2", "--max-iterations", "1", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["manifest"]["config"]["jobs"] == 1
 
 
 # Payloads, with the input path and ``manifest`` removed, of the two

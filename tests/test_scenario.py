@@ -7,6 +7,7 @@ from dimwit import catalog, linalg, scenario
 from dimwit.errors import (
     InvalidFunctionalError,
     InvalidModelError,
+    InvalidScenarioError,
     InvalidTableError,
     ScenarioMismatchError,
     SignalingError,
@@ -33,6 +34,14 @@ def test_scenario_validation():
         BellScenario((), (2,))
     with pytest.raises(ValueError):
         BellScenario((2, 1), (2,))
+
+
+@pytest.mark.parametrize("outcomes_a", [(), (2, 1)])
+def test_invalid_scenario_error_is_typed(outcomes_a):
+    # A DimwitError for library callers, and still a ValueError.
+    with pytest.raises(InvalidScenarioError) as info:
+        BellScenario(outcomes_a, (2,))
+    assert isinstance(info.value, ValueError) and info.value.exit_code == 2
 
 
 def test_evaluate_cglmp_on_uniform():
