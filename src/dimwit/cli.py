@@ -121,10 +121,7 @@ def cmd_eval(args) -> int:
 
 def cmd_local_bound(args) -> int:
     functional, name = _load_functional(args.functional)
-    if args.min:
-        value, strategy = localbound.local_bound_min(functional, args.cap)
-    else:
-        value, strategy = localbound.local_bound(functional, args.cap)
+    value, strategy = (localbound.local_bound_min if args.min else localbound.local_bound)(functional)
     if args.json:
         _emit_json(
             {
@@ -339,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("local-bound", help="exact classical bound by enumeration")
     p.add_argument("functional")
     p.add_argument("--min", action="store_true", help="minimum instead of maximum")
-    p.add_argument("--cap", type=int, default=localbound.DEFAULT_STRATEGY_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_local_bound)
 

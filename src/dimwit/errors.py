@@ -64,7 +64,7 @@ class ConfigError(DimwitError):
 
 
 class StrategySpaceTooLargeError(DimwitError):
-    """Deterministic-strategy enumeration would exceed the configured cap."""
+    """The deterministic-strategy search would exceed ``localbound.ENUMERATION_CAP``."""
 
     exit_code = 4
 
@@ -103,8 +103,3 @@ class NonNumericError(ParseError):
 class ZeroMatrixError(DimwitError):
     """Correlation matrix has zero sign-enumeration norm and cannot be normalized."""
 
-
-class MatrixTooLargeError(DimwitError):
-    """Correlation matrix exceeds the exact sign-enumeration size cap."""
-
-    exit_code = 4

@@ -8,10 +8,11 @@ normalized form over unit vectors in R^N (c_ij = x_i . y_j) is then a lower
 bound on the order-N Grothendieck constant.  N = 3 corresponds to projective
 qubit measurements on a maximally entangled pair.
 
-The sign enumeration is ``localbound``'s on ``correlator_bell(M)``, which
-flipping every sign leaves unchanged, so it scores only the 2^(m-1) sign
-vectors x with x_0 fixed.  The unit-vector search runs all its restarts in
-lockstep on stacked (restarts, m, N) arrays.
+The sign enumeration is ``localbound.local_bound`` on ``correlator_bell(M)``,
+which flipping every sign leaves unchanged, so it scores only the 2^(m-1)
+sign vectors x with x_0 fixed, under the search's one cap (m <= 26).  The
+unit-vector search runs all its restarts in lockstep on stacked
+(restarts, m, N) arrays.
 """
 
 from __future__ import annotations
@@ -20,13 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MatrixTooLargeError, ZeroMatrixError
-from .localbound import _best_strategy, strategy_value
+from .errors import ConfigError, ZeroMatrixError
+from .localbound import check_enumeration, local_bound
 from .scenario import BellFunctional, BellScenario
 from .seesaw import CONVERGENCE_TOL, SeesawConfig, spawn_rng
-
-#: 2^m sign vectors are enumerated exactly; beyond this the cost is unreasonable.
-ENUMERATION_CAP = 26
 
 
 @dataclass
@@ -62,18 +60,12 @@ class VectorStrategy:
 
 def local_norm(matrix) -> float:
     """Exact max of |sum_ij M_ij x_i y_j| over sign vectors x, y: the
-    ``strategy_value`` of the best strategy that ``local_bound``'s search finds
-    on ``correlator_bell(M)``, over Alice's 2^(m-1) sign vectors with x_0 fixed
-    and Bob's signs as his best response.  Requires m <= 26, not the search's
-    strategy-space cap; non-square, empty or non-finite matrices raise
+    ``local_bound`` of ``correlator_bell(M)``, whose cap is checked before
+    the functional is built.  Non-square, empty or non-finite matrices raise
     ``ConfigError``."""
     cf = CorrelationFunctional(matrix)
-    if cf.m > ENUMERATION_CAP:
-        raise MatrixTooLargeError(
-            f"m = {cf.m} exceeds the exact enumeration cap of {ENUMERATION_CAP}"
-        )
-    f = correlator_bell(cf)
-    return strategy_value(f, _best_strategy(f, 1.0))
+    check_enumeration(BellScenario((2,) * cf.m, (2,) * cf.m), flip_symmetric=True)
+    return local_bound(correlator_bell(cf))[0]
 
 
 def normalize(matrix) -> CorrelationFunctional:

@@ -4,10 +4,12 @@ A deterministic strategy fixes one outcome per setting for each party; the
 maximum of a functional over all shared-randomness models is attained at one
 of these, so enumeration gives the exact local bound.  ``_best_strategy``, the
 package's one enumerator, folds Bob into a per-setting best response, so it
-costs (Alice strategies) x (sum of Bob outcome counts).  A functional that
-flipping every outcome leaves unchanged, such as every ``correlator_bell``,
-scores each Alice strategy and its complement alike, so only the half with
-Alice's setting 0 at outcome 0 is scored.
+scores max(outcomes_b) x settings_b Bob cells per Alice strategy.  A
+functional that flipping every outcome leaves unchanged, such as every
+``correlator_bell``, scores each Alice strategy and its complement alike, so
+only the half with Alice's setting 0 at outcome 0 is scored.  The search's
+one limit, ``ENUMERATION_CAP``, counts its work: the Alice strategies scored
+times (Bob cells per strategy + 8), a strategy costing about as much as 8 cells.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from itertools import product
 
 import numpy as np
 
-from .errors import StrategySpaceTooLargeError
+from .errors import ScenarioMismatchError, StrategySpaceTooLargeError
 from .scenario import BellFunctional, BellScenario, ProbabilityTable
 
-DEFAULT_STRATEGY_CAP = 10**8
+#: Work units one search may take (see the module docstring): 2^31 admits
+#: every ``correlator_bell`` with m <= 26 (2^25 x 60) and none larger.
+ENUMERATION_CAP = 1 << 31
 #: Bob score cells (outcome x setting x Alice strategy) per enumerated block.
 _CHUNK_CELLS = 1 << 17
 
@@ -34,8 +38,21 @@ class DeterministicStrategy:
     assignment_b: tuple[int, ...]
 
 
+def _check_strategy(scenario: BellScenario, s: DeterministicStrategy) -> None:
+    """``ScenarioMismatchError`` unless ``s`` gives each setting one of its outcomes."""
+    parties = (("Alice", scenario.outcomes_a, s.assignment_a), ("Bob", scenario.outcomes_b, s.assignment_b))
+    for party, counts, outcomes in parties:
+        if len(outcomes) != len(counts):
+            raise ScenarioMismatchError(f"{party}'s assignment has {len(outcomes)} settings, expected {len(counts)}")
+        for x, (a, v) in enumerate(zip(outcomes, counts)):
+            if not 0 <= a < v:
+                raise ScenarioMismatchError(f"{party}'s setting {x} has outcome {a}, outside 0..{v - 1}")
+
+
 def strategy_table(scenario: BellScenario, s: DeterministicStrategy) -> ProbabilityTable:
-    """The 0/1 probability table produced by a deterministic strategy."""
+    """The 0/1 probability table produced by a deterministic strategy
+    (``ScenarioMismatchError`` if it does not fit the scenario)."""
+    _check_strategy(scenario, s)
     blocks = []
     for x, va in enumerate(scenario.outcomes_a):
         row = []
@@ -48,8 +65,9 @@ def strategy_table(scenario: BellScenario, s: DeterministicStrategy) -> Probabil
 
 
 def strategy_value(f: BellFunctional, s: DeterministicStrategy) -> float:
-    """Functional value of a deterministic strategy, accumulated in the same
-    fixed order as ``evaluate`` so the two agree exactly."""
+    """Functional value of a deterministic strategy (``ScenarioMismatchError``
+    if it does not fit), summed in ``evaluate``'s fixed order so the two agree."""
+    _check_strategy(f.scenario, s)
     total = f.constant
     for x in range(f.scenario.settings_a):
         for y in range(f.scenario.settings_b):
@@ -73,15 +91,24 @@ def _flip_symmetric(c: np.ndarray) -> bool:
     )
 
 
-def _best_strategy(f: BellFunctional, sign: float) -> DeterministicStrategy:
-    """The deterministic strategy maximising ``sign`` times ``f``: the
-    lexicographically smallest among those of maximal score.  Alice's
-    strategies run in ``itertools.product`` order, the leading settings in a
-    Python loop and the trailing ones (as many as fit ``_CHUNK_CELLS``) as one
-    block folded from the prefix's row; a block replaces the best only on
-    strict improvement.  A score adds, in order, the constant, Alice's
-    marginals by setting, then per Bob setting the max over his outcomes of
-    (his marginal, then the joint terms by Alice setting).
+def check_enumeration(scenario: BellScenario, flip_symmetric: bool) -> None:
+    """Raise ``StrategySpaceTooLargeError`` if the search on a functional of
+    ``scenario``, flip-symmetric or not, would exceed ``ENUMERATION_CAP``."""
+    strategies = math.prod(scenario.outcomes_a) // (2 if flip_symmetric else 1)
+    work = strategies * (max(scenario.outcomes_b) * scenario.settings_b + 8)
+    if work > ENUMERATION_CAP:
+        raise StrategySpaceTooLargeError(f"the search takes {work} work units, over the cap of {ENUMERATION_CAP}")
+
+
+def _best_strategy(f: BellFunctional) -> DeterministicStrategy:
+    """The deterministic strategy maximising ``f``: the lexicographically
+    smallest among those of maximal score, after ``check_enumeration``.
+    Alice's strategies run in ``itertools.product`` order, the leading
+    settings in a Python loop and the trailing ones (as many as fit
+    ``_CHUNK_CELLS``) as one block folded from the prefix's row; a block
+    replaces the best only on strict improvement.  A score adds, in order,
+    the constant, Alice's marginals by setting, then per Bob setting the max
+    over his outcomes of (his marginal, then the joint terms by Alice setting).
 
     For a flip-symmetric functional (``_flip_symmetric``) Alice's setting 0
     runs over outcome 0 only.  The complement of a strategy adds equal terms
@@ -89,10 +116,12 @@ def _best_strategy(f: BellFunctional, sign: float) -> DeterministicStrategy:
     a_0 = 0 come first in ``product`` order, so the first maximiser, and with
     it the value, is the one the full enumeration finds."""
     sc = f.scenario
-    c = sign * f.coefficients
+    c = f.coefficients
     width, settings_b = c.shape[3], sc.settings_b
     counts = sc.outcomes_a
-    if _flip_symmetric(c):
+    symmetric = _flip_symmetric(c)
+    check_enumeration(sc, symmetric)
+    if symmetric:
         counts = (1,) + counts[1:]
     split = sc.settings_a
     while split and math.prod(counts[split - 1 :]) * width * settings_b <= _CHUNK_CELLS:
@@ -127,28 +156,15 @@ def _best_strategy(f: BellFunctional, sign: float) -> DeterministicStrategy:
     return best
 
 
-def _extremize(f: BellFunctional, sign: float, cap: int):
-    """Shared max/min; ``sign`` is +1 for max, -1 for min."""
-    size = math.prod(f.scenario.outcomes_a) * math.prod(f.scenario.outcomes_b)
-    if size > cap:
-        raise StrategySpaceTooLargeError(
-            f"strategy space has {size} points, exceeding the cap of {cap}"
-        )
-    strategy = _best_strategy(f, sign)
+def local_bound(f: BellFunctional):
+    """Exact maximum over deterministic strategies, with a witnessing strategy;
+    ``StrategySpaceTooLargeError`` beyond ``ENUMERATION_CAP``."""
+    strategy = _best_strategy(f)
     # strategy_value matches evaluate() on the witnessing strategy bit for bit.
     return strategy_value(f, strategy), strategy
 
 
-def local_bound(f: BellFunctional, cap: int = DEFAULT_STRATEGY_CAP):
-    """Exact maximum over deterministic strategies, with a witnessing strategy.
-
-    Raises ``StrategySpaceTooLargeError`` when the full strategy-space size
-    (product of all outcome counts) exceeds ``cap``.
-    """
-    return _extremize(f, 1.0, cap)
-
-
-def local_bound_min(f: BellFunctional, cap: int = DEFAULT_STRATEGY_CAP):
-    """Exact minimum over deterministic strategies, with a witnessing
-    strategy; the same cap applies as for ``local_bound``."""
-    return _extremize(f, -1.0, cap)
+def local_bound_min(f: BellFunctional):
+    """``local_bound``'s minimum counterpart: the search on -f, valued on f."""
+    strategy = _best_strategy(-f)
+    return strategy_value(f, strategy), strategy

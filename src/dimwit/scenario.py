@@ -15,7 +15,7 @@ it.  Every quantum-side quantity - the Bell operator, the model's value, its
 probability table, and the see-saw's per-setting operators - is a contraction
 of that tensor with the parties' stacked POVMs (``povm_stack``).  The
 batched functions do these contractions for a batch of models at once, the
-Bell operator and the per-setting operators by a prebuilt
+Bell operator and the per-setting operators by one prebuilt
 ``contraction_matrix``, and the single-model functions are batches of one.
 ``evaluate`` keeps its own loops over the blocks as an independent recompute
 path.  All types are immutable values and every operation is a pure function.
@@ -195,16 +195,18 @@ class ProbabilityTable:
     Entries must be >= -1e-12 and each setting pair must sum to 1 within
     1e-9.  Normalization misses up to 1e-7 can be repaired by passing
     ``renormalize=True``; the repair is recorded in ``was_renormalized``.
+    A wrong number of blocks raises ``DimensionMismatchError``.
     """
 
     def __init__(self, scenario: BellScenario, p, renormalize: bool = False):
         self.scenario = scenario
         blocks = []
         renormalized = False
-        for x, va in enumerate(scenario.outcomes_a):
+        for x, (va, given) in enumerate(zip(scenario.outcomes_a, _counted(p, scenario.settings_a, "table"))):
             row = []
-            for y, vb in enumerate(scenario.outcomes_b):
-                blk = np.array(p[x][y], dtype=float)
+            given = _counted(given, scenario.settings_b, f"table[{x}]")
+            for y, (vb, blk) in enumerate(zip(scenario.outcomes_b, given)):
+                blk = np.array(blk, dtype=float)
                 if blk.shape != (va, vb):
                     raise DimensionMismatchError(
                         f"table block ({x},{y}) has shape {blk.shape}, expected ({va},{vb})"
@@ -397,7 +399,7 @@ def model_stacks(f: BellFunctional, m: QuantumModel) -> tuple[np.ndarray, np.nda
 # array and each party's POVMs as a (B, settings + 1, width, d, d) array in the
 # ``povm_stack`` layout.  Every product is a per-member matrix product, so a
 # member's result does not depend on the rest of its batch.  The see-saw builds
-# each ``contraction_matrix`` once per run.
+# the ``contraction_matrix`` once per batch.
 
 
 def _flat(stacks: np.ndarray) -> np.ndarray:
@@ -406,19 +408,12 @@ def _flat(stacks: np.ndarray) -> np.ndarray:
     return stacks.reshape(n, x * w, d * d)
 
 
-def contraction_matrix(f: BellFunctional, party: str | None = None) -> np.ndarray:
-    """C as the complex matrix M[(x, a), (y, b)] = C[x, y, a, b] that turns a
-    flattened partner stack into K[x, a] = sum_yb C[x, y, a, b] partner[y, b]:
-    every slot for the Bell operator, or for party "A" or "B" the rows of its
-    settings (all but the identity slot), with C.transpose(1, 0, 3, 2) for
-    Bob."""
+def contraction_matrix(f: BellFunctional) -> np.ndarray:
+    """C as the complex matrix M[(x, a), (y, b)] = C[x, y, a, b] that turns
+    Bob's flattened stack into K[x, a] = sum_yb C[x, y, a, b] B[y, b], and
+    whose transpose turns Alice's into Bob's sums: one matrix for the Bell
+    operator and both parties' operators."""
     c = f.coefficients
-    if party == "B":
-        c = c.transpose(1, 0, 3, 2)
-    elif party not in (None, "A"):
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    if party is not None:
-        c = c[: len(c) - 1]
     x, y, w, v = c.shape
     return c.transpose(0, 2, 1, 3).reshape(x * w, y * v).astype(complex)
 
@@ -452,22 +447,22 @@ def party_operators(
     matrix: np.ndarray, states: np.ndarray, stacks_a: np.ndarray, stacks_b: np.ndarray, party: str
 ) -> np.ndarray:
     """Per-outcome Hermitian operators F[i, x, a] of member i for each
-    setting x of one party, with ``matrix = contraction_matrix(f, party)``,
-    such that the objective restricted to setting x's POVM is
+    setting x of one party, with ``matrix = contraction_matrix(f)``, such
+    that the objective restricted to setting x's POVM is
     sum_a tr(M_xa F[i, x, a]) plus terms independent of it.
 
     Returns a (B, settings, width, d, d) array; outcomes past a setting's
     count are zero.  For Alice, F = Psi K_xaᵀ Psi† with K_xa = sum_yb
-    C[x, y, a, b] B_yb and Psi the state as a d_a x d_b matrix.  Bob is the
-    same contraction with the parties swapped: C.transpose(1, 0, 3, 2),
-    Alice's POVMs, and Psiᵀ.  F of one setting reads only the state and the
-    partner's POVMs, never the party's own.
+    C[x, y, a, b] B_yb from the rows of ``matrix`` for her settings, and Psi
+    the state as a d_a x d_b matrix.  Bob is the same contraction with the
+    parties swapped: the rows of ``matrix``ᵀ, Alice's POVMs, and Psiᵀ.  F of
+    one setting reads only the state and the partner's POVMs.
     """
     psi = states.reshape(len(states), 1, 1, stacks_a.shape[-1], stacks_b.shape[-1])
     own, partner = (stacks_a, stacks_b) if party == "A" else (stacks_b, stacks_a)
-    psi = psi if party == "A" else psi.swapaxes(-1, -2)
-    n, _, width, _, _ = own.shape
-    k = (matrix @ _flat(partner)).reshape(n, len(matrix) // width, width, *partner.shape[-2:])
+    psi, matrix = (psi, matrix) if party == "A" else (psi.swapaxes(-1, -2), matrix.T)
+    n, settings, width = own.shape[0], own.shape[1] - 1, own.shape[2]
+    k = (matrix[: settings * width] @ _flat(partner)).reshape(n, settings, width, *partner.shape[-2:])
     ops = psi @ k.swapaxes(-1, -2) @ psi.conj().swapaxes(-1, -2)
     return (ops + ops.conj().swapaxes(-1, -2)) / 2.0
 

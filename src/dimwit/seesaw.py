@@ -20,7 +20,7 @@ contiguous range of restart indices and runs it as one batch, cut further
 only where ``BATCH_CELLS`` bounds a batch's memory.  A batch holds its active
 members, in restart order, as whole arrays: states as one (B, d_a d_b) array
 and each party's POVMs as one (B, settings + 1, width, d, d) array in the
-``povm_stack`` layout.  The functional's contraction matrices are built once
+``povm_stack`` layout.  The functional's one contraction matrix is built once
 per batch, so each step above is a few stacked contractions and eigensolves
 on those arrays.  A member that converges or is aborted is built into a model
 and its rows are dropped, so stragglers share their calls until the last one
@@ -266,10 +266,12 @@ def _exchange_pairs(ops, elements, counts) -> np.ndarray:
 
 
 def _party_plan(f: BellFunctional, party: str) -> tuple:
-    """What a party step needs from ``f`` alone, built once per run: the
-    party, its ``contraction_matrix``, the index of its binary settings and
-    that of the rest - ``None`` if empty, a slice if all, else an index
-    array, the same for operators and POVMs - and the rest's counts."""
+    """What a party step needs from ``f``'s scenario, built once per run:
+    the party ("A" or "B", else ``ValueError``), the index of its binary
+    settings and that of the rest - ``None`` if empty, a slice if all, else
+    an index array, the same for operators and POVMs - and the rest's counts."""
+    if party not in ("A", "B"):
+        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
     counts = np.asarray(f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b)
     groups = []
     for mask in (counts == 2, counts > 2):
@@ -279,22 +281,22 @@ def _party_plan(f: BellFunctional, party: str) -> tuple:
             groups.append(np.flatnonzero(mask))
         else:
             groups.append(None)
-    return party, contraction_matrix(f, party), *groups, counts[counts > 2]
+    return party, *groups, counts[counts > 2]
 
 
-def _party_step(plan: tuple, states, stacks_a, stacks_b) -> np.ndarray:
+def _party_step(plan: tuple, matrix: np.ndarray, states, stacks_a, stacks_b) -> np.ndarray:
     """The party's new POVM stack after re-optimizing all of its settings
     for every member of a batch in one step.
 
-    One contraction by the plan's prebuilt matrix gives every setting's F;
-    all binary settings of all members are solved by one stacked
+    One contraction by ``matrix``, the ``contraction_matrix``, gives every
+    setting's F; all binary settings of all members are solved by one stacked
     ``positive_projector`` call (the first element becomes the projector onto
     the positive eigenspace of F_0 - F_1); settings with three or more
     outcomes run up to ``PAIR_PASSES`` rounds of pairwise exchanges over the
     whole stack.  F of one setting does not depend on the party's other
     settings, so the result equals updating the settings one after another.
     """
-    party, matrix, binary, multi, counts = plan
+    party, binary, multi, counts = plan
     ops = party_operators(matrix, states, stacks_a, stacks_b, party)
     povms = (stacks_a if party == "A" else stacks_b).copy()
     if binary is not None:
@@ -317,13 +319,14 @@ def _update_setting(f: BellFunctional, model: QuantumModel, party: str, setting:
     setting has two outcomes (``binary``) or three or more (not ``binary``).
     A setting's operators read only the state and the partner's POVMs, so
     this is the step restricted to the setting."""
+    plan = _party_plan(f, party)
     v = (f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b)[setting]
     if (v == 2) != binary:
         raise WrongOutcomeCountError(
             f"setting {setting} of party {party} has {v} outcomes, expected {'2' if binary else '>= 3'}"
         )
     stack_a, stack_b = model_stacks(f, model)
-    stack = _party_step(_party_plan(f, party), model.state[None], stack_a[None], stack_b[None])[0]
+    stack = _party_step(plan, contraction_matrix(f), model.state[None], stack_a[None], stack_b[None])[0]
     name = "povms_a" if party == "A" else "povms_b"
     povms = list(getattr(model, name))
     povms[setting] = tuple(stack[:-1][setting, : len(povms[setting])])
@@ -379,11 +382,11 @@ def _guarded(step, slot: int, work: list, aborted: dict) -> None:
 def _lockstep(f: BellFunctional, models, cfg: SeesawConfig) -> list[tuple]:
     """Run ``refine``'s schedule on a batch of start models in lockstep.
 
-    The Bell operator's ``contraction_matrix`` and each ``_party_plan`` are
-    built once.  The working arrays - states, POVM stacks, values and
-    restart indices - hold the active members in restart order; a member
-    that stops is written out and its rows dropped, so each step runs on
-    whole arrays.  Returns one (value, model, iterations, converged, error)
+    The ``contraction_matrix``, which every step reads, and each
+    ``_party_plan`` are built once.  The working arrays - states, POVM
+    stacks, values and restart indices - hold the active members in restart
+    order; a member that stops is written out and its rows dropped, so each
+    step runs on whole arrays.  Returns one (value, model, iterations, converged, error)
     per model; an aborted member gets (-inf, None, 0, False, the exception).
     """
     d_a, d_b = models[0].d_a, models[0].d_b
@@ -391,9 +394,10 @@ def _lockstep(f: BellFunctional, models, cfg: SeesawConfig) -> list[tuple]:
     stacks_a, stacks_b = (np.stack(s) for s in zip(*(model_stacks(f, m) for m in models)))
     values = stacked_values(f, states, stacks_a, stacks_b)
     work = [states, stacks_a, stacks_b, values, np.arange(len(models))]
-    steps = [(1, partial(_party_step, _party_plan(f, "A"))), (2, partial(_party_step, _party_plan(f, "B")))]
+    matrix = contraction_matrix(f)
+    steps = [(slot, partial(_party_step, _party_plan(f, party), matrix)) for slot, party in ((1, "A"), (2, "B"))]
     if cfg.fixed_state is None:
-        steps.insert(0, (0, partial(_state_step, contraction_matrix(f))))
+        steps.insert(0, (0, partial(_state_step, matrix)))
     outcomes: dict[int, tuple] = {}
     aborted: dict[int, Exception] = {}
 

@@ -110,9 +110,31 @@ def test_local_bound_min_and_json(tmp_path, capsys):
 
 
 def test_local_bound_cap_exits_4(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "local-bound", "chsh", "--cap", "3")
-    assert code == 4
-    assert "cap" in err
+    # m = 27 is one past the cap of both classical searches.
+    matrix = np.random.default_rng(27).normal(size=(27, 27))
+    bell_path, m_path = tmp_path / "m27.bell", tmp_path / "m27.csv"
+    f = grothendieck.correlator_bell(grothendieck.CorrelationFunctional(matrix))
+    bell_path.write_text(bellfmt.serialize_functional(f), encoding="utf-8")
+    m_path.write_text(bellfmt.serialize_correlation_matrix(matrix), encoding="utf-8")
+    for argv in (["local-bound", str(bell_path)], ["grothendieck", "-m", str(m_path), "--n", "3"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+        assert "cap" in err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["local-bound", "chsh", "--cap", "3"])
+    assert exit_info.value.code == 2 and "--cap" in capsys.readouterr().err
+
+
+def test_local_bound_equals_local_norm_past_the_product_cap(tmp_path, capsys):
+    # 2^28 strategy pairs, over the product cap the search once had; both
+    # commands run the same search on the same coefficients.
+    matrix = np.random.default_rng(14).normal(size=(14, 14))
+    path = tmp_path / "m14.bell"
+    f = grothendieck.correlator_bell(grothendieck.CorrelationFunctional(matrix))
+    path.write_text(bellfmt.serialize_functional(f), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "local-bound", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["value"] == grothendieck.local_norm(matrix)
 
 
 def test_unknown_functional_exits_2(capsys):
@@ -643,7 +665,6 @@ EXIT_CODES = {
     errors.ScenarioMismatchError: 3,
     errors.SignalingError: 3,
     errors.StrategySpaceTooLargeError: 4,
-    errors.MatrixTooLargeError: 4,
     errors.ConfigError: 5,
     errors.InvalidModelError: 5,
 }

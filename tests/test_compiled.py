@@ -23,6 +23,7 @@ from dimwit.scenario import (
     povm_stack,
     table_of,
 )
+from dimwit.seesaw import update_measurement_binary, update_measurement_multi
 
 from conftest import random_functional, random_hermitian
 
@@ -282,7 +283,7 @@ def setting_operators(f, m, party):
     """``party_operators`` of one model: a (settings, width, d, d) array of
     the per-outcome operators F[x, a] of each of the party's settings."""
     stack_a, stack_b = model_stacks(f, m)
-    return party_operators(contraction_matrix(f, party), m.state[None], stack_a[None], stack_b[None], party)[0]
+    return party_operators(contraction_matrix(f), m.state[None], stack_a[None], stack_b[None], party)[0]
 
 
 def test_setting_operators_predict_value_change(rng):
@@ -322,6 +323,11 @@ def test_setting_operators_ignore_the_partys_own_povms(rng):
 
 
 def test_setting_operators_reject_unknown_party(rng):
+    # The party name enters at the one-setting updates; Bob's setting 0 of
+    # RAGGED is ternary, so reading "C" as Bob would fail the binary update
+    # on its outcome count instead.
     f = random_functional(rng, RAGGED)
-    with pytest.raises(ValueError):
-        setting_operators(f, random_model(rng, RAGGED, 2, 2), "C")
+    model = random_model(rng, RAGGED, 2, 2)
+    for update in (update_measurement_binary, update_measurement_multi):
+        with pytest.raises(ValueError, match="party"):
+            update(f, model, "C", 0)

@@ -45,11 +45,11 @@ def loop_extremize(f: BellFunctional, sign: float):
     return strategy_value(f, best_strategy), best_strategy
 
 
-def assert_matches_oracle(f, cap=localbound.DEFAULT_STRATEGY_CAP):
-    value, strategy = local_bound(f, cap)
+def assert_matches_oracle(f):
+    value, strategy = local_bound(f)
     assert (value, strategy) == loop_extremize(f, 1.0)
     assert value == strategy_value(f, strategy)
-    low, low_strategy = local_bound_min(f, cap)
+    low, low_strategy = local_bound_min(f)
     assert (low, low_strategy) == loop_extremize(f, -1.0)
     assert low == strategy_value(f, low_strategy)
 
@@ -130,7 +130,7 @@ def test_matches_oracle_across_several_blocks(rng):
     assert math.prod(sc.outcomes_a) * cells > localbound._CHUNK_CELLS
     n = 4 * 4 * 6 * 9 + 4 * 6 + 4 * 9 + 1
     for values in (rng.normal(size=n), rng.integers(-1, 2, size=n)):
-        assert_matches_oracle(functional_from_values(sc, values), cap=4**15)
+        assert_matches_oracle(functional_from_values(sc, values))
 
 
 def test_local_norm_across_several_blocks(rng):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dimwit import grothendieck as gk
-from dimwit.errors import ConfigError, MatrixTooLargeError, ZeroMatrixError
+from dimwit.errors import ConfigError, StrategySpaceTooLargeError, ZeroMatrixError
 from dimwit.grothendieck import (
     CorrelationFunctional,
     correlator_bell,
@@ -66,8 +66,13 @@ def test_local_norm_matches_naive_enumeration(rng):
             assert abs(local_norm(matrix) - naive_local_norm(matrix)) < 1e-12
 
 
-def test_local_norm_cap():
-    with pytest.raises(MatrixTooLargeError):
+def test_local_norm_cap(monkeypatch):
+    # m = 27 is refused before its correlator functional is built.
+    def refuse(_):
+        raise AssertionError("correlator_bell called")
+
+    monkeypatch.setattr(gk, "correlator_bell", refuse)
+    with pytest.raises(StrategySpaceTooLargeError):
         local_norm(np.eye(27))
 
 

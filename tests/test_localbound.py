@@ -3,14 +3,19 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dimwit import catalog, localbound
-from dimwit.errors import StrategySpaceTooLargeError
+from dimwit.errors import ScenarioMismatchError, StrategySpaceTooLargeError
 from dimwit.localbound import (
+    ENUMERATION_CAP,
     DeterministicStrategy,
+    check_enumeration,
     local_bound,
     local_bound_min,
     strategy_table,
+    strategy_value,
 )
 from dimwit.scenario import BellFunctional, BellScenario, evaluate
 
@@ -111,10 +116,67 @@ def test_tie_break_is_lexicographic():
 
 
 def test_strategy_space_cap():
-    sc = BellScenario((2,) * 15, (2,) * 15)
-    f = BellFunctional(sc)
+    # 3^20 Alice strategies, each 2 + 8 work units, exceed the cap; so do
+    # 2^26 strategies of the flip-symmetric zero functional with m = 27,
+    # which the search scores with Alice's setting 0 fixed.
+    for sc in (BellScenario((3,) * 20, (2,)), BellScenario((2,) * 27, (2,) * 27)):
+        for bound in (local_bound, local_bound_min):
+            with pytest.raises(StrategySpaceTooLargeError, match="cap"):
+                bound(BellFunctional(sc))
+
+
+def test_cap_admits_correlators_up_to_m_26():
+    # A correlator functional is flip-symmetric: 2^(m-1) strategies of
+    # 2m + 8 work units each, which fits the cap up to m = 26.
+    for m, fits in ((26, True), (27, False)):
+        sc = BellScenario((2,) * m, (2,) * m)
+        assert ((1 << (m - 1)) * (2 * m + 8) <= ENUMERATION_CAP) == fits
+        if fits:
+            check_enumeration(sc, flip_symmetric=True)
+        else:
+            with pytest.raises(StrategySpaceTooLargeError):
+                check_enumeration(sc, flip_symmetric=True)
+    # Without the symmetry the full 2^26 strategies do not fit.
     with pytest.raises(StrategySpaceTooLargeError):
-        local_bound(f)  # 2^30 > default cap
-    small = catalog.chsh()
-    with pytest.raises(StrategySpaceTooLargeError):
-        local_bound(small, cap=3)
+        check_enumeration(BellScenario((2,) * 26, (2,) * 26), flip_symmetric=False)
+
+
+@st.composite
+def scenarios_within_product_cap(draw):
+    """Scenarios whose product of all outcome counts is at most 1e8."""
+    counts, budget = [], 10**8
+    while len(counts) < 2 or (budget >= 2 and draw(st.booleans())):
+        v = draw(st.integers(2, budget // (1 if counts else 2)))
+        counts.append(v)
+        budget //= v
+    split = draw(st.integers(1, len(counts) - 1))
+    return BellScenario(tuple(counts[:split]), tuple(counts[split:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios_within_product_cap())
+@example(BellScenario((5 * 10**7,), (2,)))
+@example(BellScenario((2,), (5 * 10**7,)))
+@example(BellScenario((2,) * 24, (2, 2)))
+def test_cap_admits_every_scenario_within_the_old_product_cap(sc):
+    # The search was capped at 1e8 for the product of all outcome counts; every
+    # scenario that cap admitted stays admitted, even without the symmetry.
+    assert math.prod(sc.outcomes_a) * math.prod(sc.outcomes_b) <= 10**8
+    check_enumeration(sc, flip_symmetric=False)
+
+
+@pytest.mark.parametrize(
+    "strategy, message",
+    [
+        (DeterministicStrategy((-1, 0), (0, 0, 0)), "Alice's setting 0 has outcome -1"),
+        (DeterministicStrategy((0, 3), (0, 0, 0)), "Alice's setting 1 has outcome 3"),
+        (DeterministicStrategy((0, 0), (0, 2, 0)), "Bob's setting 1 has outcome 2"),
+        (DeterministicStrategy((0,), (0, 0, 0)), "Alice's assignment has 1 settings"),
+        (DeterministicStrategy((0, 0), (0, 0, 0, 0)), "Bob's assignment has 4 settings"),
+    ],
+)
+def test_strategy_must_fit_the_scenario(strategy, message):
+    f = catalog.expression_E()
+    for use in (lambda: strategy_table(f.scenario, strategy), lambda: strategy_value(f, strategy)):
+        with pytest.raises(ScenarioMismatchError, match=message):
+            use()

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dimwit import catalog, linalg, scenario
 from dimwit.errors import (
+    DimensionMismatchError,
     InvalidFunctionalError,
     InvalidModelError,
     InvalidScenarioError,
@@ -95,6 +97,19 @@ def test_table_validation_and_renormalization():
         ProbabilityTable(sc, off, renormalize=True)
     with pytest.raises(InvalidTableError):
         ProbabilityTable(sc, [[np.array([[1.0, 1e-3], [0.0, -1e-3]])]])
+
+
+QUARTER = np.full((2, 2), 0.25)
+
+
+@pytest.mark.parametrize(
+    "p, name",
+    [([[QUARTER]], "table"), ([[QUARTER]] * 3, "table"), ([[QUARTER], [QUARTER] * 2], "table[1]"), ([[]] * 2, "table[0]")],
+)
+def test_table_rejects_wrong_block_counts(p, name):
+    # A missing block is named, not an IndexError; an extra one is not dropped.
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(name)} has"):
+        ProbabilityTable(BellScenario((2, 2), (2,)), p)
 
 
 def test_table_rejects_non_finite_entries():

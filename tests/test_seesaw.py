@@ -11,7 +11,15 @@ from dimwit import catalog, linalg
 
 ss = importlib.import_module("dimwit.seesaw")
 from dimwit.errors import ConfigError, NotPSDError, WrongOutcomeCountError
-from dimwit.scenario import BellFunctional, BellScenario, bell_operator, model_stacks, model_value, table_of
+from dimwit.scenario import (
+    BellFunctional,
+    BellScenario,
+    bell_operator,
+    contraction_matrix,
+    model_stacks,
+    model_value,
+    table_of,
+)
 from dimwit.seesaw import (
     RESTART_BATCH,
     SeesawConfig,
@@ -237,7 +245,7 @@ def test_party_step_equals_setting_by_setting_and_is_monotone(rng):
                 for party, counts in (("A", sc.outcomes_a), ("B", sc.outcomes_b)):
                     stack_a, stack_b = model_stacks(f, model)
                     plan = ss._party_plan(f, party)
-                    stack = ss._party_step(plan, model.state[None], stack_a[None], stack_b[None])[0]
+                    stack = ss._party_step(plan, contraction_matrix(f), model.state[None], stack_a[None], stack_b[None])[0]
                     name = "povms_a" if party == "A" else "povms_b"
                     step = replace(model, **{name: ss._povms(stack, counts)})
                     ref = _setting_by_setting(f, model, party)
