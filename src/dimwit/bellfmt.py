@@ -106,22 +106,11 @@ def parse_functional(text: str) -> BellFunctional:
             raise MissingScenarioError(
                 "terms appear before any scenario declaration", line=lineno, column=1
             )
+        # The term patterns exclude one another; joint terms, the most
+        # numerous, are tried first.
         index = None
-        if m := _CONST_RE.match(line):
-            index = (-1, -1, 0, 0)
-        elif m := _MARG_A_RE.match(line):
-            a, x = int(m.group(2)), int(m.group(3))
-            term = f"PA({a}|{x})"
-            if 0 <= x < sc.settings_a and 0 <= a < sc.outcomes_a[x]:
-                index = (x, -1, a, 0)
-        elif m := _MARG_B_RE.match(line):
-            b, y = int(m.group(2)), int(m.group(3))
-            term = f"PB({b}|{y})"
-            if 0 <= y < sc.settings_b and 0 <= b < sc.outcomes_b[y]:
-                index = (-1, y, 0, b)
-        elif m := _JOINT_RE.match(line):
+        if m := _JOINT_RE.match(line):
             a, b, x, y = (int(m.group(i)) for i in range(2, 6))
-            term = f"P({a} {b}|{x} {y})"
             if (
                 0 <= x < sc.settings_a
                 and 0 <= y < sc.settings_b
@@ -129,6 +118,22 @@ def parse_functional(text: str) -> BellFunctional:
                 and 0 <= b < sc.outcomes_b[y]
             ):
                 index = (x, y, a, b)
+            else:
+                term = f"P({a} {b}|{x} {y})"
+        elif m := _CONST_RE.match(line):
+            index = (-1, -1, 0, 0)
+        elif m := _MARG_A_RE.match(line):
+            a, x = int(m.group(2)), int(m.group(3))
+            if 0 <= x < sc.settings_a and 0 <= a < sc.outcomes_a[x]:
+                index = (x, -1, a, 0)
+            else:
+                term = f"PA({a}|{x})"
+        elif m := _MARG_B_RE.match(line):
+            b, y = int(m.group(2)), int(m.group(3))
+            if 0 <= y < sc.settings_b and 0 <= b < sc.outcomes_b[y]:
+                index = (-1, y, 0, b)
+            else:
+                term = f"PB({b}|{y})"
         else:
             prefix = _REAL_PREFIX_RE.match(line)
             column = (prefix.end() + 1) if prefix else 1

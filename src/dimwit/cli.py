@@ -361,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--threshold", type=float, default=1e-3)
     _add_seesaw_knobs(p)
+    p.add_argument("--json", action="store_true", help="the output is JSON with or without it")
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("catalog", help="emit a bundled functional as .bell text")

@@ -10,9 +10,12 @@ qubit measurements on a maximally entangled pair.
 
 The sign enumeration is ``localbound.local_bound`` on ``correlator_bell(M)``,
 which flipping every sign leaves unchanged, so it scores only the 2^(m-1)
-sign vectors x with x_0 fixed, under the search's one cap (m <= 26).  The
+sign vectors x with x_0 fixed, under the search's one cap (m <= 26).  Bob's
+two outcomes score exactly opposite, so per x it builds the m sums
+sum_i M_ij x_i once and takes each y_j's best as their magnitude.  The
 unit-vector search runs all its restarts in lockstep on stacked
-(restarts, m, N) arrays.
+(restarts, m, N) arrays that hold only the members still improving: one that
+stops is written out and its rows dropped.
 """
 
 from __future__ import annotations
@@ -93,20 +96,27 @@ def _objectives(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
 
 
 def _lockstep(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray, max_iterations: int):
-    """Alternating exact best responses on (R, m, n) stacks of start vectors,
-    updated in place; a member leaves the active set once an iteration
-    improves its objective by less than ``CONVERGENCE_TOL``.  Returns the R
-    final objectives."""
+    """Alternating exact best responses on (R, m, n) stacks of start vectors.
+    The working arrays - vectors, objectives and restart indices - hold the
+    active members in restart order; a member whose iteration improves its
+    objective by less than ``CONVERGENCE_TOL`` is written back into ``xs`` and
+    ``ys`` and its rows dropped, so each step runs on whole arrays.  Returns
+    the R final objectives."""
     values = _objectives(matrix, xs, ys)
-    active = np.arange(len(xs))
+    x, y, value, restarts = xs, ys, values, np.arange(len(xs))
     for _ in range(max_iterations):
-        xs[active] = _normalize_rows(matrix @ ys[active], xs[active])
-        ys[active] = _normalize_rows(matrix.T @ xs[active], ys[active])
-        previous = values[active]
-        values[active] = _objectives(matrix, xs[active], ys[active])
-        active = active[values[active] - previous >= CONVERGENCE_TOL]
-        if not active.size:
-            break
+        x = _normalize_rows(matrix @ y, x)
+        y = _normalize_rows(matrix.T @ x, y)
+        previous, value = value, _objectives(matrix, x, y)
+        keep = value - previous >= CONVERGENCE_TOL
+        if not keep.all():
+            stop = ~keep
+            done = restarts[stop]
+            xs[done], ys[done], values[done] = x[stop], y[stop], value[stop]
+            x, y, value, restarts = x[keep], y[keep], value[keep], restarts[keep]
+            if not restarts.size:
+                break
+    xs[restarts], ys[restarts], values[restarts] = x, y, value
     return values
 
 

@@ -4,12 +4,16 @@ A deterministic strategy fixes one outcome per setting for each party; the
 maximum of a functional over all shared-randomness models is attained at one
 of these, so enumeration gives the exact local bound.  ``_best_strategy``, the
 package's one enumerator, folds Bob into a per-setting best response, so it
-scores max(outcomes_b) x settings_b Bob cells per Alice strategy.  A
-functional that flipping every outcome leaves unchanged, such as every
-``correlator_bell``, scores each Alice strategy and its complement alike, so
-only the half with Alice's setting 0 at outcome 0 is scored.  The search's
-one limit, ``ENUMERATION_CAP``, counts its work: the Alice strategies scored
-times (Bob cells per strategy + 8), a strategy costing about as much as 8 cells.
+scores max(outcomes_b) x settings_b Bob cells per Alice strategy.  It uses
+two exact symmetries that every ``correlator_bell`` has: a functional that
+flipping every outcome leaves unchanged scores an Alice strategy and its
+complement alike, so only those with setting 0 at outcome 0 are scored; and
+when Bob's outcome-1 coefficients are minus his outcome-0 ones, only outcome
+0's cells are built.  The search's one limit, ``ENUMERATION_CAP``, counts its
+work: the Alice strategies scored times (Bob cells per strategy + 8), a
+strategy costing about as much as 8 cells.  Bob's cells count at
+max(outcomes_b) per setting even when halved, so the cap admits
+``correlator_bell`` up to m = 26 either way.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from .scenario import BellFunctional, BellScenario, ProbabilityTable
 #: Work units one search may take (see the module docstring): 2^31 admits
 #: every ``correlator_bell`` with m <= 26 (2^25 x 60) and none larger.
 ENUMERATION_CAP = 1 << 31
-#: Bob score cells (outcome x setting x Alice strategy) per enumerated block.
+#: Bob score cells (outcome x setting x Alice strategy) per enumerated block,
+#: counted at max(outcomes_b) outcomes; a halved Bob builds half of them.
 _CHUNK_CELLS = 1 << 17
 
 
@@ -100,6 +105,15 @@ def check_enumeration(scenario: BellScenario, flip_symmetric: bool) -> None:
         raise StrategySpaceTooLargeError(f"the search takes {work} work units, over the cap of {ENUMERATION_CAP}")
 
 
+def _bob_antisymmetric(c: np.ndarray) -> bool:
+    """Whether every Bob setting of the coefficient tensor ``c`` is binary and
+    each outcome-1 coefficient of Bob's (joint terms and marginal) is exactly
+    minus its outcome-0 one.  Two finite doubles sum to exactly 0 only when
+    one is minus the other, since a nonzero exact sum is at least the least
+    subnormal in magnitude."""
+    return c.shape[3] == 2 and not (c[:, :-1, :, 0] + c[:, :-1, :, 1]).any()
+
+
 def _best_strategy(f: BellFunctional) -> DeterministicStrategy:
     """The deterministic strategy maximising ``f``: the lexicographically
     smallest among those of maximal score, after ``check_enumeration``.
@@ -109,12 +123,23 @@ def _best_strategy(f: BellFunctional) -> DeterministicStrategy:
     replaces the best only on strict improvement.  A score adds, in order,
     the constant, Alice's marginals by setting, then per Bob setting the max
     over his outcomes of (his marginal, then the joint terms by Alice setting).
+    The trailing settings' joint terms are read from one C-contiguous
+    (setting, outcome, Bob cell, Bob setting) slab built once per call.
 
     For a flip-symmetric functional (``_flip_symmetric``) Alice's setting 0
     runs over outcome 0 only.  The complement of a strategy adds equal terms
     in the same order, so it scores bit for bit the same; the strategies with
     a_0 = 0 come first in ``product`` order, so the first maximiser, and with
-    it the value, is the one the full enumeration finds."""
+    it the value, is the one the full enumeration finds.
+
+    For a Bob-antisymmetric functional (``_bob_antisymmetric``) only outcome
+    0's cells r_0 are built.  Outcome 1 adds the negated terms in the same
+    order, and IEEE negation commutes with each rounded sum, so it scores
+    exactly -r_0; Bob's best response is |r_0|, at outcome 1 exactly when
+    r_0 < 0 (a tie at +-0 keeps outcome 0, as ``argmax`` does).  Both halvings
+    hold for every ``correlator_bell`` and compose: half of Alice's strategies
+    against half of Bob's cells.  The block keeps its Alice-strategy count,
+    sized on max(outcomes_b) cells per Bob setting, so its memory halves."""
     sc = f.scenario
     c = f.coefficients
     width, settings_b = c.shape[3], sc.settings_b
@@ -127,32 +152,37 @@ def _best_strategy(f: BellFunctional) -> DeterministicStrategy:
     while split and math.prod(counts[split - 1 :]) * width * settings_b <= _CHUNK_CELLS:
         split -= 1
     trailing = counts[split:]
+    cells = 1 if _bob_antisymmetric(c) else width
     # Bob's scores are laid out (Alice row, outcome, setting); outcomes past a
     # setting's count are -inf so they never win.
-    padded = np.arange(width)[:, None] >= np.array(sc.outcomes_b)
-    bob_marginal = np.where(padded, -np.inf, c[-1, :settings_b, 0, :].T)
+    padded = np.arange(cells)[:, None] >= np.array(sc.outcomes_b)
+    bob_marginal = np.where(padded, -np.inf, c[-1, :settings_b, 0, :cells].T)
+    slab = np.ascontiguousarray(c[split:-1, :settings_b, :, :cells].transpose(0, 2, 3, 1))
     best_score, best = -math.inf, None
     for prefix in product(*(range(v) for v in counts[:split])):
         total = np.full(1, c[-1, -1, 0, 0])
         row = bob_marginal.copy()
         for x, a in enumerate(prefix):
             total += c[x, -1, a, 0]
-            row += c[x, :settings_b, a, :].T
+            row += c[x, :settings_b, a, :cells].T
         scores = row[None]
         for x, v in enumerate(trailing, start=split):
             total = (total[:, None] + c[x, -1, :v, 0]).reshape(-1)
-            joint = c[x, :settings_b, :v, :].transpose(1, 2, 0)
-            scores = (scores[:, None] + joint).reshape(-1, width, settings_b)
-        response = scores[:, 0]
-        for b in range(1, width):
-            response = np.maximum(response, scores[:, b])
+            scores = (scores[:, None] + slab[x - split, :v]).reshape(-1, cells, settings_b)
+        if cells == 1:
+            response = np.abs(scores[:, 0])
+        else:
+            response = scores[:, 0]
+            for b in range(1, width):
+                response = np.maximum(response, scores[:, b])
         for best_y in response.T:
             total = total + best_y
         i = int(np.argmax(total))
         if total[i] > best_score:
             best_score = total[i]
             alpha = prefix + tuple(int(a) for a in np.unravel_index(i, trailing))
-            best = DeterministicStrategy(alpha, tuple(int(b) for b in scores[i].argmax(axis=0)))
+            choice = scores[i, 0] < 0 if cells == 1 else scores[i].argmax(axis=0)
+            best = DeterministicStrategy(alpha, tuple(int(b) for b in choice))
     return best
 
 

@@ -294,6 +294,22 @@ def test_witness_cli_iphi_witnessed(capsys):
     assert payload["gap"] > 0.01
 
 
+def test_witness_cli_accepts_json(capsys):
+    # witness always prints JSON; --json, as written for every other
+    # command, changes only the manifest's record of the call.
+    argv = ["witness", "chsh", "--d", "2", "--restarts", "2", "--max-iterations", "2", "--seed", "3", "--jobs", "1"]
+    payloads = []
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert payload["manifest"]["command"] == argv + extra
+        assert payload["manifest"]["config"]["json"] == bool(extra)
+        payload.pop("manifest")
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-5", "-1e-3"])
 def test_witness_cli_rejects_non_finite_threshold(capsys, no_restarts, threshold):
     for option in ([f"--threshold={threshold}"], ["--threshold", threshold]):

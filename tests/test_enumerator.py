@@ -135,8 +135,11 @@ def test_matches_oracle_across_several_blocks(rng):
 
 def test_local_norm_across_several_blocks(rng):
     # Reference: every sign vector y at once, x following the signs of M y.
-    m = 13
-    assert (1 << m) * 2 * m > localbound._CHUNK_CELLS
+    # With x_0 fixed, 2^(m-1) strategies at 2 cells per Bob setting (the
+    # block's sizing, though only outcome 0's cell is built) fill more than
+    # two blocks.
+    m = 15
+    assert (1 << (m - 1)) * 2 * m > 2 * localbound._CHUNK_CELLS
     matrix = rng.normal(size=(m, m))
     bits = (np.arange(1 << m)[None, :] >> np.arange(m)[:, None]) & 1
     expected = float(np.abs(matrix @ (2.0 * bits - 1.0)).sum(axis=0).max())
@@ -212,3 +215,90 @@ def test_symmetric_functional_scores_half_of_alices_strategies(rng, monkeypatch)
         prefixes.clear()
         bound(nudged(f, (0, 0, 0, 0)))
         assert len(prefixes) == 2**m
+
+
+def bob_antisymmetric_functionals(rng):
+    """Functionals whose outcome-1 coefficients of Bob's are exactly minus his
+    outcome-0 ones, but which flipping every outcome changes: correlator forms
+    of real and integer matrices plus Alice marginals and a constant, and
+    ragged Alice settings against binary Bob settings with [t, -t] marginals."""
+    for m in (1, 3, 6):
+        for matrix in (rng.normal(size=(m, m)), rng.integers(-1, 2, size=(m, m))):
+            f = grothendieck.correlator_bell(grothendieck.CorrelationFunctional(matrix))
+            marginal_a = [rng.normal(size=2) for _ in range(m)]
+            yield BellFunctional(f.scenario, f.joint, marginal_a, f.marginal_b, 0.75)
+    sc = BellScenario((2, 3, 4), (2,) * 4)
+    for draw in (rng.normal, lambda size: rng.integers(-2, 3, size=size).astype(float)):
+        columns = [[draw(size=va) for _ in range(4)] for va in sc.outcomes_a]
+        joint = [[np.stack([col, -col], axis=1) for col in row] for row in columns]
+        marginal_b = [np.array([t, -t]) for t in draw(size=4)]
+        yield BellFunctional(sc, joint, [draw(size=va) for va in sc.outcomes_a], marginal_b, -1.25)
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 16, localbound._CHUNK_CELLS])
+def test_bob_antisymmetric_functionals_match_oracle(rng, chunk_cells):
+    with mock.patch.object(localbound, "_CHUNK_CELLS", chunk_cells):
+        for f in bob_antisymmetric_functionals(rng):
+            assert localbound._bob_antisymmetric(f.coefficients)
+            assert not localbound._flip_symmetric(f.coefficients)
+            assert_matches_oracle(f)
+            # A one-ulp change in an outcome-1 joint term or in a Bob
+            # marginal breaks the antisymmetry, so Bob's full cells are built.
+            for index in ((0, 0, 0, 1), (-1, 0, 0, 1), (-1, 0, 0, 0)):
+                g = nudged(f, index)
+                assert not localbound._bob_antisymmetric(g.coefficients)
+                assert_matches_oracle(g)
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 16, localbound._CHUNK_CELLS])
+def test_bob_ties_at_signed_zero_pick_outcome_0(rng, chunk_cells):
+    # Integer matrices tie often; a zero column scores +-0 for both of Bob's
+    # outcomes under every Alice strategy, and a -0.0 column flips which of
+    # the two coefficients is the negative zero.
+    with mock.patch.object(localbound, "_CHUNK_CELLS", chunk_cells):
+        for m in (2, 5, 8):
+            matrix = rng.integers(-1, 2, size=(m, m)).astype(float)
+            matrix[:, 0] = 0.0
+            matrix[:, -1] = -0.0
+            f = grothendieck.correlator_bell(grothendieck.CorrelationFunctional(matrix))
+            assert localbound._bob_antisymmetric(f.coefficients)
+            assert_matches_oracle(f)
+            for bound in (local_bound, local_bound_min):
+                strategy = bound(f)[1]
+                assert strategy.assignment_b[0] == strategy.assignment_b[-1] == 0
+
+
+def test_bob_antisymmetric_functional_builds_only_outcome_0_cells(rng, monkeypatch):
+    prefixes, rows = [], []
+
+    def counting_product(*ranges):
+        for prefix in product(*ranges):
+            prefixes.append(prefix)
+            yield prefix
+
+    class RecordingNumpy:
+        """numpy, with the shape of the Bob marginal row that every Alice
+        strategy's Bob cells are built from recorded."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def where(self, *args):
+            row = np.where(*args)
+            rows.append(row.shape)
+            return row
+
+    # One cell per block puts every Alice setting in the counted loop, so
+    # each prefix scores exactly one row of Bob cells.
+    monkeypatch.setattr(localbound, "_CHUNK_CELLS", 1)
+    monkeypatch.setattr(localbound, "product", counting_product)
+    monkeypatch.setattr(localbound, "np", RecordingNumpy())
+    m = 6
+    f = grothendieck.correlator_bell(grothendieck.CorrelationFunctional(rng.normal(size=(m, m))))
+    for g, strategies, cells in ((f, 2 ** (m - 1), m), (nudged(f, (0, 0, 0, 1)), 2**m, 2 * m)):
+        for bound in (local_bound, local_bound_min):
+            prefixes.clear()
+            rows.clear()
+            bound(g)
+            assert len(prefixes) == strategies
+            assert len(rows) == 1 and math.prod(rows[0]) == cells
