@@ -9,13 +9,13 @@ blank lines (LF or CRLF; LF is emitted):
     <signed-real> PA(<a>|<x>)
     <signed-real> PB(<b>|<y>)
 
-Reals are decimals (scientific notation accepted) or exact rationals ``p/q``;
-only a coefficient's floating value is kept, not its text.  Duplicate terms
-are summed.  ``parse_functional`` reads the lines once, adding each term at
-its index of the coefficient tensor as it goes, so a file with several faults
-reports the first one by line.  Serialization is canonical: scenario, constant,
-marginals, then joint terms sorted by (x, y, a, b), with zero coefficients
-omitted.
+Reals are decimals (scientific notation accepted) or rationals ``p/q``; a
+coefficient is kept as the double nearest its value, not as its text.
+Duplicate terms are summed.  ``parse_functional`` reads the lines once,
+adding each term at its index of the coefficient tensor as it goes, so a file
+with several faults reports the first one by line.  Serialization is
+canonical: scenario, constant, marginals, then joint terms sorted by
+(x, y, a, b), with zero coefficients omitted.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import csv
 import io
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,21 +51,18 @@ _REAL_PREFIX_RE = re.compile(rf"^({_REAL})")
 
 
 def _parse_real(match: re.Match, line: int) -> float:
-    """Value of the coefficient in ``match`` group 1; a zero denominator or a
-    value beyond the float range raises ``ParseError`` at the token."""
+    """Value of the coefficient in ``match`` group 1, a rational p/q rounded
+    once to the nearest double; a zero denominator, a value beyond the float
+    range or a p or q too long for ``int`` raises ``ParseError`` at the token."""
     text = match.group(1)
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            value = float(int(num)) / float(int(den))
-        else:
-            value = float(text)
+        value = float(Fraction("".join(text.split()))) if "/" in text else float(text)
     except (ZeroDivisionError, OverflowError):
         value = math.inf  # reported below like any other out-of-range value
+    except ValueError:  # a numerator or denominator past Python's int-string digit limit
+        raise ParseError(f"coefficient {text[:20]!r}... has too many digits", line=line, column=match.start(1) + 1) from None
     if not math.isfinite(value):
-        raise ParseError(
-            f"coefficient {text!r} is not a finite real", line=line, column=match.start(1) + 1
-        )
+        raise ParseError(f"coefficient {text!r} is not a finite real", line=line, column=match.start(1) + 1)
     return value
 
 

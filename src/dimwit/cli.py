@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__, bellfmt, catalog, grothendieck, localbound
 from .errors import ConfigError, DimwitError, InvalidFunctionalError
 from .scenario import AVERAGE, PARTNER_SETTING_ZERO, evaluate
-from .seesaw import SeesawConfig, seesaw
+from .seesaw import RESTART_BATCH, SeesawConfig, seesaw
 
 DEFAULT_SEED = 0
 
@@ -312,8 +312,8 @@ def _add_seesaw_knobs(p: argparse.ArgumentParser, fixed_state: bool = False) -> 
         type=int,
         default=_jobs_default(),
         help="worker processes (>= 1; default: the CPUs this process may run on), at most "
-        "one per 16 restarts; each runs a contiguous range of restarts in lockstep, and the "
-        "pool starts only with two or more",
+        f"one per {RESTART_BATCH} restarts; each runs a contiguous range of restarts in "
+        "lockstep, and the pool starts only with two or more",
     )
     if fixed_state:
         p.add_argument("--fixed-theta", type=float, default=None, help="pin state cos(t)|00>+sin(t)|11> (2x2 only)")

@@ -13,7 +13,8 @@ model.  A functional stores only its coefficient tensor
 (``BellFunctional.coefficients``); the blocks above are read-only views into
 it.  Every quantum-side quantity - the Bell operator, the model's value, its
 probability table, and the see-saw's per-setting operators - is a contraction
-of that tensor with the parties' stacked POVMs (``povm_stack``).  The
+of that tensor with the parties' stacked POVMs (``povm_stack``), which is
+also the one form in which a ``QuantumModel`` stores its measurements.  The
 batched functions do these contractions for a batch of models at once, the
 Bell operator and the per-setting operators by one prebuilt
 ``contraction_matrix``, and the single-model functions are batches of one.
@@ -23,7 +24,7 @@ path.  All types are immutable values and every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -292,13 +293,26 @@ def evaluate(f: BellFunctional, t: ProbabilityTable, marginal_policy: str = PART
 
 @dataclass(frozen=True)
 class QuantumModel:
-    """Pure state on C^dA x C^dB with one POVM per setting for each party."""
+    """Pure state on C^dA x C^dB with one POVM per setting for each party.
+
+    Each party's measurements are stored once, as its ``povm_stack`` array
+    ``stack_a`` / ``stack_b`` at the width of its largest setting, built by
+    the constructor and read-only; ``povms_a`` / ``povms_b`` are tuples of
+    read-only views into it, element a of setting x being ``stack[x, a]``.
+    The constructor copies the given elements in, so ``dataclasses.replace``
+    rebuilds the stacks.  A party without settings or a setting without
+    elements raises ``InvalidModelError``, an element that is not d x d
+    ``DimensionMismatchError``.  A pickle holds the constructor's arguments,
+    each element once, and the stacks are rebuilt on load.
+    """
 
     d_a: int
     d_b: int
     state: np.ndarray
     povms_a: tuple[tuple[np.ndarray, ...], ...]
     povms_b: tuple[tuple[np.ndarray, ...], ...]
+    stack_a: np.ndarray = field(init=False, repr=False, compare=False)
+    stack_b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         state = np.asarray(self.state, dtype=complex).reshape(-1)
@@ -307,59 +321,42 @@ class QuantumModel:
                 f"state has length {state.size}, expected {self.d_a * self.d_b}"
             )
         object.__setattr__(self, "state", state)
-        for name, povms, d in (("povms_a", self.povms_a, self.d_a), ("povms_b", self.povms_b, self.d_b)):
-            frozen = tuple(
-                tuple(np.asarray(m, dtype=complex) for m in setting) for setting in povms
-            )
-            for setting in frozen:
-                for m in setting:
-                    if m.shape != (d, d):
-                        raise DimensionMismatchError(
-                            f"{name} element has shape {m.shape}, expected ({d},{d})"
-                        )
-            object.__setattr__(self, name, frozen)
+        for party, povms, d in (("a", self.povms_a, self.d_a), ("b", self.povms_b, self.d_b)):
+            stack = _checked_stack(povms, f"povms_{party}")
+            if stack.shape[-1] != d:
+                raise DimensionMismatchError(f"povms_{party} elements are not {d}x{d}")
+            object.__setattr__(self, f"stack_{party}", stack)
+            object.__setattr__(self, f"povms_{party}", povm_views(stack, [len(s) for s in povms]))
+
+    def __reduce__(self):
+        return QuantumModel, (self.d_a, self.d_b, self.state, self.povms_a, self.povms_b)
 
     def outcome_counts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (
-            tuple(len(s) for s in self.povms_a),
-            tuple(len(s) for s in self.povms_b),
-        )
+        return tuple(len(s) for s in self.povms_a), tuple(len(s) for s in self.povms_b)
 
     def validate(self, scenario: BellScenario | None = None) -> None:
-        """Raise ``InvalidModelError`` on any state-norm or POVM violation."""
+        """Raise ``InvalidModelError`` on any state-norm or POVM violation.
+        Each setting is checked as its row of the stack: the zero elements
+        past its outcome count pass every check and add nothing to its sum."""
         if not np.isfinite(self.state).all():
             raise InvalidModelError("state has non-finite entries")
         norm = float(np.linalg.norm(self.state))
         if abs(norm - 1.0) > STATE_NORM_TOL:
             raise InvalidModelError(f"state norm {norm!r} is not 1")
-        counts_a, counts_b = self.outcome_counts()
-        if scenario is not None and (counts_a, counts_b) != (
-            scenario.outcomes_a,
-            scenario.outcomes_b,
-        ):
-            raise InvalidModelError(
-                f"POVM outcome counts {(counts_a, counts_b)} do not match scenario"
-            )
-        for name, povms, d in (("Alice", self.povms_a, self.d_a), ("Bob", self.povms_b, self.d_b)):
-            for idx, setting in enumerate(povms):
-                total = np.zeros((d, d), dtype=complex)
-                for m in setting:
-                    if not np.isfinite(m).all():
-                        raise InvalidModelError(
-                            f"{name} setting {idx}: element has non-finite entries"
-                        )
-                    dev = float(np.abs(m - m.conj().T).max())
-                    if dev > POVM_TOL:
-                        raise InvalidModelError(
-                            f"{name} setting {idx}: element not Hermitian (dev {dev:.2e})"
-                        )
-                    low = linalg.eig_hermitian(m, POVM_TOL).eigenvalues[-1]
-                    if low < -POVM_TOL:
-                        raise InvalidModelError(
-                            f"{name} setting {idx}: eigenvalue {low:.2e} below -{POVM_TOL}"
-                        )
-                    total = total + m
-                dev = float(np.abs(total - np.eye(d)).max())
+        counts = self.outcome_counts()
+        if scenario is not None and counts != (scenario.outcomes_a, scenario.outcomes_b):
+            raise InvalidModelError(f"POVM outcome counts {counts} do not match scenario")
+        for name, stack, d in (("Alice", self.stack_a, self.d_a), ("Bob", self.stack_b, self.d_b)):
+            for idx, setting in enumerate(stack[:-1]):
+                if not np.isfinite(setting).all():
+                    raise InvalidModelError(f"{name} setting {idx}: element has non-finite entries")
+                dev = float(np.abs(setting - setting.conj().swapaxes(-1, -2)).max())
+                if dev > POVM_TOL:
+                    raise InvalidModelError(f"{name} setting {idx}: element not Hermitian (dev {dev:.2e})")
+                low = float(linalg.eig_hermitian(setting, POVM_TOL).eigenvalues[:, -1].min())
+                if low < -POVM_TOL:
+                    raise InvalidModelError(f"{name} setting {idx}: eigenvalue {low:.2e} below -{POVM_TOL}")
+                dev = float(np.abs(setting.sum(axis=0) - np.eye(d)).max())
                 if dev > POVM_TOL:
                     raise InvalidModelError(
                         f"{name} setting {idx}: elements sum to identity only within {dev:.2e}"
@@ -369,30 +366,49 @@ class QuantumModel:
 def povm_stack(povms, width: int) -> np.ndarray:
     """One party's POVMs as a (settings + 1, width, d, d) array laid out like
     ``BellFunctional.coefficients``: element a of setting x at [x, a], the
-    identity at [-1, 0], and zeros in every other slot."""
-    d = povms[0][0].shape[0]
+    identity at [-1, 0], and zeros in every other slot.  d is the first
+    element's row count; an element of another shape raises
+    ``DimensionMismatchError``."""
+    d = (np.shape(povms[0][0]) or (0,))[0]
     stack = np.zeros((len(povms) + 1, width, d, d), dtype=complex)
     for x, setting in enumerate(povms):
-        stack[x, : len(setting)] = setting
+        for a, m in enumerate(setting):
+            m = np.asarray(m)
+            if m.shape != (d, d):
+                raise DimensionMismatchError(f"POVM element ({x},{a}) has shape {m.shape}, expected ({d},{d})")
+            stack[x, a] = m
     stack[-1, 0] = np.eye(d)
     return stack
 
 
-def _stacks(f: BellFunctional, povms_a, povms_b) -> tuple[np.ndarray, np.ndarray]:
-    counts_a = tuple(len(s) for s in povms_a)
-    counts_b = tuple(len(s) for s in povms_b)
-    if counts_a != f.scenario.outcomes_a or counts_b != f.scenario.outcomes_b:
-        raise DimensionMismatchError(
-            f"POVM outcome counts {(counts_a, counts_b)} do not match the scenario"
-        )
-    c = f.coefficients
-    return povm_stack(povms_a, c.shape[2]), povm_stack(povms_b, c.shape[3])
+def povm_views(stack: np.ndarray, counts) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The POVMs of a ``povm_stack`` array as tuples of views: the first
+    ``counts[x]`` elements of each setting x."""
+    return tuple(tuple(stack[x, :v]) for x, v in enumerate(counts))
+
+
+def _checked_stack(povms, name: str) -> np.ndarray:
+    """Read-only ``povm_stack`` of one party's POVMs at the width of its
+    largest setting; ``InvalidModelError`` if the party has no setting or a
+    setting has no element."""
+    if not len(povms) or not all(len(s) for s in povms):
+        raise InvalidModelError(f"{name} needs at least one setting and an element in each")
+    stack = povm_stack(povms, max(len(s) for s in povms))
+    stack.flags.writeable = False
+    return stack
+
+
+def _check_counts(f: BellFunctional, counts: tuple) -> None:
+    if counts != (f.scenario.outcomes_a, f.scenario.outcomes_b):
+        raise DimensionMismatchError(f"POVM outcome counts {counts} do not match the scenario")
 
 
 def model_stacks(f: BellFunctional, m: QuantumModel) -> tuple[np.ndarray, np.ndarray]:
-    """The model's POVMs as ``povm_stack`` arrays at the widths of ``f``'s
-    coefficient tensor, after checking the outcome counts against its scenario."""
-    return _stacks(f, m.povms_a, m.povms_b)
+    """The model's stored POVM stacks, after checking its outcome counts
+    against ``f``'s scenario: they then have the widths of ``f``'s
+    coefficient tensor."""
+    _check_counts(f, m.outcome_counts())
+    return m.stack_a, m.stack_b
 
 
 # The contractions below take a batch of B models: states as a (B, d_a d_b)
@@ -468,27 +484,25 @@ def party_operators(
 
 
 def bell_operator(f: BellFunctional, povms_a, povms_b) -> np.ndarray:
-    """Operator whose expectation in a state gives the functional's value."""
-    stack_a, stack_b = _stacks(f, povms_a, povms_b)
+    """Operator whose expectation in a state gives the functional's value;
+    the POVMs are checked as a ``QuantumModel``'s are, then against ``f``'s
+    outcome counts."""
+    stack_a, stack_b = _checked_stack(povms_a, "povms_a"), _checked_stack(povms_b, "povms_b")
+    _check_counts(f, (tuple(len(s) for s in povms_a), tuple(len(s) for s in povms_b)))
     return bell_operators(contraction_matrix(f), stack_a[None], stack_b[None])[0]
 
 
 def model_value(f: BellFunctional, m: QuantumModel) -> float:
     """<psi| B |psi> for the functional's Bell operator B, computed as
     sum C * T over the model's correlations without building B."""
-    stack_a, stack_b = model_stacks(f, m)
-    return float(stacked_values(f, m.state[None], stack_a[None], stack_b[None])[0])
+    return float(stacked_values(f, m.state[None], *(s[None] for s in model_stacks(f, m)))[0])
 
 
 def table_of(m: QuantumModel) -> ProbabilityTable:
     """Probability table generated by the model; no-signaling by construction."""
     counts_a, counts_b = m.outcome_counts()
-    stack_a = povm_stack(m.povms_a, max(counts_a))
-    stack_b = povm_stack(m.povms_b, max(counts_b))
-    t = stacked_correlations(m.state[None], stack_a[None], stack_b[None])[0]
-    blocks = [
-        [t[x, y, :va, :vb] for y, vb in enumerate(counts_b)] for x, va in enumerate(counts_a)
-    ]
+    t = stacked_correlations(m.state[None], m.stack_a[None], m.stack_b[None])[0]
+    blocks = [[t[x, y, :va, :vb] for y, vb in enumerate(counts_b)] for x, va in enumerate(counts_a)]
     return ProbabilityTable(BellScenario(counts_a, counts_b), blocks)
 
 

@@ -19,11 +19,12 @@ Restarts run in lockstep batches.  ``seesaw`` gives each worker one
 contiguous range of restart indices and runs it as one batch, cut further
 only where ``BATCH_CELLS`` bounds a batch's memory.  A batch holds its active
 members, in restart order, as whole arrays: states as one (B, d_a d_b) array
-and each party's POVMs as one (B, settings + 1, width, d, d) array in the
-``povm_stack`` layout.  The functional's one contraction matrix is built once
-per batch, so each step above is a few stacked contractions and eigensolves
-on those arrays.  A member that converges or is aborted is built into a model
-and its rows are dropped, so stragglers share their calls until the last one
+and each party's POVMs as one (B, settings + 1, width, d, d) array: the
+members' stored ``povm_stack`` arrays, stacked.  The functional's one
+contraction matrix is built once per batch, so each step above is a few
+stacked contractions and eigensolves on those arrays.  A member that stops
+is built into a model from its stack rows; its rows, like those of an aborted
+member, are dropped, so stragglers share their calls until the last one
 stops.  Every stacked operation acts member by member, so a restart's
 iterates do not depend on its batch; ``refine`` is the same loop on a batch
 of one.  If a stacked step raises a linear-algebra error, that step is re-run
@@ -49,6 +50,7 @@ from .scenario import (
     contraction_matrix,
     model_stacks,
     party_operators,
+    povm_views,
     stacked_values,
 )
 
@@ -178,8 +180,8 @@ def update_state(f: BellFunctional, model: QuantumModel) -> QuantumModel:
     (when its norm is at least 1e-6) to avoid cycling.  The objective never
     decreases.  This is the see-saw's state step on a batch of one.
     """
-    stack_a, stack_b = model_stacks(f, model)
-    states = _state_step(contraction_matrix(f), model.state[None], stack_a[None], stack_b[None])
+    stacks = model_stacks(f, model)
+    states = _state_step(contraction_matrix(f), model.state[None], *(s[None] for s in stacks))
     return replace(model, state=states[0])
 
 
@@ -308,11 +310,6 @@ def _party_step(plan: tuple, matrix: np.ndarray, states, stacks_a, stacks_b) -> 
     return povms
 
 
-def _povms(stack: np.ndarray, counts) -> tuple:
-    """Tuples of POVM elements of one party from its ``povm_stack`` array."""
-    return tuple(tuple(stack[x, :v]) for x, v in enumerate(counts))
-
-
 def _update_setting(f: BellFunctional, model: QuantumModel, party: str, setting: int, binary: bool) -> QuantumModel:
     """``_party_step`` over the whole party on a batch of one model, keeping
     only ``setting``'s new POVM; ``WrongOutcomeCountError`` unless the
@@ -325,12 +322,12 @@ def _update_setting(f: BellFunctional, model: QuantumModel, party: str, setting:
         raise WrongOutcomeCountError(
             f"setting {setting} of party {party} has {v} outcomes, expected {'2' if binary else '>= 3'}"
         )
-    stack_a, stack_b = model_stacks(f, model)
-    stack = _party_step(plan, contraction_matrix(f), model.state[None], stack_a[None], stack_b[None])[0]
-    name = "povms_a" if party == "A" else "povms_b"
-    povms = list(getattr(model, name))
-    povms[setting] = tuple(stack[:-1][setting, : len(povms[setting])])
-    return replace(model, **{name: tuple(povms)})
+    stacks = model_stacks(f, model)
+    step = _party_step(plan, contraction_matrix(f), model.state[None], *(s[None] for s in stacks))[0]
+    stack = stacks[party == "B"].copy()
+    stack[:-1][setting] = step[:-1][setting]  # setting -1 is the last setting, not the identity slot
+    name, counts = ("povms_a", f.scenario.outcomes_a) if party == "A" else ("povms_b", f.scenario.outcomes_b)
+    return replace(model, **{name: povm_views(stack, counts)})
 
 
 def update_measurement_binary(f: BellFunctional, model: QuantumModel, party: str, setting: int) -> QuantumModel:
@@ -406,7 +403,7 @@ def _lockstep(f: BellFunctional, models, cfg: SeesawConfig) -> list[tuple]:
             return
         states, stacks_a, stacks_b, values, restarts = work
         for i in np.flatnonzero(done):
-            povms = _povms(stacks_a[i].copy(), f.scenario.outcomes_a), _povms(stacks_b[i].copy(), f.scenario.outcomes_b)
+            povms = povm_views(stacks_a[i], f.scenario.outcomes_a), povm_views(stacks_b[i], f.scenario.outcomes_b)
             model = QuantumModel(d_a, d_b, states[i].copy(), *povms)
             outcomes[int(restarts[i])] = (float(values[i]), model, iterations, converged, None)
         work[:] = [w[~done] for w in work]
@@ -517,30 +514,19 @@ def seesaw(
 def embed_model(model: QuantumModel, d_a: int, d_b: int) -> QuantumModel:
     """Embed a model into larger local dimensions.
 
-    The state is zero-padded; each POVM element is block-extended with zeros,
-    and the new dimensions' identity block is attached to outcome 0 so each
-    setting still sums to the identity.
+    The state and both POVM stacks are zero-padded, and the new dimensions'
+    identity block is put on outcome 0 of every setting and on the identity
+    slot, so each setting still sums to the identity.
     """
     if d_a < model.d_a or d_b < model.d_b:
         raise ConfigError("embedding target dimensions must not shrink")
-    psi = model.state.reshape(model.d_a, model.d_b)
     state = np.zeros((d_a, d_b), dtype=complex)
-    state[: model.d_a, : model.d_b] = psi
-
-    def grow(setting, d_old, d_new):
-        out = []
-        for a, m in enumerate(setting):
-            big = np.zeros((d_new, d_new), dtype=complex)
-            big[:d_old, :d_old] = m
-            if a == 0 and d_new > d_old:
-                big[d_old:, d_old:] = np.eye(d_new - d_old)
-            out.append(big)
-        return tuple(out)
-
-    return QuantumModel(
-        d_a,
-        d_b,
-        state.reshape(-1),
-        tuple(grow(s, model.d_a, d_a) for s in model.povms_a),
-        tuple(grow(s, model.d_b, d_b) for s in model.povms_b),
-    )
+    state[: model.d_a, : model.d_b] = model.state.reshape(model.d_a, model.d_b)
+    povms = []
+    for stack, counts, d in zip((model.stack_a, model.stack_b), model.outcome_counts(), (d_a, d_b)):
+        small = stack.shape[-1]
+        big = np.zeros(stack.shape[:2] + (d, d), dtype=complex)
+        big[..., :small, :small] = stack
+        big[:, 0, small:, small:] = np.eye(d - small)
+        povms.append(povm_views(big, counts))
+    return QuantumModel(d_a, d_b, state.reshape(-1), *povms)

@@ -105,6 +105,15 @@ def test_rationals_whitespace_comments_crlf():
     assert f.constant == -0.5
 
 
+def test_rationals_round_once_to_the_nearest_double():
+    # p = 2^53 + 1 is not a double, so rounding p first and then p / 3 gives
+    # 3002399751580330.5; the exact quotient 3002399751580331 is a double.
+    f = bellfmt.parse_functional("scenario A:2 B:2\n9007199254740993/3 P(0 0|0 0)\n")
+    assert f.joint[0][0][0, 0] == 3002399751580331.0
+    f = bellfmt.parse_functional(f"scenario A:2 B:2\nconst -{10**30 + 1} / {3 * 10**29}\n")
+    assert f.constant == -(10**30 + 1) / (3 * 10**29)
+
+
 def test_parse_errors_carry_location():
     with pytest.raises(MissingScenarioError):
         bellfmt.parse_functional("+1 P(0 0|0 0)\n")

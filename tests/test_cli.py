@@ -642,6 +642,16 @@ def test_local_bound_non_finite_coefficient_exits_2(tmp_path, capsys, text):
     assert out == "" and "line" in err
 
 
+def test_local_bound_over_long_rational_exits_2(tmp_path, capsys):
+    """A numerator past Python's int-string digit limit is a parse error at
+    the coefficient, not a traceback."""
+    path = tmp_path / "big.bell"
+    path.write_text("scenario A:2 B:2\n+1 PA(0|0)\nconst " + "1" * 5000 + "/3\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "local-bound", str(path))
+    assert code == 2
+    assert out == "" and "(line 3, column 7)" in err
+
+
 @pytest.mark.parametrize("name", ["iphi:nan", "iphi:inf", "iphi:-inf"])
 def test_non_finite_iphi_angle_exits_2(capsys, name):
     code, out, err = run_cli(capsys, "local-bound", name)

@@ -294,3 +294,68 @@ def test_quantum_model_rejects_non_finite_entries():
     with pytest.raises(InvalidModelError):
         nan_povm.validate(sc)
 
+
+
+def test_malformed_models_fail_typed_at_construction():
+    model = seeded_models(BellScenario((2,), (2, 2)), 2, 2, seed=3, count=1)[0]
+    with pytest.raises(InvalidModelError):
+        QuantumModel(2, 2, model.state, (), model.povms_b)
+    with pytest.raises(InvalidModelError):
+        QuantumModel(2, 2, model.state, model.povms_a, (model.povms_b[0], ()))
+    with pytest.raises(DimensionMismatchError):
+        QuantumModel(2, 2, model.state, ((np.eye(2), np.zeros((2, 3))),), model.povms_b)
+    with pytest.raises(DimensionMismatchError):
+        QuantumModel(2, 2, model.state, ((np.eye(3), np.zeros((3, 3))),), model.povms_b)
+
+
+def test_bell_operator_rejects_malformed_povms():
+    f = catalog.chsh()
+    row = (np.ones((1, 2)), np.zeros((1, 2)))
+    with pytest.raises(DimensionMismatchError):
+        bell_operator(f, (row, row), (row, row))
+    eye2 = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    with pytest.raises(InvalidModelError):
+        bell_operator(f, (eye2, ()), (eye2, eye2))
+
+
+def test_model_stores_its_povms_once_as_read_only_stacks():
+    sc = BellScenario((2, 3), (3, 2, 2))
+    model = seeded_models(sc, 3, 2, seed=4, count=1)[0]
+    for stack, povms, d in ((model.stack_a, model.povms_a, 3), (model.stack_b, model.povms_b, 2)):
+        assert stack.shape == (len(povms) + 1, 3, d, d) and not stack.flags.writeable
+        assert np.array_equal(stack, scenario.povm_stack(povms, 3))
+        for x, setting in enumerate(povms):
+            for a, m in enumerate(setting):
+                assert np.shares_memory(m, stack[x, a]) and not m.flags.writeable
+    with pytest.raises(ValueError):
+        model.povms_a[0][0][0, 0] = 2.0
+
+
+def test_replace_rebuilds_the_stacks():
+    from dataclasses import replace
+
+    sc = BellScenario((2, 3), (2, 2))
+    model, other = seeded_models(sc, 2, 3, seed=8, count=2)
+    moved = replace(model, state=other.state)
+    assert np.array_equal(moved.state, other.state)
+    assert np.array_equal(moved.stack_a, model.stack_a) and moved.stack_a is not model.stack_a
+    swapped = replace(model, povms_a=other.povms_a)
+    assert np.array_equal(swapped.stack_a, other.stack_a)
+    assert np.array_equal(swapped.stack_b, model.stack_b)
+    assert all(np.shares_memory(m, swapped.stack_a) for s in swapped.povms_a for m in s)
+
+
+def test_pickle_round_trip_keeps_the_model_and_holds_each_element_once():
+    import pickle
+
+    model = seeded_models(catalog.expression_E().scenario, 3, 3, seed=1, count=1)[0]
+    data = pickle.dumps(model)
+    back = pickle.loads(data)
+    assert (back.d_a, back.d_b) == (model.d_a, model.d_b)
+    for name in ("state", "stack_a", "stack_b"):
+        assert np.array_equal(getattr(back, name), getattr(model, name))
+    assert not back.stack_a.flags.writeable
+    assert all(np.shares_memory(m, back.stack_b) for s in back.povms_b for m in s)
+    # The stacks, padding and identity slots included, are not pickled: the
+    # pickle is smaller than their data alone.
+    assert len(data) < 16 * (model.stack_a.size + model.stack_b.size)

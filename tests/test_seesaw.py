@@ -18,6 +18,7 @@ from dimwit.scenario import (
     contraction_matrix,
     model_stacks,
     model_value,
+    povm_views,
     table_of,
 )
 from dimwit.seesaw import (
@@ -247,7 +248,7 @@ def test_party_step_equals_setting_by_setting_and_is_monotone(rng):
                     plan = ss._party_plan(f, party)
                     stack = ss._party_step(plan, contraction_matrix(f), model.state[None], stack_a[None], stack_b[None])[0]
                     name = "povms_a" if party == "A" else "povms_b"
-                    step = replace(model, **{name: ss._povms(stack, counts)})
+                    step = replace(model, **{name: povm_views(stack, counts)})
                     ref = _setting_by_setting(f, model, party)
                     for got, want in zip(step.povms_a + step.povms_b, ref.povms_a + ref.povms_b):
                         for m1, m2 in zip(got, want):
@@ -464,6 +465,44 @@ def test_dimension_monotonicity_by_embedding():
     assert abs(model_value(f, grown) - small.best_value) < 1e-10
     value, _, _, _ = refine(f, grown, SeesawConfig(restarts=1, seed=0))
     assert value >= small.best_value - 1e-9
+
+
+def _embed_element_by_element(model, d_a, d_b):
+    """Reference embedding: each element block-extended with zeros, the new
+    identity block added to outcome 0."""
+
+    def grow(setting, d_old, d_new):
+        out = []
+        for a, m in enumerate(setting):
+            big = np.zeros((d_new, d_new), dtype=complex)
+            big[:d_old, :d_old] = m
+            if a == 0 and d_new > d_old:
+                big[d_old:, d_old:] = np.eye(d_new - d_old)
+            out.append(big)
+        return tuple(out)
+
+    state = np.zeros((d_a, d_b), dtype=complex)
+    state[: model.d_a, : model.d_b] = model.state.reshape(model.d_a, model.d_b)
+    povms_a = tuple(grow(s, model.d_a, d_a) for s in model.povms_a)
+    povms_b = tuple(grow(s, model.d_b, d_b) for s in model.povms_b)
+    return state.reshape(-1), povms_a, povms_b
+
+
+def test_embed_model_pads_the_stacks_like_growing_each_element():
+    sc = BellScenario((2, 3), (3, 2, 2))
+    model = seeded_models(sc, 2, 3, seed=6, count=1)[0]
+    for d_a, d_b in ((2, 3), (3, 3), (4, 3), (2, 5), (4, 4)):
+        grown = embed_model(model, d_a, d_b)
+        state, povms_a, povms_b = _embed_element_by_element(model, d_a, d_b)
+        assert (grown.d_a, grown.d_b) == (d_a, d_b)
+        assert np.array_equal(grown.state, state)
+        for got, want in zip(grown.povms_a + grown.povms_b, povms_a + povms_b):
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(grown.stack_a[-1, 0], np.eye(d_a))
+        grown.validate(sc)
+    with pytest.raises(ConfigError):
+        embed_model(model, 1, 3)
 
 
 def test_soundness_against_certified_bounds():
