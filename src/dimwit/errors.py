@@ -44,7 +44,7 @@ class InvalidTableError(DimwitError):
 
 
 class InvalidFunctionalError(DimwitError):
-    """Bell functional has a non-finite coefficient."""
+    """Bell functional has a non-finite coefficient, or a local bound beyond the float range."""
 
 
 class InvalidModelError(DimwitError):

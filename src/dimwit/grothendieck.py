@@ -13,21 +13,21 @@ which flipping every sign leaves unchanged, so it scores only the 2^(m-1)
 sign vectors x with x_0 fixed, under the search's one cap (m <= 26).  Bob's
 two outcomes score exactly opposite, so per x it builds the m sums
 sum_i M_ij x_i once and takes each y_j's best as their magnitude.  The
-unit-vector search runs all its restarts in lockstep on stacked
-(restarts, m, N) arrays that hold only the members still improving: one that
-stops is written out and its rows dropped.
+unit-vector search runs all its restarts on stacked (restarts, m, N) arrays
+under the quantum see-saw's restart loop, ``seesaw.drive_lockstep``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, ZeroMatrixError
 from .localbound import check_enumeration, local_bound
 from .scenario import BellFunctional, BellScenario
-from .seesaw import CONVERGENCE_TOL, SeesawConfig, spawn_rng
+from .seesaw import SeesawConfig, drive_lockstep, spawn_rng
 
 
 @dataclass
@@ -96,28 +96,19 @@ def _objectives(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
 
 
 def _lockstep(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray, max_iterations: int):
-    """Alternating exact best responses on (R, m, n) stacks of start vectors.
-    The working arrays - vectors, objectives and restart indices - hold the
-    active members in restart order; a member whose iteration improves its
-    objective by less than ``CONVERGENCE_TOL`` is written back into ``xs`` and
-    ``ys`` and its rows dropped, so each step runs on whole arrays.  Returns
-    the R final objectives."""
-    values = _objectives(matrix, xs, ys)
-    x, y, value, restarts = xs, ys, values, np.arange(len(xs))
-    for _ in range(max_iterations):
-        x = _normalize_rows(matrix @ y, x)
-        y = _normalize_rows(matrix.T @ x, y)
-        previous, value = value, _objectives(matrix, x, y)
-        keep = value - previous >= CONVERGENCE_TOL
-        if not keep.all():
-            stop = ~keep
-            done = restarts[stop]
-            xs[done], ys[done], values[done] = x[stop], y[stop], value[stop]
-            x, y, value, restarts = x[keep], y[keep], value[keep], restarts[keep]
-            if not restarts.size:
-                break
-    xs[restarts], ys[restarts], values[restarts] = x, y, value
-    return values
+    """Alternating exact best responses (x <- M y, then y <- Mᵀ x, rows
+    normalized) on (R, m, n) stacks of start vectors, run by
+    ``drive_lockstep``.  Each member's final vectors are written back into
+    ``xs`` and ``ys``; returns the R final objectives."""
+    finals = np.empty(len(xs))
+
+    def write_out(restarts, values, arrays, iterations, converged):
+        xs[restarts], ys[restarts] = arrays
+        finals[restarts] = values
+
+    steps = [(0, lambda x, y: _normalize_rows(matrix @ y, x)), (1, lambda x, y: _normalize_rows(matrix.T @ x, y))]
+    drive_lockstep([xs, ys], steps, partial(_objectives, matrix), write_out, max_iterations)
+    return finals
 
 
 def _check_dimension(n: int) -> None:

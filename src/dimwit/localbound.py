@@ -24,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ScenarioMismatchError, StrategySpaceTooLargeError
+from .errors import InvalidFunctionalError, ScenarioMismatchError, StrategySpaceTooLargeError
 from .scenario import BellFunctional, BellScenario, ProbabilityTable
 
 #: Work units one search may take (see the module docstring): 2^31 admits
@@ -114,9 +114,10 @@ def _bob_antisymmetric(c: np.ndarray) -> bool:
     return c.shape[3] == 2 and not (c[:, :-1, :, 0] + c[:, :-1, :, 1]).any()
 
 
-def _best_strategy(f: BellFunctional) -> DeterministicStrategy:
-    """The deterministic strategy maximising ``f``: the lexicographically
-    smallest among those of maximal score, after ``check_enumeration``.
+def _best_strategy(f: BellFunctional) -> tuple[float, DeterministicStrategy | None]:
+    """The best score and the deterministic strategy maximising ``f``: the
+    lexicographically smallest among those of maximal score, after
+    ``check_enumeration`` (``None`` if no score beats -inf).
     Alice's strategies run in ``itertools.product`` order, the leading
     settings in a Python loop and the trailing ones (as many as fit
     ``_CHUNK_CELLS``) as one block folded from the prefix's row; a block
@@ -183,18 +184,28 @@ def _best_strategy(f: BellFunctional) -> DeterministicStrategy:
             alpha = prefix + tuple(int(a) for a in np.unravel_index(i, trailing))
             choice = scores[i, 0] < 0 if cells == 1 else scores[i].argmax(axis=0)
             best = DeterministicStrategy(alpha, tuple(int(b) for b in choice))
-    return best
+    return best_score, best
 
 
 def local_bound(f: BellFunctional):
     """Exact maximum over deterministic strategies, with a witnessing strategy;
-    ``StrategySpaceTooLargeError`` beyond ``ENUMERATION_CAP``."""
-    strategy = _best_strategy(f)
-    # strategy_value matches evaluate() on the witnessing strategy bit for bit.
-    return strategy_value(f, strategy), strategy
+    ``StrategySpaceTooLargeError`` beyond ``ENUMERATION_CAP``, and
+    ``InvalidFunctionalError`` if the bound is beyond the float range."""
+    return _valued(f, f)
 
 
 def local_bound_min(f: BellFunctional):
     """``local_bound``'s minimum counterpart: the search on -f, valued on f."""
-    strategy = _best_strategy(-f)
-    return strategy_value(f, strategy), strategy
+    return _valued(f, -f)
+
+
+@np.errstate(over="ignore")
+def _valued(f: BellFunctional, searched: BellFunctional):
+    """The strategy maximising ``searched``, valued on ``f`` as ``evaluate``
+    does, bit for bit.  Sums leave the float range without a warning, and a
+    winning score or value that is not finite is an ``InvalidFunctionalError``."""
+    score, strategy = _best_strategy(searched)
+    value = strategy_value(f, strategy) if math.isfinite(score) else score
+    if not math.isfinite(value):
+        raise InvalidFunctionalError(f"the local bound is beyond the float range: {value}")
+    return value, strategy

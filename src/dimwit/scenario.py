@@ -291,7 +291,7 @@ def evaluate(f: BellFunctional, t: ProbabilityTable, marginal_policy: str = PART
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumModel:
     """Pure state on C^dA x C^dB with one POVM per setting for each party.
 
@@ -303,7 +303,8 @@ class QuantumModel:
     rebuilds the stacks.  A party without settings or a setting without
     elements raises ``InvalidModelError``, an element that is not d x d
     ``DimensionMismatchError``.  A pickle holds the constructor's arguments,
-    each element once, and the stacks are rebuilt on load.
+    each element once, and the stacks are rebuilt on load.  Models compare
+    and hash by identity, as ``SeesawConfig`` does.
     """
 
     d_a: int
@@ -311,8 +312,8 @@ class QuantumModel:
     state: np.ndarray
     povms_a: tuple[tuple[np.ndarray, ...], ...]
     povms_b: tuple[tuple[np.ndarray, ...], ...]
-    stack_a: np.ndarray = field(init=False, repr=False, compare=False)
-    stack_b: np.ndarray = field(init=False, repr=False, compare=False)
+    stack_a: np.ndarray = field(init=False, repr=False)
+    stack_b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         state = np.asarray(self.state, dtype=complex).reshape(-1)

@@ -22,13 +22,11 @@ members, in restart order, as whole arrays: states as one (B, d_a d_b) array
 and each party's POVMs as one (B, settings + 1, width, d, d) array: the
 members' stored ``povm_stack`` arrays, stacked.  The functional's one
 contraction matrix is built once per batch, so each step above is a few
-stacked contractions and eigensolves on those arrays.  A member that stops
-is built into a model from its stack rows; its rows, like those of an aborted
-member, are dropped, so stragglers share their calls until the last one
-stops.  Every stacked operation acts member by member, so a restart's
-iterates do not depend on its batch; ``refine`` is the same loop on a batch
-of one.  If a stacked step raises a linear-algebra error, that step is re-run
-member by member and only the members that raise are aborted.
+stacked contractions and eigensolves on those arrays.  ``drive_lockstep``
+runs the batch: it drops stopped and aborted members' rows, and a stopped
+member is built into a model from its rows.  Every stacked operation acts
+member by member, so a restart's iterates do not depend on its batch;
+``refine`` is the same loop on a batch of one.
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ BATCH_CELLS = 1 << 16
 #: changes no element.
 PAIR_PASSES = 3
 #: A restart has converged once one full iteration improves the objective by
-#: less than this; ``grothendieck.vector_seesaw`` uses it too.
+#: less than this; ``drive_lockstep`` applies it in both searches.
 CONVERGENCE_TOL = 1e-10
 
 _LINALG_ERRORS = (NotHermitianError, NoConvergenceError, NotPSDError)
@@ -352,73 +350,83 @@ def update_measurement_multi(f: BellFunctional, model: QuantumModel, party: str,
     return _update_setting(f, model, party, setting, binary=False)
 
 
-def _guarded(step, slot: int, work: list, aborted: dict) -> None:
-    """Set ``work[slot]`` to ``step`` run on all working rows at once.  If
-    that raises a linear-algebra error, re-run it row by row, record the
-    restart (``work[-1]``) of each row that raises in ``aborted`` and drop
-    that row from every working array."""
-    if not len(work[-1]):
-        return
-    try:
-        work[slot] = step(*work[:3])
-        return
-    except _LINALG_ERRORS:
-        pass
-    kept, parts = [], []
-    for i, restart in enumerate(work[-1]):
-        try:
-            parts.append(step(*(w[i : i + 1] for w in work[:3])))
-            kept.append(i)
-        except _LINALG_ERRORS as exc:
-            aborted[int(restart)] = exc
-    work[:] = [w[kept] for w in work]
-    if parts:
-        work[slot] = np.concatenate(parts)
+def drive_lockstep(arrays: list, steps, objective, write_out, max_iterations: int) -> dict[int, Exception]:
+    """The restart loop of both searches: alternating best responses run in
+    lockstep on a batch of restarts.
+
+    ``arrays`` hold the batch's members, one row each in restart order, and
+    at least one.  Each iteration sets ``arrays[slot] = step(*arrays)`` for
+    each (slot, step) of ``steps`` in turn, then recomputes
+    ``objective(*arrays)``, one value per member.  Members whose iteration
+    gains less than ``CONVERGENCE_TOL`` have converged:
+    ``write_out(restarts, values, arrays, iterations, converged)`` gets their
+    restart indices, objectives and rows, and their rows are dropped, so each
+    step runs on whole arrays and stragglers share their calls until the last
+    one stops.  Members still active after ``max_iterations`` are written out
+    as not converged.  An iteration in which no member stops copies no row.
+    If a step raises a linear-algebra error, it is re-run row by row and only
+    the rows that raise are dropped; a batch that this empties runs no further
+    step.  Returns {restart: error} for those aborted members, which are never
+    written out.
+    """
+    arrays, values, restarts = list(arrays), objective(*arrays), np.arange(len(arrays[0]))
+    aborted: dict[int, Exception] = {}
+    for iteration in range(1, max_iterations + 1):
+        for slot, step in steps:
+            try:
+                arrays[slot] = step(*arrays)
+                continue
+            except _LINALG_ERRORS:
+                pass
+            kept, parts = [], []
+            for i, restart in enumerate(restarts):
+                try:
+                    parts.append(step(*(a[i : i + 1] for a in arrays)))
+                    kept.append(i)
+                except _LINALG_ERRORS as exc:
+                    aborted[int(restart)] = exc
+            if not kept:
+                return aborted
+            arrays, values, restarts = [a[kept] for a in arrays], values[kept], restarts[kept]
+            arrays[slot] = np.concatenate(parts)
+        previous, values = values, objective(*arrays)
+        done = values - previous < CONVERGENCE_TOL
+        if done.any():
+            write_out(restarts[done], values[done], [a[done] for a in arrays], iteration, True)
+            keep = ~done
+            arrays, values, restarts = [a[keep] for a in arrays], values[keep], restarts[keep]
+            if not len(restarts):
+                return aborted
+    write_out(restarts, values, arrays, max_iterations, False)
+    return aborted
 
 
 def _lockstep(f: BellFunctional, models, cfg: SeesawConfig) -> list[tuple]:
-    """Run ``refine``'s schedule on a batch of start models in lockstep.
-
-    The ``contraction_matrix``, which every step reads, and each
-    ``_party_plan`` are built once.  The working arrays - states, POVM
-    stacks, values and restart indices - hold the active members in restart
-    order; a member that stops is written out and its rows dropped, so each
-    step runs on whole arrays.  Returns one (value, model, iterations, converged, error)
-    per model; an aborted member gets (-inf, None, 0, False, the exception).
+    """Run ``refine``'s schedule on a batch of start models in lockstep with
+    ``drive_lockstep``, on working arrays of states and POVM stacks and with
+    ``stacked_values`` as the objective.  The ``contraction_matrix``, which
+    every step reads, and each ``_party_plan`` are built once.  Returns one
+    (value, model, iterations, converged, error) per model; an aborted member
+    gets (-inf, None, 0, False, the exception).
     """
     d_a, d_b = models[0].d_a, models[0].d_b
-    states = np.stack([m.state for m in models])
     stacks_a, stacks_b = (np.stack(s) for s in zip(*(model_stacks(f, m) for m in models)))
-    values = stacked_values(f, states, stacks_a, stacks_b)
-    work = [states, stacks_a, stacks_b, values, np.arange(len(models))]
     matrix = contraction_matrix(f)
     steps = [(slot, partial(_party_step, _party_plan(f, party), matrix)) for slot, party in ((1, "A"), (2, "B"))]
     if cfg.fixed_state is None:
         steps.insert(0, (0, partial(_state_step, matrix)))
     outcomes: dict[int, tuple] = {}
-    aborted: dict[int, Exception] = {}
 
-    def write_out(done, iterations, converged):
-        if not done.any():
-            return
-        states, stacks_a, stacks_b, values, restarts = work
-        for i in np.flatnonzero(done):
-            povms = povm_views(stacks_a[i], f.scenario.outcomes_a), povm_views(stacks_b[i], f.scenario.outcomes_b)
-            model = QuantumModel(d_a, d_b, states[i].copy(), *povms)
-            outcomes[int(restarts[i])] = (float(values[i]), model, iterations, converged, None)
-        work[:] = [w[~done] for w in work]
+    def write_out(restarts, values, arrays, iterations, converged):
+        for restart, value, state, stack_a, stack_b in zip(restarts, values, *arrays):
+            povms = povm_views(stack_a, f.scenario.outcomes_a), povm_views(stack_b, f.scenario.outcomes_b)
+            model = QuantumModel(d_a, d_b, state.copy(), *povms)
+            outcomes[int(restart)] = (float(value), model, iterations, converged, None)
 
-    iteration = 0
-    while len(work[-1]) and iteration < cfg.max_iterations:
-        iteration += 1
-        for slot, step in steps:
-            _guarded(step, slot, work, aborted)
-        values = stacked_values(f, *work[:3])
-        done = values - work[3] < CONVERGENCE_TOL
-        work[3] = values
-        write_out(done, iteration, True)
-    write_out(np.ones(len(work[-1]), dtype=bool), iteration, False)
-    return [(-np.inf, None, 0, False, aborted[i]) if i in aborted else outcomes[i] for i in range(len(models))]
+    arrays = [np.stack([m.state for m in models]), stacks_a, stacks_b]
+    aborted = drive_lockstep(arrays, steps, partial(stacked_values, f), write_out, cfg.max_iterations)
+    outcomes.update((i, (-np.inf, None, 0, False, exc)) for i, exc in aborted.items())
+    return [outcomes[i] for i in range(len(models))]
 
 
 def refine(f: BellFunctional, model: QuantumModel, cfg: SeesawConfig):
@@ -428,9 +436,8 @@ def refine(f: BellFunctional, model: QuantumModel, cfg: SeesawConfig):
     step, then every Bob setting in one step.  A party's settings do not
     interact once the state and the partner's POVMs are fixed, so this equals
     updating them one by one in index order.  Returns (value, model,
-    iterations, converged); convergence means one full iteration improved
-    the objective by less than ``CONVERGENCE_TOL``.  This is the lockstep
-    loop of ``seesaw`` on a batch of one, so a restart gives the same result
+    iterations, converged).  This is the lockstep loop of ``seesaw`` (see
+    ``drive_lockstep``) on a batch of one, so a restart gives the same result
     here as inside a batch; a linear-algebra error is raised.
     """
     value, model, iterations, converged, error = _lockstep(f, [model], cfg)[0]

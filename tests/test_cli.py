@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -718,6 +719,30 @@ def test_grothendieck_cli_non_finite_cell_exits_2(tmp_path, capsys, cell):
     code, out, err = run_cli(capsys, "grothendieck", "-m", str(m_path), "--n", "2")
     assert code == 2
     assert out == "" and "line 2" in err
+
+
+def test_local_bound_beyond_the_float_range_exits_2(tmp_path, capsys):
+    """Finite coefficients whose bound overflows: a typed error, not a
+    RuntimeWarning and an infinite value, which is not JSON."""
+    path = tmp_path / "huge.bell"
+    path.write_text("scenario A:2 B:2\n1e308 P(0 0|0 0)\n1e308 PA(0|0)\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "local-bound", str(path), "--json")
+    assert code == 2
+    assert out == "" and "float range" in err
+
+
+def test_grothendieck_local_norm_beyond_the_float_range_exits_2(tmp_path, capsys):
+    """A matrix whose local norm overflows is refused before it would be
+    normalized to all zeros and searched."""
+    m_path = tmp_path / "huge.csv"
+    m_path.write_text("1e308,1e308\n1e308,-1e308\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "grothendieck", "-m", str(m_path), "--n", "2", "--json")
+    assert code == 2
+    assert out == "" and "float range" in err
 
 
 def test_console_script_entry_point():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimwit import catalog, localbound
-from dimwit.errors import ScenarioMismatchError, StrategySpaceTooLargeError
+from dimwit.errors import InvalidFunctionalError, ScenarioMismatchError, StrategySpaceTooLargeError
 from dimwit.localbound import (
     ENUMERATION_CAP,
     DeterministicStrategy,
@@ -180,3 +181,19 @@ def test_strategy_must_fit_the_scenario(strategy, message):
     for use in (lambda: strategy_table(f.scenario, strategy), lambda: strategy_value(f, strategy)):
         with pytest.raises(ScenarioMismatchError, match=message):
             use()
+
+
+@pytest.mark.parametrize("bob_marginal", [0.0, -1e308], ids=["winning-score", "reported-value"])
+def test_bound_beyond_the_float_range_is_a_typed_error(bob_marginal):
+    """With 1e308 on P(0 0|0 0) and on Alice's outcome 0, the winning score
+    overflows; adding -1e308 on Bob's outcome 0 keeps the score (summed
+    marginals first) at 1e308, but the value (summed joint terms first)
+    overflows.  Either raises ``InvalidFunctionalError`` without a warning,
+    and the finite minimum is still exact."""
+    sc = BellScenario((2,), (2,))
+    f = BellFunctional(sc, [[np.array([[1e308, 0.0], [0.0, 0.0]])]], [np.array([1e308, 0.0])], [np.array([bob_marginal, 0.0])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidFunctionalError, match="beyond the float range"):
+            local_bound(f)
+        assert local_bound_min(f)[0] == min(0.0, bob_marginal)

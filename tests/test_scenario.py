@@ -359,3 +359,12 @@ def test_pickle_round_trip_keeps_the_model_and_holds_each_element_once():
     # The stacks, padding and identity slots included, are not pickled: the
     # pickle is smaller than their data alone.
     assert len(data) < 16 * (model.stack_a.size + model.stack_b.size)
+
+
+def test_models_compare_and_hash_by_identity():
+    """Two equal models are distinct objects: comparing them, finding one in
+    a list and hashing it neither raise nor look at the arrays."""
+    a, b = (seeded_models(catalog.chsh().scenario, 2, 2, seed=3, count=1)[0] for _ in range(2))
+    assert a == a and a != b
+    assert a in [b, a] and a not in [b]
+    assert hash(a) == hash(a) and len({a, b}) == 2

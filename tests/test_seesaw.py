@@ -448,6 +448,93 @@ def test_lockstep_monotone_and_feasible_per_member():
                 previous[i] = value
 
 
+def _halving(starts, max_iterations, poisoned=lambda x: False):
+    """A toy run of ``drive_lockstep`` that needs no eigensolve: x is halved,
+    then y copies x, and the objective -(x² + y²) gains 1.5 x² an iteration,
+    so a start of size s stops after about log2(s / 8e-6) iterations.  The
+    halving raises ``NotPSDError`` on any row that ``poisoned`` marks.
+    Returns what each step saw, the writes and the aborted restarts."""
+    calls, written = [], []
+
+    def halve(x, y):
+        calls.append(("halve", len(x)))
+        if any(poisoned(v) for v in x):
+            raise NotPSDError("poisoned row")
+        return x / 2.0
+
+    def copy(x, y):
+        calls.append(("copy", len(x)))
+        return x.copy()
+
+    def objective(x, y):
+        calls.append(("objective", len(x)))
+        return -(x * x + y * y)
+
+    def write_out(restarts, values, arrays, iterations, converged):
+        for restart, value, x, y in zip(restarts, values, *arrays):
+            written.append((int(restart), value, x, y, iterations, converged))
+
+    x = np.array(starts, dtype=float)
+    steps = [(0, halve), (1, copy)]
+    aborted = ss.drive_lockstep([x, x.copy()], steps, objective, write_out, max_iterations)
+    return calls, sorted(written), aborted
+
+
+def _halving_alone(start, max_iterations):
+    """The toy run of one restart as a plain loop."""
+    x = y = start
+    value = -(x * x + y * y)
+    for iteration in range(1, max_iterations + 1):
+        x = x / 2.0
+        y = x
+        gain, value = -(x * x + y * y) - value, -(x * x + y * y)
+        if gain < ss.CONVERGENCE_TOL:
+            return value, x, y, iteration, True
+    return value, x, y, max_iterations, False
+
+
+HALVING_STARTS = [1.0, 1e-2, 3e-5, 0.5, 1e-4]
+
+
+def test_driver_writes_each_restart_out_once_with_its_own_count():
+    calls, written, aborted = _halving(HALVING_STARTS, 60)
+    assert aborted == {} and all(rows for _, rows in calls)
+    assert [w[0] for w in written] == list(range(len(HALVING_STARTS)))
+    assert len({w[4] for w in written}) == len(HALVING_STARTS)
+    for (restart, *outcome), start in zip(written, HALVING_STARTS):
+        assert tuple(outcome) == _halving_alone(start, 60)
+    _, capped, _ = _halving(HALVING_STARTS, 10)
+    for (restart, *outcome), start in zip(capped, HALVING_STARTS):
+        assert tuple(outcome) == _halving_alone(start, 10)
+    assert [w[5] for w in capped] == [False, False, True, False, True]
+
+
+def test_driver_at_one_iteration_writes_every_member_out_unconverged():
+    _, written, _ = _halving(HALVING_STARTS, 1)
+    assert [(w[0], w[4], w[5]) for w in written] == [(i, 1, False) for i in range(len(HALVING_STARTS))]
+
+
+def test_driver_aborts_only_the_row_that_raises():
+    """Restart 1 raises on its third halving; it alone is aborted, and the
+    other restarts finish bit-identical to a run without the failure."""
+    poison = HALVING_STARTS[1] / 4.0
+    calls, written, aborted = _halving(HALVING_STARTS, 60, lambda v: v == poison)
+    assert list(aborted) == [1] and isinstance(aborted[1], NotPSDError)
+    _, clean, _ = _halving(HALVING_STARTS, 60)
+    assert written == [w for w in clean if w[0] != 1]
+    # In the third iteration the stacked halving fails and is re-run row by
+    # row; the rest of the iteration runs on the four rows left.
+    assert calls[7:15] == [("halve", 5)] + [("halve", 1)] * 5 + [("copy", 4), ("objective", 4)]
+
+
+def test_driver_runs_no_step_once_aborts_empty_the_batch():
+    """Every row raises on its second halving: the copy step and the
+    objective do not run again, and nothing is written out."""
+    calls, written, aborted = _halving([0.7, 0.6], 60, lambda v: v < 0.4)
+    assert written == [] and sorted(aborted) == [0, 1]
+    assert calls == [("objective", 2), ("halve", 2), ("copy", 2), ("objective", 2), ("halve", 2)] + [("halve", 1)] * 2
+
+
 def test_seesaw_fixed_theta_quarter_pi():
     f = catalog.expression_E()
     cfg = SeesawConfig(restarts=10, seed=2, fixed_state=catalog.theta_state(math.pi / 4.0))
