@@ -6,6 +6,10 @@ come out descending.  ``eig_hermitian``, ``positive_projector`` and
 ``psd_pseudo_sqrt`` accept a single (n, n) matrix or a (..., n, n) stack of
 them and work on each member independently, so one call can serve every
 setting of a batch of see-saw restarts.
+
+``_eigh_descending`` is ``eig_hermitian`` after its Hermiticity check; call it
+directly only on a matrix equal to its adjoint bit for bit, where the check
+cannot fail and its symmetrization changes no bit.
 """
 
 from __future__ import annotations
@@ -81,7 +85,13 @@ def eig_hermitian(a, tol: float = HERMITICITY_TOL) -> HermitianEig:
     Eigenvectors within a degenerate cluster are solver-dependent; callers
     must only rely on spectral projectors.
     """
-    m = _require_hermitian(a, tol)
+    return _eigh_descending(_require_hermitian(a, tol))
+
+
+def _eigh_descending(m: np.ndarray) -> HermitianEig:
+    """``eig_hermitian`` without the Hermiticity check (see the module docstring)."""
+    if not np.isfinite(m).all():
+        raise NotHermitianError("matrix has non-finite entries")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -91,13 +101,17 @@ def eig_hermitian(a, tol: float = HERMITICITY_TOL) -> HermitianEig:
     return HermitianEig(w[..., ::-1].copy(), np.ascontiguousarray(v[..., ::-1]))
 
 
-def positive_projector(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Projector onto the strictly positive eigenspace (eigenvalues > tol),
-    of a matrix or of each member of a (..., n, n) stack."""
-    eig = eig_hermitian(a, tol)
+def _projector(eig: HermitianEig, tol: float) -> np.ndarray:
+    """Projector onto the eigenvectors of ``eig`` with eigenvalues above ``tol``."""
     vecs = eig.eigenvectors * (eig.eigenvalues > tol)[..., None, :]
     p = vecs @ _adjoint(vecs)
     return (p + _adjoint(p)) / 2.0
+
+
+def positive_projector(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """Projector onto the strictly positive eigenspace (eigenvalues > tol),
+    of a matrix or of each member of a (..., n, n) stack."""
+    return _projector(eig_hermitian(a, tol), tol)
 
 
 def psd_pseudo_sqrt(a, tol: float = HERMITICITY_TOL) -> np.ndarray:

@@ -273,21 +273,25 @@ def evaluate(f: BellFunctional, t: ProbabilityTable, marginal_policy: str = PART
     Marginal terms use the partner's setting 0 by default; pass ``AVERAGE`` to
     average over partner settings instead (raises ``SignalingError`` if the
     table's marginals depend on the partner setting by more than 1e-6).
+    A value beyond the float range raises ``InvalidFunctionalError``.
     """
     if f.scenario != t.scenario:
         raise ScenarioMismatchError("functional and table use different scenarios")
     total = f.constant
-    for x in range(f.scenario.settings_a):
-        for y in range(f.scenario.settings_b):
-            blk = f.joint[x][y]
-            if blk.any():
-                total += float((blk * t.p[x][y]).sum())
-    for x, coeffs in enumerate(f.marginal_a):
-        if coeffs.any():
-            total += float(coeffs @ t.marginal_a(x, marginal_policy))
-    for y, coeffs in enumerate(f.marginal_b):
-        if coeffs.any():
-            total += float(coeffs @ t.marginal_b(y, marginal_policy))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in range(f.scenario.settings_a):
+            for y in range(f.scenario.settings_b):
+                blk = f.joint[x][y]
+                if blk.any():
+                    total += float((blk * t.p[x][y]).sum())
+        for x, coeffs in enumerate(f.marginal_a):
+            if coeffs.any():
+                total += float(coeffs @ t.marginal_a(x, marginal_policy))
+        for y, coeffs in enumerate(f.marginal_b):
+            if coeffs.any():
+                total += float(coeffs @ t.marginal_b(y, marginal_policy))
+    if not np.isfinite(total):
+        raise InvalidFunctionalError(f"the value is beyond the float range: {total}")
     return total
 
 

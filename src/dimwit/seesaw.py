@@ -15,18 +15,19 @@ optimally.  Every step is a closed-form eigenproblem, so the objective is
 non-decreasing and every iterate is a feasible model - values are honest
 lower bounds on the dimension-restricted maximum, found heuristically.
 
-Restarts run in lockstep batches.  ``seesaw`` gives each worker one
+Restarts run in lockstep batches, kept as arrays from their first random
+draw to the one model a batch reports.  ``seesaw`` gives each worker one
 contiguous range of restart indices and runs it as one batch, cut further
-only where ``BATCH_CELLS`` bounds a batch's memory.  A batch holds its active
-members, in restart order, as whole arrays: states as one (B, d_a d_b) array
-and each party's POVMs as one (B, settings + 1, width, d, d) array: the
-members' stored ``povm_stack`` arrays, stacked.  The functional's one
-contraction matrix is built once per batch, so each step above is a few
-stacked contractions and eigensolves on those arrays.  ``drive_lockstep``
-runs the batch: it drops stopped and aborted members' rows, and a stopped
-member is built into a model from its rows.  Every stacked operation acts
-member by member, so a restart's iterates do not depend on its batch;
-``refine`` is the same loop on a batch of one.
+only where ``BATCH_CELLS`` bounds a batch's memory.  ``_start_arrays`` draws
+the members' starts straight into working arrays, in restart order: states
+as one (B, d_a d_b) array and each party's POVMs as one (B, settings + 1,
+width, d, d) ``povm_stack`` array.  ``_lockstep`` carries the members' Bell
+operators as a fourth array, rebuilt once an iteration after Bob's step: the
+objective Re ψ†Bψ reads it and the next state step diagonalizes it.
+``drive_lockstep`` drops stopped and aborted members' rows, and
+``_batch_task`` builds a model for its best member only.  Every stacked
+operation acts member by member, so a restart's iterates do not depend on
+its batch; ``refine`` is the same loop on a batch of one.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from functools import partial
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, NoConvergenceError, NotHermitianError, NotPSDError, WrongOutcomeCountError
+from .errors import ConfigError, InvalidFunctionalError, NoConvergenceError, NotHermitianError, NotPSDError
+from .errors import WrongOutcomeCountError
 from .scenario import (
     BellFunctional,
     BellScenario,
@@ -49,7 +51,6 @@ from .scenario import (
     model_stacks,
     party_operators,
     povm_views,
-    stacked_values,
 )
 
 #: Eigenvalues within this of the top one count as the top eigenspace.
@@ -131,44 +132,64 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
-def _random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+def _random_povms(counts, g: np.ndarray) -> np.ndarray:
+    """One party's (B, settings + 1, width, d, d) ``povm_stack`` arrays from
+    its (B, settings, d, d) draws ``g``: a setting's outcomes take contiguous
+    blocks, as equal as possible and the larger first, of the eigenbasis of
+    (g + g†)/2, and an outcome past d a zero element."""
+    n, m, d, _ = g.shape
+    # (g + g†)/2 equals its adjoint exactly, so it skips the Hermiticity check.
+    basis = linalg._eigh_descending((g + g.conj().swapaxes(-1, -2)) / 2.0).eigenvectors
+    stack = np.zeros((n, m + 1, max(counts), d, d), dtype=complex)
+    for v in set(counts):
+        xs, (base, rem) = [x for x, c in enumerate(counts) if c == v], divmod(d, v)
+        for a in range(min(v, d)):
+            blk = basis[:, xs, :, a * base + min(a, rem) : (a + 1) * base + min(a + 1, rem)]
+            p = blk @ blk.conj().swapaxes(-1, -2)
+            stack[:, xs, a] = (p + p.conj().swapaxes(-1, -2)) / 2.0
+    stack[:, -1, 0] = np.eye(d)
+    return stack
 
 
-def _random_projective_povm(d: int, outcomes: int, rng: np.random.Generator):
-    """Projective POVM from the eigenbasis of a random Hermitian matrix,
-    outcomes taking contiguous basis blocks with sizes as equal as possible
-    (zero-size blocks give zero elements when outcomes exceed d)."""
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    basis = linalg.eig_hermitian((g + g.conj().T) / 2.0).eigenvectors
-    base, rem = divmod(d, outcomes)
-    sizes = [base + 1] * rem + [base] * (outcomes - rem)
-    elements = []
-    start = 0
-    for size in sizes:
-        if size == 0:
-            elements.append(np.zeros((d, d), dtype=complex))
-            continue
-        blk = basis[:, start : start + size]
-        start += size
-        p = blk @ blk.conj().T
-        elements.append((p + p.conj().T) / 2.0)
-    return tuple(elements)
+def _start_arrays(scenario: BellScenario, d_a: int, d_b: int, seed: int, indices, fixed_state=None):
+    """Working arrays [states, stacks_a, stacks_b] of the restarts ``indices``
+    in order, and {index: error} for those whose draw raised a linear-algebra
+    error (re-run restart by restart), which get no row.  Restart i reads one
+    ``normal`` draw from ``spawn_rng(seed, i)`` as the real then imaginary
+    parts of its state, unless ``fixed_state`` is given, then of each
+    setting's g (see ``_random_povms``), Alice's first."""
+    counts, dims, n = (scenario.outcomes_a, scenario.outcomes_b), (d_a, d_b), len(indices)
+    sizes = [0 if fixed_state is not None else 2 * d_a * d_b, *(2 * len(c) * d * d for c, d in zip(counts, dims))]
+    draws = np.array([spawn_rng(seed, i).normal(size=sum(sizes)) for i in indices]).reshape(n, sum(sizes))
+    parts = np.split(draws, np.cumsum(sizes)[:-1], axis=1)
+    if fixed_state is None:
+        states = parts[0][:, : d_a * d_b] + 1j * parts[0][:, d_a * d_b :]
+        states = states / np.array([np.linalg.norm(v) for v in states]).reshape(-1, 1)
+    else:
+        states = np.tile(fixed_state, (n, 1))
+    g = [p.reshape(n, len(c), 2, d, d) for p, c, d in zip(parts[1:], counts, dims)]
+    arrays, restarts, aborted = [states, *(x[:, :, 0] + 1j * x[:, :, 1] for x in g)], np.asarray(indices), {}
+    for slot, c in enumerate(counts, 1):
+        stacks, kept = _rows_that_pass(partial(_random_povms, c), [arrays[slot]], restarts, aborted)
+        if kept is not None:
+            arrays, restarts = [a[kept] for a in arrays], restarts[kept]
+        arrays[slot] = stacks
+    return arrays, aborted
 
 
-def _random_model(scenario, d_a, d_b, rng, fixed_state=None) -> QuantumModel:
-    state = _random_state(d_a * d_b, rng) if fixed_state is None else np.array(fixed_state)
-    povms_a = tuple(_random_projective_povm(d_a, v, rng) for v in scenario.outcomes_a)
-    povms_b = tuple(_random_projective_povm(d_b, v, rng) for v in scenario.outcomes_b)
-    return QuantumModel(d_a, d_b, state, povms_a, povms_b)
+def _model(scenario: BellScenario, state, stack_a, stack_b) -> QuantumModel:
+    """The model of one member's rows of the working arrays."""
+    povms = povm_views(stack_a, scenario.outcomes_a), povm_views(stack_b, scenario.outcomes_b)
+    return QuantumModel(stack_a.shape[-1], stack_b.shape[-1], state.copy(), *povms)
 
 
 def seeded_models(scenario: BellScenario, d_a: int, d_b: int, seed: int, count: int):
-    """Reproducible initial models; stream i depends only on (seed, i)."""
-    return [
-        _random_model(scenario, d_a, d_b, spawn_rng(seed, i)) for i in range(count)
-    ]
+    """The start models of ``seesaw``'s restarts 0 to count - 1; stream i
+    depends only on (seed, i)."""
+    arrays, aborted = _start_arrays(scenario, d_a, d_b, seed, range(count))
+    if aborted:
+        raise aborted[min(aborted)]
+    return [_model(scenario, *rows) for rows in zip(*arrays)]
 
 
 def update_state(f: BellFunctional, model: QuantumModel) -> QuantumModel:
@@ -178,22 +199,21 @@ def update_state(f: BellFunctional, model: QuantumModel) -> QuantumModel:
     (when its norm is at least 1e-6) to avoid cycling.  The objective never
     decreases.  This is the see-saw's state step on a batch of one.
     """
-    stacks = model_stacks(f, model)
-    states = _state_step(contraction_matrix(f), model.state[None], *(s[None] for s in stacks))
-    return replace(model, state=states[0])
+    stacks = (s[None] for s in model_stacks(f, model))
+    return replace(model, state=_state_step(model.state[None], bell_operators(contraction_matrix(f), *stacks))[0])
 
 
-def _state_step(bell: np.ndarray, states, stacks_a, stacks_b) -> np.ndarray:
-    """New (B, d_a d_b) states of a batch (see ``update_state``), with
-    ``bell`` the functional's ``contraction_matrix``: one stacked eigensolve
-    of the Bell operators, the top cluster picked by a per-member eigenvalue
-    mask."""
-    eig = linalg.eig_hermitian(bell_operators(bell, stacks_a, stacks_b))
+def _state_step(states, operators) -> np.ndarray:
+    """New (B, d_a d_b) states of a batch (see ``update_state``) from the
+    members' (B, d_a d_b, d_a d_b) Bell ``operators``: one stacked eigensolve,
+    the top cluster picked by a per-member eigenvalue mask."""
+    eig = linalg.eig_hermitian(operators)
     top = eig.eigenvalues[:, :1]
     cluster = eig.eigenvalues >= top - DEGENERACY_TOL * np.maximum(1.0, np.abs(top))
     vecs = eig.eigenvectors * cluster[:, None, :]
     proj = (vecs @ (vecs.conj().swapaxes(-1, -2) @ states[:, :, None]))[:, :, 0]
-    norm = np.linalg.norm(proj, axis=1)
+    # np.linalg.norm(proj, axis=1) without its call overhead: the same formula, so the same bits.
+    norm = np.sqrt(np.add.reduce((proj.conj() * proj).real, 1))
     keep = norm >= PREVIOUS_STATE_MIN_OVERLAP
     return np.where(keep[:, None], proj / np.where(keep, norm, 1.0)[:, None], eig.eigenvectors[:, :, 0])
 
@@ -300,9 +320,10 @@ def _party_step(plan: tuple, matrix: np.ndarray, states, stacks_a, stacks_b) -> 
     ops = party_operators(matrix, states, stacks_a, stacks_b, party)
     povms = (stacks_a if party == "A" else stacks_b).copy()
     if binary is not None:
-        m0 = linalg.positive_projector(ops[:, binary, 0] - ops[:, binary, 1], EXCHANGE_TOL)
+        # F_0 - F_1 of two symmetrized operators equals its adjoint exactly.
+        m0 = linalg._projector(linalg._eigh_descending(ops[:, binary, 0] - ops[:, binary, 1]), EXCHANGE_TOL)
         povms[:, binary, 0] = m0
-        povms[:, binary, 1] = np.eye(m0.shape[-1]) - m0
+        povms[:, binary, 1] = povms[:, -1:, 0] - m0
     if multi is not None:
         povms[:, multi] = _exchange_pairs(ops[:, multi], povms[:, multi], counts)
     return povms
@@ -350,6 +371,24 @@ def update_measurement_multi(f: BellFunctional, model: QuantumModel, party: str,
     return _update_setting(f, model, party, setting, binary=False)
 
 
+def _rows_that_pass(step, arrays: list, restarts: np.ndarray, aborted: dict):
+    """``(step(*arrays), None)``, or if that raises a linear-algebra error,
+    the step re-run row by row: (the passing rows' results concatenated, or
+    None, their positions), a failing row's error put in ``aborted``."""
+    try:
+        return step(*arrays), None
+    except _LINALG_ERRORS:
+        pass
+    kept, parts = [], []
+    for i, restart in enumerate(restarts):
+        try:
+            parts.append(step(*(a[i : i + 1] for a in arrays)))
+            kept.append(i)
+        except _LINALG_ERRORS as exc:
+            aborted[int(restart)] = exc
+    return (np.concatenate(parts) if parts else None), kept
+
+
 def drive_lockstep(arrays: list, steps, objective, write_out, max_iterations: int) -> dict[int, Exception]:
     """The restart loop of both searches: alternating best responses run in
     lockstep on a batch of restarts.
@@ -373,22 +412,12 @@ def drive_lockstep(arrays: list, steps, objective, write_out, max_iterations: in
     aborted: dict[int, Exception] = {}
     for iteration in range(1, max_iterations + 1):
         for slot, step in steps:
-            try:
-                arrays[slot] = step(*arrays)
-                continue
-            except _LINALG_ERRORS:
-                pass
-            kept, parts = [], []
-            for i, restart in enumerate(restarts):
-                try:
-                    parts.append(step(*(a[i : i + 1] for a in arrays)))
-                    kept.append(i)
-                except _LINALG_ERRORS as exc:
-                    aborted[int(restart)] = exc
-            if not kept:
-                return aborted
-            arrays, values, restarts = [a[kept] for a in arrays], values[kept], restarts[kept]
-            arrays[slot] = np.concatenate(parts)
+            result, kept = _rows_that_pass(step, arrays, restarts, aborted)
+            if kept is not None:
+                if not kept:
+                    return aborted
+                arrays, values, restarts = [a[kept] for a in arrays], values[kept], restarts[kept]
+            arrays[slot] = result
         previous, values = values, objective(*arrays)
         done = values - previous < CONVERGENCE_TOL
         if done.any():
@@ -401,32 +430,34 @@ def drive_lockstep(arrays: list, steps, objective, write_out, max_iterations: in
     return aborted
 
 
-def _lockstep(f: BellFunctional, models, cfg: SeesawConfig) -> list[tuple]:
-    """Run ``refine``'s schedule on a batch of start models in lockstep with
-    ``drive_lockstep``, on working arrays of states and POVM stacks and with
-    ``stacked_values`` as the objective.  The ``contraction_matrix``, which
-    every step reads, and each ``_party_plan`` are built once.  Returns one
-    (value, model, iterations, converged, error) per model; an aborted member
-    gets (-inf, None, 0, False, the exception).
-    """
-    d_a, d_b = models[0].d_a, models[0].d_b
-    stacks_a, stacks_b = (np.stack(s) for s in zip(*(model_stacks(f, m) for m in models)))
+def _lockstep(f: BellFunctional, arrays, cfg: SeesawConfig) -> list[tuple]:
+    """``refine``'s schedule run by ``drive_lockstep`` on a batch's working
+    arrays [states, stacks_a, stacks_b] and its carried Bell operators (see
+    the module docstring).  One (value, iterations, converged, error, rows)
+    per member, rows its final (state, stack_a, stack_b); an aborted member
+    gets (-inf, 0, False, the exception, None)."""
     matrix = contraction_matrix(f)
-    steps = [(slot, partial(_party_step, _party_plan(f, party), matrix)) for slot, party in ((1, "A"), (2, "B"))]
+    plan_a, plan_b = _party_plan(f, "A"), _party_plan(f, "B")
+    steps = [
+        (1, lambda s, a, b, ops: _party_step(plan_a, matrix, s, a, b)),
+        (2, lambda s, a, b, ops: _party_step(plan_b, matrix, s, a, b)),
+        (3, lambda s, a, b, ops: bell_operators(matrix, a, b)),
+    ]
     if cfg.fixed_state is None:
-        steps.insert(0, (0, partial(_state_step, matrix)))
+        steps.insert(0, (0, lambda s, a, b, ops: _state_step(s, ops)))
     outcomes: dict[int, tuple] = {}
 
-    def write_out(restarts, values, arrays, iterations, converged):
-        for restart, value, state, stack_a, stack_b in zip(restarts, values, *arrays):
-            povms = povm_views(stack_a, f.scenario.outcomes_a), povm_views(stack_b, f.scenario.outcomes_b)
-            model = QuantumModel(d_a, d_b, state.copy(), *povms)
-            outcomes[int(restart)] = (float(value), model, iterations, converged, None)
+    def objective(s, a, b, ops):  # Re ψ†Bψ
+        return (s.conj() * (ops @ s[:, :, None])[:, :, 0]).real.sum(axis=1)
 
-    arrays = [np.stack([m.state for m in models]), stacks_a, stacks_b]
-    aborted = drive_lockstep(arrays, steps, partial(stacked_values, f), write_out, cfg.max_iterations)
-    outcomes.update((i, (-np.inf, None, 0, False, exc)) for i, exc in aborted.items())
-    return [outcomes[i] for i in range(len(models))]
+    def write_out(restarts, values, rows, iterations, converged):
+        for restart, value, *member in zip(restarts, values, *rows[:3]):
+            outcomes[int(restart)] = (float(value), iterations, converged, None, member)
+
+    arrays = [*arrays, bell_operators(matrix, arrays[1], arrays[2])]
+    aborted = drive_lockstep(arrays, steps, objective, write_out, cfg.max_iterations)
+    outcomes.update((i, (-np.inf, 0, False, exc, None)) for i, exc in aborted.items())
+    return [outcomes[i] for i in range(len(arrays[0]))]
 
 
 def refine(f: BellFunctional, model: QuantumModel, cfg: SeesawConfig):
@@ -440,30 +471,28 @@ def refine(f: BellFunctional, model: QuantumModel, cfg: SeesawConfig):
     ``drive_lockstep``) on a batch of one, so a restart gives the same result
     here as inside a batch; a linear-algebra error is raised.
     """
-    value, model, iterations, converged, error = _lockstep(f, [model], cfg)[0]
+    arrays = [model.state[None], *(s[None] for s in model_stacks(f, model))]
+    value, iterations, converged, error, rows = _lockstep(f, arrays, cfg)[0]
     if error is not None:
         raise error
-    return value, model, iterations, converged
+    return value, _model(f.scenario, *rows), iterations, converged
 
 
-def _batch_task(args) -> list[tuple]:
-    """Draw the start models of one batch of restart indices and refine them
-    in lockstep; one (index, value, model, iterations, converged, error text)
-    per restart."""
+def _batch_task(args) -> tuple:
+    """One (value, iterations, converged, error text) per restart of a batch
+    run in lockstep, then the best value and the model of the first restart
+    to reach it (-inf and None if no restart has a value above -inf)."""
     f, d_a, d_b, cfg, indices = args
-    starts, failed = {}, {}
+    arrays, aborted = _start_arrays(f.scenario, d_a, d_b, cfg.seed, indices, cfg.fixed_state)
+    started = [i for i in indices if i not in aborted]
+    refined = dict(zip(started, _lockstep(f, arrays, cfg) if started else []))
+    outcomes, best_value, best_rows = [], -np.inf, None
     for index in indices:
-        try:
-            starts[index] = _random_model(f.scenario, d_a, d_b, spawn_rng(cfg.seed, index), cfg.fixed_state)
-        except _LINALG_ERRORS as exc:
-            failed[index] = (-np.inf, None, 0, False, exc)
-    refined = dict(zip(starts, _lockstep(f, list(starts.values()), cfg) if starts else []))
-    outcomes = []
-    for index in indices:
-        value, model, iterations, converged, error = failed.get(index) or refined[index]
-        text = None if error is None else f"{type(error).__name__}: {error}"
-        outcomes.append((index, value, model, iterations, converged, text))
-    return outcomes
+        value, iterations, converged, error, rows = refined.get(index) or (-np.inf, 0, False, aborted[index], None)
+        outcomes.append((value, iterations, converged, None if error is None else f"{type(error).__name__}: {error}"))
+        if value > best_value:
+            best_value, best_rows = value, rows
+    return outcomes, best_value, None if best_rows is None else _model(f.scenario, *best_rows)
 
 
 def seesaw(
@@ -480,7 +509,12 @@ def seesaw(
     use counter-derived RNG streams, a member's arithmetic does not depend on
     its batch, and results merge by max with ties going to the earliest
     restart, so serial and parallel runs agree exactly.  Linear-algebra
-    failures abort only the affected restart (with a warning).
+    failures abort only the affected restart (with a warning).  Operator
+    entries are at most S = sum |C|, as POVM elements and states have norm
+    <= 1, and the largest numbers formed are symmetrization sums of a
+    difference of two operators (4 S), exchange traces over d eigenvalues
+    (2 d S) and ψ†Bψ <= S, so a functional with 4 max(d_a, d_b) S beyond the
+    float range raises ``InvalidFunctionalError`` before any restart.
     """
     cfg = SeesawConfig() if cfg is None else cfg
     if jobs < 1:
@@ -489,6 +523,10 @@ def seesaw(
         raise ConfigError(f"local dimensions must be >= 2, got ({d_a},{d_b})")
     if cfg.fixed_state is not None and cfg.fixed_state.size != d_a * d_b:
         raise ConfigError(f"fixed_state has length {cfg.fixed_state.size}, expected {d_a * d_b}")
+    with np.errstate(over="ignore"):
+        reach = 4.0 * max(d_a, d_b) * float(np.abs(f.coefficients).sum())
+    if not np.isfinite(reach):
+        raise InvalidFunctionalError(f"coefficients take the see-saw's operators beyond the float range: {reach}")
     workers = min(jobs, -(-cfg.restarts // RESTART_BATCH))
     n_ranges = max(workers, -(-cfg.restarts // max(RESTART_BATCH, BATCH_CELLS // (d_a * d_b) ** 2)))
     cuts = [cfg.restarts * i // n_ranges for i in range(n_ranges + 1)]
@@ -499,20 +537,12 @@ def seesaw(
     else:
         batches = [_batch_task(t) for t in tasks]
 
-    values, iterations, flags, aborted = [], [], [], {}
-    best_value = -np.inf
-    best_model = None
-    for index, value, model, iters, converged, error in (o for batch in batches for o in batch):
-        values.append(value)
-        iterations.append(iters)
-        flags.append(converged)
-        if error is not None:
-            aborted[index] = error
-            warnings.warn(f"restart {index} aborted: {error}", stacklevel=2)
-            continue
-        if value > best_value:
-            best_value = value
-            best_model = model
+    values, iterations, flags, errors = (list(c) for c in zip(*(o for batch in batches for o in batch[0])))
+    aborted = {index: error for index, error in enumerate(errors) if error is not None}
+    for index, error in aborted.items():
+        warnings.warn(f"restart {index} aborted: {error}", stacklevel=2)
+    # The first batch's best wins a tie, as the earliest restart does within one.
+    best_value, best_model = max((batch[1:] for batch in batches), key=lambda best: best[0])
     if best_model is None:
         raise NoConvergenceError("every restart aborted; see warnings")
     return SeesawResult(best_value, best_model, values, iterations, flags, aborted)

@@ -745,6 +745,48 @@ def test_grothendieck_local_norm_beyond_the_float_range_exits_2(tmp_path, capsys
     assert out == "" and "float range" in err
 
 
+HUGE_FUNCTIONAL = "scenario A:2 B:2\n1e308 P(0 0|0 0)\n1e308 PA(0|0)\n"
+
+
+def test_eval_value_beyond_the_float_range_exits_2(tmp_path, capsys):
+    """Finite coefficients whose value on a table overflows: a typed error,
+    not an infinite value, which is not JSON."""
+    f_path = tmp_path / "huge.bell"
+    f_path.write_text(HUGE_FUNCTIONAL, encoding="utf-8")
+    f = bellfmt.parse_functional(HUGE_FUNCTIONAL)
+    table = strategy_table(f.scenario, local_bound(f.scaled(1e-300))[1])
+    t_path = tmp_path / "strategy.csv"
+    t_path.write_text(bellfmt.serialize_table_csv(table), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "eval", str(f_path), str(t_path), "--json")
+    assert code == 2
+    assert out == "" and "float range" in err
+
+
+def test_seesaw_operators_beyond_the_float_range_exit_2_before_any_restart(tmp_path, capsys, no_restarts):
+    """A functional whose see-saw operators would overflow is refused, with
+    its cause named, before any restart runs and without a RuntimeWarning."""
+    path = tmp_path / "huge.bell"
+    path.write_text(HUGE_FUNCTIONAL, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "seesaw", str(path), "--da", "2", "--db", "2", "--restarts", "2")
+    assert code == 2
+    assert out == "" and "beyond the float range" in err
+
+
+def test_seesaw_runs_on_coefficients_of_1e300(tmp_path, capsys):
+    path = tmp_path / "big.bell"
+    path.write_text("scenario A:2 B:2\n1e300 P(0 0|0 0)\n1e300 PA(0|0)\n-1e300 P(1 1|0 0)\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "seesaw", str(path), "--da", "3", "--db", "3", "--restarts", "3", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["aborted"] == {} and abs(payload["best_value"] / 2e300 - 1.0) < 1e-12
+
+
 def test_console_script_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "dimwit.cli", "local-bound", "cglmp-c"],

@@ -15,10 +15,13 @@ from dimwit.scenario import (
     BellFunctional,
     BellScenario,
     bell_operator,
+    bell_operators,
     contraction_matrix,
     model_stacks,
     model_value,
+    povm_stack,
     povm_views,
+    stacked_values,
     table_of,
 )
 from dimwit.seesaw import (
@@ -296,6 +299,13 @@ def assert_same_model(m1, m2):
             assert np.array_equal(e1, e2)
 
 
+def assert_model_has_rows(model, rows):
+    """The model's state and POVM stacks equal a member's rows bit for bit."""
+    state, stack_a, stack_b = rows
+    assert np.array_equal(model.state, state)
+    assert np.array_equal(model.stack_a, stack_a) and np.array_equal(model.stack_b, stack_b)
+
+
 def assert_same_result(r1, r2):
     assert r1.best_value == r2.best_value
     assert r1.per_restart_values == r2.per_restart_values
@@ -352,9 +362,9 @@ def test_batches_stay_within_the_cell_bound(monkeypatch):
     sizes = []
     real = ss._lockstep
 
-    def recording(f, models, cfg):
-        sizes.append(len(models))
-        return real(f, models, cfg)
+    def recording(f, arrays, cfg):
+        sizes.append(len(arrays[0]))
+        return real(f, arrays, cfg)
 
     monkeypatch.setattr(ss, "_lockstep", recording)
     cfg = SeesawConfig(restarts=40, max_iterations=1)
@@ -393,19 +403,21 @@ def batch_functional(kind, seed):
     seed=st.integers(0, 2**16),
 )
 def test_restart_alone_equals_restart_in_full_batch(kind, d_a, d_b, seed):
-    """A restart's value, iteration count, converged flag and model are
+    """A restart's value, iteration count, converged flag and final rows are
     bit-identical whether ``refine`` runs it alone or it runs in a batch
     more than twice ``RESTART_BATCH`` wide."""
     f = batch_functional(kind, seed)
     cfg = SeesawConfig(seed=seed, max_iterations=60)
     size = 2 * RESTART_BATCH + 5
-    batch = ss._batch_task((f, d_a, d_b, cfg, range(size)))
+    arrays, aborted = ss._start_arrays(f.scenario, d_a, d_b, seed, range(size))
+    assert aborted == {}
+    batch = ss._lockstep(f, arrays, cfg)
     starts = seeded_models(f.scenario, d_a, d_b, seed, size)
-    for start, (index, value, model, iterations, converged, error) in zip(starts, batch):
+    for start, (value, iterations, converged, error, rows) in zip(starts, batch):
         assert error is None
         alone = refine(f, start, cfg)
         assert alone[0] == value and alone[2] == iterations and alone[3] == converged
-        assert_same_model(alone[1], model)
+        assert_model_has_rows(alone[1], rows)
 
 
 @pytest.mark.parametrize(
@@ -419,17 +431,33 @@ def test_members_stopping_at_different_iterations_equal_refine(kind, d_a, d_b, f
     working arrays shrink several times, gives each member exactly what
     ``refine`` gives it alone."""
     seed = 7
-    state = ss._random_state(d_a * d_b, np.random.default_rng(seed)) if fixed else None
+    rng = np.random.default_rng(seed)
+    state = rng.normal(size=d_a * d_b) + 1j * rng.normal(size=d_a * d_b) if fixed else None
     f = batch_functional(kind, seed)
     cfg = SeesawConfig(seed=seed, max_iterations=60, fixed_state=state)
-    batch = ss._batch_task((f, d_a, d_b, cfg, range(RESTART_BATCH)))
-    assert len({iterations for _, _, _, iterations, _, _ in batch}) > 1
-    for index, value, model, iterations, converged, error in batch:
+    arrays, _ = ss._start_arrays(f.scenario, d_a, d_b, seed, range(RESTART_BATCH), cfg.fixed_state)
+    batch = ss._lockstep(f, arrays, cfg)
+    assert len({iterations for _, iterations, _, _, _ in batch}) > 1
+    for start, (value, iterations, converged, error, rows) in zip(zip(*arrays), batch):
         assert error is None
-        start = ss._random_model(f.scenario, d_a, d_b, spawn_rng(seed, index), cfg.fixed_state)
-        alone = refine(f, start, cfg)
+        alone = refine(f, ss._model(f.scenario, *start), cfg)
         assert alone[0] == value and alone[2] == iterations and alone[3] == converged
-        assert_same_model(alone[1], model)
+        assert_model_has_rows(alone[1], rows)
+
+
+def test_batch_reports_the_model_of_its_earliest_best_member():
+    """A batch builds one model: that of the first member with the highest
+    value, from its final rows."""
+    f = catalog.chsh()
+    cfg = SeesawConfig(seed=3, max_iterations=60)
+    indices = range(5, 5 + RESTART_BATCH)
+    outcomes, best_value, best_model = ss._batch_task((f, 2, 2, cfg, indices))
+    arrays, _ = ss._start_arrays(f.scenario, 2, 2, cfg.seed, indices)
+    batch = ss._lockstep(f, arrays, cfg)
+    values = [value for value, *_ in batch]
+    assert [o[:3] for o in outcomes] == [o[:3] for o in batch]
+    assert best_value == max(values)
+    assert_model_has_rows(best_model, batch[values.index(best_value)][4])
 
 
 def test_lockstep_monotone_and_feasible_per_member():
@@ -437,13 +465,13 @@ def test_lockstep_monotone_and_feasible_per_member():
     next, and every member's model stays a valid one."""
     for kind in ("ragged", "E", "iphi:0.7"):
         f = batch_functional(kind, 40)
-        starts = seeded_models(f.scenario, 3, 3, seed=40, count=RESTART_BATCH)
-        previous = [model_value(f, m) for m in starts]
+        arrays, _ = ss._start_arrays(f.scenario, 3, 3, 40, range(RESTART_BATCH))
+        previous = [model_value(f, ss._model(f.scenario, *rows)) for rows in zip(*arrays)]
         for k in range(1, 7):
-            outcomes = ss._lockstep(f, starts, SeesawConfig(max_iterations=k))
-            for i, (value, model, iterations, _, error) in enumerate(outcomes):
+            outcomes = ss._lockstep(f, arrays, SeesawConfig(max_iterations=k))
+            for i, (value, iterations, _, error, rows) in enumerate(outcomes):
                 assert error is None and iterations <= k
-                model.validate(f.scenario)
+                ss._model(f.scenario, *rows).validate(f.scenario)
                 assert value >= previous[i] - 1e-12
                 previous[i] = value
 
@@ -699,23 +727,48 @@ def test_failure_inside_a_batch_aborts_only_its_member(monkeypatch, error, text)
         assert_same_model(failed.best_model, clean.best_model)
 
 
+def _drawn_matrix(seed, index, skip, d):
+    """(g + g†)/2 of the d x d setting that restart ``index`` draws after
+    its first ``skip`` normal values."""
+    rng = spawn_rng(seed, index)
+    rng.normal(size=skip)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (g + g.conj().T) / 2.0
+
+
 def test_lapack_failure_aborts_only_its_restart(monkeypatch):
-    real_eigh = np.linalg.eigh
-    calls = [0]
-
-    def flaky(a):
-        calls[0] += 1
-        if calls[0] == 1:  # restart 0 draws its start model first
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real_eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", flaky)
+    """LAPACK fails on restart 0's first start draw: the stacked start
+    eigensolve is re-run restart by restart, restart 0 alone aborts and the
+    others finish as in a clean run."""
+    cfg = SeesawConfig(restarts=3, seed=4)
+    clean = seesaw(catalog.chsh(), 2, 2, cfg, jobs=1)
+    target = _drawn_matrix(4, 0, 8, 2)  # after the state's 4 + 4 values
+    fail_eigh_on(monkeypatch, target, np.linalg.LinAlgError("Eigenvalues did not converge"))
     with pytest.warns(UserWarning, match="restart 0 aborted: NoConvergenceError"):
-        result = seesaw(catalog.chsh(), 2, 2, SeesawConfig(restarts=3, seed=4), jobs=1)
+        result = seesaw(catalog.chsh(), 2, 2, cfg, jobs=1)
     assert result.per_restart_values[0] == -np.inf
     assert list(result.aborted) == [0]
     assert result.aborted[0].startswith("NoConvergenceError: LAPACK eigh failed")
+    assert result.per_restart_values[1:] == clean.per_restart_values[1:]
+    assert result.iterations_used[1:] == clean.iterations_used[1:]
     assert abs(result.best_value - 2.0 * math.sqrt(2.0)) < 1e-6
+
+
+@pytest.mark.parametrize("party", ["A", "B"])
+def test_start_draw_failure_drops_only_its_row(monkeypatch, party):
+    """A failure in one restart's stacked start eigensolve, on either
+    party, leaves that restart out and every other row as in a clean draw."""
+    sc = BellScenario((2, 3), (3, 2, 2))
+    clean, aborted = ss._start_arrays(sc, 2, 3, 11, range(5))
+    assert aborted == {}
+    # Restart 2's first setting of the party, after its state's 6 + 6 values
+    # and, for Bob, Alice's two 2 x 2 settings.
+    target = _drawn_matrix(11, 2, 12, 2) if party == "A" else _drawn_matrix(11, 2, 12 + 16, 3)
+    fail_eigh_on(monkeypatch, target, NotPSDError("synthetic failure"))
+    arrays, aborted = ss._start_arrays(sc, 2, 3, 11, range(5))
+    assert list(aborted) == [2] and str(aborted[2]) == "synthetic failure"
+    for got, want in zip(arrays, clean):
+        assert np.array_equal(got, want[[0, 1, 3, 4]])
 
 
 def test_cglmp_best_model_stays_projective():
@@ -787,12 +840,131 @@ def _reference_exchange_pairs(ops, elements, counts):
     return elements.reshape(n, m, width, d, d)
 
 
+def _reference_projective_povm(d, outcomes, rng):
+    """A setting's start POVM drawn as it was, one setting at a time: the
+    eigenbasis of a random Hermitian matrix, outcomes taking contiguous basis
+    blocks with sizes as equal as possible, a zero element past d."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    basis = linalg.eig_hermitian((g + g.conj().T) / 2.0).eigenvectors
+    base, rem = divmod(d, outcomes)
+    sizes = [base + 1] * rem + [base] * (outcomes - rem)
+    elements = []
+    start = 0
+    for size in sizes:
+        if size == 0:
+            elements.append(np.zeros((d, d), dtype=complex))
+            continue
+        blk = basis[:, start : start + size]
+        start += size
+        p = blk @ blk.conj().T
+        elements.append((p + p.conj().T) / 2.0)
+    return tuple(elements)
+
+
+def _reference_start(scenario, d_a, d_b, rng, fixed_state=None):
+    """A restart's start rows drawn as they were: the state, then each of
+    Alice's settings, then each of Bob's, from separate ``normal`` calls."""
+    if fixed_state is None:
+        v = rng.normal(size=d_a * d_b) + 1j * rng.normal(size=d_a * d_b)
+        state = v / np.linalg.norm(v)
+    else:
+        state = np.array(fixed_state)
+    stacks = [
+        povm_stack([_reference_projective_povm(d, v, rng) for v in counts], max(counts))
+        for counts, d in ((scenario.outcomes_a, d_a), (scenario.outcomes_b, d_b))
+    ]
+    return state, *stacks
+
+
+START_CASES = [
+    (BellScenario((2, 2), (2, 2)), 2, 2),
+    (catalog.expression_E().scenario, 2, 2),
+    (catalog.expression_E().scenario, 3, 3),
+    (catalog.cglmp_C().scenario, 3, 3),
+    (catalog.by_name("iphi:0.7").scenario, 2, 3),
+    (BellScenario((2, 3, 4), (3, 2)), 3, 2),
+]
+
+
+@pytest.mark.parametrize("scenario, d_a, d_b", START_CASES, ids=["qubit-correlator", "E-2", "E-3", "cglmp-c", "iphi", "ragged"])
+def test_start_arrays_match_the_reference_draws(scenario, d_a, d_b):
+    """The batched start draw gives every restart the rows that drawing it
+    alone, one setting at a time, gives, bit for bit: batch sizes 1 to 7,
+    with and without a fixed state, on ragged scenarios and outcomes past d."""
+    fixed = SeesawConfig(fixed_state=np.arange(1.0, d_a * d_b + 1) * (1 - 0.5j)).fixed_state
+    for seed in range(3):
+        for size in range(1, 8):
+            indices = range(seed, seed + size)
+            for fixed_state in (None, fixed):
+                arrays, aborted = ss._start_arrays(scenario, d_a, d_b, seed, indices, fixed_state)
+                assert aborted == {} and len(arrays[0]) == size
+                for index, *rows in zip(indices, *arrays):
+                    want = _reference_start(scenario, d_a, d_b, spawn_rng(seed, index), fixed_state)
+                    for got, ref in zip(rows, want):
+                        assert np.array_equal(got, ref)
+    for model, index in zip(seeded_models(scenario, d_a, d_b, 5, 4), range(4)):
+        assert_model_has_rows(model, _reference_start(scenario, d_a, d_b, spawn_rng(5, index)))
+
+
+def test_unchecked_eigensolves_get_exactly_hermitian_matrices(monkeypatch):
+    """Every matrix the see-saw hands to ``linalg._eigh_descending`` itself,
+    past the Hermiticity check, equals its adjoint bit for bit, and its
+    eigenpairs are those ``eig_hermitian`` gives."""
+    real_check, real_solve = linalg.eig_hermitian, linalg._eigh_descending
+    inside, direct = [False], []
+
+    def checked(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real_check(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def unchecked(m):
+        if not inside[0]:
+            direct.append(np.array(m))
+        return real_solve(m)
+
+    ragged = random_functional(np.random.default_rng(5), BellScenario((2, 3), (2, 4, 2)))
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "eig_hermitian", checked)
+        patch.setattr(linalg, "_eigh_descending", unchecked)
+        for f, d in ((catalog.chsh(), 2), (catalog.expression_E(), 3), (ragged, 2), (catalog.cglmp_C(), 3)):
+            seesaw(f, d, d, SeesawConfig(restarts=4, seed=2, max_iterations=20))
+    assert len(direct) > 20
+    assert {m.shape[-1] for m in direct} == {2, 3}
+    for m in direct:
+        assert np.array_equal(m, m.conj().swapaxes(-1, -2))
+        got, want = real_solve(m), real_check(m)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
+
+@pytest.mark.parametrize("kind, d", [("E", 3), ("ragged", 2), ("iphi:0.7", 3)])
+def test_final_objective_is_the_stacked_value_of_the_final_rows(monkeypatch, kind, d):
+    """The carried Bell operators' objective of every member agrees with
+    ``stacked_values`` on its final rows, in a batch whose arrays are
+    compacted as members stop and after a member aborts row by row."""
+    f = batch_functional(kind, 3)
+    cfg = SeesawConfig(seed=3, max_iterations=60)
+    arrays, _ = ss._start_arrays(f.scenario, d, d, cfg.seed, range(RESTART_BATCH))
+    ops = bell_operators(contraction_matrix(f), arrays[1], arrays[2])
+    fail_eigh_on(monkeypatch, (ops[5] + ops[5].conj().T) / 2.0, NotPSDError("synthetic failure"))
+    batch = ss._lockstep(f, arrays, cfg)
+    assert [i for i, o in enumerate(batch) if o[3] is not None] == [5]
+    assert len({iterations for _, iterations, _, error, _ in batch if error is None}) > 1
+    for value, _, _, error, rows in batch:
+        if error is None:
+            state, stack_a, stack_b = rows
+            assert abs(value - stacked_values(f, state[None], stack_a[None], stack_b[None])[0]) <= 1e-12
+
+
 def _random_povm(rng, d, v, projective):
     """v PSD elements summing to the identity: a random projective split, or
     R^-1/2 G_k R^-1/2 for random PSD G_k with R their sum (no element, and
     no pair sum, a projector)."""
     if projective:
-        return np.stack(ss._random_projective_povm(d, v, rng))
+        return np.stack(_reference_projective_povm(d, v, rng))
     g = rng.normal(size=(v, d, d)) + 1j * rng.normal(size=(v, d, d))
     g = g @ g.conj().swapaxes(-1, -2)
     eig = np.linalg.eigh(g.sum(axis=0))
