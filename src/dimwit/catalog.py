@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .grothendieck import CorrelationFunctional, correlator_bell
 from .localbound import local_bound
 from .scenario import BellFunctional, BellScenario, BoundRecord
 from .seesaw import SeesawConfig, seesaw
@@ -94,13 +95,7 @@ def expression_E() -> BellFunctional:
 def chsh() -> BellFunctional:
     """CHSH in correlator form with signs (+,+,+,-): classical bound 2,
     quantum maximum 2*sqrt(2)."""
-    sc = BellScenario((2, 2), (2, 2))
-    signs = ((1.0, 1.0), (1.0, -1.0))
-    joint = [
-        [signs[x][y] * np.array([[1.0, -1.0], [-1.0, 1.0]]) for y in range(2)]
-        for x in range(2)
-    ]
-    return BellFunctional(sc, joint)
+    return correlator_bell(CorrelationFunctional([[1.0, 1.0], [1.0, -1.0]]))
 
 
 def gamma_state(gamma: float) -> np.ndarray:

@@ -53,10 +53,6 @@ class InvalidModelError(DimwitError):
     exit_code = 5
 
 
-class WrongOutcomeCountError(DimwitError):
-    """Measurement update applied to a setting with the wrong outcome count."""
-
-
 class ConfigError(DimwitError):
     """Invalid optimizer configuration."""
 

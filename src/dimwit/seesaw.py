@@ -2,18 +2,17 @@
 
 Each restart seeds a random pure state and random projective measurements,
 then repeats: replace the state by (a vector in) the Bell operator's top
-eigenspace, then re-optimize all of Alice's measurement settings in one step,
-then all of Bob's.  Once the state and the partner's POVMs are fixed, the
-objective splits into one independent term per setting of the party, so a
-party step gives the same model as updating its settings one at a time, and
-``update_measurement_binary`` / ``update_measurement_multi`` are that step
-on one model with only the named setting's new POVM kept.
-Binary settings are solved exactly by a positive-eigenspace split, all of a
-party's at once on a stack; settings with three or more outcomes cycle
-through exact pairwise exchanges that redistribute each pair's sum
-optimally.  Every step is a closed-form eigenproblem, so the objective is
-non-decreasing and every iterate is a feasible model - values are honest
-lower bounds on the dimension-restricted maximum, found heuristically.
+eigenspace (``update_state``), then re-optimize all of Alice's measurement
+settings in one step, then all of Bob's.  Once the state and the partner's
+POVMs are fixed, the objective splits into one independent term per setting
+of the party, so a party step gives the same model as updating its settings
+one at a time.  Binary settings are solved exactly by a positive-eigenspace
+split, all of a party's at once on a stack (``update_measurement_binary``);
+settings with three or more outcomes cycle through exact pairwise exchanges
+that redistribute each pair's sum optimally (``update_measurement_multi``).
+Every step is a closed-form eigenproblem, so the objective is non-decreasing
+and every iterate is a feasible model - values are honest lower bounds on the
+dimension-restricted maximum, found heuristically.
 
 Restarts run in lockstep batches, kept as arrays from their first random
 draw to the one model a batch reports.  ``seesaw`` gives each worker one
@@ -34,14 +33,13 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import linalg
 from .errors import ConfigError, InvalidFunctionalError, NoConvergenceError, NotHermitianError, NotPSDError
-from .errors import WrongOutcomeCountError
 from .scenario import (
     BellFunctional,
     BellScenario,
@@ -192,21 +190,16 @@ def seeded_models(scenario: BellScenario, d_a: int, d_b: int, seed: int, count: 
     return [_model(scenario, *rows) for rows in zip(*arrays)]
 
 
-def update_state(f: BellFunctional, model: QuantumModel) -> QuantumModel:
-    """Move the state into the Bell operator's top eigenspace.
+def update_state(states, operators) -> np.ndarray:
+    """The see-saw's state step on a batch: new (B, d_a d_b) states in the top
+    eigenspace of the members' (B, d_a d_b, d_a d_b) Bell ``operators``, from
+    one stacked eigensolve, the top cluster picked by a per-member eigenvalue
+    mask.
 
     Within a degenerate top eigenspace the previous state's projection is kept
-    (when its norm is at least 1e-6) to avoid cycling.  The objective never
-    decreases.  This is the see-saw's state step on a batch of one.
+    (when its norm is at least ``PREVIOUS_STATE_MIN_OVERLAP``) to avoid
+    cycling.  The objective never decreases.
     """
-    stacks = (s[None] for s in model_stacks(f, model))
-    return replace(model, state=_state_step(model.state[None], bell_operators(contraction_matrix(f), *stacks))[0])
-
-
-def _state_step(states, operators) -> np.ndarray:
-    """New (B, d_a d_b) states of a batch (see ``update_state``) from the
-    members' (B, d_a d_b, d_a d_b) Bell ``operators``: one stacked eigensolve,
-    the top cluster picked by a per-member eigenvalue mask."""
     eig = linalg.eig_hermitian(operators)
     top = eig.eigenvalues[:, :1]
     cluster = eig.eigenvalues >= top - DEGENERACY_TOL * np.maximum(1.0, np.abs(top))
@@ -218,22 +211,36 @@ def _state_step(states, operators) -> np.ndarray:
     return np.where(keep[:, None], proj / np.where(keep, norm, 1.0)[:, None], eig.eigenvectors[:, :, 0])
 
 
-def _exchange_pairs(ops, elements, counts) -> np.ndarray:
-    """Round-robin exact pairwise exchanges (see ``update_measurement_multi``)
-    on a (B, settings, width, d, d) stack of POVMs against their operators.
+def update_measurement_binary(ops) -> np.ndarray:
+    """Exact maximizers for two-outcome settings: from a (B, settings, width,
+    d, d) stack of their operators, the (B, settings, d, d) first elements,
+    each the projector onto the eigenspace of F_0 - F_1 with eigenvalues above
+    ``EXCHANGE_TOL``.  The second element is the identity minus the first, so
+    a tie (F_0 = F_1) gives 0 and then the identity."""
+    # F_0 - F_1 of two symmetrized operators equals its adjoint exactly.
+    return linalg._projector(linalg._eigh_descending(ops[:, :, 0] - ops[:, :, 1]), EXCHANGE_TOL)
 
-    Each pair (a, a') runs once over every member and setting at a time;
-    per-member masks skip pairs past a setting's outcome ``counts``, pairs
-    with an empty sum and no-gain exchanges, so each setting sees the same
-    sequence of exchanges as it would alone.  Rows are gathered only when
-    some are skipped.
 
-    With R = sqrt(S) and X = R Δ R for Δ = F_a - F_a', the best element
-    R P R (P the projector onto X's eigenvectors V₊ with eigenvalues above
-    ``EXCHANGE_TOL``) reaches tr(P X), the sum of those eigenvalues, so one
-    eigensolve of X gives both the gain and the new element W W† with
+def update_measurement_multi(ops, elements, counts) -> np.ndarray:
+    """Up to ``PAIR_PASSES`` rounds of round-robin exact pairwise exchanges on
+    a (B, settings, width, d, d) stack of POVMs with three or more outcomes
+    against their operators.  POVM constraints are preserved and the
+    objective never decreases.
+
+    For each pair (a, a') the sum S = M_a + M_a' is held fixed and
+    tr(M_a (F_a - F_a')) is maximized over 0 <= M_a <= S.  With R = sqrt(S)
+    and X = R Δ R for Δ = F_a - F_a', the maximizer is R P R, P the projector
+    onto X's eigenvectors V₊ with eigenvalues above ``EXCHANGE_TOL``,
+    supported inside S; it reaches tr(P X), the sum of those eigenvalues, so
+    one eigensolve of X gives both the gain and the new element W W† with
     W = R V₊.  The current tr(M_a Δ) is an elementwise sum, Δ being
-    Hermitian.  A pass that changes no row is a fixed point: the next pass
+    Hermitian.
+
+    Each pair runs once over every member and setting at a time; per-member
+    masks skip pairs past a setting's outcome ``counts``, pairs with an empty
+    sum and no-gain exchanges, so each setting sees the same sequence of
+    exchanges as it would alone.  Rows are gathered only when some are
+    skipped.  A pass that changes no row is a fixed point: the next pass
     would see the same elements and repeat it, so the passes stop there.
     """
     n, m, width, d, _ = elements.shape
@@ -287,11 +294,9 @@ def _exchange_pairs(ops, elements, counts) -> np.ndarray:
 
 def _party_plan(f: BellFunctional, party: str) -> tuple:
     """What a party step needs from ``f``'s scenario, built once per run:
-    the party ("A" or "B", else ``ValueError``), the index of its binary
-    settings and that of the rest - ``None`` if empty, a slice if all, else
-    an index array, the same for operators and POVMs - and the rest's counts."""
-    if party not in ("A", "B"):
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
+    the party, "A" or "B", the index of its binary settings and that of the
+    rest - ``None`` if empty, a slice if all, else an index array, the same
+    for operators and POVMs - and the rest's counts."""
     counts = np.asarray(f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b)
     groups = []
     for mask in (counts == 2, counts > 2):
@@ -309,66 +314,22 @@ def _party_step(plan: tuple, matrix: np.ndarray, states, stacks_a, stacks_b) -> 
     for every member of a batch in one step.
 
     One contraction by ``matrix``, the ``contraction_matrix``, gives every
-    setting's F; all binary settings of all members are solved by one stacked
-    ``positive_projector`` call (the first element becomes the projector onto
-    the positive eigenspace of F_0 - F_1); settings with three or more
-    outcomes run up to ``PAIR_PASSES`` rounds of pairwise exchanges over the
-    whole stack.  F of one setting does not depend on the party's other
-    settings, so the result equals updating the settings one after another.
+    setting's F; all binary settings of all members are solved by one
+    ``update_measurement_binary`` call, and all settings with three or more
+    outcomes by one ``update_measurement_multi`` call.  F of one setting does
+    not depend on the party's other settings, so the result equals updating
+    the settings one after another.
     """
     party, binary, multi, counts = plan
     ops = party_operators(matrix, states, stacks_a, stacks_b, party)
     povms = (stacks_a if party == "A" else stacks_b).copy()
     if binary is not None:
-        # F_0 - F_1 of two symmetrized operators equals its adjoint exactly.
-        m0 = linalg._projector(linalg._eigh_descending(ops[:, binary, 0] - ops[:, binary, 1]), EXCHANGE_TOL)
+        m0 = update_measurement_binary(ops[:, binary])
         povms[:, binary, 0] = m0
         povms[:, binary, 1] = povms[:, -1:, 0] - m0
     if multi is not None:
-        povms[:, multi] = _exchange_pairs(ops[:, multi], povms[:, multi], counts)
+        povms[:, multi] = update_measurement_multi(ops[:, multi], povms[:, multi], counts)
     return povms
-
-
-def _update_setting(f: BellFunctional, model: QuantumModel, party: str, setting: int, binary: bool) -> QuantumModel:
-    """``_party_step`` over the whole party on a batch of one model, keeping
-    only ``setting``'s new POVM; ``WrongOutcomeCountError`` unless the
-    setting has two outcomes (``binary``) or three or more (not ``binary``).
-    A setting's operators read only the state and the partner's POVMs, so
-    this is the step restricted to the setting."""
-    plan = _party_plan(f, party)
-    v = (f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b)[setting]
-    if (v == 2) != binary:
-        raise WrongOutcomeCountError(
-            f"setting {setting} of party {party} has {v} outcomes, expected {'2' if binary else '>= 3'}"
-        )
-    stacks = model_stacks(f, model)
-    step = _party_step(plan, contraction_matrix(f), model.state[None], *(s[None] for s in stacks))[0]
-    stack = stacks[party == "B"].copy()
-    stack[:-1][setting] = step[:-1][setting]  # setting -1 is the last setting, not the identity slot
-    name, counts = ("povms_a", f.scenario.outcomes_a) if party == "A" else ("povms_b", f.scenario.outcomes_b)
-    return replace(model, **{name: povm_views(stack, counts)})
-
-
-def update_measurement_binary(f: BellFunctional, model: QuantumModel, party: str, setting: int) -> QuantumModel:
-    """Exact maximizer for a two-outcome setting: the first element becomes
-    the projector onto the positive eigenspace of F_0 - F_1.  This is the
-    see-saw's party step restricted to one setting."""
-    return _update_setting(f, model, party, setting, binary=True)
-
-
-def update_measurement_multi(f: BellFunctional, model: QuantumModel, party: str, setting: int) -> QuantumModel:
-    """Up to ``PAIR_PASSES`` rounds of round-robin exact pairwise exchanges
-    for a setting with >= 3 outcomes, stopping after a round that changes no
-    element: the next round would repeat it exactly.
-
-    For each ordered pair (a, a') the sum S = M_a + M_a' is held fixed and
-    tr(M_a (F_a - F_a')) is maximized over 0 <= M_a <= S; the closed-form
-    solution is sqrt(S) P sqrt(S) with P the positive projector of
-    sqrt(S) (F_a - F_a') sqrt(S), supported inside S.  POVM constraints are
-    preserved and the objective never decreases.  This is the see-saw's party
-    step restricted to one setting.
-    """
-    return _update_setting(f, model, party, setting, binary=False)
 
 
 def _rows_that_pass(step, arrays: list, restarts: np.ndarray, aborted: dict):
@@ -444,7 +405,7 @@ def _lockstep(f: BellFunctional, arrays, cfg: SeesawConfig) -> list[tuple]:
         (3, lambda s, a, b, ops: bell_operators(matrix, a, b)),
     ]
     if cfg.fixed_state is None:
-        steps.insert(0, (0, lambda s, a, b, ops: _state_step(s, ops)))
+        steps.insert(0, (0, lambda s, a, b, ops: update_state(s, ops)))
     outcomes: dict[int, tuple] = {}
 
     def objective(s, a, b, ops):  # Re ψ†Bψ

@@ -1,9 +1,20 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dimwit.scenario import BellFunctional, BellScenario, ProbabilityTable
+from dimwit.scenario import (
+    BellFunctional,
+    BellScenario,
+    ProbabilityTable,
+    bell_operators,
+    contraction_matrix,
+    model_stacks,
+    povm_views,
+)
+
+ss = importlib.import_module("dimwit.seesaw")
 
 
 @pytest.fixture
@@ -15,6 +26,28 @@ def no_restarts(monkeypatch):
 
     # "dimwit.seesaw" as a dotted path would resolve to the re-exported function.
     monkeypatch.setattr(importlib.import_module("dimwit.seesaw"), "_lockstep", refuse)
+
+
+def state_step(f, model):
+    """``seesaw.update_state`` on a batch of one model."""
+    stacks = (s[None] for s in model_stacks(f, model))
+    state = ss.update_state(model.state[None], bell_operators(contraction_matrix(f), *stacks))[0]
+    return replace(model, state=state)
+
+
+def party_step(f, model, party, setting=None):
+    """``seesaw._party_step`` on a batch of one model: over all of the
+    party's settings, or over ``setting`` alone through a ``_party_plan``
+    restricted to it."""
+    counts = f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b
+    plan = ss._party_plan(f, party)
+    if setting is not None:
+        index = np.array([setting])
+        v = counts[setting]
+        plan = (party, index, None, None) if v == 2 else (party, None, index, np.array([v]))
+    stack_a, stack_b = model_stacks(f, model)
+    stack = ss._party_step(plan, contraction_matrix(f), model.state[None], stack_a[None], stack_b[None])[0]
+    return replace(model, **{"povms_a" if party == "A" else "povms_b": povm_views(stack, counts)})
 
 
 def random_scenario(rng, max_settings=3, max_outcomes=4) -> BellScenario:

@@ -13,16 +13,9 @@ import numpy as np
 from dimwit import bellfmt, catalog, grothendieck, linalg, localbound
 from dimwit.cli import main
 from dimwit.scenario import BellScenario, model_value
-from dimwit.seesaw import (
-    SeesawConfig,
-    seeded_models,
-    seesaw,
-    update_measurement_binary,
-    update_measurement_multi,
-    update_state,
-)
+from dimwit.seesaw import SeesawConfig, seeded_models, seesaw
 
-from conftest import random_functional, random_hermitian
+from conftest import party_step, random_functional, random_hermitian, state_step
 
 E_QUBIT_MAX = 1.0 / math.sqrt(2.0) - 0.5  # = (sqrt(2)-1)/2 = 0.2071067811...
 
@@ -188,17 +181,13 @@ def test_criterion_7b_seesaw_monotone_feasible_100_runs(capsys):
         model = seeded_models(sc, d_a, d_b, seed=9000 + i, count=1)[0]
         value = model_value(f, model)
         for _ in range(2):
-            model = update_state(f, model)
+            model = state_step(f, model)
             new = model_value(f, model)
             worst_drop = max(worst_drop, value - new)
             value = new
             for party, settings in (("A", sc.settings_a), ("B", sc.settings_b)):
-                counts = sc.outcomes_a if party == "A" else sc.outcomes_b
                 for setting in range(settings):
-                    if counts[setting] == 2:
-                        model = update_measurement_binary(f, model, party, setting)
-                    else:
-                        model = update_measurement_multi(f, model, party, setting)
+                    model = party_step(f, model, party, setting)
                     model.validate(sc)  # POVM feasibility after every update
                     new = model_value(f, model)
                     worst_drop = max(worst_drop, value - new)

@@ -23,7 +23,6 @@ from dimwit.scenario import (
     povm_stack,
     table_of,
 )
-from dimwit.seesaw import update_measurement_binary, update_measurement_multi
 
 from conftest import random_functional, random_hermitian
 
@@ -312,22 +311,11 @@ def test_setting_operators_predict_value_change(rng):
 
 def test_setting_operators_ignore_the_partys_own_povms(rng):
     """A party's per-setting operators are, bit for bit, the same after its
-    own POVMs are replaced by random ones, valid or not, so a one-setting
-    update may run the whole party step and keep one setting."""
+    own POVMs are replaced by random ones, valid or not, so the settings of
+    a party step do not interact."""
     for f, m, _ in cases(rng):
         for party in ("A", "B"):
             other = random_model(rng, f.scenario, m.d_a, m.d_b, valid=bool(rng.integers(2)))
             name = "povms_a" if party == "A" else "povms_b"
             swapped = replace(m, **{name: getattr(other, name)})
             assert np.array_equal(setting_operators(f, swapped, party), setting_operators(f, m, party))
-
-
-def test_setting_operators_reject_unknown_party(rng):
-    # The party name enters at the one-setting updates; Bob's setting 0 of
-    # RAGGED is ternary, so reading "C" as Bob would fail the binary update
-    # on its outcome count instead.
-    f = random_functional(rng, RAGGED)
-    model = random_model(rng, RAGGED, 2, 2)
-    for update in (update_measurement_binary, update_measurement_multi):
-        with pytest.raises(ValueError, match="party"):
-            update(f, model, "C", 0)

@@ -1,7 +1,6 @@
 import importlib
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,17 +9,15 @@ from hypothesis import given, settings, strategies as st
 from dimwit import catalog, linalg
 
 ss = importlib.import_module("dimwit.seesaw")
-from dimwit.errors import ConfigError, NotPSDError, WrongOutcomeCountError
+from dimwit.errors import ConfigError, NotPSDError
 from dimwit.scenario import (
     BellFunctional,
     BellScenario,
     bell_operator,
     bell_operators,
     contraction_matrix,
-    model_stacks,
     model_value,
     povm_stack,
-    povm_views,
     stacked_values,
     table_of,
 )
@@ -32,12 +29,9 @@ from dimwit.seesaw import (
     seeded_models,
     seesaw,
     spawn_rng,
-    update_measurement_binary,
-    update_measurement_multi,
-    update_state,
 )
 
-from conftest import fail_eigh_on, random_functional, signaling_deviation
+from conftest import fail_eigh_on, party_step, random_functional, signaling_deviation, state_step
 
 
 def test_seeded_models_deterministic():
@@ -77,10 +71,10 @@ def test_seeded_models_block_sizes():
 def test_update_state_reaches_top_eigenvalue():
     f = catalog.chsh()
     model = seeded_models(f.scenario, 2, 2, seed=3, count=1)[0]
-    updated = update_state(f, model)
+    updated = state_step(f, model)
     value = model_value(f, updated)
     assert value >= model_value(f, model) - 1e-12
-    again = update_state(f, updated)
+    again = state_step(f, updated)
     assert abs(model_value(f, again) - value) < 1e-12
 
 
@@ -88,7 +82,7 @@ def test_update_state_degenerate_keeps_previous():
     sc = BellScenario((2,), (2,))
     f = BellFunctional(sc, constant=0.5)  # Bell operator is 0.5 * identity
     model = seeded_models(sc, 2, 2, seed=5, count=1)[0]
-    updated = update_state(f, model)
+    updated = state_step(f, model)
     assert np.abs(updated.state - model.state).max() < 1e-12
 
 
@@ -102,7 +96,7 @@ def test_binary_update_marginal_only():
     state[0] = 1.0
     model = seeded_models(sc, 2, 2, seed=2, count=1)[0]
     model = type(model)(2, 2, state, model.povms_a, model.povms_b)
-    updated = update_measurement_binary(f, model, "A", 0)
+    updated = party_step(f, model, "A")
     assert np.allclose(updated.povms_a[0][0], np.diag([1.0, 0.0]))
     assert np.allclose(updated.povms_a[0][1], np.diag([0.0, 1.0]))
 
@@ -111,34 +105,9 @@ def test_binary_update_tie_gives_zero_then_identity():
     sc = BellScenario((2,), (2,))
     f = BellFunctional(sc)  # all coefficients zero: F_0 = F_1
     model = seeded_models(sc, 2, 2, seed=4, count=1)[0]
-    updated = update_measurement_binary(f, model, "A", 0)
+    updated = party_step(f, model, "A")
     assert np.allclose(updated.povms_a[0][0], 0.0)
     assert np.allclose(updated.povms_a[0][1], np.eye(2))
-
-
-def test_binary_update_wrong_outcome_count():
-    f = catalog.expression_E()
-    model = seeded_models(f.scenario, 2, 2, seed=1, count=1)[0]
-    with pytest.raises(WrongOutcomeCountError):
-        update_measurement_binary(f, model, "A", 1)
-    with pytest.raises(WrongOutcomeCountError):
-        update_measurement_multi(f, model, "A", 0)
-
-
-def test_negative_setting_counts_from_the_end(rng):
-    """Setting -1 is the party's last setting, as in ``povms_a[-1]``, for
-    both kinds of update."""
-    sc = BellScenario((3, 2), (2, 3))
-    f = random_functional(rng, sc)
-    model = seeded_models(sc, 2, 3, seed=1, count=1)[0]
-    for party, update in (("A", update_measurement_binary), ("B", update_measurement_multi)):
-        got, want = update(f, model, party, -1), update(f, model, party, 1)
-        assert all(
-            np.array_equal(m1, m2)
-            for s1, s2 in zip(got.povms_a + got.povms_b, want.povms_a + want.povms_b)
-            for m1, m2 in zip(s1, s2)
-        )
-        assert model_value(f, got) > model_value(f, model)
 
 
 def test_multi_update_degenerate_left_unchanged():
@@ -149,7 +118,7 @@ def test_multi_update_degenerate_left_unchanged():
     model = seeded_models(sc, 3, 2, seed=6, count=1)[0]
     noisy = tuple(np.eye(3, dtype=complex) / 3.0 for _ in range(3))
     model = type(model)(3, 2, model.state, (noisy,), model.povms_b)
-    updated = update_measurement_multi(f, model, "A", 0)
+    updated = party_step(f, model, "A")
     for before, after in zip(model.povms_a[0], updated.povms_a[0]):
         assert np.abs(before - after).max() < 1e-12
 
@@ -161,7 +130,7 @@ def test_multi_update_ignores_padding_outcomes():
     sc = BellScenario((2,), (4, 3))
     f = BellFunctional(sc, marginal_b=[np.zeros(4), -np.ones(3)])
     model = seeded_models(sc, 3, 3, seed=2, count=1)[0]
-    updated = update_measurement_multi(f, model, "B", 1)
+    updated = party_step(f, model, "B", 1)
     updated.validate(sc)
     for before, after in zip(model.povms_b[1], updated.povms_b[1]):
         assert np.abs(before - after).max() < 1e-12
@@ -181,8 +150,8 @@ def test_multi_update_suppressed_outcome_reduces_to_binary():
     base = seeded_models(sc2, 2, 2, seed=8, count=1)[0]
     p = base.povms_a[0]
     model3 = type(base)(2, 2, base.state, ((p[0], p[1], np.zeros((2, 2), complex)),), base.povms_b)
-    out3 = update_measurement_multi(f3, model3, "A", 0)
-    out2 = update_measurement_binary(f2, base, "A", 0)
+    out3 = party_step(f3, model3, "A")
+    out2 = party_step(f2, base, "A")
     assert np.abs(out3.povms_a[0][0] - out2.povms_a[0][0]).max() < 1e-12
     assert np.abs(out3.povms_a[0][2]).max() < 1e-12
 
@@ -192,50 +161,36 @@ def test_chsh_one_round_of_binary_updates_hits_tsirelson():
     psi = catalog.theta_state(math.pi / 4.0)
     model = seeded_models(f.scenario, 2, 2, seed=9, count=1)[0]
     model = type(model)(2, 2, psi, model.povms_a, model.povms_b)
-    for x in range(2):
-        model = update_measurement_binary(f, model, "A", x)
-    for y in range(2):
-        model = update_measurement_binary(f, model, "B", y)
+    model = party_step(f, party_step(f, model, "A"), "B")
     assert abs(model_value(f, model) - 2.0 * math.sqrt(2.0)) < 1e-9
 
 
 def test_updates_monotone_and_feasible(rng):
+    """The state step and every one-setting step never lower the objective
+    and keep the model feasible."""
     for i in range(10):
         f = random_functional(rng, BellScenario((2, 3), (2, 2)))
         d = int(rng.integers(2, 4))
         model = seeded_models(f.scenario, d, d, seed=300 + i, count=1)[0]
         value = model_value(f, model)
         for _ in range(3):
-            model = update_state(f, model)
+            model = state_step(f, model)
             new = model_value(f, model)
             assert new >= value - 1e-12
             value = new
-            for party, n in (("A", 2), ("B", 2)):
-                for setting in range(n):
-                    counts = f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b
-                    if counts[setting] == 2:
-                        model = update_measurement_binary(f, model, party, setting)
-                    else:
-                        model = update_measurement_multi(f, model, party, setting)
+            for party in ("A", "B"):
+                for setting in range(2):
+                    model = party_step(f, model, party, setting)
                     model.validate(f.scenario)
                     new = model_value(f, model)
                     assert new >= value - 1e-12
                     value = new
 
 
-def _setting_by_setting(f, model, party):
-    counts = f.scenario.outcomes_a if party == "A" else f.scenario.outcomes_b
-    for setting, v in enumerate(counts):
-        if v == 2:
-            model = update_measurement_binary(f, model, party, setting)
-        else:
-            model = update_measurement_multi(f, model, party, setting)
-    return model
-
-
 def test_party_step_equals_setting_by_setting_and_is_monotone(rng):
-    """One party step, as ``refine`` runs it, equals the per-setting updates
-    in index order, keeps the model feasible and never lowers the objective."""
+    """One party step, as ``refine`` runs it, equals steps run on plans
+    restricted to one setting, in index order; it keeps the model feasible
+    and never lowers the objective."""
     scenarios = (BellScenario((2, 3, 2), (3, 2)), BellScenario((3, 2), (2, 2, 3)))
     for i, sc in enumerate(scenarios * 2):
         for d_a, d_b in ((2, 2), (2, 3), (3, 3)):
@@ -243,16 +198,14 @@ def test_party_step_equals_setting_by_setting_and_is_monotone(rng):
             model = seeded_models(sc, d_a, d_b, seed=500 + i, count=1)[0]
             value = model_value(f, model)
             for _ in range(3):
-                model = update_state(f, model)
+                model = state_step(f, model)
                 assert model_value(f, model) >= value - 1e-12
                 value = model_value(f, model)
                 for party, counts in (("A", sc.outcomes_a), ("B", sc.outcomes_b)):
-                    stack_a, stack_b = model_stacks(f, model)
-                    plan = ss._party_plan(f, party)
-                    stack = ss._party_step(plan, contraction_matrix(f), model.state[None], stack_a[None], stack_b[None])[0]
-                    name = "povms_a" if party == "A" else "povms_b"
-                    step = replace(model, **{name: povm_views(stack, counts)})
-                    ref = _setting_by_setting(f, model, party)
+                    step = party_step(f, model, party)
+                    ref = model
+                    for setting in range(len(counts)):
+                        ref = party_step(f, ref, party, setting)
                     for got, want in zip(step.povms_a + step.povms_b, ref.povms_a + ref.povms_b):
                         for m1, m2 in zip(got, want):
                             assert np.abs(m1 - m2).max() < 1e-12
@@ -261,6 +214,39 @@ def test_party_step_equals_setting_by_setting_and_is_monotone(rng):
                     step.validate(sc)
                     assert new >= value - 1e-12
                     model, value = step, new
+
+
+def test_steps_are_the_spanned_module_functions(monkeypatch):
+    """``seesaw`` runs its state and measurement steps through the module
+    attributes ``update_state``, ``update_measurement_binary`` and
+    ``update_measurement_multi``, so a wrapper patched onto the module sees
+    every call: all three on E, no state step with a fixed state, and no
+    exchange on the binary-only CHSH."""
+    names = ("update_state", "update_measurement_binary", "update_measurement_multi")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        real = getattr(ss, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(ss, name, counting(name))
+
+    def run(f, d, **cfg):
+        calls.update(dict.fromkeys(names, 0))
+        seesaw(f, d, d, SeesawConfig(restarts=3, seed=1, max_iterations=20, **cfg))
+        return dict(calls)
+
+    assert all(run(catalog.expression_E(), 3).values())
+    fixed = run(catalog.expression_E(), 2, fixed_state=catalog.theta_state(0.4))
+    assert fixed["update_state"] == 0 and fixed["update_measurement_binary"] and fixed["update_measurement_multi"]
+    chsh = run(catalog.chsh(), 2)
+    assert chsh["update_state"] and chsh["update_measurement_binary"] and chsh["update_measurement_multi"] == 0
 
 
 def test_seesaw_chsh_correlation_normalized():
@@ -1016,7 +1002,7 @@ def test_exchange_pairs_match_the_reference_loop(seed, counts, d, projective):
     rng = np.random.default_rng(seed)
     for _ in range(4):
         ops, povms, c = _exchange_inputs(rng, 5, counts, d, projective)
-        got = ss._exchange_pairs(ops, povms, c)
+        got = ss.update_measurement_multi(ops, povms, c)
         want = _reference_exchange_pairs(ops, povms, c)
         assert np.abs(got - want).max() < 1e-10
         assert not np.array_equal(got, povms)
@@ -1031,7 +1017,7 @@ def test_exchange_pass_is_monotone_and_feasible(monkeypatch, seed, counts, d, pr
     ops, povms, c = _exchange_inputs(rng, 5, counts, d, projective)
     value = _objective(ops, povms)
     for _ in range(6):
-        povms = ss._exchange_pairs(ops, povms, c)
+        povms = ss.update_measurement_multi(ops, povms, c)
         _assert_feasible(povms, counts)
         new = _objective(ops, povms)
         assert (new >= value - 1e-12).all()
@@ -1046,7 +1032,7 @@ def test_exchange_fixed_point_is_returned_after_one_pass(monkeypatch, counts, d)
     rng = np.random.default_rng(31)
     ops, povms, c = _exchange_inputs(rng, 4, counts, d, True)
     for _ in range(200):
-        out = ss._exchange_pairs(ops, povms, c)
+        out = ss.update_measurement_multi(ops, povms, c)
         if np.array_equal(out, povms):
             break
         povms = out
@@ -1064,7 +1050,7 @@ def test_exchange_fixed_point_is_returned_after_one_pass(monkeypatch, counts, d)
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "eig_hermitian", counting)
             patch.setattr(ss, "PAIR_PASSES", passes)
-            again = ss._exchange_pairs(ops, out, c)
+            again = ss.update_measurement_multi(ops, out, c)
         assert np.array_equal(again, out)
         return len(calls)
 
