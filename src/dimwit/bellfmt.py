@@ -98,7 +98,11 @@ def parse_functional(text: str) -> BellFunctional:
                 sc = BellScenario(outcomes_a, outcomes_b)
             except InvalidScenarioError as exc:
                 raise ParseError(str(exc), line=lineno, column=1) from exc
-            c = np.zeros(_coefficient_shape(sc))
+            try:
+                c = np.zeros(_coefficient_shape(sc))
+            except (ValueError, MemoryError) as exc:
+                message = f"scenario too large for its coefficient tensor: {exc}"
+                raise ParseError(message, line=lineno, column=1) from exc
             continue
         if sc is None:
             raise MissingScenarioError(
@@ -266,6 +270,19 @@ def parse_table_csv(text: str, renormalize: bool = False) -> ProbabilityTable:
         scenario = BellScenario(tuple(outcomes_a), tuple(outcomes_b))
     except InvalidScenarioError as exc:
         raise InvalidTableError(f"inferred scenario is invalid: {exc}") from exc
+    # Every row's indices lie inside the inferred scenario, so counting rows
+    # finds a gap before anything is allocated; the walk to the first missing
+    # key, in (x, y, a, b) order, passes only present rows.
+    if len(entries) != sum(outcomes_a) * sum(outcomes_b):
+        keys = (
+            (x, y, a, b)
+            for x in range(settings_a)
+            for y in range(settings_b)
+            for a in range(outcomes_a[x])
+            for b in range(outcomes_b[y])
+        )
+        missing = next(key for key in keys if key not in entries)
+        raise InvalidTableError(f"missing row for (x,y,a,b)={missing}")
     blocks = []
     for x in range(settings_a):
         row_blocks = []
@@ -273,10 +290,7 @@ def parse_table_csv(text: str, renormalize: bool = False) -> ProbabilityTable:
             blk = np.empty((outcomes_a[x], outcomes_b[y]))
             for a in range(outcomes_a[x]):
                 for b in range(outcomes_b[y]):
-                    key = (x, y, a, b)
-                    if key not in entries:
-                        raise InvalidTableError(f"missing row for (x,y,a,b)={key}")
-                    blk[a, b] = entries[key]
+                    blk[a, b] = entries[x, y, a, b]
             row_blocks.append(blk)
         blocks.append(row_blocks)
     return ProbabilityTable(scenario, blocks, renormalize=renormalize)

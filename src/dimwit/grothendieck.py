@@ -14,7 +14,8 @@ sign vectors x with x_0 fixed, under the search's one cap (m <= 26).  Bob's
 two outcomes score exactly opposite, so per x it builds the m sums
 sum_i M_ij x_i once and takes each y_j's best as their magnitude.  The
 unit-vector search runs all its restarts on stacked (restarts, m, N) arrays
-under the quantum see-saw's restart loop, ``seesaw.drive_lockstep``.
+under the quantum see-saw's restart loop, ``seesaw.drive_lockstep``, and
+reads their final values and vectors off the loop's record.
 """
 
 from __future__ import annotations
@@ -98,17 +99,10 @@ def _objectives(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
 def _lockstep(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray, max_iterations: int):
     """Alternating exact best responses (x <- M y, then y <- Mᵀ x, rows
     normalized) on (R, m, n) stacks of start vectors, run by
-    ``drive_lockstep``.  Each member's final vectors are written back into
-    ``xs`` and ``ys``; returns the R final objectives."""
-    finals = np.empty(len(xs))
-
-    def write_out(restarts, values, arrays, iterations, converged):
-        xs[restarts], ys[restarts] = arrays
-        finals[restarts] = values
-
+    ``drive_lockstep``; returns the R final objectives and (R, m, n) xs, ys."""
     steps = [(0, lambda x, y: _normalize_rows(matrix @ y, x)), (1, lambda x, y: _normalize_rows(matrix.T @ x, y))]
-    drive_lockstep([xs, ys], steps, partial(_objectives, matrix), write_out, max_iterations)
-    return finals
+    values, _, _, rows, _ = drive_lockstep([xs, ys], steps, partial(_objectives, matrix), max_iterations)
+    return values, *rows
 
 
 def _check_dimension(n: int) -> None:
@@ -120,7 +114,7 @@ def vector_seesaw(f: CorrelationFunctional, n: int, cfg: SeesawConfig | None = N
     """Best found value of sum_ij M_ij x_i . y_j over unit vectors in R^n.
 
     Alternating exact best responses (x_i follows sum_j M_ij y_j, then
-    symmetrically).  Restart r starts from vectors drawn from
+    symmetrically).  Restart r draws its x vectors, then its y vectors, from
     ``spawn_rng(cfg.seed, r)``; all restarts run in lockstep as (R, m, n)
     stacks, and the best value wins, the earliest restart on a tie, as in
     the quantum see-saw.  Returns (value, VectorStrategy).
@@ -130,12 +124,9 @@ def vector_seesaw(f: CorrelationFunctional, n: int, cfg: SeesawConfig | None = N
     if f.local_norm is None:
         raise ConfigError("normalize the correlation functional before the search")
     m = f.m
-    xs, ys = np.empty((cfg.restarts, m, n)), np.empty((cfg.restarts, m, n))
-    for restart in range(cfg.restarts):
-        rng = spawn_rng(cfg.seed, restart)
-        xs[restart] = _normalize_rows(rng.normal(size=(m, n)), np.eye(m, n))
-        ys[restart] = _normalize_rows(rng.normal(size=(m, n)), np.eye(m, n))
-    values = _lockstep(f.matrix, xs, ys, cfg.max_iterations)
+    rngs = [spawn_rng(cfg.seed, restart) for restart in range(cfg.restarts)]
+    xs, ys = (np.array([_normalize_rows(rng.normal(size=(m, n)), np.eye(m, n)) for rng in rngs]) for _ in range(2))
+    values, xs, ys = _lockstep(f.matrix, xs, ys, cfg.max_iterations)
     best = int(np.argmax(values))
     return float(values[best]), VectorStrategy(xs[best], ys[best])
 

@@ -23,10 +23,11 @@ as one (B, d_a d_b) array and each party's POVMs as one (B, settings + 1,
 width, d, d) ``povm_stack`` array.  ``_lockstep`` carries the members' Bell
 operators as a fourth array, rebuilt once an iteration after Bob's step: the
 objective Re ψ†Bψ reads it and the next state step diagonalizes it.
-``drive_lockstep`` drops stopped and aborted members' rows, and
-``_batch_task`` builds a model for its best member only.  Every stacked
-operation acts member by member, so a restart's iterates do not depend on
-its batch; ``refine`` is the same loop on a batch of one.
+``drive_lockstep`` drops stopped and aborted members' rows and returns one
+record of each member's value, count, flag and final rows; ``_batch_task``
+scatters it into restart order and builds a model for its best member only.
+Every stacked operation acts member by member, so a restart's iterates do
+not depend on its batch; ``refine`` runs the loop on a batch of one.
 """
 
 from __future__ import annotations
@@ -350,53 +351,53 @@ def _rows_that_pass(step, arrays: list, restarts: np.ndarray, aborted: dict):
     return (np.concatenate(parts) if parts else None), kept
 
 
-def drive_lockstep(arrays: list, steps, objective, write_out, max_iterations: int) -> dict[int, Exception]:
+def drive_lockstep(arrays: list, steps, objective, max_iterations: int) -> tuple:
     """The restart loop of both searches: alternating best responses run in
     lockstep on a batch of restarts.
 
     ``arrays`` hold the batch's members, one row each in restart order, and
     at least one.  Each iteration sets ``arrays[slot] = step(*arrays)`` for
     each (slot, step) of ``steps`` in turn, then recomputes
-    ``objective(*arrays)``, one value per member.  Members whose iteration
-    gains less than ``CONVERGENCE_TOL`` have converged:
-    ``write_out(restarts, values, arrays, iterations, converged)`` gets their
-    restart indices, objectives and rows, and their rows are dropped, so each
-    step runs on whole arrays and stragglers share their calls until the last
-    one stops.  Members still active after ``max_iterations`` are written out
-    as not converged.  An iteration in which no member stops copies no row.
-    If a step raises a linear-algebra error, it is re-run row by row and only
-    the rows that raise are dropped; a batch that this empties runs no further
-    step.  Returns {restart: error} for those aborted members, which are never
-    written out.
+    ``objective(*arrays)``, one value per member.  A member stops once its
+    iteration gains less than ``CONVERGENCE_TOL`` (its converged flag) or at
+    ``max_iterations``, and its rows are dropped, so each step runs on whole
+    arrays and stragglers share their calls until the last one stops.  An
+    iteration in which no member stops copies no row.  If a step raises a
+    linear-algebra error, it is re-run row by row and only the rows that
+    raise are aborted; a batch that this empties runs no further step.
+    Returns the record (values, iterations, converged, rows, aborted) in
+    member order: each member's last objective, count and flag (-inf, 0 and
+    False if aborted), its final rows of every array, {member: error}.
     """
-    arrays, values, restarts = list(arrays), objective(*arrays), np.arange(len(arrays[0]))
-    aborted: dict[int, Exception] = {}
+    values, iterations, flags = (np.full(len(arrays[0]), fill) for fill in (-np.inf, 0, False))
+    record = values, iterations, flags, [np.zeros_like(a) for a in arrays], {}
+    arrays, current, members = list(arrays), objective(*arrays), np.arange(len(values))
     for iteration in range(1, max_iterations + 1):
         for slot, step in steps:
-            result, kept = _rows_that_pass(step, arrays, restarts, aborted)
+            result, kept = _rows_that_pass(step, arrays, members, record[4])
             if kept is not None:
                 if not kept:
-                    return aborted
-                arrays, values, restarts = [a[kept] for a in arrays], values[kept], restarts[kept]
+                    return record
+                arrays, current, members = [a[kept] for a in arrays], current[kept], members[kept]
             arrays[slot] = result
-        previous, values = values, objective(*arrays)
-        done = values - previous < CONVERGENCE_TOL
+        previous, current = current, objective(*arrays)
+        converged = current - previous < CONVERGENCE_TOL
+        done = converged if iteration < max_iterations else np.ones_like(converged)
         if done.any():
-            write_out(restarts[done], values[done], [a[done] for a in arrays], iteration, True)
-            keep = ~done
-            arrays, values, restarts = [a[keep] for a in arrays], values[keep], restarts[keep]
-            if not len(restarts):
-                return aborted
-    write_out(restarts, values, arrays, max_iterations, False)
-    return aborted
+            stopped = members[done]
+            values[stopped], iterations[stopped], flags[stopped] = current[done], iteration, converged[done]
+            for final, a in zip(record[3], arrays):
+                final[stopped] = a[done]
+            if done.all():
+                break
+            arrays, current, members = [a[~done] for a in arrays], current[~done], members[~done]
+    return record
 
 
-def _lockstep(f: BellFunctional, arrays, cfg: SeesawConfig) -> list[tuple]:
+def _lockstep(f: BellFunctional, arrays, cfg: SeesawConfig) -> tuple:
     """``refine``'s schedule run by ``drive_lockstep`` on a batch's working
     arrays [states, stacks_a, stacks_b] and its carried Bell operators (see
-    the module docstring).  One (value, iterations, converged, error, rows)
-    per member, rows its final (state, stack_a, stack_b); an aborted member
-    gets (-inf, 0, False, the exception, None)."""
+    the module docstring), whose record it returns."""
     matrix = contraction_matrix(f)
     plan_a, plan_b = _party_plan(f, "A"), _party_plan(f, "B")
     steps = [
@@ -406,19 +407,11 @@ def _lockstep(f: BellFunctional, arrays, cfg: SeesawConfig) -> list[tuple]:
     ]
     if cfg.fixed_state is None:
         steps.insert(0, (0, lambda s, a, b, ops: update_state(s, ops)))
-    outcomes: dict[int, tuple] = {}
 
     def objective(s, a, b, ops):  # Re ψ†Bψ
         return (s.conj() * (ops @ s[:, :, None])[:, :, 0]).real.sum(axis=1)
 
-    def write_out(restarts, values, rows, iterations, converged):
-        for restart, value, *member in zip(restarts, values, *rows[:3]):
-            outcomes[int(restart)] = (float(value), iterations, converged, None, member)
-
-    arrays = [*arrays, bell_operators(matrix, arrays[1], arrays[2])]
-    aborted = drive_lockstep(arrays, steps, objective, write_out, cfg.max_iterations)
-    outcomes.update((i, (-np.inf, 0, False, exc, None)) for i, exc in aborted.items())
-    return [outcomes[i] for i in range(len(arrays[0]))]
+    return drive_lockstep([*arrays, bell_operators(matrix, *arrays[1:])], steps, objective, cfg.max_iterations)
 
 
 def refine(f: BellFunctional, model: QuantumModel, cfg: SeesawConfig):
@@ -428,32 +421,34 @@ def refine(f: BellFunctional, model: QuantumModel, cfg: SeesawConfig):
     step, then every Bob setting in one step.  A party's settings do not
     interact once the state and the partner's POVMs are fixed, so this equals
     updating them one by one in index order.  Returns (value, model,
-    iterations, converged).  This is the lockstep loop of ``seesaw`` (see
-    ``drive_lockstep``) on a batch of one, so a restart gives the same result
-    here as inside a batch; a linear-algebra error is raised.
+    iterations, converged) from row 0 of ``seesaw``'s lockstep record on a
+    batch of one, the same as in a batch; a linear-algebra error is raised.
     """
     arrays = [model.state[None], *(s[None] for s in model_stacks(f, model))]
-    value, iterations, converged, error, rows = _lockstep(f, arrays, cfg)[0]
-    if error is not None:
-        raise error
-    return value, _model(f.scenario, *rows), iterations, converged
+    values, iterations, converged, rows, aborted = _lockstep(f, arrays, cfg)
+    if aborted:
+        raise aborted[0]
+    return float(values[0]), _model(f.scenario, *(a[0] for a in rows[:3])), int(iterations[0]), bool(converged[0])
 
 
 def _batch_task(args) -> tuple:
-    """One (value, iterations, converged, error text) per restart of a batch
-    run in lockstep, then the best value and the model of the first restart
-    to reach it (-inf and None if no restart has a value above -inf)."""
+    """The restarts ``indices`` run in lockstep as one batch: the record's
+    values, counts and flags scattered into restart order (a start draw that
+    raised keeps -inf, 0 and False), {restart: "<ErrorType>: <message>"} for
+    the aborted ones, and the model of the first best (None if it is -inf)."""
     f, d_a, d_b, cfg, indices = args
     arrays, aborted = _start_arrays(f.scenario, d_a, d_b, cfg.seed, indices, cfg.fixed_state)
-    started = [i for i in indices if i not in aborted]
-    refined = dict(zip(started, _lockstep(f, arrays, cfg) if started else []))
-    outcomes, best_value, best_rows = [], -np.inf, None
-    for index in indices:
-        value, iterations, converged, error, rows = refined.get(index) or (-np.inf, 0, False, aborted[index], None)
-        outcomes.append((value, iterations, converged, None if error is None else f"{type(error).__name__}: {error}"))
-        if value > best_value:
-            best_value, best_rows = value, rows
-    return outcomes, best_value, None if best_rows is None else _model(f.scenario, *best_rows)
+    started, model = np.array([i not in aborted for i in indices]), None
+    found = [np.full(len(indices), fill) for fill in (-np.inf, 0, False)]
+    if started.any():
+        *record, rows, errors = _lockstep(f, arrays, cfg)
+        aborted.update((int(np.asarray(indices)[started][member]), exc) for member, exc in errors.items())
+        for column, part in zip(found, record):
+            column[started] = part
+        best = int(np.argmax(record[0]))  # the first maximum; -inf only if every member aborted
+        if record[0][best] > -np.inf:
+            model = _model(f.scenario, *(a[best] for a in rows[:3]))
+    return *found, {i: f"{type(exc).__name__}: {exc}" for i, exc in sorted(aborted.items())}, model
 
 
 def seesaw(
@@ -498,12 +493,12 @@ def seesaw(
     else:
         batches = [_batch_task(t) for t in tasks]
 
-    values, iterations, flags, errors = (list(c) for c in zip(*(o for batch in batches for o in batch[0])))
-    aborted = {index: error for index, error in enumerate(errors) if error is not None}
+    values, iterations, flags = (np.concatenate(c).tolist() for c in zip(*(batch[:3] for batch in batches)))
+    aborted = {index: error for batch in batches for index, error in batch[3].items()}
     for index, error in aborted.items():
         warnings.warn(f"restart {index} aborted: {error}", stacklevel=2)
-    # The first batch's best wins a tie, as the earliest restart does within one.
-    best_value, best_model = max((batch[1:] for batch in batches), key=lambda best: best[0])
+    # The first batch to reach the highest value holds the earliest restart that does.
+    best_value, best_model = max(((float(batch[0].max()), batch[4]) for batch in batches), key=lambda best: best[0])
     if best_model is None:
         raise NoConvergenceError("every restart aborted; see warnings")
     return SeesawResult(best_value, best_model, values, iterations, flags, aborted)

@@ -251,10 +251,13 @@ def test_table_csv_errors():
         with pytest.raises(ParseError) as err:
             bellfmt.parse_table_csv(header + full + row + "\n")
         assert err.value.line == 6
-    # missing rows are forbidden
+    # missing rows are forbidden; the first missing key in (x, y, a, b)
+    # order is named, also for a gap in a later block
     rows = header + "0,0,0,0,0.5\n0,0,0,1,0.25\n0,0,1,0,0.25\n"
-    with pytest.raises(InvalidTableError):
+    with pytest.raises(InvalidTableError, match=re.escape("(x,y,a,b)=(0, 0, 1, 1)")):
         bellfmt.parse_table_csv(rows)
+    with pytest.raises(InvalidTableError, match=re.escape("(x,y,a,b)=(1, 0, 0, 1)")):
+        bellfmt.parse_table_csv(header + full + "1,0,0,0,0.5\n1,0,1,1,0.5\n")
     with pytest.raises(InvalidTableError, match="inferred scenario is invalid"):
         bellfmt.parse_table_csv(header + "0,0,0,0,1\n")
 

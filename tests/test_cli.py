@@ -80,6 +80,26 @@ def test_eval_negative_table_index_exits_2(tmp_path, capsys):
     assert out == "" and "line 18" in err
 
 
+def test_oversized_scenario_file_exits_2(tmp_path, capsys):
+    """A scenario whose coefficient tensor numpy cannot allocate is a parse
+    error at its line, not a numpy traceback."""
+    f_path = tmp_path / "huge.bell"
+    f_path.write_text("scenario A:1000000000 B:1000000000\n+1 P(0 0|0 0)\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "local-bound", str(f_path))
+    assert code == 2
+    assert out == "" and "too large" in err and "line 1" in err
+
+
+def test_eval_table_with_a_far_outcome_index_exits_2(tmp_path, capsys):
+    """A row whose outcome index implies a block beyond numpy's limits is a
+    missing-row error found by counting rows, before any block is allocated."""
+    t_path = tmp_path / "far.csv"
+    t_path.write_text("x,y,a,b,p\n0,0,10000000000000000000,0,0\n0,0,0,0,0.5\n0,0,0,1,0.5\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", "chsh", str(t_path))
+    assert code == 2
+    assert out == "" and "missing row for (x,y,a,b)=(0, 0, 1, 0)" in err
+
+
 def test_eval_scenario_mismatch_exits_3(tmp_path, capsys):
     f_path = emit(tmp_path, "chsh")
     t_path = write_uniform_table(tmp_path, catalog.cglmp_C())

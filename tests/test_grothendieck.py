@@ -128,8 +128,7 @@ def test_vector_seesaw_is_the_best_of_single_restarts(rng, max_iterations):
             xs = unit_rows(start.normal(size=(m, n)), np.eye(m, n))
             ys = unit_rows(start.normal(size=(m, n)), np.eye(m, n))
             value, xs_r, ys_r, used = loop_refine(norm.matrix, xs, ys, max_iterations)
-            xs1, ys1 = xs[None].copy(), ys[None].copy()
-            single = gk._lockstep(norm.matrix, xs1, ys1, max_iterations)
+            single, xs1, ys1 = gk._lockstep(norm.matrix, xs[None], ys[None], max_iterations)
             assert single[0] == value
             assert xs1[0].tobytes() == xs_r.tobytes() and ys1[0].tobytes() == ys_r.tobytes()
             iterations.append(used)
@@ -170,7 +169,7 @@ def test_vector_value_nondecreasing_in_n_by_embedding(rng):
         value_n, strat = vector_seesaw(norm, 2, cfg)
         xs = np.hstack([strat.x_vectors, np.zeros((m, 1))])
         ys = np.hstack([strat.y_vectors, np.zeros((m, 1))])
-        (value_up,) = gk._lockstep(norm.matrix, xs[None], ys[None], cfg.max_iterations)
+        (value_up,), _, _ = gk._lockstep(norm.matrix, xs[None], ys[None], cfg.max_iterations)
         assert value_up >= value_n - 1e-9
 
 

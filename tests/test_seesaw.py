@@ -292,6 +292,11 @@ def assert_model_has_rows(model, rows):
     assert np.array_equal(model.stack_a, stack_a) and np.array_equal(model.stack_b, stack_b)
 
 
+def member_rows(rows, member):
+    """A member's (state, stack_a, stack_b) rows of a lockstep record."""
+    return [a[member] for a in rows[:3]]
+
+
 def assert_same_result(r1, r2):
     assert r1.best_value == r2.best_value
     assert r1.per_restart_values == r2.per_restart_values
@@ -397,13 +402,13 @@ def test_restart_alone_equals_restart_in_full_batch(kind, d_a, d_b, seed):
     size = 2 * RESTART_BATCH + 5
     arrays, aborted = ss._start_arrays(f.scenario, d_a, d_b, seed, range(size))
     assert aborted == {}
-    batch = ss._lockstep(f, arrays, cfg)
+    values, iterations, converged, rows, errors = ss._lockstep(f, arrays, cfg)
+    assert errors == {}
     starts = seeded_models(f.scenario, d_a, d_b, seed, size)
-    for start, (value, iterations, converged, error, rows) in zip(starts, batch):
-        assert error is None
+    for i, start in enumerate(starts):
         alone = refine(f, start, cfg)
-        assert alone[0] == value and alone[2] == iterations and alone[3] == converged
-        assert_model_has_rows(alone[1], rows)
+        assert alone[0] == values[i] and alone[2] == iterations[i] and alone[3] == converged[i]
+        assert_model_has_rows(alone[1], member_rows(rows, i))
 
 
 @pytest.mark.parametrize(
@@ -422,28 +427,48 @@ def test_members_stopping_at_different_iterations_equal_refine(kind, d_a, d_b, f
     f = batch_functional(kind, seed)
     cfg = SeesawConfig(seed=seed, max_iterations=60, fixed_state=state)
     arrays, _ = ss._start_arrays(f.scenario, d_a, d_b, seed, range(RESTART_BATCH), cfg.fixed_state)
-    batch = ss._lockstep(f, arrays, cfg)
-    assert len({iterations for _, iterations, _, _, _ in batch}) > 1
-    for start, (value, iterations, converged, error, rows) in zip(zip(*arrays), batch):
-        assert error is None
+    values, iterations, converged, rows, errors = ss._lockstep(f, arrays, cfg)
+    assert errors == {} and len(set(iterations)) > 1
+    for i, start in enumerate(zip(*arrays)):
         alone = refine(f, ss._model(f.scenario, *start), cfg)
-        assert alone[0] == value and alone[2] == iterations and alone[3] == converged
-        assert_model_has_rows(alone[1], rows)
+        assert alone[0] == values[i] and alone[2] == iterations[i] and alone[3] == converged[i]
+        assert_model_has_rows(alone[1], member_rows(rows, i))
 
 
 def test_batch_reports_the_model_of_its_earliest_best_member():
-    """A batch builds one model: that of the first member with the highest
+    """A batch reports its members' values, counts and flags in restart
+    order and builds one model: that of the first member with the highest
     value, from its final rows."""
     f = catalog.chsh()
     cfg = SeesawConfig(seed=3, max_iterations=60)
     indices = range(5, 5 + RESTART_BATCH)
-    outcomes, best_value, best_model = ss._batch_task((f, 2, 2, cfg, indices))
+    *found, aborted, best_model = ss._batch_task((f, 2, 2, cfg, indices))
     arrays, _ = ss._start_arrays(f.scenario, 2, 2, cfg.seed, indices)
-    batch = ss._lockstep(f, arrays, cfg)
-    values = [value for value, *_ in batch]
-    assert [o[:3] for o in outcomes] == [o[:3] for o in batch]
-    assert best_value == max(values)
-    assert_model_has_rows(best_model, batch[values.index(best_value)][4])
+    *record, rows, errors = ss._lockstep(f, arrays, cfg)
+    assert aborted == errors == {}
+    for got, want in zip(found, record):
+        assert got.tolist() == want.tolist()
+    values = record[0].tolist()
+    assert_model_has_rows(best_model, member_rows(rows, values.index(max(values))))
+
+
+def test_batch_keeps_start_draw_aborts_at_minus_inf(monkeypatch):
+    """A restart whose start draw raises reads -inf, 0 and False in its
+    batch, which names its error; every other restart reads what it reads in
+    a clean batch, and the model is that of the first best of them."""
+    f = catalog.chsh()
+    cfg = SeesawConfig(seed=3, max_iterations=60)
+    indices = range(5, 5 + RESTART_BATCH)
+    *clean, _, _ = ss._batch_task((f, 2, 2, cfg, indices))
+    fail_eigh_on(monkeypatch, _drawn_matrix(cfg.seed, 7, 8, 2), NotPSDError("synthetic failure"))
+    *found, aborted, best_model = ss._batch_task((f, 2, 2, cfg, indices))
+    assert aborted == {7: "NotPSDError: synthetic failure"}
+    for got, want, dropped in zip(found, clean, (-np.inf, 0, False)):
+        assert got[2] == dropped and np.delete(got, 2).tolist() == np.delete(want, 2).tolist()
+    arrays, _ = ss._start_arrays(f.scenario, 2, 2, cfg.seed, indices)  # without restart 7
+    *record, rows, _ = ss._lockstep(f, arrays, cfg)
+    values = record[0].tolist()
+    assert_model_has_rows(best_model, member_rows(rows, values.index(max(values))))
 
 
 def test_lockstep_monotone_and_feasible_per_member():
@@ -454,10 +479,10 @@ def test_lockstep_monotone_and_feasible_per_member():
         arrays, _ = ss._start_arrays(f.scenario, 3, 3, 40, range(RESTART_BATCH))
         previous = [model_value(f, ss._model(f.scenario, *rows)) for rows in zip(*arrays)]
         for k in range(1, 7):
-            outcomes = ss._lockstep(f, arrays, SeesawConfig(max_iterations=k))
-            for i, (value, iterations, _, error, rows) in enumerate(outcomes):
-                assert error is None and iterations <= k
-                ss._model(f.scenario, *rows).validate(f.scenario)
+            values, iterations, _, rows, errors = ss._lockstep(f, arrays, SeesawConfig(max_iterations=k))
+            assert errors == {} and iterations.max() <= k
+            for i, value in enumerate(values):
+                ss._model(f.scenario, *member_rows(rows, i)).validate(f.scenario)
                 assert value >= previous[i] - 1e-12
                 previous[i] = value
 
@@ -467,8 +492,8 @@ def _halving(starts, max_iterations, poisoned=lambda x: False):
     then y copies x, and the objective -(x² + y²) gains 1.5 x² an iteration,
     so a start of size s stops after about log2(s / 8e-6) iterations.  The
     halving raises ``NotPSDError`` on any row that ``poisoned`` marks.
-    Returns what each step saw, the writes and the aborted restarts."""
-    calls, written = [], []
+    Returns what each step saw and the driver's record."""
+    calls = []
 
     def halve(x, y):
         calls.append(("halve", len(x)))
@@ -484,14 +509,15 @@ def _halving(starts, max_iterations, poisoned=lambda x: False):
         calls.append(("objective", len(x)))
         return -(x * x + y * y)
 
-    def write_out(restarts, values, arrays, iterations, converged):
-        for restart, value, x, y in zip(restarts, values, *arrays):
-            written.append((int(restart), value, x, y, iterations, converged))
-
     x = np.array(starts, dtype=float)
     steps = [(0, halve), (1, copy)]
-    aborted = ss.drive_lockstep([x, x.copy()], steps, objective, write_out, max_iterations)
-    return calls, sorted(written), aborted
+    return calls, ss.drive_lockstep([x, x.copy()], steps, objective, max_iterations)
+
+
+def _outcomes(record):
+    """(value, x, y, iterations, converged) of each member of a toy record."""
+    values, iterations, converged, (xs, ys), _ = record
+    return list(zip(values.tolist(), xs.tolist(), ys.tolist(), iterations.tolist(), converged.tolist()))
 
 
 def _halving_alone(start, max_iterations):
@@ -511,31 +537,43 @@ HALVING_STARTS = [1.0, 1e-2, 3e-5, 0.5, 1e-4]
 
 
 def test_driver_writes_each_restart_out_once_with_its_own_count():
-    calls, written, aborted = _halving(HALVING_STARTS, 60)
-    assert aborted == {} and all(rows for _, rows in calls)
-    assert [w[0] for w in written] == list(range(len(HALVING_STARTS)))
-    assert len({w[4] for w in written}) == len(HALVING_STARTS)
-    for (restart, *outcome), start in zip(written, HALVING_STARTS):
-        assert tuple(outcome) == _halving_alone(start, 60)
-    _, capped, _ = _halving(HALVING_STARTS, 10)
-    for (restart, *outcome), start in zip(capped, HALVING_STARTS):
-        assert tuple(outcome) == _halving_alone(start, 10)
-    assert [w[5] for w in capped] == [False, False, True, False, True]
+    """Every member's slot of the record holds what it reaches alone, each
+    with its own iteration count, converged or capped."""
+    calls, record = _halving(HALVING_STARTS, 60)
+    assert record[4] == {} and all(rows for _, rows in calls)
+    assert len(set(record[1].tolist())) == len(HALVING_STARTS)
+    assert _outcomes(record) == [_halving_alone(start, 60) for start in HALVING_STARTS]
+    _, capped = _halving(HALVING_STARTS, 10)
+    assert _outcomes(capped) == [_halving_alone(start, 10) for start in HALVING_STARTS]
+    assert capped[2].tolist() == [False, False, True, False, True]
 
 
 def test_driver_at_one_iteration_writes_every_member_out_unconverged():
-    _, written, _ = _halving(HALVING_STARTS, 1)
-    assert [(w[0], w[4], w[5]) for w in written] == [(i, 1, False) for i in range(len(HALVING_STARTS))]
+    _, record = _halving(HALVING_STARTS, 1)
+    assert record[1].tolist() == [1] * len(HALVING_STARTS)
+    assert record[2].tolist() == [False] * len(HALVING_STARTS)
+
+
+def test_driver_flags_a_member_converging_at_the_cap_as_converged():
+    """A member whose gain falls below the tolerance in the last allowed
+    iteration reads converged; one merely stopped by the cap does not."""
+    cap = _halving_alone(1e-4, 60)[3]
+    _, record = _halving([1.0, 1e-4], cap)
+    assert _outcomes(record) == [_halving_alone(1.0, cap), _halving_alone(1e-4, cap)]
+    assert record[1].tolist() == [cap, cap] and record[2].tolist() == [False, True]
 
 
 def test_driver_aborts_only_the_row_that_raises():
-    """Restart 1 raises on its third halving; it alone is aborted, and the
-    other restarts finish bit-identical to a run without the failure."""
+    """Restart 1 raises on its third halving; it alone is aborted and reads
+    -inf, 0 and False, and the other restarts finish bit-identical to a run
+    without the failure."""
     poison = HALVING_STARTS[1] / 4.0
-    calls, written, aborted = _halving(HALVING_STARTS, 60, lambda v: v == poison)
+    calls, record = _halving(HALVING_STARTS, 60, lambda v: v == poison)
+    aborted = record[4]
     assert list(aborted) == [1] and isinstance(aborted[1], NotPSDError)
-    _, clean, _ = _halving(HALVING_STARTS, 60)
-    assert written == [w for w in clean if w[0] != 1]
+    got, clean = _outcomes(record), _outcomes(_halving(HALVING_STARTS, 60)[1])
+    assert (got[1][0], *got[1][3:]) == (-np.inf, 0, False)
+    assert got[:1] + got[2:] == clean[:1] + clean[2:]
     # In the third iteration the stacked halving fails and is re-run row by
     # row; the rest of the iteration runs on the four rows left.
     assert calls[7:15] == [("halve", 5)] + [("halve", 1)] * 5 + [("copy", 4), ("objective", 4)]
@@ -543,9 +581,11 @@ def test_driver_aborts_only_the_row_that_raises():
 
 def test_driver_runs_no_step_once_aborts_empty_the_batch():
     """Every row raises on its second halving: the copy step and the
-    objective do not run again, and nothing is written out."""
-    calls, written, aborted = _halving([0.7, 0.6], 60, lambda v: v < 0.4)
-    assert written == [] and sorted(aborted) == [0, 1]
+    objective do not run again, and every member reads -inf, 0 and False."""
+    calls, (values, iterations, converged, _, aborted) = _halving([0.7, 0.6], 60, lambda v: v < 0.4)
+    assert sorted(aborted) == [0, 1]
+    assert values.tolist() == [-np.inf] * 2
+    assert iterations.tolist() == [0, 0] and converged.tolist() == [False] * 2
     assert calls == [("objective", 2), ("halve", 2), ("copy", 2), ("objective", 2), ("halve", 2)] + [("halve", 1)] * 2
 
 
@@ -936,12 +976,12 @@ def test_final_objective_is_the_stacked_value_of_the_final_rows(monkeypatch, kin
     arrays, _ = ss._start_arrays(f.scenario, d, d, cfg.seed, range(RESTART_BATCH))
     ops = bell_operators(contraction_matrix(f), arrays[1], arrays[2])
     fail_eigh_on(monkeypatch, (ops[5] + ops[5].conj().T) / 2.0, NotPSDError("synthetic failure"))
-    batch = ss._lockstep(f, arrays, cfg)
-    assert [i for i, o in enumerate(batch) if o[3] is not None] == [5]
-    assert len({iterations for _, iterations, _, error, _ in batch if error is None}) > 1
-    for value, _, _, error, rows in batch:
-        if error is None:
-            state, stack_a, stack_b = rows
+    values, iterations, _, rows, errors = ss._lockstep(f, arrays, cfg)
+    assert list(errors) == [5] and values[5] == -np.inf
+    assert len(set(np.delete(iterations, 5).tolist())) > 1
+    for i, value in enumerate(values):
+        if i != 5:
+            state, stack_a, stack_b = member_rows(rows, i)
             assert abs(value - stacked_values(f, state[None], stack_a[None], stack_b[None])[0]) <= 1e-12
 
 
