@@ -261,6 +261,14 @@ def parse_table_csv(text: str, renormalize: bool = False) -> ProbabilityTable:
         raise ParseError("table has no rows", line=2, column=1)
     settings_a = max(k[0] for k in entries) + 1
     settings_b = max(k[1] for k in entries) + 1
+    # Each row covers one setting of each party, so a setting index at or
+    # past the row count leaves some setting without a row; reject it before
+    # the per-setting lists below are sized by it.
+    if max(settings_a, settings_b) > len(entries):
+        raise InvalidTableError(
+            f"some setting has no row: {len(entries)} rows cannot cover"
+            f" {settings_a} settings of A and {settings_b} of B"
+        )
     outcomes_a = [0] * settings_a
     outcomes_b = [0] * settings_b
     for x, y, a, b in entries:

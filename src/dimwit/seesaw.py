@@ -17,7 +17,9 @@ dimension-restricted maximum, found heuristically.
 Restarts run in lockstep batches, kept as arrays from their first random
 draw to the one model a batch reports.  ``seesaw`` gives each worker one
 contiguous range of restart indices and runs it as one batch, cut further
-only where ``BATCH_CELLS`` bounds a batch's memory.  ``_start_arrays`` draws
+only where ``BATCH_CELLS`` bounds a batch's memory; the process pool's
+machinery is imported when a run first needs two or more workers, so a run
+that stays in one process never loads it.  ``_start_arrays`` draws
 the members' starts straight into working arrays, in restart order: states
 as one (B, d_a d_b) array and each party's POVMs as one (B, settings + 1,
 width, d, d) ``povm_stack`` array.  ``_lockstep`` carries the members' Bell
@@ -33,7 +35,6 @@ not depend on its batch; ``refine`` runs the loop on a batch of one.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -461,7 +462,8 @@ def seesaw(
     that give each of ``min(jobs, ceil(restarts / RESTART_BATCH))`` workers
     one and hold at most ``max(RESTART_BATCH, BATCH_CELLS // (d_a d_b)^2)``
     each; a range runs in lockstep as one batch (see the module docstring),
-    and two or more workers map over the ranges in a process pool.  Restarts
+    and two or more workers map over the ranges in a process pool, whose
+    machinery loads when a run first needs two or more workers.  Restarts
     use counter-derived RNG streams, a member's arithmetic does not depend on
     its batch, and results merge by max with ties going to the earliest
     restart, so serial and parallel runs agree exactly.  Linear-algebra
@@ -470,7 +472,9 @@ def seesaw(
     <= 1, and the largest numbers formed are symmetrization sums of a
     difference of two operators (4 S), exchange traces over d eigenvalues
     (2 d S) and ψ†Bψ <= S, so a functional with 4 max(d_a, d_b) S beyond the
-    float range raises ``InvalidFunctionalError`` before any restart.
+    float range raises ``InvalidFunctionalError`` before any restart.  A
+    batch that runs out of memory, serially or in a worker, raises
+    ``ConfigError`` naming (d_a, d_b).
     """
     cfg = SeesawConfig() if cfg is None else cfg
     if jobs < 1:
@@ -487,11 +491,17 @@ def seesaw(
     n_ranges = max(workers, -(-cfg.restarts // max(RESTART_BATCH, BATCH_CELLS // (d_a * d_b) ** 2)))
     cuts = [cfg.restarts * i // n_ranges for i in range(n_ranges + 1)]
     tasks = [(f, d_a, d_b, cfg, range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_batch_task, tasks))
-    else:
-        batches = [_batch_task(t) for t in tasks]
+    try:
+        if workers > 1:
+            # Imported here so that runs that stay in one process never load multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                batches = list(pool.map(_batch_task, tasks))
+        else:
+            batches = [_batch_task(t) for t in tasks]
+    except MemoryError as exc:
+        raise ConfigError(f"a ({d_a},{d_b}) see-saw does not fit in memory: {exc}") from exc
 
     values, iterations, flags = (np.concatenate(c).tolist() for c in zip(*(batch[:3] for batch in batches)))
     aborted = {index: error for batch in batches for index, error in batch[3].items()}

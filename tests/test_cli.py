@@ -15,7 +15,7 @@ from dimwit.localbound import local_bound, local_bound_min, strategy_table
 from dimwit.scenario import bell_operator, uniform_table
 from dimwit.seesaw import seeded_models
 
-from conftest import fail_eigh_on
+from conftest import fail_eigh_on, ss
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +98,28 @@ def test_eval_table_with_a_far_outcome_index_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "eval", "chsh", str(t_path))
     assert code == 2
     assert out == "" and "missing row for (x,y,a,b)=(0, 0, 1, 0)" in err
+
+
+@pytest.mark.parametrize("row", ["{n},0,0,0,0", "0,{n},0,0,0"])
+@pytest.mark.parametrize("n", [10**18, 10**20])
+def test_eval_table_with_a_far_setting_index_exits_2(tmp_path, capsys, row, n):
+    """A setting index at or past the row count leaves a setting without a
+    row; it is a table error before the per-setting lists are sized by it."""
+    t_path = tmp_path / "far.csv"
+    t_path.write_text(f"x,y,a,b,p\n0,0,0,0,0.5\n0,0,0,1,0.5\n{row.format(n=n)}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", "chsh", str(t_path))
+    assert code == 2
+    assert out == "" and "3 rows cannot cover" in err and str(n + 1) in err
+
+
+def test_seesaw_out_of_memory_exits_5(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError("synthetic")
+
+    monkeypatch.setattr(ss, "bell_operators", exhausted)
+    code, out, err = run_cli(capsys, "seesaw", "chsh", "--da", "3", "--db", "3", "--restarts", "1")
+    assert code == 5
+    assert out == "" and "a (3,3) see-saw does not fit in memory" in err
 
 
 def test_eval_scenario_mismatch_exits_3(tmp_path, capsys):

@@ -1,5 +1,8 @@
+import concurrent.futures
 import importlib
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -335,7 +338,8 @@ def test_pool_starts_only_with_two_or_more_workers(monkeypatch):
             self.ranges.extend(task[-1] for task in tasks)
             return map(fn, tasks)
 
-    monkeypatch.setattr(ss, "ProcessPoolExecutor", RecordingPool)
+    # ``seesaw`` imports the pool class from here when it starts a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     f = catalog.chsh()
     for restarts in (4, RESTART_BATCH):
         seesaw(f, 2, 2, SeesawConfig(restarts=restarts, max_iterations=2), jobs=2)
@@ -346,6 +350,38 @@ def test_pool_starts_only_with_two_or_more_workers(monkeypatch):
     assert workers == 3 and sorted(map(len, ranges)) == [12, 12, 13]
     assert [i for r in ranges for i in r] == list(range(37))
     assert_same_result(parallel, seesaw(f, 2, 2, cfg, jobs=1))
+
+
+def test_runs_without_a_pool_never_load_its_machinery():
+    """A fresh interpreter that imports the package and the CLI and runs a
+    serial see-saw and one at ``jobs=2`` with ``RESTART_BATCH`` restarts, which
+    needs one worker, never loads ``multiprocessing``.  The test's own
+    process may hold those modules already, hence the subprocess."""
+    code = (
+        "import sys\n"
+        "import dimwit, dimwit.cli\n"
+        "from dimwit import catalog\n"
+        "from dimwit.seesaw import RESTART_BATCH, SeesawConfig, seesaw\n"
+        "seesaw(catalog.chsh(), 2, 2, SeesawConfig(restarts=4, max_iterations=2))\n"
+        "seesaw(catalog.chsh(), 2, 2, SeesawConfig(restarts=RESTART_BATCH, max_iterations=2), jobs=2)\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_out_of_memory_is_a_config_error(monkeypatch):
+    """A batch that cannot allocate its arrays raises ``ConfigError`` naming
+    the dimensions, not numpy's ``MemoryError``."""
+
+    def exhausted(*args):
+        raise MemoryError("synthetic")
+
+    monkeypatch.setattr(ss, "bell_operators", exhausted)
+    with pytest.raises(ConfigError, match=r"a \(3,4\) see-saw does not fit in memory: synthetic") as err:
+        seesaw(catalog.chsh(), 3, 4, SeesawConfig(restarts=2))
+    assert isinstance(err.value.__cause__, MemoryError)
 
 
 def test_batches_stay_within_the_cell_bound(monkeypatch):
