@@ -14,7 +14,6 @@ from .catalog import (
     iphi_sweep,
     reference_bounds,
     theta_state,
-    theta_state_violation,
     witness_report,
 )
 from .bellfmt import (
@@ -23,7 +22,6 @@ from .bellfmt import (
     parse_table_csv,
     serialize_correlation_matrix,
     serialize_functional,
-    serialize_table_csv,
 )
 from .grothendieck import (
     CorrelationFunctional,
@@ -33,7 +31,7 @@ from .grothendieck import (
     normalize,
     vector_seesaw,
 )
-from .localbound import DeterministicStrategy, local_bound, local_bound_min, strategy_table
+from .localbound import DeterministicStrategy, local_bound, local_bound_min
 from .scenario import (
     AVERAGE,
     PARTNER_SETTING_ZERO,
@@ -42,11 +40,9 @@ from .scenario import (
     BoundRecord,
     ProbabilityTable,
     QuantumModel,
-    bell_operator,
     evaluate,
     model_value,
     table_of,
-    uniform_table,
 )
 from .seesaw import (
     SeesawConfig,
@@ -73,7 +69,6 @@ __all__ = [
     "SeesawResult",
     "VectorStrategy",
     "WitnessReport",
-    "bell_operator",
     "by_name",
     "cglmp_C",
     "cglmp_D",
@@ -99,12 +94,8 @@ __all__ = [
     "seesaw",
     "serialize_correlation_matrix",
     "serialize_functional",
-    "serialize_table_csv",
-    "strategy_table",
     "table_of",
     "theta_state",
-    "theta_state_violation",
-    "uniform_table",
     "vector_seesaw",
     "witness_report",
 ]

@@ -303,16 +303,3 @@ def parse_table_csv(text: str, renormalize: bool = False) -> ProbabilityTable:
         blocks.append(row_blocks)
     return ProbabilityTable(scenario, blocks, renormalize=renormalize)
 
-
-def serialize_table_csv(table: ProbabilityTable) -> str:
-    """CSV text for a probability table, rows sorted by (x, y, a, b)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TABLE_HEADER)
-    sc = table.scenario
-    for x in range(sc.settings_a):
-        for y in range(sc.settings_b):
-            for a in range(sc.outcomes_a[x]):
-                for b in range(sc.outcomes_b[y]):
-                    writer.writerow([x, y, a, b, f"{table.p[x][y][a, b]:.17g}"])
-    return out.getvalue()

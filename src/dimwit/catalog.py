@@ -1,8 +1,7 @@
 """Constructors for the bundled Bell functionals, special states, reference
 bounds, and the dimension-witness gap report.
 
-Catalog names (also used by the CLI): ``cglmp-c``, ``cglmp-d``, ``iphi:<phi>``,
-``E``, ``chsh``.
+Catalog names (also used by the CLI) are ``CATALOG_NAMES`` and ``iphi:<phi>``.
 """
 
 from __future__ import annotations
@@ -99,14 +98,15 @@ def chsh() -> BellFunctional:
 
 
 def gamma_state(gamma: float) -> np.ndarray:
-    """(|00> + gamma |11> + |22>) / sqrt(2 + gamma^2) on two qutrits."""
+    """(|00> + gamma |11> + |22>) / sqrt(2 + gamma^2) on two qutrits; the norm
+    is taken by ``hypot``, as gamma^2 overflows for |gamma| past 1e154."""
     if not math.isfinite(gamma):
         raise ConfigError(f"gamma must be finite, got {gamma}")
     v = np.zeros(9, dtype=complex)
     v[0] = 1.0
     v[4] = gamma
     v[8] = 1.0
-    return v / math.sqrt(2.0 + gamma * gamma)
+    return v / math.hypot(1.0, gamma, 1.0)
 
 
 def theta_state(theta: float) -> np.ndarray:
@@ -119,14 +119,9 @@ def theta_state(theta: float) -> np.ndarray:
     return v
 
 
-def theta_state_violation(theta: float) -> float:
-    """Best two-qubit violation of expression_E on theta_state(theta):
-    (sqrt(1 + sin^2(2 theta)) - 1) / 2."""
-    s = math.sin(2.0 * theta)
-    return (math.sqrt(1.0 + s * s) - 1.0) / 2.0
-
-
-CATALOG_NAMES = ("cglmp-c", "cglmp-d", "E", "chsh")
+#: The named catalog functionals; ``by_name`` also takes ``iphi:<phi>``.
+_CONSTRUCTORS = {"cglmp-c": cglmp_C, "cglmp-d": cglmp_D, "E": expression_E, "chsh": chsh}
+CATALOG_NAMES = tuple(_CONSTRUCTORS)
 
 
 def _iphi_angle(name: str) -> float:
@@ -141,16 +136,10 @@ def _iphi_angle(name: str) -> float:
 
 
 def by_name(name: str) -> BellFunctional:
-    """Resolve a catalog name (``cglmp-c``, ``cglmp-d``, ``E``, ``chsh``, or
-    ``iphi:<phi>`` with a decimal phi in radians)."""
-    if name == "cglmp-c":
-        return cglmp_C()
-    if name == "cglmp-d":
-        return cglmp_D()
-    if name == "E":
-        return expression_E()
-    if name == "chsh":
-        return chsh()
+    """Resolve a catalog name: one of ``CATALOG_NAMES``, or ``iphi:<phi>``
+    with a decimal phi in radians."""
+    if name in _CONSTRUCTORS:
+        return _CONSTRUCTORS[name]()
     if name.startswith("iphi:"):
         return i_phi(_iphi_angle(name))
     raise ConfigError(

@@ -12,8 +12,8 @@ byte-identical output apart from the manifest's ``duration_s``.
 
 Exit codes: 0 success (witness: Witnessed), 1 witness NotWitnessed, 2 parse or
 input error, 3 scenario/signaling mismatch, 4 enumeration space too large,
-5 invalid dimensions or configuration.  A failure's code is the ``exit_code``
-of its error type in ``dimwit.errors``.
+5 invalid dimensions or configuration, a run too large for memory included.  A
+failure's code is the ``exit_code`` of its error type in ``dimwit.errors``.
 """
 
 from __future__ import annotations
@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="emit a bundled functional as .bell text")
     p.add_argument("action", choices=["emit"])
-    p.add_argument("name", help="cglmp-c | cglmp-d | iphi:<phi> | E | chsh")
+    p.add_argument("name", help=" | ".join((*catalog.CATALOG_NAMES, "iphi:<phi>")))
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_catalog)
 
@@ -397,6 +397,11 @@ def main(argv=None) -> int:
         # Unreadable input: missing, a directory, not UTF-8, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's message, when there is one, names the shape it could not allocate.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {args.command} does not fit in memory{detail}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -256,17 +256,6 @@ def _marginal(blocks, axis: int, policy: str, name: str, partner: str) -> np.nda
     raise ValueError(f"unknown marginal policy {policy!r}")
 
 
-def uniform_table(scenario: BellScenario) -> ProbabilityTable:
-    """The uniformly random table P(ab|xy) = 1/(v_A(x) v_B(y))."""
-    return ProbabilityTable(
-        scenario,
-        [
-            [np.full((va, vb), 1.0 / (va * vb)) for vb in scenario.outcomes_b]
-            for va in scenario.outcomes_a
-        ],
-    )
-
-
 def evaluate(f: BellFunctional, t: ProbabilityTable, marginal_policy: str = PARTNER_SETTING_ZERO) -> float:
     """Value of the functional on a table.
 
@@ -458,12 +447,6 @@ def stacked_correlations(states: np.ndarray, stacks_a: np.ndarray, stacks_b: np.
     return t.real.reshape(n, xa, wa, xb, wb).transpose(0, 1, 3, 2, 4)
 
 
-def stacked_values(f: BellFunctional, states: np.ndarray, stacks_a: np.ndarray, stacks_b: np.ndarray) -> np.ndarray:
-    """<psi_i| B_i |psi_i> for every member, as sum C * T without building B."""
-    t = stacked_correlations(states, stacks_a, stacks_b)
-    return (f.coefficients * t).reshape(len(t), f.coefficients.size).sum(axis=1)
-
-
 def party_operators(
     matrix: np.ndarray, states: np.ndarray, stacks_a: np.ndarray, stacks_b: np.ndarray, party: str
 ) -> np.ndarray:
@@ -500,7 +483,8 @@ def bell_operator(f: BellFunctional, povms_a, povms_b) -> np.ndarray:
 def model_value(f: BellFunctional, m: QuantumModel) -> float:
     """<psi| B |psi> for the functional's Bell operator B, computed as
     sum C * T over the model's correlations without building B."""
-    return float(stacked_values(f, m.state[None], *(s[None] for s in model_stacks(f, m)))[0])
+    t = stacked_correlations(m.state[None], *(s[None] for s in model_stacks(f, m)))
+    return float((f.coefficients * t).reshape(1, f.coefficients.size).sum(axis=1)[0])
 
 
 def table_of(m: QuantumModel) -> ProbabilityTable:

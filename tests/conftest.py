@@ -1,4 +1,5 @@
 import importlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -84,6 +85,33 @@ def random_table(rng, scenario) -> ProbabilityTable:
             # per-block normalization only; such tables may signal
         blocks.append(row)
     return ProbabilityTable(scenario, blocks)
+
+
+def uniform_table(scenario) -> ProbabilityTable:
+    """The uniformly random table P(ab|xy) = 1/(v_A(x) v_B(y))."""
+    blocks = [[np.full((va, vb), 1.0 / (va * vb)) for vb in scenario.outcomes_b] for va in scenario.outcomes_a]
+    return ProbabilityTable(scenario, blocks)
+
+
+def table_csv(t: ProbabilityTable) -> str:
+    """The table as CSV text with header x,y,a,b,p, one row per entry in
+    (x, y, a, b) order, each probability in 17 significant digits."""
+    sc = t.scenario
+    rows = [
+        f"{x},{y},{a},{b},{t.p[x][y][a, b]:.17g}\n"
+        for x, va in enumerate(sc.outcomes_a)
+        for y, vb in enumerate(sc.outcomes_b)
+        for a in range(va)
+        for b in range(vb)
+    ]
+    return "x,y,a,b,p\n" + "".join(rows)
+
+
+def theta_state_violation(theta: float) -> float:
+    """Reference value: the best two-qubit violation of ``expression_E`` on
+    ``theta_state(theta)``, (sqrt(1 + sin^2(2 theta)) - 1) / 2."""
+    s = math.sin(2.0 * theta)
+    return (math.sqrt(1.0 + s * s) - 1.0) / 2.0
 
 
 def signaling_deviation(t: ProbabilityTable) -> float:

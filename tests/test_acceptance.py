@@ -15,7 +15,7 @@ from dimwit.cli import main
 from dimwit.scenario import BellScenario, model_value
 from dimwit.seesaw import SeesawConfig, seeded_models, seesaw
 
-from conftest import party_step, random_functional, random_hermitian, state_step
+from conftest import party_step, random_functional, random_hermitian, state_step, theta_state_violation
 
 E_QUBIT_MAX = 1.0 / math.sqrt(2.0) - 0.5  # = (sqrt(2)-1)/2 = 0.2071067811...
 
@@ -81,7 +81,7 @@ def test_criterion_4_chsh_reduction_curve(capsys):
     for theta in (math.pi / 8.0, math.pi / 6.0, math.pi / 4.0):
         cfg = SeesawConfig(restarts=20, seed=2026, fixed_state=catalog.theta_state(theta))
         value = seesaw(f, 2, 2, cfg).best_value
-        target = catalog.theta_state_violation(theta)
+        target = theta_state_violation(theta)
         worst = max(worst, abs(value - target))
         details.append(f"theta={theta:.4f}: {value:.7f} vs {target:.7f}")
     elapsed = time.perf_counter() - start

@@ -12,9 +12,9 @@ from dimwit.errors import (
     RaggedRowsError,
     TermIndexError,
 )
-from dimwit.scenario import BellScenario, evaluate, uniform_table
+from dimwit.scenario import BellScenario, evaluate
 
-from conftest import random_functional, random_table
+from conftest import random_functional, random_table, table_csv, uniform_table
 
 CGLMP_GOLDEN = """scenario A:3,3 B:3,3
 const -3
@@ -228,7 +228,7 @@ def test_correlation_matrix_round_trip(rng):
 def test_table_csv_round_trip(rng):
     sc = BellScenario((2, 3), (2, 2))
     t = random_table(rng, sc)
-    text = bellfmt.serialize_table_csv(t)
+    text = table_csv(t)
     back = bellfmt.parse_table_csv(text)
     assert back.scenario == sc
     for x in range(sc.settings_a):
@@ -265,5 +265,5 @@ def test_table_csv_errors():
 def test_uniform_table_round_trip():
     f = catalog.cglmp_C()
     t = uniform_table(f.scenario)
-    back = bellfmt.parse_table_csv(bellfmt.serialize_table_csv(t))
+    back = bellfmt.parse_table_csv(table_csv(t))
     assert abs(evaluate(f, back) - (-2.0 / 3.0)) < 1e-12

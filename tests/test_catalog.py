@@ -6,10 +6,10 @@ import pytest
 from dimwit import catalog
 from dimwit.errors import ConfigError
 from dimwit.localbound import DeterministicStrategy, local_bound, strategy_table
-from dimwit.scenario import evaluate, uniform_table
+from dimwit.scenario import evaluate
 from dimwit.seesaw import SeesawConfig, seesaw
 
-from conftest import random_table
+from conftest import random_table, theta_state_violation, uniform_table
 
 
 def d_oracle(assignment_a, assignment_b):
@@ -100,10 +100,17 @@ def test_gamma_state():
         assert abs(np.linalg.norm(catalog.gamma_state(gamma)) - 1.0) < 1e-12
 
 
+def test_gamma_state_past_the_square_overflow():
+    # gamma^2 overflows for |gamma| past about 1.34e154; the state stays a unit vector near |11>
+    v = catalog.gamma_state(1e200)
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-15 and v[4] == 1.0
+
+
 def test_theta_state():
     assert np.allclose(catalog.theta_state(math.pi / 4.0)[[0, 3]], 1.0 / math.sqrt(2.0))
     assert np.allclose(catalog.theta_state(0.0), [1.0, 0.0, 0.0, 0.0])
-    assert abs(catalog.theta_state_violation(math.pi / 4.0) - (math.sqrt(2.0) - 1.0) / 2.0) < 1e-15
+    # at the maximally entangled state the reference violation is the certified qubit maximum
+    assert abs(theta_state_violation(math.pi / 4.0) - catalog.E_QUBIT_MAX) < 1e-15
 
 
 def test_cglmp_value_at_optimal_gamma_state():

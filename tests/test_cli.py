@@ -8,14 +8,15 @@ import warnings
 import numpy as np
 import pytest
 
+import dimwit
 from dimwit import bellfmt, catalog, errors, grothendieck
 from dimwit.cli import main
 from dimwit.errors import NotPSDError
 from dimwit.localbound import local_bound, local_bound_min, strategy_table
-from dimwit.scenario import bell_operator, uniform_table
+from dimwit.scenario import bell_operator
 from dimwit.seesaw import seeded_models
 
-from conftest import fail_eigh_on, ss
+from conftest import fail_eigh_on, ss, table_csv, theta_state_violation, uniform_table
 
 
 def run_cli(capsys, *argv):
@@ -32,7 +33,7 @@ def emit(tmp_path, name, filename=None):
 
 def write_uniform_table(tmp_path, functional):
     path = tmp_path / "uniform.csv"
-    path.write_text(bellfmt.serialize_table_csv(uniform_table(functional.scenario)), encoding="utf-8")
+    path.write_text(table_csv(uniform_table(functional.scenario)), encoding="utf-8")
     return path
 
 
@@ -56,7 +57,7 @@ def test_eval_on_witness_table_gives_local_bound(tmp_path, capsys):
     table = strategy_table(f.scenario, strategy)
     f_path = emit(tmp_path, "E")
     t_path = tmp_path / "witness.csv"
-    t_path.write_text(bellfmt.serialize_table_csv(table), encoding="utf-8")
+    t_path.write_text(table_csv(table), encoding="utf-8")
     code, out, _ = run_cli(capsys, "eval", str(f_path), str(t_path))
     assert code == 0
     assert float(out.split()[0]) == value
@@ -120,6 +121,36 @@ def test_seesaw_out_of_memory_exits_5(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "seesaw", "chsh", "--da", "3", "--db", "3", "--restarts", "1")
     assert code == 5
     assert out == "" and "a (3,3) see-saw does not fit in memory" in err
+
+
+@pytest.mark.parametrize(
+    "owner, name, message, command",
+    [
+        # numpy names the shape it could not allocate; a list of restarts runs out bare
+        (np, "eye", "Unable to allocate 1.49 GiB", "grothendieck"),
+        (grothendieck, "spawn_rng", "", "grothendieck"),
+        (np, "linspace", "Unable to allocate 7.28 TiB", "curve"),
+    ],
+    ids=["grothendieck-vectors", "grothendieck-restarts", "curve-grid"],
+)
+def test_out_of_memory_exits_5(tmp_path, capsys, monkeypatch, owner, name, message, command):
+    """Running out of memory is exit 5 with a message naming the command,
+    not a traceback's exit 1, which means NotWitnessed.  The allocation is
+    faked: no test allocates more than it needs."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    m_path = tmp_path / "m2.csv"
+    m_path.write_text("1,0\n0,1\n", encoding="utf-8")
+    argv = {
+        "grothendieck": ["grothendieck", "-m", str(m_path), "--n", "3", "--restarts", "2"],
+        "curve": ["curve", "--steps", "3", "--restarts", "1", "--out", str(tmp_path / "curve.csv")],
+    }[command]
+    monkeypatch.setattr(owner, name, exhausted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 5
+    assert out == "" and err == f"error: {command} does not fit in memory{': ' + message if message else ''}\n"
 
 
 def test_eval_scenario_mismatch_exits_3(tmp_path, capsys):
@@ -247,7 +278,7 @@ def test_seesaw_cli_fixed_theta(capsys):
     )
     assert code == 0
     value = json.loads(out)["best_value"]
-    assert abs(value - catalog.theta_state_violation(theta)) < 1e-5
+    assert abs(value - theta_state_violation(theta)) < 1e-5
 
 
 def test_seesaw_env_seed(tmp_path, capsys, monkeypatch):
@@ -445,6 +476,19 @@ def test_catalog_emit_round_trip(tmp_path, capsys):
     assert bellfmt.parse_functional(path.read_text()) == catalog.expression_E()
     code, _, err = run_cli(capsys, "catalog", "emit", "unknown-name")
     assert code == 5
+    expected = "('cglmp-c', 'cglmp-d', 'E', 'chsh') or iphi:<phi>"
+    assert err == f"error: unknown catalog name 'unknown-name'; expected one of {expected}\n"
+
+
+def test_star_import_binds_every_public_name():
+    """``from dimwit import *`` binds every name in ``__all__``, each listed
+    once, and no test-only helper is among them or bound at the top level."""
+    namespace = {}
+    exec("from dimwit import *", namespace)
+    assert len(set(dimwit.__all__)) == len(dimwit.__all__)
+    assert all(name in namespace and hasattr(dimwit, name) for name in dimwit.__all__)
+    dropped = ("uniform_table", "serialize_table_csv", "theta_state_violation", "stacked_values", "bell_operator", "strategy_table")
+    assert not [name for name in dropped if name in dimwit.__all__ or hasattr(dimwit, name)]
 
 
 def test_grothendieck_cli(tmp_path, capsys):
@@ -798,7 +842,7 @@ def test_eval_value_beyond_the_float_range_exits_2(tmp_path, capsys):
     f = bellfmt.parse_functional(HUGE_FUNCTIONAL)
     table = strategy_table(f.scenario, local_bound(f.scaled(1e-300))[1])
     t_path = tmp_path / "strategy.csv"
-    t_path.write_text(bellfmt.serialize_table_csv(table), encoding="utf-8")
+    t_path.write_text(table_csv(table), encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "eval", str(f_path), str(t_path), "--json")

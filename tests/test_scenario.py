@@ -24,11 +24,10 @@ from dimwit.scenario import (
     evaluate,
     model_value,
     table_of,
-    uniform_table,
 )
 from dimwit.seesaw import seeded_models
 
-from conftest import random_functional, random_table, signaling_deviation
+from conftest import random_functional, random_table, signaling_deviation, uniform_table
 
 
 def test_scenario_validation():

@@ -21,7 +21,6 @@ from dimwit.scenario import (
     contraction_matrix,
     model_value,
     povm_stack,
-    stacked_values,
     table_of,
 )
 from dimwit.seesaw import (
@@ -1005,8 +1004,8 @@ def test_unchecked_eigensolves_get_exactly_hermitian_matrices(monkeypatch):
 @pytest.mark.parametrize("kind, d", [("E", 3), ("ragged", 2), ("iphi:0.7", 3)])
 def test_final_objective_is_the_stacked_value_of_the_final_rows(monkeypatch, kind, d):
     """The carried Bell operators' objective of every member agrees with
-    ``stacked_values`` on its final rows, in a batch whose arrays are
-    compacted as members stop and after a member aborts row by row."""
+    ``model_value`` of the model of its final rows, in a batch whose arrays
+    are compacted as members stop and after a member aborts row by row."""
     f = batch_functional(kind, 3)
     cfg = SeesawConfig(seed=3, max_iterations=60)
     arrays, _ = ss._start_arrays(f.scenario, d, d, cfg.seed, range(RESTART_BATCH))
@@ -1017,8 +1016,8 @@ def test_final_objective_is_the_stacked_value_of_the_final_rows(monkeypatch, kin
     assert len(set(np.delete(iterations, 5).tolist())) > 1
     for i, value in enumerate(values):
         if i != 5:
-            state, stack_a, stack_b = member_rows(rows, i)
-            assert abs(value - stacked_values(f, state[None], stack_a[None], stack_b[None])[0]) <= 1e-12
+            model = ss._model(f.scenario, *member_rows(rows, i))
+            assert abs(value - model_value(f, model)) <= 1e-12
 
 
 def _random_povm(rng, d, v, projective):
