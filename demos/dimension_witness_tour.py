@@ -9,14 +9,7 @@ witness: correlations beating the qubit value need at least qutrits.
 
 import math
 
-from dimwit import (
-    SeesawConfig,
-    expression_E,
-    local_bound,
-    reference_bounds,
-    seesaw,
-    witness_report,
-)
+from dimwit import SeesawConfig, catalog, expression_E, local_bound, seesaw, witness_report
 
 e = expression_E()
 print("Scenario: Alice outcomes per setting", e.scenario.outcomes_a,
@@ -32,11 +25,10 @@ qutrit = seesaw(e, 3, 3, cfg)
 print(f"\nBest found with two qubits : {qubit.best_value:.9f}")
 print(f"Best found with two qutrits: {qutrit.best_value:.9f}")
 
-ref = reference_bounds("E")
-certified, note = ref.certified_upper[2]
-print(f"\nCertified two-qubit maximum: {certified:.9f} ({note})")
-print(f"  search is within {abs(qubit.best_value - certified):.2e} of it "
-      f"and respects it as an upper bound: {qubit.best_value <= certified + 1e-6}")
+qubit_max = catalog.E_QUBIT_MAX
+print(f"\nTwo-qubit maximum (sqrt(2) - 1)/2: {qubit_max:.9f}")
+print(f"  search is within {abs(qubit.best_value - qubit_max):.2e} of it "
+      f"and respects it as an upper bound: {qubit.best_value <= qubit_max + 1e-6}")
 
 report = witness_report(e, 2, cfg, functional_id="E")
 print(f"\nWitness report at d=2: {report.verdict}")

@@ -12,7 +12,6 @@ from .catalog import (
     gamma_state,
     i_phi,
     iphi_sweep,
-    reference_bounds,
     theta_state,
     witness_report,
 )
@@ -37,7 +36,6 @@ from .scenario import (
     PARTNER_SETTING_ZERO,
     BellFunctional,
     BellScenario,
-    BoundRecord,
     ProbabilityTable,
     QuantumModel,
     evaluate,
@@ -59,7 +57,6 @@ __all__ = [
     "AVERAGE",
     "BellFunctional",
     "BellScenario",
-    "BoundRecord",
     "CorrelationFunctional",
     "DeterministicStrategy",
     "PARTNER_SETTING_ZERO",
@@ -88,7 +85,6 @@ __all__ = [
     "parse_correlation_matrix",
     "parse_functional",
     "parse_table_csv",
-    "reference_bounds",
     "refine",
     "seeded_models",
     "seesaw",

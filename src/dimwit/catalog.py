@@ -1,5 +1,5 @@
-"""Constructors for the bundled Bell functionals, special states, reference
-bounds, and the dimension-witness gap report.
+"""Constructors for the bundled Bell functionals, special states and the
+dimension-witness gap report.
 
 Catalog names (also used by the CLI) are ``CATALOG_NAMES`` and ``iphi:<phi>``.
 """
@@ -14,17 +14,18 @@ import numpy as np
 from .errors import ConfigError
 from .grothendieck import CorrelationFunctional, correlator_bell
 from .localbound import local_bound
-from .scenario import BellFunctional, BellScenario, BoundRecord
+from .scenario import BellFunctional, BellScenario
 from .seesaw import SeesawConfig, seesaw
 
 #: Fixed-dimension see-saw values are lower bounds found by a heuristic search,
 #: not certified maxima; reports carry this label.
 HEURISTIC_LABEL = "best found (heuristic)"
 
-#: Reference constants used as certified upper bounds in soundness checks.
-E_QUBIT_MAX = 1.0 / math.sqrt(2.0) - 0.5  # certified for two-qubit models
-E_QUANTUM_REPORTED = 0.2532  # reported overall maximum (two-qutrit), 4-digit rounding
-CGLMP_QUTRIT_REPORTED = 0.3050  # reported two-qutrit maximum, 4-digit rounding
+#: The two-qubit maximum of E, (sqrt(2) - 1)/2.
+E_QUBIT_MAX = 1.0 / math.sqrt(2.0) - 0.5
+#: A reported value of E's two-qutrit maximum, rounded to 4 digits; it
+#: certifies nothing.
+E_QUANTUM_REPORTED = 0.2532
 
 
 def cglmp_scenario() -> BellScenario:
@@ -124,60 +125,22 @@ _CONSTRUCTORS = {"cglmp-c": cglmp_C, "cglmp-d": cglmp_D, "E": expression_E, "chs
 CATALOG_NAMES = tuple(_CONSTRUCTORS)
 
 
-def _iphi_angle(name: str) -> float:
-    """The finite angle phi of an ``iphi:<phi>`` name; ``ConfigError`` otherwise."""
-    try:
-        phi = float(name.split(":", 1)[1])
-    except ValueError:
-        phi = math.nan
-    if not math.isfinite(phi):
-        raise ConfigError(f"bad iphi angle in {name!r}")
-    return phi
-
-
 def by_name(name: str) -> BellFunctional:
     """Resolve a catalog name: one of ``CATALOG_NAMES``, or ``iphi:<phi>``
     with a decimal phi in radians."""
     if name in _CONSTRUCTORS:
         return _CONSTRUCTORS[name]()
     if name.startswith("iphi:"):
-        return i_phi(_iphi_angle(name))
+        try:
+            phi = float(name.split(":", 1)[1])
+        except ValueError:
+            phi = math.nan
+        if not math.isfinite(phi):
+            raise ConfigError(f"bad iphi angle in {name!r}")
+        return i_phi(phi)
     raise ConfigError(
         f"unknown catalog name {name!r}; expected one of {CATALOG_NAMES} or iphi:<phi>"
     )
-
-
-def reference_bounds(name: str) -> BoundRecord | None:
-    """Published reference constants for the bundled functionals, stored as
-    certified upper bounds with a provenance note (None when we track none,
-    and for any ``iphi:`` angle that ``by_name`` rejects)."""
-    if name == "E":
-        return BoundRecord(
-            local_bound=0.0,
-            certified_upper={
-                2: (E_QUBIT_MAX, "certified two-qubit maximum (convex-relaxation bound)"),
-                3: (E_QUANTUM_REPORTED, "reported overall maximum, 4-digit rounding"),
-            },
-        )
-    if name == "cglmp-c":
-        return BoundRecord(
-            local_bound=0.0,
-            certified_upper={
-                3: (CGLMP_QUTRIT_REPORTED, "reported two-qutrit maximum, 4-digit rounding")
-            },
-        )
-    if name.startswith("iphi:"):
-        try:
-            phi = _iphi_angle(name)
-        except ConfigError:
-            return None
-        # the whole tan(phi) >= 1 band has qubit maximum equal to the local bound
-        if math.tan(phi) >= 1.0 and math.cos(phi) > 0.0:
-            return BoundRecord(
-                local_bound=0.0,
-                certified_upper={2: (0.0, "two-qubit maximum coincides with the local bound")},
-            )
-    return None
 
 
 @dataclass(frozen=True)

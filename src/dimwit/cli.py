@@ -80,10 +80,14 @@ def _default_restarts(d_a: int, d_b: int) -> int:
 
 
 def _load_functional(arg: str):
-    """A functional argument is a file path if one exists, else a catalog name."""
+    """A functional argument is a file path if a file of that name exists, else
+    a catalog name: a directory named like a catalog entry does not hide it."""
     path = Path(arg)
-    if path.exists():
-        return bellfmt.parse_functional(path.read_text(encoding="utf-8")), str(path)
+    # Input files are read as utf-8-sig, which drops the byte-order mark that
+    # editors and spreadsheet "CSV UTF-8" exports write; without one it reads
+    # as utf-8.
+    if path.is_file():
+        return bellfmt.parse_functional(path.read_text(encoding="utf-8-sig")), str(path)
     try:
         return catalog.by_name(arg), arg
     except ConfigError as exc:
@@ -107,7 +111,7 @@ def _format_value(v: float) -> str:
 def cmd_eval(args) -> int:
     functional, _ = _load_functional(args.functional)
     table = bellfmt.parse_table_csv(
-        Path(args.table).read_text(encoding="utf-8"), renormalize=args.renormalize
+        Path(args.table).read_text(encoding="utf-8-sig"), renormalize=args.renormalize
     )
     policy = AVERAGE if args.policy == "average" else PARTNER_SETTING_ZERO
     value = evaluate(functional, table, policy)
@@ -264,7 +268,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_grothendieck(args) -> int:
-    raw = bellfmt.parse_correlation_matrix(Path(args.matrix).read_text(encoding="utf-8"))
+    raw = bellfmt.parse_correlation_matrix(Path(args.matrix).read_text(encoding="utf-8-sig"))
     cfg = SeesawConfig(
         restarts=args.restarts,
         max_iterations=args.max_iterations,

@@ -493,12 +493,3 @@ def table_of(m: QuantumModel) -> ProbabilityTable:
     t = stacked_correlations(m.state[None], m.stack_a[None], m.stack_b[None])[0]
     blocks = [[t[x, y, :va, :vb] for y, vb in enumerate(counts_b)] for x, va in enumerate(counts_a)]
     return ProbabilityTable(BellScenario(counts_a, counts_b), blocks)
-
-
-@dataclass
-class BoundRecord:
-    """Reference bounds for one functional: its exact local bound and, per
-    local dimension, a certified upper bound with a provenance note."""
-
-    local_bound: float
-    certified_upper: dict[int, tuple[float, str]] | None = None

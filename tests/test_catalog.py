@@ -132,20 +132,10 @@ def test_by_name_and_errors():
         catalog.by_name("iphi:abc")
 
 
-def test_reference_bounds():
-    rec = catalog.reference_bounds("E")
-    assert rec.local_bound == 0.0
-    value, note = rec.certified_upper[2]
-    assert abs(value - (1.0 / math.sqrt(2.0) - 0.5)) < 1e-15
-    assert note
-    assert catalog.reference_bounds("nothing-known") is None
-
-
 @pytest.mark.parametrize("name", ["iphi:inf", "iphi:nan", "iphi:abc"])
-def test_reference_bounds_none_for_angles_by_name_rejects(name):
+def test_by_name_rejects_bad_angles(name):
     with pytest.raises(ConfigError):
         catalog.by_name(name)
-    assert catalog.reference_bounds(name) is None
 
 
 def test_witness_report_not_witnessed_for_chsh():

@@ -487,7 +487,10 @@ def test_star_import_binds_every_public_name():
     exec("from dimwit import *", namespace)
     assert len(set(dimwit.__all__)) == len(dimwit.__all__)
     assert all(name in namespace and hasattr(dimwit, name) for name in dimwit.__all__)
-    dropped = ("uniform_table", "serialize_table_csv", "theta_state_violation", "stacked_values", "bell_operator", "strategy_table")
+    dropped = (
+        "uniform_table", "serialize_table_csv", "theta_state_violation", "stacked_values",
+        "bell_operator", "strategy_table", "reference_bounds", "BoundRecord",
+    )
     assert not [name for name in dropped if name in dimwit.__all__ or hasattr(dimwit, name)]
 
 
@@ -771,6 +774,35 @@ def test_non_utf8_functional_file_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "local-bound", str(path))
     assert code == 2
     assert out == "" and err.startswith("error: ") and "utf-8" in err
+
+
+def test_directory_named_like_a_catalog_entry_does_not_hide_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "E").mkdir()
+    (tmp_path / "chsh").mkdir()
+    code, out, _ = run_cli(capsys, "local-bound", "E")
+    assert code == 0 and out.splitlines()[0] == "0.000000000000"
+    code, out, _ = run_cli(capsys, "local-bound", "chsh")
+    assert code == 0 and out.splitlines()[0] == "2.000000000000"
+
+
+@pytest.mark.parametrize("command", ["local-bound", "eval", "grothendieck"])
+def test_byte_order_mark_reads_like_plain_utf8(tmp_path, capsys, command):
+    # Text editors and spreadsheet "CSV UTF-8" exports start files with one.
+    path = tmp_path / "input"
+    if command == "local-bound":
+        text, argv = bellfmt.serialize_functional(catalog.cglmp_C()), (command, str(path))
+    elif command == "eval":
+        text = table_csv(uniform_table(catalog.expression_E().scenario))
+        argv = (command, "E", str(path))
+    else:
+        text = "1,1\n1,-1\n"
+        argv = (command, "-m", str(path), "--n", "2", "--restarts", "3", "--seed", "7")
+    runs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(mark + text.encode("utf-8"))
+        runs.append(run_cli(capsys, *argv))
+    assert runs[0][0] == 0 and runs[1] == runs[0]
 
 
 # The exit-code table of the cli docstring; every other error type exits 2.
