@@ -45,8 +45,7 @@ _SCENARIO_RE = re.compile(
 )
 _CONST_RE = re.compile(rf"^const\s+({_REAL})$")
 _JOINT_RE = re.compile(rf"^({_REAL})\s*P\s*\(\s*(\d+)\s+(\d+)\s*\|\s*(\d+)\s+(\d+)\s*\)$")
-_MARG_A_RE = re.compile(rf"^({_REAL})\s*PA\s*\(\s*(\d+)\s*\|\s*(\d+)\s*\)$")
-_MARG_B_RE = re.compile(rf"^({_REAL})\s*PB\s*\(\s*(\d+)\s*\|\s*(\d+)\s*\)$")
+_MARG_RE = re.compile(rf"^({_REAL})\s*P([AB])\s*\(\s*(\d+)\s*\|\s*(\d+)\s*\)$")
 _REAL_PREFIX_RE = re.compile(rf"^({_REAL})")
 
 
@@ -124,18 +123,13 @@ def parse_functional(text: str) -> BellFunctional:
                 term = f"P({a} {b}|{x} {y})"
         elif m := _CONST_RE.match(line):
             index = (-1, -1, 0, 0)
-        elif m := _MARG_A_RE.match(line):
-            a, x = int(m.group(2)), int(m.group(3))
-            if 0 <= x < sc.settings_a and 0 <= a < sc.outcomes_a[x]:
-                index = (x, -1, a, 0)
+        elif m := _MARG_RE.match(line):
+            party, o, s = m.group(2), int(m.group(3)), int(m.group(4))
+            counts = sc.outcomes_a if party == "A" else sc.outcomes_b
+            if 0 <= s < len(counts) and 0 <= o < counts[s]:
+                index = (s, -1, o, 0) if party == "A" else (-1, s, 0, o)
             else:
-                term = f"PA({a}|{x})"
-        elif m := _MARG_B_RE.match(line):
-            b, y = int(m.group(2)), int(m.group(3))
-            if 0 <= y < sc.settings_b and 0 <= b < sc.outcomes_b[y]:
-                index = (-1, y, 0, b)
-            else:
-                term = f"PB({b}|{y})"
+                term = f"P{party}({o}|{s})"
         else:
             prefix = _REAL_PREFIX_RE.match(line)
             column = (prefix.end() + 1) if prefix else 1
@@ -167,10 +161,9 @@ def serialize_functional(f: BellFunctional) -> str:
     # The tensor is zero past each setting's outcome count, and argwhere
     # walks it in canonical (row-major) order.
     c = f.coefficients
-    for x, a in np.argwhere(c[:-1, -1, :, 0]):
-        lines.append(f"{format_real(c[x, -1, a, 0])} PA({a}|{x})")
-    for y, b in np.argwhere(c[-1, :-1, 0, :]):
-        lines.append(f"{format_real(c[-1, y, 0, b])} PB({b}|{y})")
+    for party, marginals in (("A", c[:-1, -1, :, 0]), ("B", c[-1, :-1, 0, :])):
+        for s, o in np.argwhere(marginals):
+            lines.append(f"{format_real(marginals[s, o])} P{party}({o}|{s})")
     for x, y, a, b in np.argwhere(c[:-1, :-1]):
         lines.append(f"{format_real(c[x, y, a, b])} P({a} {b}|{x} {y})")
     return "\n".join(lines) + "\n"
@@ -291,15 +284,9 @@ def parse_table_csv(text: str, renormalize: bool = False) -> ProbabilityTable:
         )
         missing = next(key for key in keys if key not in entries)
         raise InvalidTableError(f"missing row for (x,y,a,b)={missing}")
-    blocks = []
-    for x in range(settings_a):
-        row_blocks = []
-        for y in range(settings_b):
-            blk = np.empty((outcomes_a[x], outcomes_b[y]))
-            for a in range(outcomes_a[x]):
-                for b in range(outcomes_b[y]):
-                    blk[a, b] = entries[x, y, a, b]
-            row_blocks.append(blk)
-        blocks.append(row_blocks)
+    # With no gap and no duplicate, the rows write every cell exactly once.
+    blocks = [[np.empty((va, vb)) for vb in outcomes_b] for va in outcomes_a]
+    for (x, y, a, b), p in entries.items():
+        blocks[x][y][a, b] = p
     return ProbabilityTable(scenario, blocks, renormalize=renormalize)
 

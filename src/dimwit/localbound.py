@@ -58,14 +58,9 @@ def strategy_table(scenario: BellScenario, s: DeterministicStrategy) -> Probabil
     """The 0/1 probability table produced by a deterministic strategy
     (``ScenarioMismatchError`` if it does not fit the scenario)."""
     _check_strategy(scenario, s)
-    blocks = []
-    for x, va in enumerate(scenario.outcomes_a):
-        row = []
-        for y, vb in enumerate(scenario.outcomes_b):
-            blk = np.zeros((va, vb))
-            blk[s.assignment_a[x], s.assignment_b[y]] = 1.0
-            row.append(blk)
-        blocks.append(row)
+    blocks = [[np.zeros((va, vb)) for vb in scenario.outcomes_b] for va in scenario.outcomes_a]
+    for (x, a), (y, b) in product(enumerate(s.assignment_a), enumerate(s.assignment_b)):
+        blocks[x][y][a, b] = 1.0
     return ProbabilityTable(scenario, blocks)
 
 
@@ -77,10 +72,9 @@ def strategy_value(f: BellFunctional, s: DeterministicStrategy) -> float:
     for x in range(f.scenario.settings_a):
         for y in range(f.scenario.settings_b):
             total += f.joint[x][y][s.assignment_a[x], s.assignment_b[y]]
-    for x, coeffs in enumerate(f.marginal_a):
-        total += coeffs[s.assignment_a[x]]
-    for y, coeffs in enumerate(f.marginal_b):
-        total += coeffs[s.assignment_b[y]]
+    for marginals, assignment in ((f.marginal_a, s.assignment_a), (f.marginal_b, s.assignment_b)):
+        for coeffs, o in zip(marginals, assignment):
+            total += coeffs[o]
     return float(total)
 
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     InvalidFunctionalError,
     InvalidModelError,
@@ -253,7 +254,7 @@ def _marginal(blocks, axis: int, policy: str, name: str, partner: str) -> np.nda
         if spread > SIGNALING_TOL:
             raise SignalingError(f"{name} vary by {spread:.3e} across {partner} settings")
         return stack.mean(axis=0)
-    raise ValueError(f"unknown marginal policy {policy!r}")
+    raise ConfigError(f"unknown marginal policy {policy!r}")
 
 
 def evaluate(f: BellFunctional, t: ProbabilityTable, marginal_policy: str = PARTNER_SETTING_ZERO) -> float:
@@ -262,10 +263,13 @@ def evaluate(f: BellFunctional, t: ProbabilityTable, marginal_policy: str = PART
     Marginal terms use the partner's setting 0 by default; pass ``AVERAGE`` to
     average over partner settings instead (raises ``SignalingError`` if the
     table's marginals depend on the partner setting by more than 1e-6).
-    A value beyond the float range raises ``InvalidFunctionalError``.
+    An unknown policy raises ``ConfigError``, checked before any term is
+    summed, and a value beyond the float range ``InvalidFunctionalError``.
     """
     if f.scenario != t.scenario:
         raise ScenarioMismatchError("functional and table use different scenarios")
+    if marginal_policy not in (PARTNER_SETTING_ZERO, AVERAGE):
+        raise ConfigError(f"unknown marginal policy {marginal_policy!r}")
     total = f.constant
     with np.errstate(over="ignore", invalid="ignore"):
         for x in range(f.scenario.settings_a):
@@ -273,12 +277,10 @@ def evaluate(f: BellFunctional, t: ProbabilityTable, marginal_policy: str = PART
                 blk = f.joint[x][y]
                 if blk.any():
                     total += float((blk * t.p[x][y]).sum())
-        for x, coeffs in enumerate(f.marginal_a):
-            if coeffs.any():
-                total += float(coeffs @ t.marginal_a(x, marginal_policy))
-        for y, coeffs in enumerate(f.marginal_b):
-            if coeffs.any():
-                total += float(coeffs @ t.marginal_b(y, marginal_policy))
+        for marginals, table_marginal in ((f.marginal_a, t.marginal_a), (f.marginal_b, t.marginal_b)):
+            for s, coeffs in enumerate(marginals):
+                if coeffs.any():
+                    total += float(coeffs @ table_marginal(s, marginal_policy))
     if not np.isfinite(total):
         raise InvalidFunctionalError(f"the value is beyond the float range: {total}")
     return total

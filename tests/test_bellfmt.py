@@ -125,6 +125,11 @@ def test_parse_errors_carry_location():
     with pytest.raises(TermIndexError) as err:
         bellfmt.parse_functional("scenario A:2 B:2\n+1 P(0 2|0 0)\n")
     assert "P(0 2|0 0)" in str(err.value) and err.value.line == 2
+    for term in ("PB(2|0)", "PB(0|2)"):
+        with pytest.raises(TermIndexError, match=re.escape(f"{term} is outside the scenario (line 2)")):
+            bellfmt.parse_functional(f"scenario A:2 B:2\n+1 {term}\n")
+    with pytest.raises(ParseError, match=re.escape("malformed scenario declaration (line 1, column 1)")):
+        bellfmt.parse_functional("scenario A:2 B\n")
     with pytest.raises(ParseError):
         bellfmt.parse_functional("scenario A:2 B:2\nscenario A:2 B:2\n")
     with pytest.raises(ParseError) as err:
@@ -206,6 +211,9 @@ def test_correlation_matrix_parsing():
     assert chsh.local_norm is None
     one = bellfmt.parse_correlation_matrix("1")
     assert one.matrix.shape == (1, 1)
+    assert np.array_equal(bellfmt.parse_correlation_matrix("1,1\n\n  \n1,-1\n").matrix, chsh.matrix)
+    with pytest.raises(RaggedRowsError, match="empty correlation matrix"):
+        bellfmt.parse_correlation_matrix(" \n\t\n")
     with pytest.raises(RaggedRowsError):
         bellfmt.parse_correlation_matrix("1,2\n3\n")
     with pytest.raises(RaggedRowsError):
@@ -229,17 +237,27 @@ def test_table_csv_round_trip(rng):
     sc = BellScenario((2, 3), (2, 2))
     t = random_table(rng, sc)
     text = table_csv(t)
-    back = bellfmt.parse_table_csv(text)
-    assert back.scenario == sc
-    for x in range(sc.settings_a):
-        for y in range(sc.settings_b):
-            assert np.array_equal(back.p[x][y], t.p[x][y])
+    # a blank line between rows is skipped
+    lines = text.splitlines(keepends=True)
+    for back in (bellfmt.parse_table_csv(text), bellfmt.parse_table_csv("".join(lines[:3] + ["\n"] + lines[3:]))):
+        assert back.scenario == sc
+        for x in range(sc.settings_a):
+            for y in range(sc.settings_b):
+                assert np.array_equal(back.p[x][y], t.p[x][y])
 
 
 def test_table_csv_errors():
     with pytest.raises(ParseError):
         bellfmt.parse_table_csv("a,b,c\n")
     header = "x,y,a,b,p\n"
+    cases = [
+        ("", "empty table file (line 1, column 1)"),
+        (header, "table has no rows (line 2, column 1)"),
+        (header + "0,0,0,0\n", "expected 5 cells, got 4 (line 2, column 1)"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError, match=re.escape(message)):
+            bellfmt.parse_table_csv(text)
     with pytest.raises(ParseError) as err:
         bellfmt.parse_table_csv(header + "0,0,0,0,0.5\n0,0,0,oops,0.5\n")
     assert err.value.line == 3

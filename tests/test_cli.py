@@ -224,6 +224,12 @@ def test_seesaw_cli_invalid_dims(capsys):
         capsys, "seesaw", "chsh", "--da", "3", "--db", "3", "--fixed-theta", "0.5"
     )
     assert code == 5
+    code, _, err = run_cli(
+        capsys, "seesaw", "chsh", "--da", "2", "--db", "2", "--fixed-theta", "0.5", "--fixed-gamma", "1"
+    )
+    assert code == 5 and "mutually exclusive" in err
+    code, _, err = run_cli(capsys, "seesaw", "chsh", "--da", "2", "--db", "2", "--fixed-gamma", "1")
+    assert code == 5 and "requires --da 3 --db 3" in err
 
 
 def test_seesaw_cli_json_deterministic(capsys):
@@ -419,12 +425,12 @@ def test_curve_cli_rejects_non_positive_steps(tmp_path, capsys):
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("dims", ["2,x", "2,2"])
+@pytest.mark.parametrize("dims", ["2,x", "2,2", "1", ","])
 def test_curve_cli_rejects_bad_or_repeated_dims(tmp_path, capsys, dims):
     out_path = tmp_path / "c.csv"
     code, _, err = run_cli(capsys, "curve", "--steps", "2", "--dims", dims, "--out", str(out_path))
     assert code == 5
-    assert err.startswith("error: curve dimension")
+    assert err.startswith("error: no dimensions given" if dims == "," else "error: curve dimension")
     assert not out_path.exists()
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from dimwit import catalog, linalg, scenario
 from dimwit.errors import (
+    ConfigError,
     DimensionMismatchError,
     InvalidFunctionalError,
     InvalidModelError,
@@ -77,6 +78,17 @@ def test_marginal_policies_and_signaling():
     # without marginal terms the average policy never needs the marginals
     g = BellFunctional(sc, constant=1.0)
     assert evaluate(g, t, AVERAGE) == 1.0
+
+
+def test_unknown_marginal_policy_is_a_config_error():
+    # The policy is checked before any term is summed, so chsh, which has no
+    # marginal term, rejects it as E does.
+    for f in (catalog.chsh(), catalog.expression_E()):
+        with pytest.raises(ConfigError, match="unknown marginal policy 'bogus'"):
+            evaluate(f, uniform_table(f.scenario), "bogus")
+    t = uniform_table(catalog.chsh().scenario)
+    with pytest.raises(ConfigError, match="unknown marginal policy 'bogus'"):
+        t.marginal_a(0, "bogus")
 
 
 def test_table_validation_and_renormalization():
@@ -280,6 +292,19 @@ def test_quantum_model_validation(rng):
         not_sum.validate()
     with pytest.raises(InvalidModelError):
         model.validate(BellScenario((2, 2), (2,)))
+
+
+@pytest.mark.parametrize(
+    "element, message",
+    [(np.array([[0.5, 0.1], [0.0, 0.5]]), "element not Hermitian"), (np.diag([1.5, -0.5]), "eigenvalue .* below")],
+)
+def test_quantum_model_rejects_a_non_povm_element(element, message):
+    # Each element and its complement sum to the identity, so only the named
+    # check can reject the setting.
+    model = seeded_models(BellScenario((2,), (2,)), 2, 2, seed=1, count=1)[0]
+    bad = QuantumModel(2, 2, model.state, ((element, np.eye(2) - element),), model.povms_b)
+    with pytest.raises(InvalidModelError, match=f"Alice setting 0: {message}"):
+        bad.validate()
 
 
 def test_quantum_model_rejects_non_finite_entries():
