@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .grothendieck import CorrelationFunctional, correlator_bell
 from .localbound import local_bound
 from .scenario import BellFunctional, BellScenario
@@ -175,8 +175,7 @@ def witness_report(
     maximum, so "Witnessed" means the search separated the dimensions by more
     than ``gap_threshold``, not a proof.
     """
-    if d < 2:
-        raise ConfigError(f"witness dimension must be >= 2, got {d}")
+    d = check_count(d, "witness dimension", 2)
     if not 0.0 <= gap_threshold < math.inf:
         raise ConfigError(f"gap threshold must be finite and >= 0, got {gap_threshold}")
     cfg = SeesawConfig() if cfg is None else cfg

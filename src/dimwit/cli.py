@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bellfmt, catalog, grothendieck, localbound
-from .errors import ConfigError, DimwitError, InvalidFunctionalError
+from .errors import ConfigError, DimwitError, InvalidFunctionalError, check_count
 from .scenario import AVERAGE, PARTNER_SETTING_ZERO, evaluate
 from .seesaw import RESTART_BATCH, SeesawConfig, seesaw
 
@@ -207,18 +207,15 @@ def cmd_seesaw(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    if args.steps < 1:
-        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+    args.steps = check_count(args.steps, "--steps", 1)
     dims = []
     for token in args.dims.split(","):
         token = token.strip()
         if token:
             try:
-                d = int(token)
+                d = check_count(int(token), "curve dimension", 2)
             except ValueError:
                 raise ConfigError(f"curve dimension {token!r} is not an integer") from None
-            if d < 2:
-                raise ConfigError(f"curve dimensions must be >= 2, got {d}")
             if d in dims:
                 raise ConfigError(f"curve dimension {d} is given twice")
             dims.append(d)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package; ``exit_code`` is each one's CLI exit status."""
+"""Exception types shared across the package; ``exit_code`` is each one's CLI exit status.
+``check_count`` is the one check of every integer count option, such as restarts or jobs."""
+
+import operator
 
 
 class DimwitError(Exception):
@@ -57,6 +60,18 @@ class ConfigError(DimwitError):
     """Invalid optimizer configuration."""
 
     exit_code = 5
+
+
+def check_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int if it is an integer (NumPy's included) of at least
+    ``minimum``; otherwise ``ConfigError`` naming the option ``name``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {count}")
+    return count
 
 
 class StrategySpaceTooLargeError(DimwitError):

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, ZeroMatrixError
+from .errors import ConfigError, ZeroMatrixError, check_count
 from .localbound import check_enumeration, local_bound
 from .scenario import BellFunctional, BellScenario
 from .seesaw import SeesawConfig, drive_lockstep, spawn_rng
@@ -105,11 +105,6 @@ def _lockstep(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray, max_iterations
     return values, *rows
 
 
-def _check_dimension(n: int) -> None:
-    if n < 1:
-        raise ConfigError(f"vector dimension must be >= 1, got {n}")
-
-
 def vector_seesaw(f: CorrelationFunctional, n: int, cfg: SeesawConfig | None = None):
     """Best found value of sum_ij M_ij x_i . y_j over unit vectors in R^n.
 
@@ -117,10 +112,13 @@ def vector_seesaw(f: CorrelationFunctional, n: int, cfg: SeesawConfig | None = N
     symmetrically).  Restart r draws its x vectors, then its y vectors, from
     ``spawn_rng(cfg.seed, r)``; all restarts run in lockstep as (R, m, n)
     stacks, and the best value wins, the earliest restart on a tie, as in
-    the quantum see-saw.  Returns (value, VectorStrategy).
+    the quantum see-saw.  Returns (value, VectorStrategy).  A ``cfg`` with a
+    ``fixed_state`` raises ``ConfigError``: the search has no quantum state.
     """
     cfg = SeesawConfig() if cfg is None else cfg
-    _check_dimension(n)
+    n = check_count(n, "vector dimension", 1)
+    if cfg.fixed_state is not None:
+        raise ConfigError("fixed_state does not apply to the vector search")
     if f.local_norm is None:
         raise ConfigError("normalize the correlation functional before the search")
     m = f.m
@@ -135,7 +133,7 @@ def search(matrix, n: int, cfg: SeesawConfig):
     """``local_norm`` of a raw matrix, then ``vector_seesaw`` on the matrix
     normalized by it; ``n`` is checked before the 2^m enumeration.  Returns
     (local_norm, value, VectorStrategy)."""
-    _check_dimension(n)
+    n = check_count(n, "vector dimension", 1)
     norm = local_norm(matrix)
     value, strategy = vector_seesaw(normalize_by(matrix, norm), n, cfg)
     return norm, value, strategy

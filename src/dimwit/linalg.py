@@ -5,7 +5,8 @@ LAPACK's Hermitian driver (``numpy.linalg.eigh``), reordered so eigenvalues
 come out descending.  ``eig_hermitian``, ``positive_projector`` and
 ``psd_pseudo_sqrt`` accept a single (n, n) matrix or a (..., n, n) stack of
 them and work on each member independently, so one call can serve every
-setting of a batch of see-saw restarts.
+setting of a batch of see-saw restarts.  They take no tolerance: the module
+owns ``HERMITICITY_TOL``, which is also their eigenvalue cutoff and clamp.
 
 ``_eigh_descending`` is ``eig_hermitian`` after its Hermiticity check; call it
 directly only on a matrix equal to its adjoint bit for bit, where the check
@@ -40,52 +41,38 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _require_hermitian(a, tol: float) -> np.ndarray:
-    """``a`` as a complex (..., n, n) array, checked and symmetrized; every
-    member of a stack must pass.
-
-    ``tol`` is relative: a member fails when max |m - m†| exceeds
-    ``tol * max(1, max |m|)``, so the rounding of a product of large entries
-    does not count as asymmetry.  Only a stack that fails the absolute test
-    pays for the finiteness test and the per-member scales.
-    """
-    m = np.asarray(a, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.size == 0:
-        raise DimensionMismatchError(
-            f"expected a square matrix or a stack of them, got shape {np.shape(a)}"
-        )
-    adjoint = _adjoint(m)
-    # inf - inf gives NaN, which fails the NaN-safe test below without a warning.
-    with np.errstate(invalid="ignore"):
-        asymmetry = np.abs(m - adjoint)
-    if not asymmetry.max() <= tol:
-        if not np.isfinite(m).all():
-            raise NotHermitianError("matrix has non-finite entries")
-        deviations = asymmetry.max(axis=(-1, -2))
-        excess = deviations / np.maximum(1.0, np.abs(m).max(axis=(-1, -2)))
-        if excess.max() > tol:
-            deviation = float(deviations.flat[excess.argmax()])
-            raise NotHermitianError(
-                f"matrix deviates from Hermiticity by {deviation:.3e} (tol {tol:.1e})"
-            )
-    # Symmetrize once the check passed so downstream math sees an exact Hermitian.
-    return (m + adjoint) / 2.0
-
-
-def eig_hermitian(a, tol: float = HERMITICITY_TOL) -> HermitianEig:
+def eig_hermitian(a) -> HermitianEig:
     """Diagonalize a complex Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
     Returns eigenvalues in descending order with matching orthonormal
     eigenvector columns.  A (..., n, n) stack gives (..., n) eigenvalues and
     (..., n, n) eigenvectors, member by member as separate calls would.
     Raises ``NotHermitianError`` if any member has non-finite entries or
-    deviates from A = A† by more than ``tol * max(1, max |A|)``, and
-    ``NoConvergenceError`` if LAPACK reports that it did not converge.
+    deviates from A = A† by more than ``HERMITICITY_TOL * max(1, max |A|)``,
+    and ``NoConvergenceError`` if LAPACK reports that it did not converge.
 
     Eigenvectors within a degenerate cluster are solver-dependent; callers
     must only rely on spectral projectors.
     """
-    return _eigh_descending(_require_hermitian(a, tol))
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.size == 0:
+        raise DimensionMismatchError(f"expected a square matrix or a stack of them, got shape {np.shape(a)}")
+    adjoint = _adjoint(m)
+    # inf - inf gives NaN, which fails the NaN-safe test below without a warning.
+    with np.errstate(invalid="ignore"):
+        asymmetry = np.abs(m - adjoint)
+    # The test is relative, so the rounding of large products is no asymmetry;
+    # only a stack that fails the absolute test pays for the per-member scales.
+    if not asymmetry.max() <= HERMITICITY_TOL:
+        if not np.isfinite(m).all():
+            raise NotHermitianError("matrix has non-finite entries")
+        deviations = asymmetry.max(axis=(-1, -2))
+        excess = deviations / np.maximum(1.0, np.abs(m).max(axis=(-1, -2)))
+        if excess.max() > HERMITICITY_TOL:
+            deviation = float(deviations.flat[excess.argmax()])
+            raise NotHermitianError(f"matrix deviates from Hermiticity by {deviation:.3e} (tol {HERMITICITY_TOL:.1e})")
+    # Symmetrize once the check passed so downstream math sees an exact Hermitian.
+    return _eigh_descending((m + adjoint) / 2.0)
 
 
 def _eigh_descending(m: np.ndarray) -> HermitianEig:
@@ -108,22 +95,22 @@ def _projector(eig: HermitianEig, tol: float) -> np.ndarray:
     return (p + _adjoint(p)) / 2.0
 
 
-def positive_projector(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Projector onto the strictly positive eigenspace (eigenvalues > tol),
-    of a matrix or of each member of a (..., n, n) stack."""
-    return _projector(eig_hermitian(a, tol), tol)
+def positive_projector(a) -> np.ndarray:
+    """Projector onto the strictly positive eigenspace (eigenvalues above
+    ``HERMITICITY_TOL``), of a matrix or of each member of a (..., n, n) stack."""
+    return _projector(eig_hermitian(a), HERMITICITY_TOL)
 
 
-def psd_pseudo_sqrt(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def psd_pseudo_sqrt(a) -> np.ndarray:
     """Square root of a PSD matrix, or of each member of a (..., n, n) stack.
 
-    Eigenvalues in [-tol, 0] are clamped to zero; anything below -tol in any
-    member raises ``NotPSDError``.  ``sqrt @ sqrt`` reproduces the input.
+    Eigenvalues in [-HERMITICITY_TOL, 0] are clamped to zero; anything lower
+    in any member raises ``NotPSDError``.  ``sqrt @ sqrt`` reproduces the input.
     """
-    eig = eig_hermitian(a, tol)
+    eig = eig_hermitian(a)
     low = float(eig.eigenvalues[..., -1].min())
-    if low < -tol:
-        raise NotPSDError(f"eigenvalue {low:.3e} below -tol ({-tol:.1e})")
+    if low < -HERMITICITY_TOL:
+        raise NotPSDError(f"eigenvalue {low:.3e} below -tol ({-HERMITICITY_TOL:.1e})")
     v = eig.eigenvectors
     root = (v * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))[..., None, :]) @ _adjoint(v)
     return (root + _adjoint(root)) / 2.0

@@ -24,6 +24,7 @@ path.  All types are immutable values and every operation is a pure function.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,8 +63,11 @@ class BellScenario:
     outcomes_b: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "outcomes_a", tuple(int(v) for v in self.outcomes_a))
-        object.__setattr__(self, "outcomes_b", tuple(int(v) for v in self.outcomes_b))
+        for party in ("outcomes_a", "outcomes_b"):
+            try:
+                object.__setattr__(self, party, tuple(operator.index(v) for v in getattr(self, party)))
+            except TypeError:
+                raise InvalidScenarioError(f"{party} must be integer counts, got {getattr(self, party)!r}") from None
         if not self.outcomes_a or not self.outcomes_b:
             raise InvalidScenarioError("each party needs at least one setting")
         if min(self.outcomes_a) < 2 or min(self.outcomes_b) < 2:
@@ -349,7 +353,7 @@ class QuantumModel:
                 dev = float(np.abs(setting - setting.conj().swapaxes(-1, -2)).max())
                 if dev > POVM_TOL:
                     raise InvalidModelError(f"{name} setting {idx}: element not Hermitian (dev {dev:.2e})")
-                low = float(linalg.eig_hermitian(setting, POVM_TOL).eigenvalues[:, -1].min())
+                low = float(linalg.eig_hermitian(setting).eigenvalues[:, -1].min())
                 if low < -POVM_TOL:
                     raise InvalidModelError(f"{name} setting {idx}: eigenvalue {low:.2e} below -{POVM_TOL}")
                 dev = float(np.abs(setting.sum(axis=0) - np.eye(d)).max())

@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, InvalidFunctionalError, NoConvergenceError, NotHermitianError, NotPSDError
+from .errors import ConfigError, InvalidFunctionalError, NoConvergenceError, NotHermitianError, NotPSDError, check_count
 from .scenario import (
     BellFunctional,
     BellScenario,
@@ -90,12 +90,8 @@ class SeesawConfig:
     fixed_state: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ConfigError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, minimum in (("restarts", 1), ("max_iterations", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, minimum))
         if self.fixed_state is not None:
             state = np.asarray(self.fixed_state, dtype=complex).reshape(-1)
             if not np.isfinite(state).all():
@@ -126,9 +122,8 @@ class SeesawResult:
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     """Counter-derived RNG stream; identical regardless of execution order.
-    A negative seed raises ``ConfigError``."""
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    A seed that is not an integer >= 0 raises ``ConfigError``."""
+    seed = check_count(seed, "seed", 0)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
@@ -268,8 +263,8 @@ def update_measurement_multi(ops, elements, counts) -> np.ndarray:
             drifted = np.abs(s @ s - s).max(axis=(-1, -2)) > PROJECTOR_DRIFT_TOL
             if np.count_nonzero(drifted):
                 root = s.copy()
-                root[drifted] = linalg.psd_pseudo_sqrt(s[drifted], EXCHANGE_TOL)
-            eig = linalg.eig_hermitian(root @ delta @ root, EXCHANGE_TOL)
+                root[drifted] = linalg.psd_pseudo_sqrt(s[drifted])
+            eig = linalg.eig_hermitian(root @ delta @ root)
             above = eig.eigenvalues > EXCHANGE_TOL
             gain = (eig.eigenvalues * above).sum(axis=-1)
             current = (elements[rows, a] * delta.conj()).real.sum(axis=(-1, -2))
@@ -477,10 +472,7 @@ def seesaw(
     ``ConfigError`` naming (d_a, d_b).
     """
     cfg = SeesawConfig() if cfg is None else cfg
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if d_a < 2 or d_b < 2:
-        raise ConfigError(f"local dimensions must be >= 2, got ({d_a},{d_b})")
+    jobs, d_a, d_b = check_count(jobs, "jobs", 1), check_count(d_a, "d_a", 2), check_count(d_b, "d_b", 2)
     if cfg.fixed_state is not None and cfg.fixed_state.size != d_a * d_b:
         raise ConfigError(f"fixed_state has length {cfg.fixed_state.size}, expected {d_a * d_b}")
     with np.errstate(over="ignore"):

@@ -1,15 +1,17 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 import dimwit
-from dimwit import bellfmt, catalog, errors, grothendieck
+from dimwit import bellfmt, catalog, cli, errors, grothendieck
 from dimwit.cli import main
 from dimwit.errors import NotPSDError
 from dimwit.localbound import local_bound, local_bound_min, strategy_table
@@ -425,13 +427,80 @@ def test_curve_cli_rejects_non_positive_steps(tmp_path, capsys):
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("dims", ["2,x", "2,2", "1", ","])
+@pytest.mark.parametrize("dims", ["2,x", "2,2", "1", ",", "2.5"])
 def test_curve_cli_rejects_bad_or_repeated_dims(tmp_path, capsys, dims):
     out_path = tmp_path / "c.csv"
     code, _, err = run_cli(capsys, "curve", "--steps", "2", "--dims", dims, "--out", str(out_path))
     assert code == 5
     assert err.startswith("error: no dimensions given" if dims == "," else "error: curve dimension")
     assert not out_path.exists()
+
+
+def _curve_csv(**override):
+    """``cmd_curve`` on a one-point, one-restart sweep into ./c.csv, with the
+    parsed options replaced by ``override``; returns the CSV text."""
+    args = cli.build_parser().parse_args(["curve", "--steps", "1", "--dims", "2", "--restarts", "1", "--out", "c.csv"])
+    args.argv, args.started, args.seed = [], time.monotonic(), 0
+    vars(args).update(override)
+    cli.cmd_curve(args)
+    with open("c.csv", encoding="utf-8") as fh:
+        return fh.read()
+
+
+_QUICK = ss.SeesawConfig(restarts=2, max_iterations=5)
+
+# Each count option: (its name in the error, its minimum, a valid value, a
+# call on a value that returns what the value decides).
+COUNT_SITES = {
+    "SeesawConfig.restarts": ("restarts", 1, 2, lambda v: ss.SeesawConfig(restarts=v).restarts),
+    "SeesawConfig.max_iterations": ("max_iterations", 1, 5, lambda v: ss.SeesawConfig(max_iterations=v).max_iterations),
+    "SeesawConfig.seed": ("seed", 0, 3, lambda v: ss.SeesawConfig(seed=v).seed),
+    "spawn_rng": ("seed", 0, 3, lambda v: ss.spawn_rng(v, 1).random()),
+    "seesaw.jobs": ("jobs", 1, 1, lambda v: ss.seesaw(catalog.chsh(), 2, 2, _QUICK, jobs=v).per_restart_values),
+    "seesaw.d_a": ("d_a", 2, 2, lambda v: ss.seesaw(catalog.chsh(), v, 2, _QUICK).per_restart_values),
+    "seesaw.d_b": ("d_b", 2, 2, lambda v: ss.seesaw(catalog.chsh(), 2, v, _QUICK).per_restart_values),
+    "vector_seesaw": (
+        "vector dimension", 1, 2, lambda v: grothendieck.vector_seesaw(grothendieck.normalize(np.eye(2)), v, _QUICK)[0]
+    ),
+    "grothendieck.search": ("vector dimension", 1, 2, lambda v: grothendieck.search(np.eye(2), v, _QUICK)[:2]),
+    "witness_report": ("witness dimension", 2, 2, lambda v: catalog.witness_report(catalog.chsh(), v, _QUICK)),
+    "curve --steps": ("--steps", 1, 1, lambda v: _curve_csv(steps=v)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+def test_every_count_option_takes_integers_only(site, tmp_path, monkeypatch):
+    """A fraction, a string and a value below the minimum each raise
+    ``ConfigError`` naming the option; a NumPy integer acts as the int.
+    (``curve --dims`` is text, so its checks are in the test above.)"""
+    monkeypatch.chdir(tmp_path)
+    name, minimum, good, call = COUNT_SITES[site]
+    for bad, why in ((2.5, "an integer, got 2.5"), ("3", "an integer, got '3'"), (minimum - 1, f">= {minimum}, got")):
+        with pytest.raises(errors.ConfigError, match=f"^{re.escape(name)} must be {re.escape(why)}"):
+            call(bad)
+    assert call(np.int64(good)) == call(good)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["seesaw", "chsh", "--da", "2", "--db", "2", "--restarts", "0"], "restarts"),
+        (["seesaw", "chsh", "--da", "2", "--db", "2", "--max-iterations", "0"], "max_iterations"),
+        (["seesaw", "chsh", "--da", "2", "--db", "2", "--jobs", "0"], "jobs"),
+        (["seesaw", "chsh", "--da", "2", "--db", "2", "--seed", "-1"], "seed"),
+        (["seesaw", "chsh", "--da", "1", "--db", "2"], "d_a"),
+        (["witness", "chsh", "--d", "1"], "witness dimension"),
+        (["curve", "--steps", "0", "--out", "c.csv"], "--steps"),
+        (["curve", "--dims", "1", "--out", "c.csv"], "curve dimension"),
+        (["grothendieck", "-m", "m.csv", "--n", "0"], "vector dimension"),
+    ],
+)
+def test_bad_counts_exit_5_with_one_error_line(tmp_path, capsys, monkeypatch, no_restarts, argv, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.csv").write_text("1,1\n1,-1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (errors.ConfigError.exit_code, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {name} must be >= ")
 
 
 @pytest.mark.parametrize("flag, value", [("--phi-min", "nan"), ("--phi-max", "nan"), ("--phi-max", "inf")])

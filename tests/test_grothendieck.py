@@ -151,6 +151,16 @@ def test_vector_seesaw_requires_normalized():
         vector_seesaw(normalize(CHSH_MATRIX), 0)
 
 
+def test_vector_seesaw_rejects_a_fixed_state():
+    """The vector search has no quantum state to pin, so a config that pins
+    one is an error rather than silently ignored."""
+    cfg = SeesawConfig(restarts=2, fixed_state=[1, 0, 0, 1])
+    with pytest.raises(ConfigError, match="fixed_state"):
+        vector_seesaw(normalize(np.eye(2)), 3, cfg)
+    with pytest.raises(ConfigError, match="fixed_state"):
+        gk.search(np.eye(2), 3, cfg)
+
+
 def test_vector_seesaw_at_least_classical(rng):
     cfg = SeesawConfig(restarts=12, seed=37)
     for _ in range(6):

@@ -59,7 +59,7 @@ def test_reconstruction_and_orthonormality(rng):
 
 def test_large_norm_input_still_converges(rng):
     a = 1e8 * random_hermitian(rng, 6)
-    eig = linalg.eig_hermitian(a, tol=1.0)
+    eig = linalg.eig_hermitian(a)
     rebuilt = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
     assert np.abs(a - rebuilt).max() < 1e-10 * np.linalg.norm(a)
 
@@ -118,10 +118,10 @@ def test_psd_pseudo_sqrt_squares_back(rng):
 
 
 def test_psd_pseudo_sqrt_clamps_and_rejects():
-    root = linalg.psd_pseudo_sqrt(np.diag([1.0, -5e-10]), tol=1e-9)
+    root = linalg.psd_pseudo_sqrt(np.diag([1.0, -5e-10]))
     assert np.allclose(root, np.diag([1.0, 0.0]))
     with pytest.raises(NotPSDError):
-        linalg.psd_pseudo_sqrt(np.diag([1.0, -1e-6]), tol=1e-9)
+        linalg.psd_pseudo_sqrt(np.diag([1.0, -1e-6]))
 
 
 def _stack(rng, k, n):
@@ -160,7 +160,7 @@ def test_stack_rejects_one_bad_member(rng):
     with pytest.raises(DimensionMismatchError):
         linalg.eig_hermitian(np.zeros((3, 2, 3)))
     with pytest.raises(NotPSDError):  # one member below -tol rejects the stack
-        linalg.psd_pseudo_sqrt(np.stack([np.eye(2), np.diag([1.0, -1e-6])]), tol=1e-9)
+        linalg.psd_pseudo_sqrt(np.stack([np.eye(2), np.diag([1.0, -1e-6])]))
 
 
 def test_stack_lapack_failure_raises_no_convergence(rng, monkeypatch):
@@ -199,40 +199,43 @@ def test_non_finite_entries_raise_without_a_warning(name):
 
 
 def test_deviation_just_above_tol_rejected_at_unit_scale():
-    tol = 1e-9
+    tol = linalg.HERMITICITY_TOL
     for scale in (1.0, 0.5, 1e-6):  # max |m| <= 1: the tolerance is absolute
         for offset, ok in ((0.9 * tol, True), (1.1 * tol, False)):
             m = np.array([[0.0, scale], [scale + offset, 0.0]], dtype=complex)
             if ok:
-                linalg.eig_hermitian(m, tol)
+                linalg.eig_hermitian(m)
             else:
                 with pytest.raises(NotHermitianError, match="deviates from Hermiticity by 1.100e-09"):
-                    linalg.eig_hermitian(m, tol)
+                    linalg.eig_hermitian(m)
 
 
 def test_tolerance_is_relative_to_each_members_largest_entry(rng):
     """Above unit scale the tolerance grows with max |m|, so a product of
     large entries passes; a large member does not loosen a small one."""
-    tol = 1e-9
+    tol = linalg.HERMITICITY_TOL
     big = 1e8 * random_hermitian(rng, 3)
     top = np.abs(big).max()
     for factor, ok in ((0.9, True), (1.1, False)):
         m = big.copy()
         m[0, 1] += factor * tol * top
         if ok:
-            linalg.eig_hermitian(m, tol)
+            linalg.eig_hermitian(m)
         else:
             with pytest.raises(NotHermitianError, match="deviates from Hermiticity"):
-                linalg.eig_hermitian(m, tol)
+                linalg.eig_hermitian(m)
     small = np.zeros((3, 3), dtype=complex)
     small[0, 1] = 2 * tol
     with pytest.raises(NotHermitianError, match="deviates from Hermiticity by 2.000e-09"):
-        linalg.eig_hermitian(np.stack([big, small]), tol)
+        linalg.eig_hermitian(np.stack([big, small]))
 
 
 def test_guard_output_is_the_exact_symmetrization(rng):
+    """A nearly Hermitian input is diagonalized as its exact symmetrization."""
     for shape in ((3, 3), (5, 4, 4), (2, 3, 2, 2)):
         g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         m = (g + g.conj().swapaxes(-1, -2)) / 2.0 + 1e-12 * g
-        want = (m + m.conj().swapaxes(-1, -2)) / 2.0
-        assert np.array_equal(linalg._require_hermitian(m, linalg.HERMITICITY_TOL), want)
+        got = linalg.eig_hermitian(m)
+        want = linalg._eigh_descending((m + m.conj().swapaxes(-1, -2)) / 2.0)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)

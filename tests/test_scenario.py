@@ -38,12 +38,27 @@ def test_scenario_validation():
         BellScenario((2, 1), (2,))
 
 
-@pytest.mark.parametrize("outcomes_a", [(), (2, 1)])
+@pytest.mark.parametrize("outcomes_a", [(), (2, 1), (2.5, 2), ("3",), (np.float64(3.0),)])
 def test_invalid_scenario_error_is_typed(outcomes_a):
     # A DimwitError for library callers, and still a ValueError.
     with pytest.raises(InvalidScenarioError) as info:
         BellScenario(outcomes_a, (2,))
     assert isinstance(info.value, ValueError) and info.value.exit_code == 2
+
+
+def test_scenario_counts_are_integers_only():
+    """A non-integer count is rejected by name, not truncated; NumPy integers
+    pass and are stored as ints, and the empty-party and count messages stay."""
+    with pytest.raises(InvalidScenarioError, match=r"^outcomes_a must be integer counts, got \(2\.5, 2\)$"):
+        BellScenario((2.5, 2), (2,))
+    with pytest.raises(InvalidScenarioError, match="^outcomes_b must be integer counts, got 3$"):
+        BellScenario((2,), 3)
+    sc = BellScenario((np.int64(3), 2), (np.int32(2),))
+    assert sc == BellScenario((3, 2), (2,)) and all(type(v) is int for v in sc.outcomes_a + sc.outcomes_b)
+    with pytest.raises(InvalidScenarioError, match="^each party needs at least one setting$"):
+        BellScenario((), (2,))
+    with pytest.raises(InvalidScenarioError, match="^every setting needs at least two outcomes$"):
+        BellScenario((2, 1), (2,))
 
 
 def test_evaluate_cglmp_on_uniform():

@@ -882,9 +882,9 @@ def _reference_exchange_pairs(ops, elements, counts):
                 drifted = np.abs(s @ s - s).max(axis=(-1, -2)) > ss.PROJECTOR_DRIFT_TOL
                 if drifted.any():
                     root = s.copy()
-                    root[drifted] = linalg.psd_pseudo_sqrt(s[drifted], ss.EXCHANGE_TOL)
+                    root[drifted] = linalg.psd_pseudo_sqrt(s[drifted])
                 sandwiched = root @ delta @ root
-                pos = linalg.positive_projector(sandwiched, ss.EXCHANGE_TOL)
+                pos = linalg.positive_projector(sandwiched)
                 gain = np.trace(pos @ sandwiched, axis1=-2, axis2=-1).real
                 current = np.trace(elements[rows, a] @ delta, axis1=-2, axis2=-1).real
                 better = gain - current > 1e-13 * np.maximum(1.0, np.abs(current))
