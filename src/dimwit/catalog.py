@@ -38,19 +38,9 @@ def cglmp_C() -> BellFunctional:
     Sum of the four comparison probabilities P(b0>=a0), P(a0>=b1), P(a1>=b0),
     P(b1>a1), shifted by -3.
     """
-    sc = cglmp_scenario()
-    joint = [[np.zeros((3, 3)) for _ in range(2)] for _ in range(2)]
-    for a in range(3):
-        for b in range(3):
-            if b >= a:
-                joint[0][0][a, b] += 1.0
-            if a >= b:
-                joint[0][1][a, b] += 1.0
-            if a >= b:
-                joint[1][0][a, b] += 1.0
-            if b > a:
-                joint[1][1][a, b] += 1.0
-    return BellFunctional(sc, joint, constant=-3.0)
+    a, b = np.indices((3, 3))
+    joint = [[b >= a, a >= b], [a >= b, b > a]]
+    return BellFunctional(cglmp_scenario(), joint, constant=-3.0)
 
 
 def cglmp_D() -> BellFunctional:
@@ -59,14 +49,8 @@ def cglmp_D() -> BellFunctional:
 
     Never positive on any table (all coefficients are <= 0).
     """
-    sc = cglmp_scenario()
-    joint = [[np.zeros((3, 3)) for _ in range(2)] for _ in range(2)]
-    for x in range(2):
-        for y in range(2):
-            for k in range(3):
-                b = (k - 1 - (x - 1) * (y - 1)) % 3
-                joint[x][y][k, b] -= 1.0
-    return BellFunctional(sc, joint)
+    x, y, a, b = np.indices((2, 2, 3, 3))
+    return BellFunctional(cglmp_scenario(), np.where(b == (a - 1 - (x - 1) * (y - 1)) % 3, -1.0, 0.0))
 
 
 def i_phi(phi: float) -> BellFunctional:
@@ -81,14 +65,10 @@ def expression_E() -> BellFunctional:
     strictly below its two-qutrit maximum."""
     sc = BellScenario((2, 3), (2, 2, 2))
     joint = [[np.zeros((va, vb)) for vb in sc.outcomes_b] for va in sc.outcomes_a]
-    joint[0][0][0, 0] -= 1.0
-    joint[0][1][0, 0] -= 1.0
-    joint[0][2][0, 0] -= 1.0
-    joint[1][0][0, 0] += 1.0
-    joint[1][1][1, 0] += 1.0
-    joint[1][2][2, 0] += 1.0
-    marginal_a = [np.zeros(2), np.zeros(3)]
-    marginal_a[0][0] = 1.0
+    for y in range(3):
+        joint[0][y][0, 0] = -1.0
+        joint[1][y][y, 0] = 1.0
+    marginal_a = [[1.0, 0.0], [0.0, 0.0, 0.0]]
     return BellFunctional(sc, joint, marginal_a=marginal_a, constant=-1.0)
 
 
@@ -161,6 +141,14 @@ class WitnessReport:
         return self.verdict == "Witnessed"
 
 
+def _best_found(f: BellFunctional, dims, cfg: SeesawConfig | None, jobs: int) -> tuple[float, list[float]]:
+    """``f``'s exact local bound, then its best-found see-saw value at (d, d)
+    for each d of ``dims`` in order: the per-dimension run of both reports."""
+    cfg = SeesawConfig() if cfg is None else cfg
+    bound, _ = local_bound(f)
+    return bound, [seesaw(f, d, d, cfg, jobs=jobs).best_value for d in dims]
+
+
 def witness_report(
     f: BellFunctional,
     d: int,
@@ -178,10 +166,7 @@ def witness_report(
     d = check_count(d, "witness dimension", 2)
     if not 0.0 <= gap_threshold < math.inf:
         raise ConfigError(f"gap threshold must be finite and >= 0, got {gap_threshold}")
-    cfg = SeesawConfig() if cfg is None else cfg
-    bound, _ = local_bound(f)
-    value_d = seesaw(f, d, d, cfg, jobs=jobs).best_value
-    value_d_plus = seesaw(f, d + 1, d + 1, cfg, jobs=jobs).best_value
+    bound, (value_d, value_d_plus) = _best_found(f, (d, d + 1), cfg, jobs)
     gap = value_d_plus - value_d
     verdict = "Witnessed" if gap > gap_threshold else "NotWitnessed"
     return WitnessReport(
@@ -200,19 +185,20 @@ def iphi_sweep(phis, dims=(2, 3), cfg: SeesawConfig | None = None, jobs: int = 1
     """Local bound and per-dimension best-found values along a phi grid.
 
     Returns one dict per grid point with keys ``phi``, ``local_bound``, and
-    ``value_d<d>`` for each requested dimension.  A non-finite angle anywhere
-    in the grid is a ``ConfigError`` before any see-saw runs.
+    ``value_d<d>`` for each requested dimension.  A grid that is not a
+    one-dimensional sequence of reals, or has a non-finite angle, is a
+    ``ConfigError`` before any see-saw runs.
     """
-    phis = np.asarray(phis, dtype=float)
+    try:
+        phis = np.asarray(phis, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"phi grid must be a sequence of real angles, got {phis!r}") from None
+    if phis.ndim != 1:
+        raise ConfigError(f"phi grid must be one-dimensional, got shape {phis.shape}")
     if not np.isfinite(phis).all():
         raise ConfigError("phi grid has a non-finite angle")
-    cfg = SeesawConfig() if cfg is None else cfg
     rows = []
     for phi in phis:
-        f = i_phi(phi)
-        bound, _ = local_bound(f)
-        row = {"phi": float(phi), "local_bound": bound}
-        for d in dims:
-            row[f"value_d{d}"] = seesaw(f, d, d, cfg, jobs=jobs).best_value
-        rows.append(row)
+        bound, values = _best_found(i_phi(phi), dims, cfg, jobs)
+        rows.append({"phi": float(phi), "local_bound": bound, **{f"value_d{d}": v for d, v in zip(dims, values)}})
     return rows

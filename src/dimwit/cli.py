@@ -74,9 +74,10 @@ def _resolve_seed(seed: int | None) -> int:
 
 def _default_restarts(d_a: int, d_b: int) -> int:
     # Qutrit-and-up landscapes carry more local optima, so restarts scale with
-    # the larger local dimension: 50*max(d_a, d_b) when that exceeds 2, else 50.
+    # the larger local dimension: SeesawConfig's default times max(d_a, d_b)
+    # when that exceeds 2, else that default.
     top = max(d_a, d_b)
-    return 50 * top if top >= 3 else 50
+    return SeesawConfig.restarts * top if top >= 3 else SeesawConfig.restarts
 
 
 def _load_functional(arg: str):
@@ -145,20 +146,25 @@ def cmd_local_bound(args) -> int:
     return 0
 
 
+#: The fixed-state flags of ``seesaw``: (flag, both parties' dimension, state).
+_FIXED_STATES = (("--fixed-theta", 2, catalog.theta_state), ("--fixed-gamma", 3, catalog.gamma_state))
+
+
 def _seesaw_config(args, d_a: int, d_b: int) -> SeesawConfig:
     if args.restarts is None:
         args.restarts = _default_restarts(d_a, d_b)
-    fixed_state = None
-    if getattr(args, "fixed_theta", None) is not None and getattr(args, "fixed_gamma", None) is not None:
+    given = [
+        (flag, d, state, value)
+        for flag, d, state in _FIXED_STATES
+        if (value := getattr(args, flag[2:].replace("-", "_"), None)) is not None
+    ]
+    if len(given) > 1:
         raise ConfigError("--fixed-theta and --fixed-gamma are mutually exclusive")
-    if getattr(args, "fixed_theta", None) is not None:
-        if (d_a, d_b) != (2, 2):
-            raise ConfigError("--fixed-theta requires --da 2 --db 2")
-        fixed_state = catalog.theta_state(args.fixed_theta)
-    if getattr(args, "fixed_gamma", None) is not None:
-        if (d_a, d_b) != (3, 3):
-            raise ConfigError("--fixed-gamma requires --da 3 --db 3")
-        fixed_state = catalog.gamma_state(args.fixed_gamma)
+    fixed_state = None
+    for flag, d, state, value in given:
+        if (d_a, d_b) != (d, d):
+            raise ConfigError(f"{flag} requires --da {d} --db {d}")
+        fixed_state = state(value)
     return SeesawConfig(
         restarts=args.restarts,
         max_iterations=args.max_iterations,
@@ -307,7 +313,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_seesaw_knobs(p: argparse.ArgumentParser, fixed_state: bool = False) -> None:
     p.add_argument("--restarts", type=int, default=None, help="random restarts (default scales with dimension)")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: DIMWIT_SEED, then 0)")
-    p.add_argument("--max-iterations", type=int, default=500)
+    p.add_argument("--max-iterations", type=int, default=SeesawConfig.max_iterations)
     p.add_argument(
         "--jobs",
         type=int,
@@ -374,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grothendieck", help="normalize a correlation matrix and search unit vectors")
     p.add_argument("-m", "--matrix", required=True, help="CSV of m rows of m reals")
     p.add_argument("--n", type=int, required=True, help="vector dimension N")
-    p.add_argument("--restarts", type=int, default=50)
+    p.add_argument("--restarts", type=int, default=SeesawConfig.restarts)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-iterations", type=int, default=500)
+    p.add_argument("--max-iterations", type=int, default=SeesawConfig.max_iterations)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_grothendieck)
     return parser

@@ -94,7 +94,8 @@ def _counted(items, count: int, name: str):
 
 
 def _block(arr, shape: tuple[int, ...], name: str) -> np.ndarray:
-    out = np.asarray(arr, dtype=float)
+    """A float copy of ``arr``; ``DimensionMismatchError`` unless it has ``shape``."""
+    out = np.array(arr, dtype=float)
     if out.shape != shape:
         raise DimensionMismatchError(f"{name} has shape {out.shape}, expected {shape}")
     return out
@@ -130,14 +131,14 @@ class BellFunctional:
                 blocks = _counted(row, len(outcomes_b), f"joint[{x}]")
                 for y, (vb, blk) in enumerate(zip(outcomes_b, blocks)):
                     c[x, y, :va, :vb] = _block(blk, (va, vb), f"joint block ({x},{y})")
-        if marginal_a is not None:
-            vectors = _counted(marginal_a, len(outcomes_a), "marginal_a")
-            for x, (va, vec) in enumerate(zip(outcomes_a, vectors)):
-                c[x, -1, :va, 0] = _block(vec, (va,), f"marginal_a[{x}]")
-        if marginal_b is not None:
-            vectors = _counted(marginal_b, len(outcomes_b), "marginal_b")
-            for y, (vb, vec) in enumerate(zip(outcomes_b, vectors)):
-                c[-1, y, 0, :vb] = _block(vec, (vb,), f"marginal_b[{y}]")
+        # Bob's marginals fill the same slots of the party-swapped view of C.
+        for name, counts, vectors, own in (
+            ("marginal_a", outcomes_a, marginal_a, c),
+            ("marginal_b", outcomes_b, marginal_b, c.transpose(1, 0, 3, 2)),
+        ):
+            if vectors is not None:
+                for x, (v, vec) in enumerate(zip(counts, _counted(vectors, len(counts), name))):
+                    own[x, -1, :v, 0] = _block(vec, (v,), f"{name}[{x}]")
         c[-1, -1, 0, 0] = float(constant)
         self._set(scenario, c)
 
@@ -212,11 +213,7 @@ class ProbabilityTable:
             row = []
             given = _counted(given, scenario.settings_b, f"table[{x}]")
             for y, (vb, blk) in enumerate(zip(scenario.outcomes_b, given)):
-                blk = np.array(blk, dtype=float)
-                if blk.shape != (va, vb):
-                    raise DimensionMismatchError(
-                        f"table block ({x},{y}) has shape {blk.shape}, expected ({va},{vb})"
-                    )
+                blk = _block(blk, (va, vb), f"table block ({x},{y})")
                 if not np.isfinite(blk).all():
                     raise InvalidTableError(f"non-finite probability at settings ({x},{y})")
                 if blk.min() < -1e-12:

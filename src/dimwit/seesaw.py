@@ -180,7 +180,9 @@ def _model(scenario: BellScenario, state, stack_a, stack_b) -> QuantumModel:
 
 def seeded_models(scenario: BellScenario, d_a: int, d_b: int, seed: int, count: int):
     """The start models of ``seesaw``'s restarts 0 to count - 1; stream i
-    depends only on (seed, i)."""
+    depends only on (seed, i).  A dimension below 2 or a count below 1 raises
+    ``ConfigError``, as ``seesaw`` does."""
+    d_a, d_b, count = check_count(d_a, "d_a", 2), check_count(d_b, "d_b", 2), check_count(count, "count", 1)
     arrays, aborted = _start_arrays(scenario, d_a, d_b, seed, range(count))
     if aborted:
         raise aborted[min(aborted)]
@@ -395,12 +397,12 @@ def _lockstep(f: BellFunctional, arrays, cfg: SeesawConfig) -> tuple:
     arrays [states, stacks_a, stacks_b] and its carried Bell operators (see
     the module docstring), whose record it returns."""
     matrix = contraction_matrix(f)
-    plan_a, plan_b = _party_plan(f, "A"), _party_plan(f, "B")
+    # Each party's plan is bound as the lambda's default, once per run.
     steps = [
-        (1, lambda s, a, b, ops: _party_step(plan_a, matrix, s, a, b)),
-        (2, lambda s, a, b, ops: _party_step(plan_b, matrix, s, a, b)),
-        (3, lambda s, a, b, ops: bell_operators(matrix, a, b)),
+        (slot, lambda s, a, b, ops, plan=_party_plan(f, party): _party_step(plan, matrix, s, a, b))
+        for slot, party in ((1, "A"), (2, "B"))
     ]
+    steps.append((3, lambda s, a, b, ops: bell_operators(matrix, a, b)))
     if cfg.fixed_state is None:
         steps.insert(0, (0, lambda s, a, b, ops: update_state(s, ops)))
 
@@ -511,8 +513,10 @@ def embed_model(model: QuantumModel, d_a: int, d_b: int) -> QuantumModel:
 
     The state and both POVM stacks are zero-padded, and the new dimensions'
     identity block is put on outcome 0 of every setting and on the identity
-    slot, so each setting still sums to the identity.
+    slot, so each setting still sums to the identity.  A dimension that is
+    not an integer of at least 2 raises ``ConfigError``, as ``seesaw`` does.
     """
+    d_a, d_b = check_count(d_a, "d_a", 2), check_count(d_b, "d_b", 2)
     if d_a < model.d_a or d_b < model.d_b:
         raise ConfigError("embedding target dimensions must not shrink")
     state = np.zeros((d_a, d_b), dtype=complex)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dimwit import catalog
+from dimwit import bellfmt, catalog
 from dimwit.errors import ConfigError
 from dimwit.localbound import DeterministicStrategy, local_bound, strategy_table
 from dimwit.scenario import evaluate
@@ -122,6 +122,86 @@ def test_cglmp_value_at_optimal_gamma_state():
     assert abs(result.best_value - 0.3050) < 1e-3
 
 
+# The .bell text of each named functional, as `dimwit catalog emit <name>`
+# prints it: it pins every nonzero coefficient of the constructors.
+PINNED_BELL_TEXTS = {
+    "cglmp-c": """scenario A:3,3 B:3,3
+const -3
++1 P(0 0|0 0)
++1 P(0 1|0 0)
++1 P(0 2|0 0)
++1 P(1 1|0 0)
++1 P(1 2|0 0)
++1 P(2 2|0 0)
++1 P(0 0|0 1)
++1 P(1 0|0 1)
++1 P(1 1|0 1)
++1 P(2 0|0 1)
++1 P(2 1|0 1)
++1 P(2 2|0 1)
++1 P(0 0|1 0)
++1 P(1 0|1 0)
++1 P(1 1|1 0)
++1 P(2 0|1 0)
++1 P(2 1|1 0)
++1 P(2 2|1 0)
++1 P(0 1|1 1)
++1 P(0 2|1 1)
++1 P(1 2|1 1)
+""",
+    "cglmp-d": """scenario A:3,3 B:3,3
+-1 P(0 1|0 0)
+-1 P(1 2|0 0)
+-1 P(2 0|0 0)
+-1 P(0 2|0 1)
+-1 P(1 0|0 1)
+-1 P(2 1|0 1)
+-1 P(0 2|1 0)
+-1 P(1 0|1 0)
+-1 P(2 1|1 0)
+-1 P(0 2|1 1)
+-1 P(1 0|1 1)
+-1 P(2 1|1 1)
+""",
+    "E": """scenario A:2,3 B:2,2,2
+const -1
++1 PA(0|0)
+-1 P(0 0|0 0)
+-1 P(0 0|0 1)
+-1 P(0 0|0 2)
++1 P(0 0|1 0)
++1 P(1 0|1 1)
++1 P(2 0|1 2)
+""",
+    "chsh": """scenario A:2,2 B:2,2
++1 P(0 0|0 0)
+-1 P(0 1|0 0)
+-1 P(1 0|0 0)
++1 P(1 1|0 0)
++1 P(0 0|0 1)
+-1 P(0 1|0 1)
+-1 P(1 0|0 1)
++1 P(1 1|0 1)
++1 P(0 0|1 0)
+-1 P(0 1|1 0)
+-1 P(1 0|1 0)
++1 P(1 1|1 0)
+-1 P(0 0|1 1)
++1 P(0 1|1 1)
++1 P(1 0|1 1)
+-1 P(1 1|1 1)
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BELL_TEXTS))
+def test_catalog_coefficients_are_pinned(name):
+    f = catalog.by_name(name)
+    assert bellfmt.serialize_functional(f) == PINNED_BELL_TEXTS[name]
+    # The text omits zero terms, so it cannot show a -0.0; the tensor has none.
+    assert not np.signbit(f.coefficients[f.coefficients == 0.0]).any()
+
+
 def test_by_name_and_errors():
     assert catalog.by_name("cglmp-c") == catalog.cglmp_C()
     assert catalog.by_name("E") == catalog.expression_E()
@@ -157,8 +237,16 @@ def test_witness_report_rejects_non_finite_threshold(no_restarts, threshold):
 
 
 def test_iphi_sweep_rejects_non_finite_grid_before_any_seesaw(no_restarts):
-    with pytest.raises(ConfigError, match="non-finite angle"):
-        catalog.iphi_sweep([0.0, 0.5, math.nan], dims=(2,), cfg=SeesawConfig(restarts=2))
+    # A grid that is not a one-dimensional sequence of reals is rejected before any see-saw too.
+    for grid, message in (
+        ([0.0, 0.5, math.nan], "non-finite angle"),
+        (0.3, "one-dimensional"),
+        ([[0.1, 0.2]], "one-dimensional"),
+        ([[0.1], [0.2, 0.3]], "real angles"),
+        (["a"], "real angles"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            catalog.iphi_sweep(grid, dims=(2,), cfg=SeesawConfig(restarts=2))
 
 
 @pytest.mark.parametrize("state", [catalog.theta_state, catalog.gamma_state])

@@ -225,7 +225,7 @@ def test_seesaw_cli_invalid_dims(capsys):
     code, _, err = run_cli(
         capsys, "seesaw", "chsh", "--da", "3", "--db", "3", "--fixed-theta", "0.5"
     )
-    assert code == 5
+    assert code == 5 and "--fixed-theta requires --da 2 --db 2" in err
     code, _, err = run_cli(
         capsys, "seesaw", "chsh", "--da", "2", "--db", "2", "--fixed-theta", "0.5", "--fixed-gamma", "1"
     )
@@ -287,6 +287,18 @@ def test_seesaw_cli_fixed_theta(capsys):
     assert code == 0
     value = json.loads(out)["best_value"]
     assert abs(value - theta_state_violation(theta)) < 1e-5
+
+
+def test_seesaw_cli_fixed_gamma(capsys):
+    # The CLI pins the two-qutrit gamma state, as the library does when given it.
+    code, out, _ = run_cli(
+        capsys,
+        "seesaw", "cglmp-c", "--da", "3", "--db", "3",
+        "--fixed-gamma", "0.79", "--restarts", "4", "--seed", "4", "--jobs", "1", "--json",
+    )
+    assert code == 0
+    cfg = ss.SeesawConfig(restarts=4, seed=4, fixed_state=catalog.gamma_state(0.79))
+    assert json.loads(out)["best_value"] == ss.seesaw(catalog.cglmp_C(), 3, 3, cfg).best_value
 
 
 def test_seesaw_env_seed(tmp_path, capsys, monkeypatch):

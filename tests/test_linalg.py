@@ -78,6 +78,16 @@ def test_non_finite_input_rejected():
         linalg.positive_projector(np.diag([np.inf, 1.0]))
 
 
+def test_unchecked_eigensolve_rejects_a_non_finite_stack(monkeypatch):
+    def refuse(a):
+        raise AssertionError("LAPACK ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    stack = np.stack([np.eye(2), np.diag([np.nan, 1.0])])
+    with pytest.raises(NotHermitianError, match="^matrix has non-finite entries$"):
+        linalg._eigh_descending(stack)
+
+
 def test_lapack_failure_raises_no_convergence(monkeypatch):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -138,6 +138,25 @@ def test_table_rejects_wrong_block_counts(p, name):
         ProbabilityTable(BellScenario((2, 2), (2,)), p)
 
 
+def test_table_rejects_a_wrongly_shaped_block():
+    block = np.full((2, 3), 1.0 / 6.0)
+    with pytest.raises(DimensionMismatchError, match=re.escape("table block (0,1) has shape (2, 3), expected (2, 2)")):
+        ProbabilityTable(BellScenario((2,), (3, 2)), [[block, block]])
+
+
+def test_table_copies_its_blocks():
+    block = np.full((2, 2), 0.25)
+    table = ProbabilityTable(BellScenario((2,), (2,)), [[block]])
+    assert block.flags.writeable and not table.p[0][0].flags.writeable
+    block[0, 0] = 1.0
+    assert table.p[0][0][0, 0] == 0.25
+
+
+def test_functionals_of_different_scenarios_do_not_add():
+    with pytest.raises(ScenarioMismatchError, match="different scenarios"):
+        catalog.chsh() + catalog.cglmp_C()
+
+
 def test_table_rejects_non_finite_entries():
     sc = BellScenario((2,), (2,))
     nan_block = [[np.array([[np.nan, 0.5], [0.25, 0.25]])]]
@@ -345,6 +364,12 @@ def test_malformed_models_fail_typed_at_construction():
         QuantumModel(2, 2, model.state, ((np.eye(2), np.zeros((2, 3))),), model.povms_b)
     with pytest.raises(DimensionMismatchError):
         QuantumModel(2, 2, model.state, ((np.eye(3), np.zeros((3, 3))),), model.povms_b)
+
+
+def test_model_rejects_a_state_of_the_wrong_length():
+    model = seeded_models(BellScenario((2,), (2, 2)), 2, 3, seed=3, count=1)[0]
+    with pytest.raises(DimensionMismatchError, match="state has length 4, expected 6"):
+        QuantumModel(2, 3, model.state[:4], model.povms_a, model.povms_b)
 
 
 def test_bell_operator_rejects_malformed_povms():

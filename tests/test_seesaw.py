@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dimwit import catalog, linalg
 
 ss = importlib.import_module("dimwit.seesaw")
-from dimwit.errors import ConfigError, NotPSDError
+from dimwit.errors import ConfigError, NoConvergenceError, NotPSDError
 from dimwit.scenario import (
     BellFunctional,
     BellScenario,
@@ -56,6 +56,29 @@ def test_seeded_models_are_valid_and_projective():
         for setting in model.povms_a + model.povms_b:
             for m in setting:
                 assert np.abs(m @ m - m).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "d_a, d_b, count, message",
+    [
+        (1, 2, 1, "d_a must be >= 2"),
+        (2, 1, 1, "d_b must be >= 2"),
+        (2.5, 2, 1, "d_a must be an integer"),
+        (2, 2, 0, "count must be >= 1"),
+        (2, 2, -1, "count must be >= 1"),
+        (2, 2, 2.5, "count must be an integer"),
+    ],
+)
+def test_seeded_models_check_their_counts(d_a, d_b, count, message):
+    with pytest.raises(ConfigError, match=message):
+        seeded_models(catalog.chsh().scenario, d_a, d_b, 0, count)
+
+
+def test_embed_model_checks_its_dimensions():
+    model = seeded_models(catalog.chsh().scenario, 2, 3, seed=0, count=1)[0]
+    for d_a, d_b, message in ((2.5, 3, "d_a must be an integer"), (2, 1, "d_b must be >= 2"), (2, 2, "must not shrink")):
+        with pytest.raises(ConfigError, match=message):
+            embed_model(model, d_a, d_b)
 
 
 def test_seeded_models_block_sizes():
@@ -812,6 +835,31 @@ def test_lapack_failure_aborts_only_its_restart(monkeypatch):
     assert result.per_restart_values[1:] == clean.per_restart_values[1:]
     assert result.iterations_used[1:] == clean.iterations_used[1:]
     assert abs(result.best_value - 2.0 * math.sqrt(2.0)) < 1e-6
+
+
+def test_every_restart_aborting_raises(monkeypatch):
+    real = np.linalg.eigh
+
+    # LAPACK fails on every call; numpy answers an empty stack without calling it.
+    def fail(a, *args, **kwargs):
+        if np.size(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.warns(UserWarning) as caught:
+        with pytest.raises(NoConvergenceError, match="every restart aborted"):
+            seesaw(catalog.chsh(), 2, 2, SeesawConfig(restarts=3, seed=4), jobs=1)
+    assert [str(w.message).split(": ")[:2] for w in caught] == [
+        [f"restart {i} aborted", "NoConvergenceError"] for i in range(3)
+    ]
+
+
+def test_seeded_models_raise_a_failed_start_draw(monkeypatch):
+    # Restart 1's first Alice setting, after its state's 4 + 4 values.
+    fail_eigh_on(monkeypatch, _drawn_matrix(4, 1, 8, 2), NotPSDError("synthetic failure"))
+    with pytest.raises(NotPSDError, match="synthetic failure"):
+        seeded_models(catalog.chsh().scenario, 2, 2, seed=4, count=3)
 
 
 @pytest.mark.parametrize("party", ["A", "B"])
