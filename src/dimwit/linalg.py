@@ -8,14 +8,18 @@ them and work on each member independently, so one call can serve every
 setting of a batch of see-saw restarts.  They take no tolerance: the module
 owns ``HERMITICITY_TOL``, which is also their eigenvalue cutoff and clamp.
 
-``_eigh_descending`` is ``eig_hermitian`` after its Hermiticity check; call it
-directly only on a matrix equal to its adjoint bit for bit, where the check
-cannot fail and its symmetrization changes no bit.
+Eigenpairs are a plain ``(w, v)`` pair: eigenvalues descending, as (..., n),
+and matching orthonormal eigenvector columns, as (..., n, n).
+
+The module also owns the adjoint and the exact-Hermitian rule the see-saw
+leans on.  ``_eigh_descending`` is ``eig_hermitian`` after its Hermiticity
+check, and its input must equal its adjoint bit for bit, where the check
+cannot fail and its symmetrization changes no bit.  An output of
+``_hermitian_part`` does, as does ``_gram``'s, and so does the difference of
+two such outputs: floating-point addition commutes and negation is exact.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,24 +33,27 @@ from .errors import (
 HERMITICITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class HermitianEig:
-    """Spectral decomposition A = V diag(w) V† with eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def eig_hermitian(a) -> HermitianEig:
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m†)/2, equal to its adjoint bit for bit."""
+    return (m + _adjoint(m)) / 2.0
+
+
+def _gram(w: np.ndarray) -> np.ndarray:
+    """The Hermitian part of w w†."""
+    return _hermitian_part(w @ _adjoint(w))
+
+
+def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a complex Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
-    Returns eigenvalues in descending order with matching orthonormal
-    eigenvector columns.  A (..., n, n) stack gives (..., n) eigenvalues and
-    (..., n, n) eigenvectors, member by member as separate calls would.
+    Returns ``(w, v)``: eigenvalues in descending order with matching
+    orthonormal eigenvector columns.  A (..., n, n) stack gives (..., n)
+    eigenvalues and (..., n, n) eigenvectors, member by member as separate
+    calls would.
     Raises ``NotHermitianError`` if any member has non-finite entries or
     deviates from A = A† by more than ``HERMITICITY_TOL * max(1, max |A|)``,
     and ``NoConvergenceError`` if LAPACK reports that it did not converge.
@@ -75,7 +82,7 @@ def eig_hermitian(a) -> HermitianEig:
     return _eigh_descending((m + adjoint) / 2.0)
 
 
-def _eigh_descending(m: np.ndarray) -> HermitianEig:
+def _eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``eig_hermitian`` without the Hermiticity check (see the module docstring)."""
     if not np.isfinite(m).all():
         raise NotHermitianError("matrix has non-finite entries")
@@ -85,20 +92,18 @@ def _eigh_descending(m: np.ndarray) -> HermitianEig:
         raise NoConvergenceError(
             f"LAPACK eigh failed for a {m.shape[-1]}x{m.shape[-1]} matrix: {exc}"
         ) from exc
-    return HermitianEig(w[..., ::-1].copy(), np.ascontiguousarray(v[..., ::-1]))
+    return w[..., ::-1].copy(), np.ascontiguousarray(v[..., ::-1])
 
 
-def _projector(eig: HermitianEig, tol: float) -> np.ndarray:
-    """Projector onto the eigenvectors of ``eig`` with eigenvalues above ``tol``."""
-    vecs = eig.eigenvectors * (eig.eigenvalues > tol)[..., None, :]
-    p = vecs @ _adjoint(vecs)
-    return (p + _adjoint(p)) / 2.0
+def _projector(w: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
+    """Projector onto the eigenvectors ``v`` with eigenvalues ``w`` above ``tol``."""
+    return _gram(v * (w > tol)[..., None, :])
 
 
 def positive_projector(a) -> np.ndarray:
     """Projector onto the strictly positive eigenspace (eigenvalues above
     ``HERMITICITY_TOL``), of a matrix or of each member of a (..., n, n) stack."""
-    return _projector(eig_hermitian(a), HERMITICITY_TOL)
+    return _projector(*eig_hermitian(a), HERMITICITY_TOL)
 
 
 def psd_pseudo_sqrt(a) -> np.ndarray:
@@ -107,10 +112,8 @@ def psd_pseudo_sqrt(a) -> np.ndarray:
     Eigenvalues in [-HERMITICITY_TOL, 0] are clamped to zero; anything lower
     in any member raises ``NotPSDError``.  ``sqrt @ sqrt`` reproduces the input.
     """
-    eig = eig_hermitian(a)
-    low = float(eig.eigenvalues[..., -1].min())
+    w, v = eig_hermitian(a)
+    low = float(w[..., -1].min())
     if low < -HERMITICITY_TOL:
         raise NotPSDError(f"eigenvalue {low:.3e} below -tol ({-HERMITICITY_TOL:.1e})")
-    v = eig.eigenvectors
-    root = (v * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))[..., None, :]) @ _adjoint(v)
-    return (root + _adjoint(root)) / 2.0
+    return _hermitian_part((v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _adjoint(v))

@@ -292,9 +292,9 @@ class QuantumModel:
     """Pure state on C^dA x C^dB with one POVM per setting for each party.
 
     Each party's measurements are stored once, as its ``povm_stack`` array
-    ``stack_a`` / ``stack_b`` at the width of its largest setting, built by
-    the constructor and read-only; ``povms_a`` / ``povms_b`` are tuples of
-    read-only views into it, element a of setting x being ``stack[x, a]``.
+    ``stack_a`` / ``stack_b``, built by the constructor; ``povms_a`` /
+    ``povms_b`` are tuples of read-only views into it, element a of setting x
+    being ``stack[x, a]``.
     The constructor copies the given elements in, so ``dataclasses.replace``
     rebuilds the stacks.  A party without settings or a setting without
     elements raises ``InvalidModelError``, an element that is not d x d
@@ -319,7 +319,7 @@ class QuantumModel:
             )
         object.__setattr__(self, "state", state)
         for party, povms, d in (("a", self.povms_a, self.d_a), ("b", self.povms_b, self.d_b)):
-            stack = _checked_stack(povms, f"povms_{party}")
+            stack = povm_stack(povms)
             if stack.shape[-1] != d:
                 raise DimensionMismatchError(f"povms_{party} elements are not {d}x{d}")
             object.__setattr__(self, f"stack_{party}", stack)
@@ -347,10 +347,10 @@ class QuantumModel:
             for idx, setting in enumerate(stack[:-1]):
                 if not np.isfinite(setting).all():
                     raise InvalidModelError(f"{name} setting {idx}: element has non-finite entries")
-                dev = float(np.abs(setting - setting.conj().swapaxes(-1, -2)).max())
+                dev = float(np.abs(setting - linalg._adjoint(setting)).max())
                 if dev > POVM_TOL:
                     raise InvalidModelError(f"{name} setting {idx}: element not Hermitian (dev {dev:.2e})")
-                low = float(linalg.eig_hermitian(setting).eigenvalues[:, -1].min())
+                low = float(linalg.eig_hermitian(setting)[0][:, -1].min())
                 if low < -POVM_TOL:
                     raise InvalidModelError(f"{name} setting {idx}: eigenvalue {low:.2e} below -{POVM_TOL}")
                 dev = float(np.abs(setting.sum(axis=0) - np.eye(d)).max())
@@ -360,14 +360,18 @@ class QuantumModel:
                     )
 
 
-def povm_stack(povms, width: int) -> np.ndarray:
-    """One party's POVMs as a (settings + 1, width, d, d) array laid out like
-    ``BellFunctional.coefficients``: element a of setting x at [x, a], the
-    identity at [-1, 0], and zeros in every other slot.  d is the first
-    element's row count; an element of another shape raises
+def povm_stack(povms) -> np.ndarray:
+    """One party's POVMs as a read-only (settings + 1, width, d, d) array laid
+    out like ``BellFunctional.coefficients``, width being the largest
+    setting's element count: element a of setting x at [x, a], the identity
+    at [-1, 0], and zeros in every other slot.  A party without settings or a
+    setting without elements raises ``InvalidModelError``; d is the first
+    element's row count, and an element of another shape raises
     ``DimensionMismatchError``."""
+    if not len(povms) or not all(len(s) for s in povms):
+        raise InvalidModelError("a party needs at least one setting and an element in each")
     d = (np.shape(povms[0][0]) or (0,))[0]
-    stack = np.zeros((len(povms) + 1, width, d, d), dtype=complex)
+    stack = np.zeros((len(povms) + 1, max(len(s) for s in povms), d, d), dtype=complex)
     for x, setting in enumerate(povms):
         for a, m in enumerate(setting):
             m = np.asarray(m)
@@ -375,6 +379,7 @@ def povm_stack(povms, width: int) -> np.ndarray:
                 raise DimensionMismatchError(f"POVM element ({x},{a}) has shape {m.shape}, expected ({d},{d})")
             stack[x, a] = m
     stack[-1, 0] = np.eye(d)
+    stack.flags.writeable = False
     return stack
 
 
@@ -382,17 +387,6 @@ def povm_views(stack: np.ndarray, counts) -> tuple[tuple[np.ndarray, ...], ...]:
     """The POVMs of a ``povm_stack`` array as tuples of views: the first
     ``counts[x]`` elements of each setting x."""
     return tuple(tuple(stack[x, :v]) for x, v in enumerate(counts))
-
-
-def _checked_stack(povms, name: str) -> np.ndarray:
-    """Read-only ``povm_stack`` of one party's POVMs at the width of its
-    largest setting; ``InvalidModelError`` if the party has no setting or a
-    setting has no element."""
-    if not len(povms) or not all(len(s) for s in povms):
-        raise InvalidModelError(f"{name} needs at least one setting and an element in each")
-    stack = povm_stack(povms, max(len(s) for s in povms))
-    stack.flags.writeable = False
-    return stack
 
 
 def _check_counts(f: BellFunctional, counts: tuple) -> None:
@@ -445,7 +439,7 @@ def stacked_correlations(states: np.ndarray, stacks_a: np.ndarray, stacks_b: np.
     n, xa, wa, d_a, _ = stacks_a.shape
     _, xb, wb, d_b, _ = stacks_b.shape
     psi = states.reshape(n, 1, 1, d_a, d_b)
-    reduced = psi.conj().swapaxes(-1, -2) @ stacks_a @ psi
+    reduced = linalg._adjoint(psi) @ stacks_a @ psi
     t = _flat(reduced) @ _flat(stacks_b).swapaxes(-1, -2)
     return t.real.reshape(n, xa, wa, xb, wb).transpose(0, 1, 3, 2, 4)
 
@@ -470,15 +464,14 @@ def party_operators(
     psi, matrix = (psi, matrix) if party == "A" else (psi.swapaxes(-1, -2), matrix.T)
     n, settings, width = own.shape[0], own.shape[1] - 1, own.shape[2]
     k = (matrix[: settings * width] @ _flat(partner)).reshape(n, settings, width, *partner.shape[-2:])
-    ops = psi @ k.swapaxes(-1, -2) @ psi.conj().swapaxes(-1, -2)
-    return (ops + ops.conj().swapaxes(-1, -2)) / 2.0
+    return linalg._hermitian_part(psi @ k.swapaxes(-1, -2) @ linalg._adjoint(psi))
 
 
 def bell_operator(f: BellFunctional, povms_a, povms_b) -> np.ndarray:
     """Operator whose expectation in a state gives the functional's value;
     the POVMs are checked as a ``QuantumModel``'s are, then against ``f``'s
     outcome counts."""
-    stack_a, stack_b = _checked_stack(povms_a, "povms_a"), _checked_stack(povms_b, "povms_b")
+    stack_a, stack_b = povm_stack(povms_a), povm_stack(povms_b)
     _check_counts(f, (tuple(len(s) for s in povms_a), tuple(len(s) for s in povms_b)))
     return bell_operators(contraction_matrix(f), stack_a[None], stack_b[None])[0]
 

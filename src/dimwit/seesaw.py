@@ -133,15 +133,12 @@ def _random_povms(counts, g: np.ndarray) -> np.ndarray:
     blocks, as equal as possible and the larger first, of the eigenbasis of
     (g + g†)/2, and an outcome past d a zero element."""
     n, m, d, _ = g.shape
-    # (g + g†)/2 equals its adjoint exactly, so it skips the Hermiticity check.
-    basis = linalg._eigh_descending((g + g.conj().swapaxes(-1, -2)) / 2.0).eigenvectors
+    basis = linalg._eigh_descending(linalg._hermitian_part(g))[1]
     stack = np.zeros((n, m + 1, max(counts), d, d), dtype=complex)
     for v in set(counts):
         xs, (base, rem) = [x for x, c in enumerate(counts) if c == v], divmod(d, v)
         for a in range(min(v, d)):
-            blk = basis[:, xs, :, a * base + min(a, rem) : (a + 1) * base + min(a + 1, rem)]
-            p = blk @ blk.conj().swapaxes(-1, -2)
-            stack[:, xs, a] = (p + p.conj().swapaxes(-1, -2)) / 2.0
+            stack[:, xs, a] = linalg._gram(basis[:, xs, :, a * base + min(a, rem) : (a + 1) * base + min(a + 1, rem)])
     stack[:, -1, 0] = np.eye(d)
     return stack
 
@@ -149,10 +146,11 @@ def _random_povms(counts, g: np.ndarray) -> np.ndarray:
 def _start_arrays(scenario: BellScenario, d_a: int, d_b: int, seed: int, indices, fixed_state=None):
     """Working arrays [states, stacks_a, stacks_b] of the restarts ``indices``
     in order, and {index: error} for those whose draw raised a linear-algebra
-    error (re-run restart by restart), which get no row.  Restart i reads one
-    ``normal`` draw from ``spawn_rng(seed, i)`` as the real then imaginary
-    parts of its state, unless ``fixed_state`` is given, then of each
-    setting's g (see ``_random_povms``), Alice's first."""
+    error (re-run restart by restart), which get no row; once a party's draw
+    leaves no row, no further party draws and the arrays are [].  Restart i
+    reads one ``normal`` draw from ``spawn_rng(seed, i)`` as the real then
+    imaginary parts of its state, unless ``fixed_state`` is given, then of
+    each setting's g (see ``_random_povms``), Alice's first."""
     counts, dims, n = (scenario.outcomes_a, scenario.outcomes_b), (d_a, d_b), len(indices)
     sizes = [0 if fixed_state is not None else 2 * d_a * d_b, *(2 * len(c) * d * d for c, d in zip(counts, dims))]
     draws = np.array([spawn_rng(seed, i).normal(size=sum(sizes)) for i in indices]).reshape(n, sum(sizes))
@@ -167,6 +165,8 @@ def _start_arrays(scenario: BellScenario, d_a: int, d_b: int, seed: int, indices
     for slot, c in enumerate(counts, 1):
         stacks, kept = _rows_that_pass(partial(_random_povms, c), [arrays[slot]], restarts, aborted)
         if kept is not None:
+            if not kept:
+                return [], aborted
             arrays, restarts = [a[kept] for a in arrays], restarts[kept]
         arrays[slot] = stacks
     return arrays, aborted
@@ -199,15 +199,14 @@ def update_state(states, operators) -> np.ndarray:
     (when its norm is at least ``PREVIOUS_STATE_MIN_OVERLAP``) to avoid
     cycling.  The objective never decreases.
     """
-    eig = linalg.eig_hermitian(operators)
-    top = eig.eigenvalues[:, :1]
-    cluster = eig.eigenvalues >= top - DEGENERACY_TOL * np.maximum(1.0, np.abs(top))
-    vecs = eig.eigenvectors * cluster[:, None, :]
-    proj = (vecs @ (vecs.conj().swapaxes(-1, -2) @ states[:, :, None]))[:, :, 0]
+    w, v = linalg.eig_hermitian(operators)
+    top = w[:, :1]
+    vecs = v * (w >= top - DEGENERACY_TOL * np.maximum(1.0, np.abs(top)))[:, None, :]
+    proj = (vecs @ (linalg._adjoint(vecs) @ states[:, :, None]))[:, :, 0]
     # np.linalg.norm(proj, axis=1) without its call overhead: the same formula, so the same bits.
     norm = np.sqrt(np.add.reduce((proj.conj() * proj).real, 1))
     keep = norm >= PREVIOUS_STATE_MIN_OVERLAP
-    return np.where(keep[:, None], proj / np.where(keep, norm, 1.0)[:, None], eig.eigenvectors[:, :, 0])
+    return np.where(keep[:, None], proj / np.where(keep, norm, 1.0)[:, None], v[:, :, 0])
 
 
 def update_measurement_binary(ops) -> np.ndarray:
@@ -216,8 +215,7 @@ def update_measurement_binary(ops) -> np.ndarray:
     each the projector onto the eigenspace of F_0 - F_1 with eigenvalues above
     ``EXCHANGE_TOL``.  The second element is the identity minus the first, so
     a tie (F_0 = F_1) gives 0 and then the identity."""
-    # F_0 - F_1 of two symmetrized operators equals its adjoint exactly.
-    return linalg._projector(linalg._eigh_descending(ops[:, :, 0] - ops[:, :, 1]), EXCHANGE_TOL)
+    return linalg._projector(*linalg._eigh_descending(ops[:, :, 0] - ops[:, :, 1]), EXCHANGE_TOL)
 
 
 def update_measurement_multi(ops, elements, counts) -> np.ndarray:
@@ -266,9 +264,9 @@ def update_measurement_multi(ops, elements, counts) -> np.ndarray:
             if np.count_nonzero(drifted):
                 root = s.copy()
                 root[drifted] = linalg.psd_pseudo_sqrt(s[drifted])
-            eig = linalg.eig_hermitian(root @ delta @ root)
-            above = eig.eigenvalues > EXCHANGE_TOL
-            gain = (eig.eigenvalues * above).sum(axis=-1)
+            w, v = linalg.eig_hermitian(root @ delta @ root)
+            above = w > EXCHANGE_TOL
+            gain = (w * above).sum(axis=-1)
             current = (elements[rows, a] * delta.conj()).real.sum(axis=(-1, -2))
             # Skip no-gain exchanges (ties): keeps fully degenerate POVMs
             # unchanged instead of shoving their mass onto one element.
@@ -276,13 +274,11 @@ def update_measurement_multi(ops, elements, counts) -> np.ndarray:
             n_better = np.count_nonzero(better)
             if not n_better:
                 continue
-            vecs = eig.eigenvectors * above[:, None, :]
+            vecs = v * above[:, None, :]
             if n_better < len(better):
                 rows = live.nonzero()[0][better]
                 root, vecs, s = root[better], vecs[better], s[better]
-            w = root @ vecs
-            new_a = w @ w.conj().swapaxes(-1, -2)
-            new_a = (new_a + new_a.conj().swapaxes(-1, -2)) / 2.0
+            new_a = linalg._gram(root @ vecs)
             elements[rows, a] = new_a
             elements[rows, a2] = s - new_a
             changed = True

@@ -709,6 +709,14 @@ def test_jobs_default_counts_the_cpus_the_process_may_use(capsys, monkeypatch):
     assert json.loads(out)["manifest"]["config"]["jobs"] == 1
 
 
+def test_jobs_default_without_affinity_or_a_cpu_count_is_one(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._jobs_default() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._jobs_default() == 3
+
+
 # Payloads, with the input path and ``manifest`` removed, of the two
 # ``test_cli_payloads_are_pinned`` commands; every float is compared with ``==``.
 GOLDEN_GROTHENDIECK = {

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dimwit import bellfmt, catalog
-from dimwit.errors import DimensionMismatchError
+from dimwit.errors import DimensionMismatchError, InvalidModelError
 from dimwit.grothendieck import CorrelationFunctional, correlator_bell
 from dimwit.scenario import (
     BellFunctional,
@@ -262,12 +262,19 @@ def test_table_of_matches_kron_reference(rng):
 
 
 def test_povm_stack_layout(rng):
+    """The stack is read-only at the width of the largest setting; an empty
+    party or setting, or an element of the wrong shape, is rejected."""
     m = random_model(rng, RAGGED, 2, 3)
-    stack = povm_stack(m.povms_a, 4)
-    assert stack.shape == (3, 4, 2, 2)
+    stack = povm_stack(m.povms_a)
+    assert stack.shape == (3, 3, 2, 2) and not stack.flags.writeable
     assert np.array_equal(stack[1, 2], m.povms_a[1][2])
     assert not stack[0, 2:].any() and not stack[-1, 1:].any()
     assert np.array_equal(stack[-1, 0], np.eye(2))
+    for empty in ((), (m.povms_a[0], ())):
+        with pytest.raises(InvalidModelError, match="at least one setting and an element in each"):
+            povm_stack(empty)
+    with pytest.raises(DimensionMismatchError, match=r"POVM element \(1,2\) has shape \(3, 3\)"):
+        povm_stack((m.povms_a[0], (*m.povms_a[1][:2], np.eye(3))))
 
 
 def with_setting(m, party, setting, elements):

@@ -19,12 +19,12 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 def test_identity_eigenvalues():
     eig = linalg.eig_hermitian(np.eye(3))
-    assert np.allclose(eig.eigenvalues, [1.0, 1.0, 1.0])
+    assert np.allclose(eig[0], [1.0, 1.0, 1.0])
 
 
 def test_pauli_x_spectrum():
     eig = linalg.eig_hermitian(SX)
-    assert np.allclose(eig.eigenvalues, [1.0, -1.0])
+    assert np.allclose(eig[0], [1.0, -1.0])
 
 
 def test_eigenvalues_descending_and_match_prescribed_spectrum(rng):
@@ -37,11 +37,11 @@ def test_eigenvalues_descending_and_match_prescribed_spectrum(rng):
         c = n // 2
         w[c + 1] = w[c]
         eig = linalg.eig_hermitian((q * w) @ q.conj().T)
-        assert np.all(np.diff(eig.eigenvalues) <= 0)
-        assert np.abs(eig.eigenvalues - np.sort(w)[::-1]).max() < 1e-11
-        cluster = np.abs(eig.eigenvalues - w[c]) < 1e-8
+        assert np.all(np.diff(eig[0]) <= 0)
+        assert np.abs(eig[0] - np.sort(w)[::-1]).max() < 1e-11
+        cluster = np.abs(eig[0] - w[c]) < 1e-8
         assert cluster.sum() == 2
-        v = eig.eigenvectors[:, cluster]
+        v = eig[1][:, cluster]
         q_c = q[:, [c, c + 1]]
         assert np.abs(v @ v.conj().T - q_c @ q_c.conj().T).max() < 1e-10
 
@@ -51,16 +51,16 @@ def test_reconstruction_and_orthonormality(rng):
         n = int(rng.integers(2, 10))
         a = random_hermitian(rng, n)
         eig = linalg.eig_hermitian(a)
-        rebuilt = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
+        rebuilt = (eig[1] * eig[0]) @ eig[1].conj().T
         assert np.abs(a - rebuilt).max() < 1e-10
-        gram = eig.eigenvectors.conj().T @ eig.eigenvectors
+        gram = eig[1].conj().T @ eig[1]
         assert np.abs(gram - np.eye(n)).max() < 1e-10
 
 
 def test_large_norm_input_still_converges(rng):
     a = 1e8 * random_hermitian(rng, 6)
     eig = linalg.eig_hermitian(a)
-    rebuilt = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
+    rebuilt = (eig[1] * eig[0]) @ eig[1].conj().T
     assert np.abs(a - rebuilt).max() < 1e-10 * np.linalg.norm(a)
 
 
@@ -145,12 +145,12 @@ def test_stack_matches_per_matrix_calls(rng):
         stack = _stack(rng, 5, n)
         eig = linalg.eig_hermitian(stack)
         proj = linalg.positive_projector(stack)
-        assert eig.eigenvalues.shape == (5, n) and eig.eigenvectors.shape == (5, n, n)
+        assert eig[0].shape == (5, n) and eig[1].shape == (5, n, n)
         assert proj.shape == (5, n, n)
-        for member, w, v, p in zip(stack, eig.eigenvalues, eig.eigenvectors, proj):
+        for member, w, v, p in zip(stack, eig[0], eig[1], proj):
             single = linalg.eig_hermitian(member)
-            assert np.abs(w - single.eigenvalues).max() < 1e-12
-            assert np.abs(v - single.eigenvectors).max() < 1e-12
+            assert np.abs(w - single[0]).max() < 1e-12
+            assert np.abs(v - single[1]).max() < 1e-12
             assert np.abs(p - linalg.positive_projector(member)).max() < 1e-12
         assert not proj[1].any()
         psd = stack @ stack
@@ -247,5 +247,5 @@ def test_guard_output_is_the_exact_symmetrization(rng):
         m = (g + g.conj().swapaxes(-1, -2)) / 2.0 + 1e-12 * g
         got = linalg.eig_hermitian(m)
         want = linalg._eigh_descending((m + m.conj().swapaxes(-1, -2)) / 2.0)
-        assert np.array_equal(got.eigenvalues, want.eigenvalues)
-        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])

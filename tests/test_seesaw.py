@@ -855,6 +855,25 @@ def test_every_restart_aborting_raises(monkeypatch):
     ]
 
 
+def test_a_start_draw_that_aborts_every_restart_stops_there(monkeypatch):
+    """With LAPACK failing on every call, empty ones included, Alice's start
+    draw aborts every restart and Bob's empty batch is never drawn."""
+
+    def fail(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    f = catalog.expression_E()
+    arrays, aborted = ss._start_arrays(f.scenario, 3, 3, 0, range(3))
+    assert arrays == [] and list(aborted) == [0, 1, 2]
+    with pytest.warns(UserWarning) as caught:
+        with pytest.raises(NoConvergenceError, match="every restart aborted"):
+            seesaw(f, 3, 3, SeesawConfig(restarts=3))
+    assert [str(w.message).split(": ")[:2] for w in caught] == [
+        [f"restart {i} aborted", "NoConvergenceError"] for i in range(3)
+    ]
+
+
 def test_seeded_models_raise_a_failed_start_draw(monkeypatch):
     # Restart 1's first Alice setting, after its state's 4 + 4 values.
     fail_eigh_on(monkeypatch, _drawn_matrix(4, 1, 8, 2), NotPSDError("synthetic failure"))
@@ -953,7 +972,7 @@ def _reference_projective_povm(d, outcomes, rng):
     eigenbasis of a random Hermitian matrix, outcomes taking contiguous basis
     blocks with sizes as equal as possible, a zero element past d."""
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    basis = linalg.eig_hermitian((g + g.conj().T) / 2.0).eigenvectors
+    basis = linalg.eig_hermitian((g + g.conj().T) / 2.0)[1]
     base, rem = divmod(d, outcomes)
     sizes = [base + 1] * rem + [base] * (outcomes - rem)
     elements = []
@@ -978,7 +997,7 @@ def _reference_start(scenario, d_a, d_b, rng, fixed_state=None):
     else:
         state = np.array(fixed_state)
     stacks = [
-        povm_stack([_reference_projective_povm(d, v, rng) for v in counts], max(counts))
+        povm_stack([_reference_projective_povm(d, v, rng) for v in counts])
         for counts, d in ((scenario.outcomes_a, d_a), (scenario.outcomes_b, d_b))
     ]
     return state, *stacks
@@ -1044,8 +1063,35 @@ def test_unchecked_eigensolves_get_exactly_hermitian_matrices(monkeypatch):
     for m in direct:
         assert np.array_equal(m, m.conj().swapaxes(-1, -2))
         got, want = real_solve(m), real_check(m)
-        assert np.array_equal(got.eigenvalues, want.eigenvalues)
-        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize(
+    "kind, d, fixed",
+    [(kind, d, False) for kind in ("E", "cglmp-c", "chsh", "iphi:0.7", "random") for d in (2, 3)] + [("E", 3, True)],
+)
+def test_every_eigensolve_input_equals_its_adjoint(monkeypatch, kind, d, fixed):
+    """Every matrix that reaches ``linalg._eigh_descending`` during a see-saw
+    run, whether past ``eig_hermitian``'s check or handed to it directly,
+    equals its adjoint bit for bit: catalog functionals, a random one with 2
+    to 4 outcomes per setting, and a run at a fixed state."""
+    real, seen = linalg._eigh_descending, []
+
+    def recording(m):
+        seen.append(np.array(m))
+        return real(m)
+
+    if kind == "random":
+        f = random_functional(np.random.default_rng(d), BellScenario((2, 3, 4), (4, 2, 3)))
+    else:
+        f = catalog.by_name(kind)
+    state = catalog.gamma_state(0.79) if fixed else None
+    monkeypatch.setattr(linalg, "_eigh_descending", recording)
+    seesaw(f, d, d, SeesawConfig(restarts=4, seed=2, max_iterations=20, fixed_state=state))
+    assert sum(m[..., 0, 0].size for m in seen) > 20
+    for m in seen:
+        assert np.array_equal(m, m.conj().swapaxes(-1, -2))
 
 
 @pytest.mark.parametrize("kind, d", [("E", 3), ("ragged", 2), ("iphi:0.7", 3)])
