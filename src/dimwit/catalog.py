@@ -144,7 +144,6 @@ class WitnessReport:
 def _best_found(f: BellFunctional, dims, cfg: SeesawConfig | None, jobs: int) -> tuple[float, list[float]]:
     """``f``'s exact local bound, then its best-found see-saw value at (d, d)
     for each d of ``dims`` in order: the per-dimension run of both reports."""
-    cfg = SeesawConfig() if cfg is None else cfg
     bound, _ = local_bound(f)
     return bound, [seesaw(f, d, d, cfg, jobs=jobs).best_value for d in dims]
 

@@ -153,30 +153,22 @@ _FIXED_STATES = (("--fixed-theta", 2, catalog.theta_state), ("--fixed-gamma", 3,
 def _seesaw_config(args, d_a: int, d_b: int) -> SeesawConfig:
     if args.restarts is None:
         args.restarts = _default_restarts(d_a, d_b)
-    given = [
-        (flag, d, state, value)
-        for flag, d, state in _FIXED_STATES
-        if (value := getattr(args, flag[2:].replace("-", "_"), None)) is not None
-    ]
+    return SeesawConfig(restarts=args.restarts, max_iterations=args.max_iterations, seed=args.seed)
+
+
+def cmd_seesaw(args) -> int:
+    given = [(flag, d, state, getattr(args, flag[2:].replace("-", "_"))) for flag, d, state in _FIXED_STATES]
+    given = [g for g in given if g[3] is not None]
     if len(given) > 1:
         raise ConfigError("--fixed-theta and --fixed-gamma are mutually exclusive")
     fixed_state = None
     for flag, d, state, value in given:
-        if (d_a, d_b) != (d, d):
+        if (args.da, args.db) != (d, d):
             raise ConfigError(f"{flag} requires --da {d} --db {d}")
         fixed_state = state(value)
-    return SeesawConfig(
-        restarts=args.restarts,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-        fixed_state=fixed_state,
-    )
-
-
-def cmd_seesaw(args) -> int:
     cfg = _seesaw_config(args, args.da, args.db)
     functional, name = _load_functional(args.functional)
-    result = seesaw(functional, args.da, args.db, cfg, jobs=args.jobs)
+    result = seesaw(functional, args.da, args.db, cfg, jobs=args.jobs, fixed_state=fixed_state)
     # An aborted restart has no value: JSON gets null (never the invalid
     # -Infinity) and the summary statistics cover finished restarts only.
     values = [
@@ -229,6 +221,9 @@ def cmd_curve(args) -> int:
         raise ConfigError("no dimensions given")
     args.dims = dims
     cfg = _seesaw_config(args, max(dims), max(dims))
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        out.open("w")  # raises, before the sweep, what writing the CSV after it would
     # An infinite end makes linspace warn; iphi_sweep rejects the grid.
     with np.errstate(invalid="ignore"):
         phis = np.linspace(args.phi_min, args.phi_max, args.steps)
@@ -238,7 +233,6 @@ def cmd_curve(args) -> int:
     for row in rows:
         lines.append(",".join(f"{row[col]:.12g}" for col in header))
     text = "\n".join(lines) + "\n"
-    out = Path(args.out)
     out.write_text(text, encoding="utf-8")
     out.with_suffix(out.suffix + ".manifest.json").write_text(
         json.dumps(_manifest(args), sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -272,11 +266,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_grothendieck(args) -> int:
     raw = bellfmt.parse_correlation_matrix(Path(args.matrix).read_text(encoding="utf-8-sig"))
-    cfg = SeesawConfig(
-        restarts=args.restarts,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-    )
+    cfg = SeesawConfig(restarts=args.restarts, max_iterations=args.max_iterations, seed=args.seed)
     norm, value, strategy = grothendieck.search(raw.matrix, args.n, cfg)
     if args.json:
         _emit_json(

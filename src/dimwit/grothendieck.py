@@ -6,7 +6,8 @@ correlators c_ij in [-1, 1].  Its exact maximum over classical sign choices
 (x_i, y_j = +-1) normalizes M so the local bound is 1; the maximum of the
 normalized form over unit vectors in R^N (c_ij = x_i . y_j) is then a lower
 bound on the order-N Grothendieck constant.  N = 3 corresponds to projective
-qubit measurements on a maximally entangled pair.
+qubit measurements on a maximally entangled pair.  The unit-vector search
+itself runs on any matrix, normalized or not: ``search`` normalizes first.
 
 The sign enumeration is ``localbound.local_bound`` on ``correlator_bell(M)``,
 which flipping every sign leaves unchanged, so it scores only the 2^(m-1)
@@ -33,19 +34,16 @@ from .seesaw import SeesawConfig, drive_lockstep, spawn_rng
 
 @dataclass
 class CorrelationFunctional:
-    """An m x m correlator-coefficient matrix, optionally with its cached
-    sign-enumeration norm (1.0 after ``normalize``)."""
+    """An m x m correlator-coefficient matrix of finite reals."""
 
     matrix: np.ndarray
-    local_norm: float | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ConfigError(f"correlation matrix must be square, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ConfigError("correlation matrix entries must be finite")
-        m = m.copy()
         m.flags.writeable = False
         self.matrix = m
 
@@ -73,7 +71,8 @@ def local_norm(matrix) -> float:
 
 
 def normalize(matrix) -> CorrelationFunctional:
-    """Scale a matrix so its exact sign-enumeration norm is 1."""
+    """The matrix scaled so its exact sign-enumeration norm, ``local_norm``,
+    is 1; an all-zero matrix raises ``ZeroMatrixError``."""
     return normalize_by(matrix, local_norm(matrix))
 
 
@@ -81,7 +80,7 @@ def normalize_by(matrix, norm: float) -> CorrelationFunctional:
     """``normalize`` with the matrix's ``local_norm`` already computed."""
     if norm == 0.0:
         raise ZeroMatrixError("all-zero correlation matrix cannot be normalized")
-    return CorrelationFunctional(np.asarray(matrix, dtype=float) / norm, local_norm=1.0)
+    return CorrelationFunctional(np.asarray(matrix, dtype=float) / norm)
 
 
 def _normalize_rows(vectors: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -106,21 +105,19 @@ def _lockstep(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray, max_iterations
 
 
 def vector_seesaw(f: CorrelationFunctional, n: int, cfg: SeesawConfig | None = None):
-    """Best found value of sum_ij M_ij x_i . y_j over unit vectors in R^n.
+    """Best found value of sum_ij M_ij x_i . y_j over unit vectors in R^n,
+    for any matrix M; on a ``normalize``d one it bounds the order-n
+    Grothendieck constant from below.
 
     Alternating exact best responses (x_i follows sum_j M_ij y_j, then
     symmetrically).  Restart r draws its x vectors, then its y vectors, from
     ``spawn_rng(cfg.seed, r)``; all restarts run in lockstep as (R, m, n)
     stacks, and the best value wins, the earliest restart on a tie, as in
-    the quantum see-saw.  Returns (value, VectorStrategy).  A ``cfg`` with a
-    ``fixed_state`` raises ``ConfigError``: the search has no quantum state.
+    the quantum see-saw.  Returns (value, VectorStrategy).  Only an ``n``
+    that is not an integer >= 1 raises ``ConfigError``.
     """
     cfg = SeesawConfig() if cfg is None else cfg
     n = check_count(n, "vector dimension", 1)
-    if cfg.fixed_state is not None:
-        raise ConfigError("fixed_state does not apply to the vector search")
-    if f.local_norm is None:
-        raise ConfigError("normalize the correlation functional before the search")
     m = f.m
     rngs = [spawn_rng(cfg.seed, restart) for restart in range(cfg.restarts)]
     xs, ys = (np.array([_normalize_rows(rng.normal(size=(m, n)), np.eye(m, n)) for rng in rngs]) for _ in range(2))

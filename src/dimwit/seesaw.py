@@ -12,7 +12,8 @@ settings with three or more outcomes cycle through exact pairwise exchanges
 that redistribute each pair's sum optimally (``update_measurement_multi``).
 Every step is a closed-form eigenproblem, so the objective is non-decreasing
 and every iterate is a feasible model - values are honest lower bounds on the
-dimension-restricted maximum, found heuristically.
+dimension-restricted maximum, found heuristically.  A fixed state, given to
+``seesaw`` itself, pins every restart's state, and the state step is skipped.
 
 Restarts run in lockstep batches, kept as arrays from their first random
 draw to the one model a batch reports.  ``seesaw`` gives each worker one
@@ -79,29 +80,18 @@ _LINALG_ERRORS = (NotHermitianError, NoConvergenceError, NotPSDError)
 
 @dataclass(frozen=True, eq=False)
 class SeesawConfig:
-    """Knobs for the restart loop, checked on construction (``ConfigError``);
-    defaults suit scenarios up to two qutrits.  The cap on pairwise-exchange
-    passes per update and the convergence threshold are the constants
-    ``PAIR_PASSES`` and ``CONVERGENCE_TOL``."""
+    """Knobs of both searches' restart loop (``seesaw``, ``vector_seesaw``),
+    checked on construction (``ConfigError``); defaults suit scenarios up to
+    two qutrits.  The cap on pairwise-exchange passes per update and the
+    convergence threshold are the constants ``PAIR_PASSES`` and ``CONVERGENCE_TOL``."""
 
     restarts: int = 50
     max_iterations: int = 500
     seed: int = 0
-    fixed_state: np.ndarray | None = None
 
     def __post_init__(self):
         for name, minimum in (("restarts", 1), ("max_iterations", 1), ("seed", 0)):
             object.__setattr__(self, name, check_count(getattr(self, name), name, minimum))
-        if self.fixed_state is not None:
-            state = np.asarray(self.fixed_state, dtype=complex).reshape(-1)
-            if not np.isfinite(state).all():
-                raise ConfigError("fixed_state has a non-finite entry")
-            norm = float(np.linalg.norm(state))
-            if norm == 0.0:
-                raise ConfigError("fixed_state must be a nonzero vector")
-            state = state / norm
-            state.flags.writeable = False
-            object.__setattr__(self, "fixed_state", state)
 
 
 @dataclass
@@ -388,10 +378,10 @@ def drive_lockstep(arrays: list, steps, objective, max_iterations: int) -> tuple
     return record
 
 
-def _lockstep(f: BellFunctional, arrays, cfg: SeesawConfig) -> tuple:
-    """``refine``'s schedule run by ``drive_lockstep`` on a batch's working
-    arrays [states, stacks_a, stacks_b] and its carried Bell operators (see
-    the module docstring), whose record it returns."""
+def _lockstep(f: BellFunctional, arrays, cfg: SeesawConfig, state_step: bool = True) -> tuple:
+    """``refine``'s schedule, less the state step unless ``state_step``, run by
+    ``drive_lockstep`` on a batch's working arrays [states, stacks_a, stacks_b]
+    and its carried Bell operators (see the module docstring); its record."""
     matrix = contraction_matrix(f)
     # Each party's plan is bound as the lambda's default, once per run.
     steps = [
@@ -399,7 +389,7 @@ def _lockstep(f: BellFunctional, arrays, cfg: SeesawConfig) -> tuple:
         for slot, party in ((1, "A"), (2, "B"))
     ]
     steps.append((3, lambda s, a, b, ops: bell_operators(matrix, a, b)))
-    if cfg.fixed_state is None:
+    if state_step:
         steps.insert(0, (0, lambda s, a, b, ops: update_state(s, ops)))
 
     def objective(s, a, b, ops):  # Re ψ†Bψ
@@ -409,7 +399,8 @@ def _lockstep(f: BellFunctional, arrays, cfg: SeesawConfig) -> tuple:
 
 
 def refine(f: BellFunctional, model: QuantumModel, cfg: SeesawConfig):
-    """Run the update schedule from a given model until converged.
+    """Run the update schedule from a given model until converged; of
+    ``cfg`` only ``max_iterations`` applies.
 
     Schedule per iteration: the state, then every Alice setting in one party
     step, then every Bob setting in one step.  A party's settings do not
@@ -429,13 +420,14 @@ def _batch_task(args) -> tuple:
     """The restarts ``indices`` run in lockstep as one batch: the record's
     values, counts and flags scattered into restart order (a start draw that
     raised keeps -inf, 0 and False), {restart: "<ErrorType>: <message>"} for
-    the aborted ones, and the model of the first best (None if it is -inf)."""
-    f, d_a, d_b, cfg, indices = args
-    arrays, aborted = _start_arrays(f.scenario, d_a, d_b, cfg.seed, indices, cfg.fixed_state)
+    the aborted ones, and the model of the first best (None if it is -inf);
+    a ``fixed_state`` (unit, or None) is kept by every restart."""
+    f, d_a, d_b, cfg, fixed_state, indices = args
+    arrays, aborted = _start_arrays(f.scenario, d_a, d_b, cfg.seed, indices, fixed_state)
     started, model = np.array([i not in aborted for i in indices]), None
     found = [np.full(len(indices), fill) for fill in (-np.inf, 0, False)]
     if started.any():
-        *record, rows, errors = _lockstep(f, arrays, cfg)
+        *record, rows, errors = _lockstep(f, arrays, cfg, state_step=fixed_state is None)
         aborted.update((int(np.asarray(indices)[started][member]), exc) for member, exc in errors.items())
         for column, part in zip(found, record):
             column[started] = part
@@ -445,11 +437,30 @@ def _batch_task(args) -> tuple:
     return *found, {i: f"{type(exc).__name__}: {exc}" for i, exc in sorted(aborted.items())}, model
 
 
+def _unit_state(fixed_state, d_a: int, d_b: int) -> np.ndarray:
+    """``fixed_state`` as a complex unit vector of length d_a d_b: v / ‖v‖,
+    v first divided by its largest part unless ‖v‖² is a finite normal double
+    (every catalog state's is), so no square overflows or underflows.  A
+    non-finite entry, then a wrong length, then a zero vector is a ``ConfigError``."""
+    v = np.asarray(fixed_state, dtype=complex).reshape(-1)
+    if not np.isfinite(v).all():
+        raise ConfigError("fixed_state has a non-finite entry")
+    if v.size != d_a * d_b:
+        raise ConfigError(f"fixed_state has length {v.size}, expected {d_a * d_b}")
+    if not np.finfo(float).tiny <= np.vdot(v, v).real < np.inf:
+        scale = np.maximum(np.abs(v.real), np.abs(v.imag)).max()
+        if scale == 0.0:
+            raise ConfigError("fixed_state must be a nonzero vector")
+        v = v / scale
+    return v / np.linalg.norm(v)
+
+
 def seesaw(
-    f: BellFunctional, d_a: int, d_b: int, cfg: SeesawConfig | None = None, jobs: int = 1
+    f: BellFunctional, d_a: int, d_b: int, cfg: SeesawConfig | None = None, jobs: int = 1, fixed_state=None
 ) -> SeesawResult:
     """Best lower bound on the (d_a, d_b)-dimensional maximum of ``f`` over
-    ``cfg.restarts`` independent restarts.
+    ``cfg.restarts`` independent restarts; a ``fixed_state`` of d_a d_b
+    entries, normalized once by ``_unit_state``, is every restart's state.
 
     The restart indices are cut into the fewest near-equal contiguous ranges
     that give each of ``min(jobs, ceil(restarts / RESTART_BATCH))`` workers
@@ -467,12 +478,12 @@ def seesaw(
     (2 d S) and ψ†Bψ <= S, so a functional with 4 max(d_a, d_b) S beyond the
     float range raises ``InvalidFunctionalError`` before any restart.  A
     batch that runs out of memory, serially or in a worker, raises
-    ``ConfigError`` naming (d_a, d_b).
+    ``ConfigError`` naming (d_a, d_b).  ``jobs``, ``d_a``, ``d_b`` and
+    ``fixed_state`` are checked in that order, before the reach.
     """
     cfg = SeesawConfig() if cfg is None else cfg
     jobs, d_a, d_b = check_count(jobs, "jobs", 1), check_count(d_a, "d_a", 2), check_count(d_b, "d_b", 2)
-    if cfg.fixed_state is not None and cfg.fixed_state.size != d_a * d_b:
-        raise ConfigError(f"fixed_state has length {cfg.fixed_state.size}, expected {d_a * d_b}")
+    fixed_state = None if fixed_state is None else _unit_state(fixed_state, d_a, d_b)
     with np.errstate(over="ignore"):
         reach = 4.0 * max(d_a, d_b) * float(np.abs(f.coefficients).sum())
     if not np.isfinite(reach):
@@ -480,7 +491,7 @@ def seesaw(
     workers = min(jobs, -(-cfg.restarts // RESTART_BATCH))
     n_ranges = max(workers, -(-cfg.restarts // max(RESTART_BATCH, BATCH_CELLS // (d_a * d_b) ** 2)))
     cuts = [cfg.restarts * i // n_ranges for i in range(n_ranges + 1)]
-    tasks = [(f, d_a, d_b, cfg, range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+    tasks = [(f, d_a, d_b, cfg, fixed_state, range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
     try:
         if workers > 1:
             # Imported here so that runs that stay in one process never load multiprocessing.

@@ -79,8 +79,8 @@ def test_criterion_4_chsh_reduction_curve(capsys):
     worst = 0.0
     details = []
     for theta in (math.pi / 8.0, math.pi / 6.0, math.pi / 4.0):
-        cfg = SeesawConfig(restarts=20, seed=2026, fixed_state=catalog.theta_state(theta))
-        value = seesaw(f, 2, 2, cfg).best_value
+        cfg = SeesawConfig(restarts=20, seed=2026)
+        value = seesaw(f, 2, 2, cfg, fixed_state=catalog.theta_state(theta)).best_value
         target = theta_state_violation(theta)
         worst = max(worst, abs(value - target))
         details.append(f"theta={theta:.4f}: {value:.7f} vs {target:.7f}")

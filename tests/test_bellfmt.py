@@ -208,7 +208,6 @@ def test_round_trip_identity_on_seeded_functionals(rng):
 def test_correlation_matrix_parsing():
     chsh = bellfmt.parse_correlation_matrix("1,1\n1,-1\n")
     assert np.array_equal(chsh.matrix, [[1.0, 1.0], [1.0, -1.0]])
-    assert chsh.local_norm is None
     one = bellfmt.parse_correlation_matrix("1")
     assert one.matrix.shape == (1, 1)
     assert np.array_equal(bellfmt.parse_correlation_matrix("1,1\n\n  \n1,-1\n").matrix, chsh.matrix)

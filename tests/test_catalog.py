@@ -117,8 +117,8 @@ def test_cglmp_value_at_optimal_gamma_state():
     # Measurement-only search at the known optimal partially entangled state
     # recovers the reported two-qutrit maximum.
     gamma = (math.sqrt(11.0) - math.sqrt(3.0)) / 2.0
-    cfg = SeesawConfig(restarts=12, seed=17, fixed_state=catalog.gamma_state(gamma))
-    result = seesaw(catalog.cglmp_C(), 3, 3, cfg)
+    cfg = SeesawConfig(restarts=12, seed=17)
+    result = seesaw(catalog.cglmp_C(), 3, 3, cfg, fixed_state=catalog.gamma_state(gamma))
     assert abs(result.best_value - 0.3050) < 1e-3
 
 

@@ -297,8 +297,9 @@ def test_seesaw_cli_fixed_gamma(capsys):
         "--fixed-gamma", "0.79", "--restarts", "4", "--seed", "4", "--jobs", "1", "--json",
     )
     assert code == 0
-    cfg = ss.SeesawConfig(restarts=4, seed=4, fixed_state=catalog.gamma_state(0.79))
-    assert json.loads(out)["best_value"] == ss.seesaw(catalog.cglmp_C(), 3, 3, cfg).best_value
+    cfg = ss.SeesawConfig(restarts=4, seed=4)
+    want = ss.seesaw(catalog.cglmp_C(), 3, 3, cfg, fixed_state=catalog.gamma_state(0.79)).best_value
+    assert json.loads(out)["best_value"] == want
 
 
 def test_seesaw_env_seed(tmp_path, capsys, monkeypatch):
@@ -522,6 +523,21 @@ def test_curve_cli_rejects_non_finite_phi(tmp_path, capsys, no_restarts, flag, v
     assert code == 5
     assert "non-finite angle" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("parent", ["missing-dir", "missing-dir/deeper", "a-file", "a-file/deeper"])
+def test_curve_cli_checks_its_output_directory_before_the_sweep(tmp_path, capsys, no_restarts, parent):
+    """An output path whose directory is missing, or is a file, fails with
+    exit 2 and the one error line that writing it would give, before any
+    restart runs; an existing file that a later check refuses is kept."""
+    (tmp_path / "a-file").write_text("kept\n", encoding="utf-8")
+    out_path = tmp_path / parent / "x.csv"
+    code, out, err = run_cli(capsys, "curve", "--out", str(out_path))
+    reason = "[Errno 20] Not a directory" if parent.startswith("a-file") else "[Errno 2] No such file or directory"
+    assert (code, out, err) == (2, "", f"error: {reason}: {str(out_path)!r}\n")
+    code, _, err = run_cli(capsys, "curve", "--phi-max", "inf", "--out", str(tmp_path / "a-file"))
+    assert code == 5 and "non-finite angle" in err
+    assert (tmp_path / "a-file").read_text(encoding="utf-8") == "kept\n"
 
 
 def test_curve_cli_takes_negative_exponent_angles(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import product
 
@@ -87,7 +88,6 @@ def test_non_finite_matrix_rejected():
 def test_normalize():
     norm = normalize(CHSH_MATRIX)
     assert np.array_equal(norm.matrix, CHSH_MATRIX / 2.0)
-    assert norm.local_norm == 1.0
     again = normalize(norm.matrix)
     assert np.abs(again.matrix - norm.matrix).max() < 1e-12
     # positive scaling is irrelevant (exactly so for power-of-two factors)
@@ -144,21 +144,21 @@ def test_vector_seesaw_is_the_best_of_single_restarts(rng, max_iterations):
             assert (strategy.x_vectors[1] != 0.0).any() and (strategy.y_vectors[2] != 0.0).any()
 
 
-def test_vector_seesaw_requires_normalized():
-    with pytest.raises(ConfigError):
-        vector_seesaw(CorrelationFunctional(CHSH_MATRIX), 2)
-    with pytest.raises(ConfigError):
-        vector_seesaw(normalize(CHSH_MATRIX), 0)
+def test_vector_seesaw_rejects_only_a_bad_n():
+    assert [field.name for field in dataclasses.fields(CorrelationFunctional)] == ["matrix"]
+    for n in (0, 1.5):
+        with pytest.raises(ConfigError, match="vector dimension"):
+            vector_seesaw(normalize(CHSH_MATRIX), n)
 
 
-def test_vector_seesaw_rejects_a_fixed_state():
-    """The vector search has no quantum state to pin, so a config that pins
-    one is an error rather than silently ignored."""
-    cfg = SeesawConfig(restarts=2, fixed_state=[1, 0, 0, 1])
-    with pytest.raises(ConfigError, match="fixed_state"):
-        vector_seesaw(normalize(np.eye(2)), 3, cfg)
-    with pytest.raises(ConfigError, match="fixed_state"):
-        gk.search(np.eye(2), 3, cfg)
+def test_vector_seesaw_searches_an_unnormalized_matrix():
+    """Three times CHSH, never normalized: the best value is 6 sqrt(2), and
+    it is the objective of the vectors returned."""
+    matrix = 3.0 * CHSH_MATRIX
+    for n in (2, 3):
+        value, strategy = vector_seesaw(CorrelationFunctional(matrix), n, SeesawConfig(restarts=8, seed=5))
+        assert abs(value - 6.0 * math.sqrt(2.0)) < 1e-9
+        assert abs(value - np.sum(matrix * (strategy.x_vectors @ strategy.y_vectors.T))) < 1e-12
 
 
 def test_vector_seesaw_at_least_classical(rng):

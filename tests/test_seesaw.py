@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import importlib
 import math
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from dimwit import catalog, linalg
 
 ss = importlib.import_module("dimwit.seesaw")
-from dimwit.errors import ConfigError, NoConvergenceError, NotPSDError
+from dimwit.errors import ConfigError, InvalidFunctionalError, NoConvergenceError, NotPSDError
 from dimwit.scenario import (
     BellFunctional,
     BellScenario,
@@ -262,9 +263,9 @@ def test_steps_are_the_spanned_module_functions(monkeypatch):
     for name in names:
         monkeypatch.setattr(ss, name, counting(name))
 
-    def run(f, d, **cfg):
+    def run(f, d, fixed_state=None):
         calls.update(dict.fromkeys(names, 0))
-        seesaw(f, d, d, SeesawConfig(restarts=3, seed=1, max_iterations=20, **cfg))
+        seesaw(f, d, d, SeesawConfig(restarts=3, seed=1, max_iterations=20), fixed_state=fixed_state)
         return dict(calls)
 
     assert all(run(catalog.expression_E(), 3).values())
@@ -411,9 +412,9 @@ def test_batches_stay_within_the_cell_bound(monkeypatch):
     sizes = []
     real = ss._lockstep
 
-    def recording(f, arrays, cfg):
+    def recording(f, arrays, *rest, **kwargs):
         sizes.append(len(arrays[0]))
-        return real(f, arrays, cfg)
+        return real(f, arrays, *rest, **kwargs)
 
     monkeypatch.setattr(ss, "_lockstep", recording)
     cfg = SeesawConfig(restarts=40, max_iterations=1)
@@ -477,18 +478,23 @@ def test_restart_alone_equals_restart_in_full_batch(kind, d_a, d_b, seed):
 def test_members_stopping_at_different_iterations_equal_refine(kind, d_a, d_b, fixed):
     """On both schedules - with the state step, and with a fixed state, which
     skips it - a batch whose members stop at different iterations, so its
-    working arrays shrink several times, gives each member exactly what
-    ``refine`` gives it alone."""
+    working arrays shrink several times, gives each member exactly what it
+    gets alone: from ``refine`` with the state step, and from a batch of one
+    at the fixed state, which ``refine`` does not run."""
     seed = 7
     rng = np.random.default_rng(seed)
-    state = rng.normal(size=d_a * d_b) + 1j * rng.normal(size=d_a * d_b) if fixed else None
+    state = ss._unit_state(rng.normal(size=d_a * d_b) + 1j * rng.normal(size=d_a * d_b), d_a, d_b) if fixed else None
     f = batch_functional(kind, seed)
-    cfg = SeesawConfig(seed=seed, max_iterations=60, fixed_state=state)
-    arrays, _ = ss._start_arrays(f.scenario, d_a, d_b, seed, range(RESTART_BATCH), cfg.fixed_state)
-    values, iterations, converged, rows, errors = ss._lockstep(f, arrays, cfg)
+    cfg = SeesawConfig(seed=seed, max_iterations=60)
+    arrays, _ = ss._start_arrays(f.scenario, d_a, d_b, seed, range(RESTART_BATCH), state)
+    values, iterations, converged, rows, errors = ss._lockstep(f, arrays, cfg, state_step=not fixed)
     assert errors == {} and len(set(iterations)) > 1
     for i, start in enumerate(zip(*arrays)):
-        alone = refine(f, ss._model(f.scenario, *start), cfg)
+        if fixed:
+            one = ss._lockstep(f, [a[i : i + 1] for a in arrays], cfg, state_step=False)
+            alone = (one[0][0], ss._model(f.scenario, *(a[0] for a in one[3][:3])), one[1][0], one[2][0])
+        else:
+            alone = refine(f, ss._model(f.scenario, *start), cfg)
         assert alone[0] == values[i] and alone[2] == iterations[i] and alone[3] == converged[i]
         assert_model_has_rows(alone[1], member_rows(rows, i))
 
@@ -500,7 +506,7 @@ def test_batch_reports_the_model_of_its_earliest_best_member():
     f = catalog.chsh()
     cfg = SeesawConfig(seed=3, max_iterations=60)
     indices = range(5, 5 + RESTART_BATCH)
-    *found, aborted, best_model = ss._batch_task((f, 2, 2, cfg, indices))
+    *found, aborted, best_model = ss._batch_task((f, 2, 2, cfg, None, indices))
     arrays, _ = ss._start_arrays(f.scenario, 2, 2, cfg.seed, indices)
     *record, rows, errors = ss._lockstep(f, arrays, cfg)
     assert aborted == errors == {}
@@ -517,9 +523,9 @@ def test_batch_keeps_start_draw_aborts_at_minus_inf(monkeypatch):
     f = catalog.chsh()
     cfg = SeesawConfig(seed=3, max_iterations=60)
     indices = range(5, 5 + RESTART_BATCH)
-    *clean, _, _ = ss._batch_task((f, 2, 2, cfg, indices))
+    *clean, _, _ = ss._batch_task((f, 2, 2, cfg, None, indices))
     fail_eigh_on(monkeypatch, _drawn_matrix(cfg.seed, 7, 8, 2), NotPSDError("synthetic failure"))
-    *found, aborted, best_model = ss._batch_task((f, 2, 2, cfg, indices))
+    *found, aborted, best_model = ss._batch_task((f, 2, 2, cfg, None, indices))
     assert aborted == {7: "NotPSDError: synthetic failure"}
     for got, want, dropped in zip(found, clean, (-np.inf, 0, False)):
         assert got[2] == dropped and np.delete(got, 2).tolist() == np.delete(want, 2).tolist()
@@ -649,9 +655,9 @@ def test_driver_runs_no_step_once_aborts_empty_the_batch():
 
 def test_seesaw_fixed_theta_quarter_pi():
     f = catalog.expression_E()
-    cfg = SeesawConfig(restarts=10, seed=2, fixed_state=catalog.theta_state(math.pi / 4.0))
-    result = seesaw(f, 2, 2, cfg)
-    assert np.array_equal(result.best_model.state, cfg.fixed_state)
+    state = catalog.theta_state(math.pi / 4.0)
+    result = seesaw(f, 2, 2, SeesawConfig(restarts=10, seed=2), fixed_state=state)
+    assert np.array_equal(result.best_model.state, state / np.linalg.norm(state))
     assert abs(result.best_value - (math.sqrt(2.0) - 1.0) / 2.0) < 1e-6
 
 
@@ -715,19 +721,67 @@ def test_config_validation():
         SeesawConfig(restarts=0)
     with pytest.raises(ConfigError):
         SeesawConfig(max_iterations=0)
-    with pytest.raises(ConfigError):
-        SeesawConfig(fixed_state=np.zeros(4))
+    assert [field.name for field in dataclasses.fields(SeesawConfig)] == ["restarts", "max_iterations", "seed"]
     f = catalog.chsh()
     with pytest.raises(ConfigError):
         seesaw(f, 1, 2, SeesawConfig())
-    with pytest.raises(ConfigError):
-        seesaw(f, 2, 2, SeesawConfig(fixed_state=np.ones(9)))
+    with pytest.raises(ConfigError, match="must be a nonzero vector"):
+        seesaw(f, 2, 2, SeesawConfig(), fixed_state=np.zeros(4))
+    with pytest.raises(ConfigError, match="has length 9, expected 4"):
+        seesaw(f, 2, 2, SeesawConfig(), fixed_state=np.ones(9))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_config_rejects_non_finite_fixed_state(bad):
+def test_config_rejects_non_finite_fixed_state(bad, no_restarts):
+    """The fixed state is ``seesaw``'s argument, checked before any restart
+    runs."""
     with pytest.raises(ConfigError, match="non-finite"):
-        SeesawConfig(fixed_state=[bad, 0.0, 0.0, 1.0])
+        seesaw(catalog.chsh(), 2, 2, SeesawConfig(), fixed_state=[bad, 0.0, 0.0, 1.0])
+
+
+def test_seesaw_checks_its_arguments_in_order(no_restarts):
+    """jobs, d_a, d_b, then the fixed state's entries, length and norm, then
+    the coefficients' reach: a call with several faults names the first."""
+    f, huge = catalog.chsh(), 1e308 * catalog.chsh()
+    cases = [
+        (dict(jobs=0, d_a=1, fixed_state=[np.nan]), "jobs"),
+        (dict(d_a=1, d_b=1, fixed_state=[np.nan]), "d_a"),
+        (dict(d_b=1, fixed_state=[np.nan]), "d_b"),
+        (dict(fixed_state=[np.nan]), "non-finite"),
+        (dict(fixed_state=np.zeros(9)), "has length 9"),
+        (dict(fixed_state=np.zeros(4), f=huge), "nonzero"),
+    ]
+    for override, message in cases:
+        call = dict(f=f, d_a=2, d_b=2, cfg=SeesawConfig(), jobs=1, fixed_state=None) | override
+        with pytest.raises(ConfigError, match=message):
+            seesaw(**call)
+    with pytest.raises(InvalidFunctionalError, match="beyond the float range"):
+        seesaw(huge, 2, 2, fixed_state=[1, 0, 0, 1])
+
+
+def test_seesaw_keeps_the_fixed_state_it_normalizes():
+    """Every restart's state, and so the best model's, is v / ||v|| bit for
+    bit, in and out of a process pool."""
+    v = np.arange(1.0, 10.0) * (1 - 0.5j)
+    want = v / np.linalg.norm(v)
+    for jobs in (1, 2):
+        result = seesaw(catalog.cglmp_C(), 3, 3, SeesawConfig(restarts=20, seed=1, max_iterations=5), jobs, v)
+        assert result.best_model.state.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200])
+def test_fixed_state_normalization_near_the_ends_of_the_float_range(scale):
+    """A fixed state whose squared norm overflows, is subnormal or underflows
+    to 0 is still scaled to norm 1, and pins the maximally entangled state's
+    CHSH value, 2 sqrt(2), at most."""
+    v = np.array([scale, 0.0, 0.0, scale])
+    state = ss._unit_state(v, 2, 2)
+    assert abs(np.linalg.norm(state) - 1.0) <= 1e-15
+    f = catalog.chsh()
+    result = seesaw(f, 2, 2, SeesawConfig(restarts=4, seed=0), fixed_state=v)
+    assert np.array_equal(result.best_model.state, state)
+    result.best_model.validate(f.scenario)
+    assert 2.8 < result.best_value <= 2.0 * math.sqrt(2.0) + 1e-12
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**40)])
@@ -1018,7 +1072,7 @@ def test_start_arrays_match_the_reference_draws(scenario, d_a, d_b):
     """The batched start draw gives every restart the rows that drawing it
     alone, one setting at a time, gives, bit for bit: batch sizes 1 to 7,
     with and without a fixed state, on ragged scenarios and outcomes past d."""
-    fixed = SeesawConfig(fixed_state=np.arange(1.0, d_a * d_b + 1) * (1 - 0.5j)).fixed_state
+    fixed = ss._unit_state(np.arange(1.0, d_a * d_b + 1) * (1 - 0.5j), d_a, d_b)
     for seed in range(3):
         for size in range(1, 8):
             indices = range(seed, seed + size)
@@ -1088,7 +1142,7 @@ def test_every_eigensolve_input_equals_its_adjoint(monkeypatch, kind, d, fixed):
         f = catalog.by_name(kind)
     state = catalog.gamma_state(0.79) if fixed else None
     monkeypatch.setattr(linalg, "_eigh_descending", recording)
-    seesaw(f, d, d, SeesawConfig(restarts=4, seed=2, max_iterations=20, fixed_state=state))
+    seesaw(f, d, d, SeesawConfig(restarts=4, seed=2, max_iterations=20), fixed_state=state)
     assert sum(m[..., 0, 0].size for m in seen) > 20
     for m in seen:
         assert np.array_equal(m, m.conj().swapaxes(-1, -2))
