@@ -20,6 +20,8 @@ from .seesaw import SeesawConfig, seesaw
 #: Fixed-dimension see-saw values are lower bounds found by a heuristic search,
 #: not certified maxima; reports carry this label.
 HEURISTIC_LABEL = "best found (heuristic)"
+#: ``witness_report`` calls a gap above this "Witnessed" unless told otherwise.
+GAP_THRESHOLD = 1e-3
 
 #: The two-qubit maximum of E, (sqrt(2) - 1)/2.
 E_QUBIT_MAX = 1.0 / math.sqrt(2.0) - 0.5
@@ -152,7 +154,7 @@ def witness_report(
     f: BellFunctional,
     d: int,
     cfg: SeesawConfig | None = None,
-    gap_threshold: float = 1e-3,
+    gap_threshold: float = GAP_THRESHOLD,
     functional_id: str = "",
     jobs: int = 1,
 ) -> WitnessReport:

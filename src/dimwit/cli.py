@@ -222,7 +222,7 @@ def cmd_curve(args) -> int:
     args.dims = dims
     cfg = _seesaw_config(args, max(dims), max(dims))
     out = Path(args.out)
-    if not out.parent.is_dir():
+    if out.is_dir() or not out.parent.is_dir():
         out.open("w")  # raises, before the sweep, what writing the CSV after it would
     # An infinite end makes linspace warn; iphi_sweep rejects the grid.
     with np.errstate(invalid="ignore"):
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="dimension-witness gap report (JSON)")
     p.add_argument("functional")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--threshold", type=float, default=1e-3)
+    p.add_argument("--threshold", type=float, default=catalog.GAP_THRESHOLD)
     _add_seesaw_knobs(p)
     p.add_argument("--json", action="store_true", help="the output is JSON with or without it")
     p.set_defaults(fn=cmd_witness)

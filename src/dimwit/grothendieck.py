@@ -14,9 +14,10 @@ which flipping every sign leaves unchanged, so it scores only the 2^(m-1)
 sign vectors x with x_0 fixed, under the search's one cap (m <= 26).  Bob's
 two outcomes score exactly opposite, so per x it builds the m sums
 sum_i M_ij x_i once and takes each y_j's best as their magnitude.  The
-unit-vector search runs all its restarts on stacked (restarts, m, N) arrays
-under the quantum see-saw's restart loop, ``seesaw.drive_lockstep``, and
-reads their final values and vectors off the loop's record.
+unit-vector search hands its raw draws, stacked (restarts, m, N) arrays, to
+the quantum see-saw's restart loop, ``seesaw.drive_lockstep``, whose starts
+normalize their rows, and reads the final values and vectors off the loop's
+record.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ def normalize_by(matrix, norm: float) -> CorrelationFunctional:
 
 
 def _normalize_rows(vectors: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Unit-normalize rows (along the last axis); rows with zero target keep
-    their previous vector."""
+    """Unit-normalize rows (along the last axis); rows with zero norm take
+    the fallback's."""
     norms = np.sqrt(np.add.reduce(vectors * vectors, axis=-1, keepdims=True))
     return np.divide(vectors, norms, out=fallback.copy(), where=norms > 0.0)
 
@@ -95,33 +96,30 @@ def _objectives(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     return (matrix * (xs @ ys.transpose(0, 2, 1))).reshape(len(xs), -1).sum(axis=1)
 
 
-def _lockstep(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray, max_iterations: int):
-    """Alternating exact best responses (x <- M y, then y <- Mᵀ x, rows
-    normalized) on (R, m, n) stacks of start vectors, run by
-    ``drive_lockstep``; returns the R final objectives and (R, m, n) xs, ys."""
-    steps = [(0, lambda x, y: _normalize_rows(matrix @ y, x)), (1, lambda x, y: _normalize_rows(matrix.T @ x, y))]
-    values, _, _, rows, _ = drive_lockstep([xs, ys], steps, partial(_objectives, matrix), max_iterations)
-    return values, *rows
-
-
 def vector_seesaw(f: CorrelationFunctional, n: int, cfg: SeesawConfig | None = None):
     """Best found value of sum_ij M_ij x_i . y_j over unit vectors in R^n,
     for any matrix M; on a ``normalize``d one it bounds the order-n
     Grothendieck constant from below.
 
-    Alternating exact best responses (x_i follows sum_j M_ij y_j, then
-    symmetrically).  Restart r draws its x vectors, then its y vectors, from
+    Restart r draws its x vectors, then its y vectors, from
     ``spawn_rng(cfg.seed, r)``; all restarts run in lockstep as (R, m, n)
-    stacks, and the best value wins, the earliest restart on a tie, as in
-    the quantum see-saw.  Returns (value, VectorStrategy).  Only an ``n``
-    that is not an integer >= 1 raises ``ConfigError``.
+    stacks under ``drive_lockstep``, whose starts normalize the rows (a zero
+    row takes e_i) and whose steps are alternating exact best responses (x_i
+    follows sum_j M_ij y_j, then symmetrically).  The best value wins, the
+    earliest restart on a tie, as in the quantum see-saw.  Returns (value,
+    VectorStrategy).  Only an ``n`` that is not an integer >= 1 raises
+    ``ConfigError``.
     """
     cfg = SeesawConfig() if cfg is None else cfg
     n = check_count(n, "vector dimension", 1)
-    m = f.m
+    m, matrix, eye = f.m, f.matrix, np.eye(f.m, n)
     rngs = [spawn_rng(cfg.seed, restart) for restart in range(cfg.restarts)]
-    xs, ys = (np.array([_normalize_rows(rng.normal(size=(m, n)), np.eye(m, n)) for rng in rngs]) for _ in range(2))
-    values, xs, ys = _lockstep(f.matrix, xs, ys, cfg.max_iterations)
+    draws = [np.array([rng.normal(size=(m, n)) for rng in rngs]) for _ in range(2)]
+    starts = [
+        (slot, lambda *v, slot=slot: _normalize_rows(v[slot], np.broadcast_to(eye, v[slot].shape))) for slot in (0, 1)
+    ]
+    steps = [(0, lambda x, y: _normalize_rows(matrix @ y, x)), (1, lambda x, y: _normalize_rows(matrix.T @ x, y))]
+    values, _, _, (xs, ys), _ = drive_lockstep(draws, starts, steps, partial(_objectives, matrix), cfg.max_iterations)
     best = int(np.argmax(values))
     return float(values[best]), VectorStrategy(xs[best], ys[best])
 

@@ -20,24 +20,23 @@ draw to the one model a batch reports.  ``seesaw`` gives each worker one
 contiguous range of restart indices and runs it as one batch, cut further
 only where ``BATCH_CELLS`` bounds a batch's memory; the process pool's
 machinery is imported when a run first needs two or more workers, so a run
-that stays in one process never loads it.  ``_start_arrays`` draws
-the members' starts straight into working arrays, in restart order: states
-as one (B, d_a d_b) array and each party's POVMs as one (B, settings + 1,
-width, d, d) ``povm_stack`` array.  ``_lockstep`` carries the members' Bell
-operators as a fourth array, rebuilt once an iteration after Bob's step: the
-objective Re ψ†Bψ reads it and the next state step diagonalizes it.
-``drive_lockstep`` drops stopped and aborted members' rows and returns one
-record of each member's value, count, flag and final rows; ``_batch_task``
-scatters it into restart order and builds a model for its best member only.
-Every stacked operation acts member by member, so a restart's iterates do
-not depend on its batch; ``refine`` runs the loop on a batch of one.
+that stays in one process never loads it.  ``_start_arrays`` draws the
+members' normals, in restart order; ``drive_lockstep`` runs all the rest.
+Its starts make each party's draws one (B, settings + 1, width, d, d)
+``povm_stack`` array and build the members' Bell operators, which
+``_lockstep`` rebuilds after Bob's step in each iteration: the objective
+Re ψ†Bψ reads them and the next state step diagonalizes them.  A start or a
+step that raises aborts its rows alone, and the driver returns one record of
+each member's value, count, flag and final rows, aborts included, which
+``_batch_task`` reads to build a model for its best member only.  Every
+stacked operation acts member by member, so a restart's iterates do not
+depend on its batch; ``refine`` runs the loop on a batch of one.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -134,13 +133,12 @@ def _random_povms(counts, g: np.ndarray) -> np.ndarray:
 
 
 def _start_arrays(scenario: BellScenario, d_a: int, d_b: int, seed: int, indices, fixed_state=None):
-    """Working arrays [states, stacks_a, stacks_b] of the restarts ``indices``
-    in order, and {index: error} for those whose draw raised a linear-algebra
-    error (re-run restart by restart), which get no row; once a party's draw
-    leaves no row, no further party draws and the arrays are [].  Restart i
-    reads one ``normal`` draw from ``spawn_rng(seed, i)`` as the real then
-    imaginary parts of its state, unless ``fixed_state`` is given, then of
-    each setting's g (see ``_random_povms``), Alice's first."""
+    """The draws [states, g_a, g_b] of the restarts ``indices`` in order, and
+    the starts that ``drive_lockstep`` runs on them, which make each party's
+    g its POVM stack (``_random_povms``).  Restart i reads one
+    ``normal`` draw from ``spawn_rng(seed, i)`` as the real then imaginary
+    parts of its state, unless ``fixed_state`` is given, then of each
+    setting's g, Alice's first."""
     counts, dims, n = (scenario.outcomes_a, scenario.outcomes_b), (d_a, d_b), len(indices)
     sizes = [0 if fixed_state is not None else 2 * d_a * d_b, *(2 * len(c) * d * d for c, d in zip(counts, dims))]
     draws = np.array([spawn_rng(seed, i).normal(size=sum(sizes)) for i in indices]).reshape(n, sum(sizes))
@@ -151,15 +149,8 @@ def _start_arrays(scenario: BellScenario, d_a: int, d_b: int, seed: int, indices
     else:
         states = np.tile(fixed_state, (n, 1))
     g = [p.reshape(n, len(c), 2, d, d) for p, c, d in zip(parts[1:], counts, dims)]
-    arrays, restarts, aborted = [states, *(x[:, :, 0] + 1j * x[:, :, 1] for x in g)], np.asarray(indices), {}
-    for slot, c in enumerate(counts, 1):
-        stacks, kept = _rows_that_pass(partial(_random_povms, c), [arrays[slot]], restarts, aborted)
-        if kept is not None:
-            if not kept:
-                return [], aborted
-            arrays, restarts = [a[kept] for a in arrays], restarts[kept]
-        arrays[slot] = stacks
-    return arrays, aborted
+    starts = [(slot, lambda *a, c=c, slot=slot: _random_povms(c, a[slot])) for slot, c in enumerate(counts, 1)]
+    return [states, *(x[:, :, 0] + 1j * x[:, :, 1] for x in g)], starts
 
 
 def _model(scenario: BellScenario, state, stack_a, stack_b) -> QuantumModel:
@@ -169,14 +160,17 @@ def _model(scenario: BellScenario, state, stack_a, stack_b) -> QuantumModel:
 
 
 def seeded_models(scenario: BellScenario, d_a: int, d_b: int, seed: int, count: int):
-    """The start models of ``seesaw``'s restarts 0 to count - 1; stream i
-    depends only on (seed, i).  A dimension below 2 or a count below 1 raises
-    ``ConfigError``, as ``seesaw`` does."""
+    """The start models of ``seesaw``'s restarts 0 to count - 1: their draws
+    after their starts, which ``drive_lockstep`` runs with no iteration;
+    stream i depends only on (seed, i).  A start that raises a linear-algebra
+    error raises it here, the earliest restart's.  A dimension below 2 or a
+    count below 1 raises ``ConfigError``, as ``seesaw`` does."""
     d_a, d_b, count = check_count(d_a, "d_a", 2), check_count(d_b, "d_b", 2), check_count(count, "count", 1)
-    arrays, aborted = _start_arrays(scenario, d_a, d_b, seed, range(count))
+    draws, starts = _start_arrays(scenario, d_a, d_b, seed, range(count))
+    *_, rows, aborted = drive_lockstep(draws, starts, [], lambda *a: np.zeros(len(a[0])), 0)
     if aborted:
         raise aborted[min(aborted)]
-    return [_model(scenario, *rows) for rows in zip(*arrays)]
+    return [_model(scenario, *member) for member in zip(*rows)]
 
 
 def update_state(states, operators) -> np.ndarray:
@@ -317,51 +311,55 @@ def _party_step(plan: tuple, matrix: np.ndarray, states, stacks_a, stacks_b) -> 
     return povms
 
 
-def _rows_that_pass(step, arrays: list, restarts: np.ndarray, aborted: dict):
+def _rows_that_pass(step, arrays: list, members: np.ndarray, aborted: dict):
     """``(step(*arrays), None)``, or if that raises a linear-algebra error,
     the step re-run row by row: (the passing rows' results concatenated, or
-    None, their positions), a failing row's error put in ``aborted``."""
+    None, their positions), a failing row's error put in ``aborted`` under
+    its entry of ``members``."""
     try:
         return step(*arrays), None
     except _LINALG_ERRORS:
         pass
     kept, parts = [], []
-    for i, restart in enumerate(restarts):
+    for i, member in enumerate(members):
         try:
             parts.append(step(*(a[i : i + 1] for a in arrays)))
             kept.append(i)
         except _LINALG_ERRORS as exc:
-            aborted[int(restart)] = exc
+            aborted[int(member)] = exc
     return (np.concatenate(parts) if parts else None), kept
 
 
-def drive_lockstep(arrays: list, steps, objective, max_iterations: int) -> tuple:
-    """The restart loop of both searches: alternating best responses run in
-    lockstep on a batch of restarts.
+def drive_lockstep(arrays: list, starts, steps, objective, max_iterations: int) -> tuple:
+    """The restart loop of both searches, from a batch's draws to its record.
 
     ``arrays`` hold the batch's members, one row each in restart order, and
-    at least one.  Each iteration sets ``arrays[slot] = step(*arrays)`` for
-    each (slot, step) of ``steps`` in turn, then recomputes
-    ``objective(*arrays)``, one value per member.  A member stops once its
+    at least one.  Each (slot, step) of ``starts`` sets ``arrays[slot] =
+    step(*arrays)`` once; then each iteration does so for each pair of
+    ``steps`` in turn and recomputes ``objective(*arrays)``, one value per
+    member, first computed after the starts.  A member stops once its
     iteration gains less than ``CONVERGENCE_TOL`` (its converged flag) or at
-    ``max_iterations``, and its rows are dropped, so each step runs on whole
-    arrays and stragglers share their calls until the last one stops.  An
-    iteration in which no member stops copies no row.  If a step raises a
-    linear-algebra error, it is re-run row by row and only the rows that
-    raise are aborted; a batch that this empties runs no further step.
-    Returns the record (values, iterations, converged, rows, aborted) in
-    member order: each member's last objective, count and flag (-inf, 0 and
-    False if aborted), its final rows of every array, {member: error}.
+    ``max_iterations`` (at 0, after the starts), and its rows are dropped, so
+    each step runs on whole arrays and stragglers share their calls until the
+    last one stops.  An iteration in which no member stops copies no row.  If
+    a start or a step raises a linear-algebra error, it is re-run row by row
+    and only the rows that raise are aborted; a batch that this empties runs
+    no further step.  Returns the record (values, iterations, converged,
+    rows, aborted) of every member, in member order: each member's last
+    objective, count and flag (-inf, 0 and False if aborted), its final rows
+    of every array (zero if aborted; [] if no member stopped), {member: error}.
     """
-    values, iterations, flags = (np.full(len(arrays[0]), fill) for fill in (-np.inf, 0, False))
-    record = values, iterations, flags, [np.zeros_like(a) for a in arrays], {}
-    arrays, current, members = list(arrays), objective(*arrays), np.arange(len(values))
-    for iteration in range(1, max_iterations + 1):
-        for slot, step in steps:
-            result, kept = _rows_that_pass(step, arrays, members, record[4])
+    n = len(arrays[0])
+    values, iterations, flags = (np.full(n, fill) for fill in (-np.inf, 0, False))
+    rows, aborted = [], {}
+    # The starts gain without bound on -inf, so only a cap of 0 stops a member there.
+    arrays, current, members = list(arrays), np.full(n, -np.inf), np.arange(n)
+    for iteration in range(max_iterations + 1):
+        for slot, step in steps if iteration else starts:
+            result, kept = _rows_that_pass(step, arrays, members, aborted)
             if kept is not None:
                 if not kept:
-                    return record
+                    return values, iterations, flags, rows, aborted
                 arrays, current, members = [a[kept] for a in arrays], current[kept], members[kept]
             arrays[slot] = result
         previous, current = current, objective(*arrays)
@@ -370,18 +368,20 @@ def drive_lockstep(arrays: list, steps, objective, max_iterations: int) -> tuple
         if done.any():
             stopped = members[done]
             values[stopped], iterations[stopped], flags[stopped] = current[done], iteration, converged[done]
-            for final, a in zip(record[3], arrays):
+            rows = rows or [np.zeros((n, *a.shape[1:]), a.dtype) for a in arrays]
+            for final, a in zip(rows, arrays):
                 final[stopped] = a[done]
             if done.all():
                 break
             arrays, current, members = [a[~done] for a in arrays], current[~done], members[~done]
-    return record
+    return values, iterations, flags, rows, aborted
 
 
-def _lockstep(f: BellFunctional, arrays, cfg: SeesawConfig, state_step: bool = True) -> tuple:
+def _lockstep(f: BellFunctional, arrays, max_iterations: int, starts=(), state_step: bool = True) -> tuple:
     """``refine``'s schedule, less the state step unless ``state_step``, run by
-    ``drive_lockstep`` on a batch's working arrays [states, stacks_a, stacks_b]
-    and its carried Bell operators (see the module docstring); its record."""
+    ``drive_lockstep`` on a batch's working arrays [states, stacks_a, stacks_b],
+    or on draws that ``starts`` make those, and the Bell operators it carries,
+    which its last start builds (see the module docstring); its record."""
     matrix = contraction_matrix(f)
     # Each party's plan is bound as the lambda's default, once per run.
     steps = [
@@ -389,18 +389,20 @@ def _lockstep(f: BellFunctional, arrays, cfg: SeesawConfig, state_step: bool = T
         for slot, party in ((1, "A"), (2, "B"))
     ]
     steps.append((3, lambda s, a, b, ops: bell_operators(matrix, a, b)))
+    starts = [*starts, steps[-1]]
     if state_step:
         steps.insert(0, (0, lambda s, a, b, ops: update_state(s, ops)))
 
     def objective(s, a, b, ops):  # Re ψ†Bψ
         return (s.conj() * (ops @ s[:, :, None])[:, :, 0]).real.sum(axis=1)
 
-    return drive_lockstep([*arrays, bell_operators(matrix, *arrays[1:])], steps, objective, cfg.max_iterations)
+    # The Bell operators' slot holds nothing until the last start fills it.
+    return drive_lockstep([*arrays, np.empty((len(arrays[0]), 0))], starts, steps, objective, max_iterations)
 
 
-def refine(f: BellFunctional, model: QuantumModel, cfg: SeesawConfig):
-    """Run the update schedule from a given model until converged; of
-    ``cfg`` only ``max_iterations`` applies.
+def refine(f: BellFunctional, model: QuantumModel, max_iterations: int = SeesawConfig.max_iterations):
+    """Run the update schedule from a given model until converged, for at
+    most ``max_iterations`` iterations, an integer >= 1 (``ConfigError``).
 
     Schedule per iteration: the state, then every Alice setting in one party
     step, then every Bob setting in one step.  A party's settings do not
@@ -409,32 +411,27 @@ def refine(f: BellFunctional, model: QuantumModel, cfg: SeesawConfig):
     iterations, converged) from row 0 of ``seesaw``'s lockstep record on a
     batch of one, the same as in a batch; a linear-algebra error is raised.
     """
+    max_iterations = check_count(max_iterations, "max_iterations", 1)
     arrays = [model.state[None], *(s[None] for s in model_stacks(f, model))]
-    values, iterations, converged, rows, aborted = _lockstep(f, arrays, cfg)
+    values, iterations, converged, rows, aborted = _lockstep(f, arrays, max_iterations)
     if aborted:
         raise aborted[0]
     return float(values[0]), _model(f.scenario, *(a[0] for a in rows[:3])), int(iterations[0]), bool(converged[0])
 
 
 def _batch_task(args) -> tuple:
-    """The restarts ``indices`` run in lockstep as one batch: the record's
-    values, counts and flags scattered into restart order (a start draw that
-    raised keeps -inf, 0 and False), {restart: "<ErrorType>: <message>"} for
-    the aborted ones, and the model of the first best (None if it is -inf);
-    a ``fixed_state`` (unit, or None) is kept by every restart."""
+    """The restarts ``indices`` run in lockstep as one batch, from their draws
+    on: the record's values, counts and flags, in restart order,
+    {restart: "<ErrorType>: <message>"} for the aborted ones, start draws
+    included, and the model of the first best (None if every restart
+    aborted); a ``fixed_state`` (unit, or None) is kept by every restart."""
     f, d_a, d_b, cfg, fixed_state, indices = args
-    arrays, aborted = _start_arrays(f.scenario, d_a, d_b, cfg.seed, indices, fixed_state)
-    started, model = np.array([i not in aborted for i in indices]), None
-    found = [np.full(len(indices), fill) for fill in (-np.inf, 0, False)]
-    if started.any():
-        *record, rows, errors = _lockstep(f, arrays, cfg, state_step=fixed_state is None)
-        aborted.update((int(np.asarray(indices)[started][member]), exc) for member, exc in errors.items())
-        for column, part in zip(found, record):
-            column[started] = part
-        best = int(np.argmax(record[0]))  # the first maximum; -inf only if every member aborted
-        if record[0][best] > -np.inf:
-            model = _model(f.scenario, *(a[best] for a in rows[:3]))
-    return *found, {i: f"{type(exc).__name__}: {exc}" for i, exc in sorted(aborted.items())}, model
+    draws, starts = _start_arrays(f.scenario, d_a, d_b, cfg.seed, indices, fixed_state)
+    *record, rows, aborted = _lockstep(f, draws, cfg.max_iterations, starts, state_step=fixed_state is None)
+    best = int(np.argmax(record[0]))  # the first maximum; -inf only if every restart aborted
+    model = _model(f.scenario, *(a[best] for a in rows[:3])) if record[0][best] > -np.inf else None
+    errors = {indices[member]: f"{type(exc).__name__}: {exc}" for member, exc in sorted(aborted.items())}
+    return *record, errors, model
 
 
 def _unit_state(fixed_state, d_a: int, d_b: int) -> np.ndarray:

@@ -527,14 +527,17 @@ def test_curve_cli_rejects_non_finite_phi(tmp_path, capsys, no_restarts, flag, v
 
 @pytest.mark.parametrize("parent", ["missing-dir", "missing-dir/deeper", "a-file", "a-file/deeper"])
 def test_curve_cli_checks_its_output_directory_before_the_sweep(tmp_path, capsys, no_restarts, parent):
-    """An output path whose directory is missing, or is a file, fails with
-    exit 2 and the one error line that writing it would give, before any
-    restart runs; an existing file that a later check refuses is kept."""
+    """An output path whose directory is missing, or is a file, or that is
+    itself a directory fails with exit 2 and the one error line that writing
+    it would give, before any restart runs; an existing file that a later
+    check refuses is kept."""
     (tmp_path / "a-file").write_text("kept\n", encoding="utf-8")
     out_path = tmp_path / parent / "x.csv"
     code, out, err = run_cli(capsys, "curve", "--out", str(out_path))
     reason = "[Errno 20] Not a directory" if parent.startswith("a-file") else "[Errno 2] No such file or directory"
     assert (code, out, err) == (2, "", f"error: {reason}: {str(out_path)!r}\n")
+    code, out, err = run_cli(capsys, "curve", "--out", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
     code, _, err = run_cli(capsys, "curve", "--phi-max", "inf", "--out", str(tmp_path / "a-file"))
     assert code == 5 and "non-finite angle" in err
     assert (tmp_path / "a-file").read_text(encoding="utf-8") == "kept\n"

@@ -112,8 +112,9 @@ def test_vector_seesaw_chsh():
 
 
 @pytest.mark.parametrize("max_iterations", [1, 2, 500])
-def test_vector_seesaw_is_the_best_of_single_restarts(rng, max_iterations):
-    # The lockstep batch against each restart run alone, both from the
+def test_vector_seesaw_is_the_best_of_single_restarts(rng, monkeypatch, max_iterations):
+    # The lockstep batch against each restart run alone, as a plain loop and
+    # as a batch of one whose one stream is the restart's, both from the
     # spawn_rng starts; results must agree bit for bit.
     for m, n, restarts in ((2, 1, 3), (5, 2, 4), (7, 3, 5), (16, 3, 6)):
         matrix = rng.normal(size=(m, m))
@@ -128,9 +129,11 @@ def test_vector_seesaw_is_the_best_of_single_restarts(rng, max_iterations):
             xs = unit_rows(start.normal(size=(m, n)), np.eye(m, n))
             ys = unit_rows(start.normal(size=(m, n)), np.eye(m, n))
             value, xs_r, ys_r, used = loop_refine(norm.matrix, xs, ys, max_iterations)
-            single, xs1, ys1 = gk._lockstep(norm.matrix, xs[None], ys[None], max_iterations)
-            assert single[0] == value
-            assert xs1[0].tobytes() == xs_r.tobytes() and ys1[0].tobytes() == ys_r.tobytes()
+            with monkeypatch.context() as patch:
+                patch.setattr(gk, "spawn_rng", lambda seed, _, r=r: spawn_rng(seed, r))
+                single, alone = vector_seesaw(norm, n, dataclasses.replace(cfg, restarts=1))
+            assert single == value
+            assert alone.x_vectors.tobytes() == xs_r.tobytes() and alone.y_vectors.tobytes() == ys_r.tobytes()
             iterations.append(used)
             if value > best_value:
                 best_value, best = value, (xs_r, ys_r)
@@ -179,7 +182,7 @@ def test_vector_value_nondecreasing_in_n_by_embedding(rng):
         value_n, strat = vector_seesaw(norm, 2, cfg)
         xs = np.hstack([strat.x_vectors, np.zeros((m, 1))])
         ys = np.hstack([strat.y_vectors, np.zeros((m, 1))])
-        (value_up,), _, _ = gk._lockstep(norm.matrix, xs[None], ys[None], cfg.max_iterations)
+        value_up = loop_refine(norm.matrix, xs, ys, cfg.max_iterations)[0]
         assert value_up >= value_n - 1e-9
 
 

@@ -82,6 +82,16 @@ def test_embed_model_checks_its_dimensions():
             embed_model(model, d_a, d_b)
 
 
+def test_refine_checks_its_iteration_cap():
+    """``refine`` takes the cap alone, checked as ``SeesawConfig`` checks it."""
+    f = catalog.chsh()
+    model = seeded_models(f.scenario, 2, 2, seed=0, count=1)[0]
+    for cap, message in ((0, "max_iterations must be >= 1"), (2.5, "max_iterations must be an integer")):
+        with pytest.raises(ConfigError, match=message):
+            refine(f, model, cap)
+    assert refine(f, model, 1)[2] == 1
+
+
 def test_seeded_models_block_sizes():
     sc = BellScenario((2,), (3,))
     model = seeded_models(sc, 2, 2, seed=1, count=1)[0]
@@ -323,6 +333,15 @@ def member_rows(rows, member):
     return [a[member] for a in rows[:3]]
 
 
+def started(scenario, d_a, d_b, seed, indices, fixed_state=None):
+    """The working arrays [states, stacks_a, stacks_b] of the restarts
+    ``indices`` right after their starts (an aborted one's rows zero), and
+    {member: error}: ``drive_lockstep`` on their draws with no iteration."""
+    draws, starts = ss._start_arrays(scenario, d_a, d_b, seed, indices, fixed_state)
+    *_, rows, aborted = ss.drive_lockstep(draws, starts, [], lambda *a: np.zeros(len(a[0])), 0)
+    return rows, aborted
+
+
 def assert_same_result(r1, r2):
     assert r1.best_value == r2.best_value
     assert r1.per_restart_values == r2.per_restart_values
@@ -459,13 +478,11 @@ def test_restart_alone_equals_restart_in_full_batch(kind, d_a, d_b, seed):
     f = batch_functional(kind, seed)
     cfg = SeesawConfig(seed=seed, max_iterations=60)
     size = 2 * RESTART_BATCH + 5
-    arrays, aborted = ss._start_arrays(f.scenario, d_a, d_b, seed, range(size))
-    assert aborted == {}
-    values, iterations, converged, rows, errors = ss._lockstep(f, arrays, cfg)
+    draws, starts = ss._start_arrays(f.scenario, d_a, d_b, seed, range(size))
+    values, iterations, converged, rows, errors = ss._lockstep(f, draws, cfg.max_iterations, starts)
     assert errors == {}
-    starts = seeded_models(f.scenario, d_a, d_b, seed, size)
-    for i, start in enumerate(starts):
-        alone = refine(f, start, cfg)
+    for i, start in enumerate(seeded_models(f.scenario, d_a, d_b, seed, size)):
+        alone = refine(f, start, cfg.max_iterations)
         assert alone[0] == values[i] and alone[2] == iterations[i] and alone[3] == converged[i]
         assert_model_has_rows(alone[1], member_rows(rows, i))
 
@@ -486,15 +503,16 @@ def test_members_stopping_at_different_iterations_equal_refine(kind, d_a, d_b, f
     state = ss._unit_state(rng.normal(size=d_a * d_b) + 1j * rng.normal(size=d_a * d_b), d_a, d_b) if fixed else None
     f = batch_functional(kind, seed)
     cfg = SeesawConfig(seed=seed, max_iterations=60)
-    arrays, _ = ss._start_arrays(f.scenario, d_a, d_b, seed, range(RESTART_BATCH), state)
-    values, iterations, converged, rows, errors = ss._lockstep(f, arrays, cfg, state_step=not fixed)
+    draws, starts = ss._start_arrays(f.scenario, d_a, d_b, seed, range(RESTART_BATCH), state)
+    values, iterations, converged, rows, errors = ss._lockstep(f, draws, cfg.max_iterations, starts, state_step=not fixed)
     assert errors == {} and len(set(iterations)) > 1
+    arrays, _ = started(f.scenario, d_a, d_b, seed, range(RESTART_BATCH), state)
     for i, start in enumerate(zip(*arrays)):
         if fixed:
-            one = ss._lockstep(f, [a[i : i + 1] for a in arrays], cfg, state_step=False)
+            one = ss._lockstep(f, [a[i : i + 1] for a in arrays], cfg.max_iterations, state_step=False)
             alone = (one[0][0], ss._model(f.scenario, *(a[0] for a in one[3][:3])), one[1][0], one[2][0])
         else:
-            alone = refine(f, ss._model(f.scenario, *start), cfg)
+            alone = refine(f, ss._model(f.scenario, *start), cfg.max_iterations)
         assert alone[0] == values[i] and alone[2] == iterations[i] and alone[3] == converged[i]
         assert_model_has_rows(alone[1], member_rows(rows, i))
 
@@ -507,8 +525,8 @@ def test_batch_reports_the_model_of_its_earliest_best_member():
     cfg = SeesawConfig(seed=3, max_iterations=60)
     indices = range(5, 5 + RESTART_BATCH)
     *found, aborted, best_model = ss._batch_task((f, 2, 2, cfg, None, indices))
-    arrays, _ = ss._start_arrays(f.scenario, 2, 2, cfg.seed, indices)
-    *record, rows, errors = ss._lockstep(f, arrays, cfg)
+    arrays, _ = started(f.scenario, 2, 2, cfg.seed, indices)
+    *record, rows, errors = ss._lockstep(f, arrays, cfg.max_iterations)
     assert aborted == errors == {}
     for got, want in zip(found, record):
         assert got.tolist() == want.tolist()
@@ -529,8 +547,9 @@ def test_batch_keeps_start_draw_aborts_at_minus_inf(monkeypatch):
     assert aborted == {7: "NotPSDError: synthetic failure"}
     for got, want, dropped in zip(found, clean, (-np.inf, 0, False)):
         assert got[2] == dropped and np.delete(got, 2).tolist() == np.delete(want, 2).tolist()
-    arrays, _ = ss._start_arrays(f.scenario, 2, 2, cfg.seed, indices)  # without restart 7
-    *record, rows, _ = ss._lockstep(f, arrays, cfg)
+    arrays, errors = started(f.scenario, 2, 2, cfg.seed, indices)
+    assert list(errors) == [2]  # restart 7, the batch's member 2
+    *record, rows, _ = ss._lockstep(f, [np.delete(a, 2, axis=0) for a in arrays], cfg.max_iterations)
     values = record[0].tolist()
     assert_model_has_rows(best_model, member_rows(rows, values.index(max(values))))
 
@@ -540,10 +559,10 @@ def test_lockstep_monotone_and_feasible_per_member():
     next, and every member's model stays a valid one."""
     for kind in ("ragged", "E", "iphi:0.7"):
         f = batch_functional(kind, 40)
-        arrays, _ = ss._start_arrays(f.scenario, 3, 3, 40, range(RESTART_BATCH))
+        arrays, _ = started(f.scenario, 3, 3, 40, range(RESTART_BATCH))
         previous = [model_value(f, ss._model(f.scenario, *rows)) for rows in zip(*arrays)]
         for k in range(1, 7):
-            values, iterations, _, rows, errors = ss._lockstep(f, arrays, SeesawConfig(max_iterations=k))
+            values, iterations, _, rows, errors = ss._lockstep(f, arrays, k)
             assert errors == {} and iterations.max() <= k
             for i, value in enumerate(values):
                 ss._model(f.scenario, *member_rows(rows, i)).validate(f.scenario)
@@ -551,12 +570,13 @@ def test_lockstep_monotone_and_feasible_per_member():
                 previous[i] = value
 
 
-def _halving(starts, max_iterations, poisoned=lambda x: False):
+def _halving(starts, max_iterations, poisoned=lambda x: False, start_halving=False):
     """A toy run of ``drive_lockstep`` that needs no eigensolve: x is halved,
     then y copies x, and the objective -(x² + y²) gains 1.5 x² an iteration,
     so a start of size s stops after about log2(s / 8e-6) iterations.  The
-    halving raises ``NotPSDError`` on any row that ``poisoned`` marks.
-    Returns what each step saw and the driver's record."""
+    halving raises ``NotPSDError`` on any row that ``poisoned`` marks; with
+    ``start_halving`` it also runs once as the driver's start.  Returns what
+    each step saw and the driver's record."""
     calls = []
 
     def halve(x, y):
@@ -575,7 +595,7 @@ def _halving(starts, max_iterations, poisoned=lambda x: False):
 
     x = np.array(starts, dtype=float)
     steps = [(0, halve), (1, copy)]
-    return calls, ss.drive_lockstep([x, x.copy()], steps, objective, max_iterations)
+    return calls, ss.drive_lockstep([x, x.copy()], steps[:1] if start_halving else [], steps, objective, max_iterations)
 
 
 def _outcomes(record):
@@ -653,6 +673,24 @@ def test_driver_runs_no_step_once_aborts_empty_the_batch():
     assert calls == [("objective", 2), ("halve", 2), ("copy", 2), ("objective", 2), ("halve", 2)] + [("halve", 1)] * 2
 
 
+def test_driver_aborts_only_the_row_whose_start_raises():
+    """The halving also runs as the start and raises on restart 1's draw:
+    restart 1 alone is aborted, reading -inf, 0 and False with its error, and
+    every other restart ends bit-identical to a run without it, as a start
+    of half its size does alone."""
+    calls, record = _halving(HALVING_STARTS, 60, lambda v: v == HALVING_STARTS[1], start_halving=True)
+    aborted = record[4]
+    assert list(aborted) == [1] and isinstance(aborted[1], NotPSDError)
+    got = _outcomes(record)
+    assert (got[1][0], *got[1][3:]) == (-np.inf, 0, False)
+    _, clean = _halving(HALVING_STARTS[:1] + HALVING_STARTS[2:], 60, start_halving=True)
+    assert got[:1] + got[2:] == _outcomes(clean)
+    assert _outcomes(clean) == [_halving_alone(s / 2.0, 60) for s in HALVING_STARTS[:1] + HALVING_STARTS[2:]]
+    # The stacked start fails and is re-run row by row; the first objective
+    # sees the four rows left.
+    assert calls[:7] == [("halve", 5)] + [("halve", 1)] * 5 + [("objective", 4)]
+
+
 def test_seesaw_fixed_theta_quarter_pi():
     f = catalog.expression_E()
     state = catalog.theta_state(math.pi / 4.0)
@@ -668,7 +706,7 @@ def test_dimension_monotonicity_by_embedding():
     grown = embed_model(small.best_model, 3, 3)
     grown.validate(f.scenario)
     assert abs(model_value(f, grown) - small.best_value) < 1e-10
-    value, _, _, _ = refine(f, grown, SeesawConfig(restarts=1, seed=0))
+    value, _, _, _ = refine(f, grown)
     assert value >= small.best_value - 1e-9
 
 
@@ -810,7 +848,7 @@ def test_refine_raises_the_linear_algebra_error(monkeypatch):
     op = bell_operator(f, start.povms_a, start.povms_b)
     fail_eigh_on(monkeypatch, (op + op.conj().T) / 2.0, NotPSDError("synthetic failure"))
     with pytest.raises(NotPSDError, match="synthetic failure"):
-        refine(f, start, SeesawConfig())
+        refine(f, start)
 
 
 def _unique_stacked_input(f, d, cfg, monkeypatch):
@@ -911,15 +949,26 @@ def test_every_restart_aborting_raises(monkeypatch):
 
 def test_a_start_draw_that_aborts_every_restart_stops_there(monkeypatch):
     """With LAPACK failing on every call, empty ones included, Alice's start
-    draw aborts every restart and Bob's empty batch is never drawn."""
+    draw aborts every restart, stacked and then one by one, and Bob's empty
+    batch is never drawn."""
 
     def fail(a, *args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    real, drawn = ss._random_povms, []
+
+    def recording(counts, g):
+        drawn.append((counts, len(g)))
+        return real(counts, g)
+
     monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(ss, "_random_povms", recording)
     f = catalog.expression_E()
-    arrays, aborted = ss._start_arrays(f.scenario, 3, 3, 0, range(3))
-    assert arrays == [] and list(aborted) == [0, 1, 2]
+    draws, starts = ss._start_arrays(f.scenario, 3, 3, 0, range(3))
+    values, iterations, _, rows, aborted = ss._lockstep(f, draws, SeesawConfig.max_iterations, starts)
+    assert rows == [] and list(aborted) == [0, 1, 2]
+    assert values.tolist() == [-np.inf] * 3 and iterations.tolist() == [0] * 3
+    assert drawn == [(f.scenario.outcomes_a, 3)] + [(f.scenario.outcomes_a, 1)] * 3
     with pytest.warns(UserWarning) as caught:
         with pytest.raises(NoConvergenceError, match="every restart aborted"):
             seesaw(f, 3, 3, SeesawConfig(restarts=3))
@@ -940,16 +989,16 @@ def test_start_draw_failure_drops_only_its_row(monkeypatch, party):
     """A failure in one restart's stacked start eigensolve, on either
     party, leaves that restart out and every other row as in a clean draw."""
     sc = BellScenario((2, 3), (3, 2, 2))
-    clean, aborted = ss._start_arrays(sc, 2, 3, 11, range(5))
+    clean, aborted = started(sc, 2, 3, 11, range(5))
     assert aborted == {}
     # Restart 2's first setting of the party, after its state's 6 + 6 values
     # and, for Bob, Alice's two 2 x 2 settings.
     target = _drawn_matrix(11, 2, 12, 2) if party == "A" else _drawn_matrix(11, 2, 12 + 16, 3)
     fail_eigh_on(monkeypatch, target, NotPSDError("synthetic failure"))
-    arrays, aborted = ss._start_arrays(sc, 2, 3, 11, range(5))
+    arrays, aborted = started(sc, 2, 3, 11, range(5))
     assert list(aborted) == [2] and str(aborted[2]) == "synthetic failure"
     for got, want in zip(arrays, clean):
-        assert np.array_equal(got, want[[0, 1, 3, 4]])
+        assert np.array_equal(got[[0, 1, 3, 4]], want[[0, 1, 3, 4]]) and not got[2].any()
 
 
 def test_cglmp_best_model_stays_projective():
@@ -1077,7 +1126,7 @@ def test_start_arrays_match_the_reference_draws(scenario, d_a, d_b):
         for size in range(1, 8):
             indices = range(seed, seed + size)
             for fixed_state in (None, fixed):
-                arrays, aborted = ss._start_arrays(scenario, d_a, d_b, seed, indices, fixed_state)
+                arrays, aborted = started(scenario, d_a, d_b, seed, indices, fixed_state)
                 assert aborted == {} and len(arrays[0]) == size
                 for index, *rows in zip(indices, *arrays):
                     want = _reference_start(scenario, d_a, d_b, spawn_rng(seed, index), fixed_state)
@@ -1155,10 +1204,10 @@ def test_final_objective_is_the_stacked_value_of_the_final_rows(monkeypatch, kin
     are compacted as members stop and after a member aborts row by row."""
     f = batch_functional(kind, 3)
     cfg = SeesawConfig(seed=3, max_iterations=60)
-    arrays, _ = ss._start_arrays(f.scenario, d, d, cfg.seed, range(RESTART_BATCH))
+    arrays, _ = started(f.scenario, d, d, cfg.seed, range(RESTART_BATCH))
     ops = bell_operators(contraction_matrix(f), arrays[1], arrays[2])
     fail_eigh_on(monkeypatch, (ops[5] + ops[5].conj().T) / 2.0, NotPSDError("synthetic failure"))
-    values, iterations, _, rows, errors = ss._lockstep(f, arrays, cfg)
+    values, iterations, _, rows, errors = ss._lockstep(f, arrays, cfg.max_iterations)
     assert list(errors) == [5] and values[5] == -np.inf
     assert len(set(np.delete(iterations, 5).tolist())) > 1
     for i, value in enumerate(values):
