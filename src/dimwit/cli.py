@@ -1,6 +1,7 @@
 """Command-line surface.
 
 Subcommands: eval, local-bound, seesaw, curve, witness, catalog, grothendieck.
+A call builds only the parser of the command it names.
 Machine-readable output is JSON with a top-level ``schema: 1`` and an embedded
 run manifest (CSV outputs get a ``<file>.manifest.json`` sidecar).  The
 manifest holds ``command``, the argv ``main`` received (``sys.argv[1:]`` when
@@ -36,6 +37,9 @@ from .scenario import AVERAGE, PARTNER_SETTING_ZERO, evaluate
 from .seesaw import RESTART_BATCH, SeesawConfig, seesaw
 
 DEFAULT_SEED = 0
+
+#: The subcommands, in the order the help lists them.
+COMMANDS = ("eval", "local-bound", "seesaw", "curve", "witness", "catalog", "grothendieck")
 
 # Namespace entries kept out of ``config``: the handler, the subcommand name
 # (the manifest's ``command`` is the whole argv), what ``main`` records, and
@@ -317,71 +321,77 @@ def _add_seesaw_knobs(p: argparse.ArgumentParser, fixed_state: bool = False) -> 
         p.add_argument("--fixed-gamma", type=float, default=None, help="pin state (|00>+g|11>+|22>)/sqrt(2+g^2) (3x3 only)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subparser, or only ``command``'s, with a metavar that keeps the usage
+    naming all commands (on the whole tree it would rename the command in errors)."""
     parser = _Parser(prog="dimwit", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"dimwit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("eval", help="evaluate a functional on a probability-table CSV")
-    p.add_argument("functional", help=".bell file or catalog name")
-    p.add_argument("table", help="CSV with header x,y,a,b,p")
-    p.add_argument("--policy", choices=["setting-zero", "average"], default="setting-zero")
-    p.add_argument("--renormalize", action="store_true", help="repair <1e-7 normalization misses")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_eval)
+    def add(name, **kwargs):
+        return sub.add_parser(name, **kwargs) if command in (None, name) else None
 
-    p = sub.add_parser("local-bound", help="exact classical bound by enumeration")
-    p.add_argument("functional")
-    p.add_argument("--min", action="store_true", help="minimum instead of maximum")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_local_bound)
+    if p := add("eval", help="evaluate a functional on a probability-table CSV"):
+        p.add_argument("functional", help=".bell file or catalog name")
+        p.add_argument("table", help="CSV with header x,y,a,b,p")
+        p.add_argument("--policy", choices=["setting-zero", "average"], default="setting-zero")
+        p.add_argument("--renormalize", action="store_true", help="repair <1e-7 normalization misses")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("seesaw", help="fixed-dimension lower bound by alternating optimization")
-    p.add_argument("functional")
-    p.add_argument("--da", type=int, required=True)
-    p.add_argument("--db", type=int, required=True)
-    _add_seesaw_knobs(p, fixed_state=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_seesaw)
+    if p := add("local-bound", help="exact classical bound by enumeration"):
+        p.add_argument("functional")
+        p.add_argument("--min", action="store_true", help="minimum instead of maximum")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=cmd_local_bound)
 
-    p = sub.add_parser("curve", help="sweep the iphi family and write a CSV")
-    p.add_argument("--steps", type=int, default=64)
-    p.add_argument("--dims", default="2,3")
-    p.add_argument("--phi-min", type=float, default=0.0)
-    p.add_argument("--phi-max", type=float, default=math.pi)
-    p.add_argument("--out", required=True)
-    _add_seesaw_knobs(p)
-    p.set_defaults(fn=cmd_curve)
+    if p := add("seesaw", help="fixed-dimension lower bound by alternating optimization"):
+        p.add_argument("functional")
+        p.add_argument("--da", type=int, required=True)
+        p.add_argument("--db", type=int, required=True)
+        _add_seesaw_knobs(p, fixed_state=True)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=cmd_seesaw)
 
-    p = sub.add_parser("witness", help="dimension-witness gap report (JSON)")
-    p.add_argument("functional")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--threshold", type=float, default=catalog.GAP_THRESHOLD)
-    _add_seesaw_knobs(p)
-    p.add_argument("--json", action="store_true", help="the output is JSON with or without it")
-    p.set_defaults(fn=cmd_witness)
+    if p := add("curve", help="sweep the iphi family and write a CSV"):
+        p.add_argument("--steps", type=int, default=64)
+        p.add_argument("--dims", default="2,3")
+        p.add_argument("--phi-min", type=float, default=0.0)
+        p.add_argument("--phi-max", type=float, default=math.pi)
+        p.add_argument("--out", required=True)
+        _add_seesaw_knobs(p)
+        p.set_defaults(fn=cmd_curve)
 
-    p = sub.add_parser("catalog", help="emit a bundled functional as .bell text")
-    p.add_argument("action", choices=["emit"])
-    p.add_argument("name", help=" | ".join((*catalog.CATALOG_NAMES, "iphi:<phi>")))
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_catalog)
+    if p := add("witness", help="dimension-witness gap report (JSON)"):
+        p.add_argument("functional")
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--threshold", type=float, default=catalog.GAP_THRESHOLD)
+        _add_seesaw_knobs(p)
+        p.add_argument("--json", action="store_true", help="the output is JSON with or without it")
+        p.set_defaults(fn=cmd_witness)
 
-    p = sub.add_parser("grothendieck", help="normalize a correlation matrix and search unit vectors")
-    p.add_argument("-m", "--matrix", required=True, help="CSV of m rows of m reals")
-    p.add_argument("--n", type=int, required=True, help="vector dimension N")
-    p.add_argument("--restarts", type=int, default=SeesawConfig.restarts)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-iterations", type=int, default=SeesawConfig.max_iterations)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_grothendieck)
+    if p := add("catalog", help="emit a bundled functional as .bell text"):
+        p.add_argument("action", choices=["emit"])
+        p.add_argument("name", help=" | ".join((*catalog.CATALOG_NAMES, "iphi:<phi>")))
+        p.add_argument("--out", default=None)
+        p.set_defaults(fn=cmd_catalog)
+
+    if p := add("grothendieck", help="normalize a correlation matrix and search unit vectors"):
+        p.add_argument("-m", "--matrix", required=True, help="CSV of m rows of m reals")
+        p.add_argument("--n", type=int, required=True, help="vector dimension N")
+        p.add_argument("--restarts", type=int, default=SeesawConfig.restarts)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--max-iterations", type=int, default=SeesawConfig.max_iterations)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=cmd_grothendieck)
     return parser
 
 
 def main(argv=None) -> int:
     started = time.monotonic()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     args.argv, args.started = argv, started
     try:
         if "seed" in vars(args):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -734,6 +735,68 @@ def test_jobs_default_without_affinity_or_a_cpu_count_is_one(monkeypatch):
     assert cli._jobs_default() == 1
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert cli._jobs_default() == 3
+
+
+def _parse_outcome(capsys, call, argv):
+    """``call(argv)``'s return value or ``SystemExit`` code, with its stdout and stderr."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([command, "--help"] for command in cli.COMMANDS),
+        *([command] for command in cli.COMMANDS),  # each has a required argument
+        *([command, "--bogus"] for command in cli.COMMANDS),
+        ["local-bound", "chsh", "--json", "--bogus"],
+        [],
+        ["--help"],
+        ["--version"],
+        ["bogus"],
+    ],
+)
+def test_main_builds_a_parser_that_prints_what_the_whole_one_prints(capsys, argv):
+    """``main`` builds only the named command's subparser; its help, usage and
+    error texts and exit codes are those of the whole tree."""
+    lazy = _parse_outcome(capsys, main, argv)
+    assert lazy == _parse_outcome(capsys, lambda a: cli.build_parser().parse_args(a), argv)
+    assert lazy[0][0] == "SystemExit"  # argparse ends every one of these calls
+    if argv[:2] == ["local-bound", "chsh"]:
+        # The top level reports the unrecognized option, so its usage line
+        # lists every command although only one subparser was built.
+        assert "{" + ",".join(cli.COMMANDS) + "} ..." in lazy[2]
+
+
+def test_a_valid_command_builds_two_parsers(tmp_path, capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert main(["local-bound", str(emit(tmp_path, "chsh")), "--json"]) == 0
+    assert built == ["dimwit", "dimwit local-bound"]
+
+
+def test_one_list_of_commands():
+    """The module docstring, the whole parser and ``main``'s dispatch name the
+    same commands in the same order."""
+
+    def commands(parser):
+        return tuple(next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices)
+
+    line = next(line for line in cli.__doc__.splitlines() if line.startswith("Subcommands: "))
+    assert line == "Subcommands: " + ", ".join(cli.COMMANDS) + "."
+    assert commands(cli.build_parser()) == cli.COMMANDS
+    for command in cli.COMMANDS:
+        assert commands(cli.build_parser(command)) == (command,)
 
 
 # Payloads, with the input path and ``manifest`` removed, of the two
