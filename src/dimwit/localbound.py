@@ -14,6 +14,18 @@ work: the Alice strategies scored times (Bob cells per strategy + 8), a
 strategy costing about as much as 8 cells.  Bob's cells count at
 max(outcomes_b) per setting even when halved, so the cap admits
 ``correlator_bell`` up to m = 26 either way.
+
+A search of several blocks first runs a bound pass: every strategy gets an
+approximate score, a float sum of the same terms in another order, within a
+proven slack of its exact one, and the exact fold then runs only on the
+blocks whose best approximate score comes within twice that slack of the
+best, which hold every maximiser.  The answer is bit for bit that of the full
+enumeration.  The pass stands down, and every block is folded, when the
+search has one block or when the coefficients' magnitudes sum to float max
+/ 4 or more, where a partial sum could overflow.  It holds a table and a
+work array of at most a block each (half a block when Bob's cells are
+halved) and one float per fine block, never one per strategy (see
+``_best_strategy``).
 """
 
 from __future__ import annotations
@@ -27,12 +39,16 @@ import numpy as np
 from .errors import InvalidFunctionalError, ScenarioMismatchError, StrategySpaceTooLargeError
 from .scenario import BellFunctional, BellScenario, ProbabilityTable
 
-#: Work units one search may take (see the module docstring): 2^31 admits
-#: every ``correlator_bell`` with m <= 26 (2^25 x 60) and none larger.
+#: Work units one search may take (see the module docstring), counted for the
+#: worst case, where the bound pass keeps every block: 2^31 admits every
+#: ``correlator_bell`` with m <= 26 (2^25 x 60) and none larger.
 ENUMERATION_CAP = 1 << 31
 #: Bob score cells (outcome x setting x Alice strategy) per enumerated block,
 #: counted at max(outcomes_b) outcomes; a halved Bob builds half of them.
 _CHUNK_CELLS = 1 << 17
+#: The bound pass keeps one score per fine block of at most
+#: ``_CHUNK_CELLS // _FINE_BLOCKS`` cells, so it can skip part of a block.
+_FINE_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -108,6 +124,104 @@ def _bob_antisymmetric(c: np.ndarray) -> bool:
     return c.shape[3] == 2 and not (c[:, :-1, :, 0] + c[:, :-1, :, 1]).any()
 
 
+def _split(counts: tuple[int, ...], cells: int, budget: int) -> int:
+    """The fewest leading settings whose blocks (every outcome of the other
+    settings, at ``cells`` Bob cells per strategy) fit ``budget`` cells."""
+    split = len(counts)
+    while split and math.prod(counts[split - 1 :]) * cells <= budget:
+        split -= 1
+    return split
+
+
+class _Blocks:
+    """One search's Alice strategies, in blocks that share the outcomes of
+    their leading settings (a prefix) and take every outcome of the rest.
+    ``prefix_sums`` then ``extend`` add a strategy's terms in one fixed order
+    whatever the prefix length, so every block scores a strategy bit for bit
+    alike; the ``split`` leading settings give blocks of at most
+    ``_CHUNK_CELLS`` cells."""
+
+    def __init__(self, f: BellFunctional):
+        sc, c = f.scenario, f.coefficients
+        symmetric = _flip_symmetric(c)
+        check_enumeration(sc, symmetric)
+        self.c, self.width, self.settings_b = c, c.shape[3], sc.settings_b
+        self.counts = (1,) + sc.outcomes_a[1:] if symmetric else sc.outcomes_a
+        self.split = _split(self.counts, self.width * self.settings_b, _CHUNK_CELLS)
+        self.cells = cells = 1 if _bob_antisymmetric(c) else self.width
+        # Bob's scores are laid out (Alice row, outcome, setting); outcomes past a
+        # setting's count are -inf so they never win.
+        padded = np.arange(cells)[:, None] >= np.array(sc.outcomes_b)
+        self.bob_marginal = np.where(padded, -np.inf, c[-1, : self.settings_b, 0, :cells].T)
+        self.slab = np.ascontiguousarray(c[self.split : -1, : self.settings_b, :, :cells].transpose(0, 2, 3, 1))
+
+    def prefix_sums(self, prefix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The constant plus the prefix's Alice marginals, shape (1,), and
+        Bob's cells from his marginal plus the prefix's joint terms, shape
+        (1, cells, settings_b), each summed in setting order."""
+        c, settings_b, cells = self.c, self.settings_b, self.cells
+        total = np.full(1, c[-1, -1, 0, 0])
+        row = self.bob_marginal.copy()
+        for x, a in enumerate(prefix):
+            total += c[x, -1, a, 0]
+            row += c[x, :settings_b, a, :cells].T
+        return total, row[None]
+
+    def extend(self, total: np.ndarray, scores: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
+        """``total`` and Bob cells ``scores`` with every outcome of settings
+        ``first``.. added, one setting at a time, in product order."""
+        c, split = self.c, self.split
+        for x, v in enumerate(self.counts[first:], start=first):
+            total = (total[:, None] + c[x, -1, :v, 0]).reshape(-1)
+            scores = (scores[:, None] + self.slab[x - split, :v]).reshape(-1, self.cells, self.settings_b)
+        return total, scores
+
+    def responses(self, scores: np.ndarray) -> np.ndarray:
+        """Bob's best score per strategy and setting."""
+        if self.cells == 1:
+            return np.abs(scores[:, 0])
+        response = scores[:, 0]
+        for b in range(1, self.width):
+            response = np.maximum(response, scores[:, b])
+        return response
+
+    def prefixes(self):
+        """The prefixes of the blocks to fold exactly, in product order:
+        every block of ``split`` leading settings when the bound pass stands
+        down, else the blocks it keeps (see ``_best_strategy``)."""
+        c, counts, split, settings_b, cells = self.c, self.counts, self.split, self.settings_b, self.cells
+        leading = counts[:split]
+        if math.prod(leading) == 1 or not (magnitude := float(np.abs(c).sum())) < np.finfo(float).max / 4:
+            yield from product(*(range(v) for v in leading))
+            return
+        middle = counts[split : _split(counts, self.width * settings_b, _CHUNK_CELLS // _FINE_BLOCKS)]
+        fine = math.prod(middle)
+        settings = np.arange(split)
+        lead = c[:split, :settings_b, :, :cells].transpose(0, 2, 3, 1)
+        trailing_total, table = self.extend(np.zeros(1), np.zeros((1, cells, settings_b)), split)
+        # (cell, Bob setting, trailing strategy), so each pass runs along strategies.
+        table = np.ascontiguousarray(table.transpose(1, 2, 0))
+        approx = np.empty_like(table)
+        block_best = np.empty((math.prod(leading), fine))
+        for k, prefix in enumerate(product(*(range(v) for v in leading))):
+            np.add(table, (self.bob_marginal + lead[settings, prefix].sum(axis=0))[..., None], out=approx)
+            response = np.abs(approx[0], out=approx[0]) if cells == 1 else approx.max(axis=0)
+            scores = response.sum(axis=0) + trailing_total
+            # A rounded x + t never decreases as x grows, so t may be added after the max.
+            block_best[k] = scores.reshape(fine, -1).max(axis=1) + (c[-1, -1, 0, 0] + c[settings, -1, prefix, 0].sum())
+        del table, approx
+        # Twice the first-order slack covers the rounding of the slack itself.
+        slack = 2 * (2 * len(counts) + settings_b) * np.finfo(float).eps * magnitude
+        kept = block_best >= block_best.max() - 2 * slack
+        for k in np.flatnonzero(kept.any(axis=1)):
+            prefix = tuple(int(a) for a in np.unravel_index(k, leading))
+            fines = np.flatnonzero(kept[k])
+            if 4 * len(fines) > fine:
+                yield prefix
+            else:
+                yield from (prefix + tuple(int(a) for a in np.unravel_index(j, middle)) for j in fines)
+
+
 def _best_strategy(f: BellFunctional) -> tuple[float, DeterministicStrategy | None]:
     """The best score and the deterministic strategy maximising ``f``: the
     lexicographically smallest among those of maximal score, after
@@ -120,6 +234,33 @@ def _best_strategy(f: BellFunctional) -> tuple[float, DeterministicStrategy | No
     over his outcomes of (his marginal, then the joint terms by Alice setting).
     The trailing settings' joint terms are read from one C-contiguous
     (setting, outcome, Bob cell, Bob setting) slab built once per call.
+
+    When the search has more than one block, a bound pass runs first
+    (``_Blocks.prefixes``).  It sums the trailing settings' joint terms and
+    marginals once per call, into a table of at most one block, and per
+    leading prefix gives each strategy an approximate score: its prefix row
+    plus its table row, then ``abs`` (or the max over Bob's outcomes), then
+    one sum.  Both scores are float sums of the same terms: a cell sums
+    settings_a + 1 of them, a score 1 + settings_a + settings_b.  A float sum
+    of n terms, in any order, is within (n - 1) u / (1 - (n - 1) u) times the
+    sum of their magnitudes of its exact value (u = eps / 2), and ``abs`` and
+    max move no value further apart, so the two scores differ by at most
+    D = (2 settings_a + settings_b) eps sum|c| to first order.  If A is the
+    best approximate score, a maximiser s of the exact score has
+    approx(s) >= exact(s) - D >= exact(s_A) - D >= A - 2D.  The pass keeps
+    the fine blocks (at most ``_CHUNK_CELLS // _FINE_BLOCKS`` cells) whose
+    best approximate score is at least A - 4D, D taken twice over to cover
+    the rounding of D itself.  The kept blocks, in product order with strict
+    improvement, hold the first maximiser, so the value and the strategy are
+    those of the full enumeration.  A block with more than a quarter of its
+    fine blocks kept is folded whole, as a few small folds cost more than one
+    large one.  The pass stands down, and every block is folded, when there
+    is one block (so small searches run no extra numpy call) or when
+    sum|c| >= float max / 4, where a partial sum could overflow.  It holds
+    the table and one work array of its size, freed before the folds, and one
+    float per fine block, never one per strategy; the table is sized on
+    max(outcomes_b) cells per Bob setting, as the block is, so with Bob's
+    cells halved the two together take one block.
 
     For a flip-symmetric functional (``_flip_symmetric``) Alice's setting 0
     runs over outcome 0 only.  The complement of a strategy adds equal terms
@@ -135,48 +276,17 @@ def _best_strategy(f: BellFunctional) -> tuple[float, DeterministicStrategy | No
     hold for every ``correlator_bell`` and compose: half of Alice's strategies
     against half of Bob's cells.  The block keeps its Alice-strategy count,
     sized on max(outcomes_b) cells per Bob setting, so its memory halves."""
-    sc = f.scenario
-    c = f.coefficients
-    width, settings_b = c.shape[3], sc.settings_b
-    counts = sc.outcomes_a
-    symmetric = _flip_symmetric(c)
-    check_enumeration(sc, symmetric)
-    if symmetric:
-        counts = (1,) + counts[1:]
-    split = sc.settings_a
-    while split and math.prod(counts[split - 1 :]) * width * settings_b <= _CHUNK_CELLS:
-        split -= 1
-    trailing = counts[split:]
-    cells = 1 if _bob_antisymmetric(c) else width
-    # Bob's scores are laid out (Alice row, outcome, setting); outcomes past a
-    # setting's count are -inf so they never win.
-    padded = np.arange(cells)[:, None] >= np.array(sc.outcomes_b)
-    bob_marginal = np.where(padded, -np.inf, c[-1, :settings_b, 0, :cells].T)
-    slab = np.ascontiguousarray(c[split:-1, :settings_b, :, :cells].transpose(0, 2, 3, 1))
+    blocks = _Blocks(f)
     best_score, best = -math.inf, None
-    for prefix in product(*(range(v) for v in counts[:split])):
-        total = np.full(1, c[-1, -1, 0, 0])
-        row = bob_marginal.copy()
-        for x, a in enumerate(prefix):
-            total += c[x, -1, a, 0]
-            row += c[x, :settings_b, a, :cells].T
-        scores = row[None]
-        for x, v in enumerate(trailing, start=split):
-            total = (total[:, None] + c[x, -1, :v, 0]).reshape(-1)
-            scores = (scores[:, None] + slab[x - split, :v]).reshape(-1, cells, settings_b)
-        if cells == 1:
-            response = np.abs(scores[:, 0])
-        else:
-            response = scores[:, 0]
-            for b in range(1, width):
-                response = np.maximum(response, scores[:, b])
-        for best_y in response.T:
+    for prefix in blocks.prefixes():
+        total, scores = blocks.extend(*blocks.prefix_sums(prefix), len(prefix))
+        for best_y in blocks.responses(scores).T:
             total = total + best_y
         i = int(np.argmax(total))
         if total[i] > best_score:
             best_score = total[i]
-            alpha = prefix + tuple(int(a) for a in np.unravel_index(i, trailing))
-            choice = scores[i, 0] < 0 if cells == 1 else scores[i].argmax(axis=0)
+            alpha = prefix + tuple(int(a) for a in np.unravel_index(i, blocks.counts[len(prefix) :]))
+            choice = scores[i, 0] < 0 if blocks.cells == 1 else scores[i].argmax(axis=0)
             best = DeterministicStrategy(alpha, tuple(int(b) for b in choice))
     return best_score, best
 

@@ -2,6 +2,7 @@
 replaced: same value and same witnessing strategy, compared with ``==``."""
 
 import math
+import warnings
 from itertools import product
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimwit import catalog, grothendieck, localbound
+from dimwit.errors import InvalidFunctionalError
 from dimwit.localbound import (
     DeterministicStrategy,
     local_bound,
@@ -302,3 +304,84 @@ def test_bob_antisymmetric_functional_builds_only_outcome_0_cells(rng, monkeypat
             bound(g)
             assert len(prefixes) == strategies
             assert len(rows) == 1 and math.prod(rows[0]) == cells
+
+
+def correlator_matrices(rng, m):
+    """Gaussian, {-1, 0, 1}, cos/sin-weighted integer (ties that rounding may
+    break, as in ``i_phi``) and flat (every strategy ties) matrices; Gaussian
+    ones scaled to ~1e307, whose coefficients' magnitudes sum past float max
+    / 4 so the bound pass stands down, and to a sum of float max / 8, the
+    largest the pass runs on within a factor 2."""
+    phi = rng.uniform(-math.pi, math.pi)
+    yield rng.normal(size=(m, m))
+    yield rng.integers(-1, 2, size=(m, m)).astype(float)
+    yield math.cos(phi) * rng.integers(-1, 2, size=(m, m)) + math.sin(phi) * rng.integers(-1, 2, size=(m, m))
+    yield np.full((m, m), rng.normal())
+    yield rng.normal(size=(m, m)) * (1e307 / m)
+    g = rng.normal(size=(m, m))
+    yield g * (np.finfo(float).max / 8 / (4 * np.abs(g).sum()))
+
+
+def test_bound_pass_matches_oracle_on_correlators(rng):
+    # Small blocks give every m several blocks, so the bound pass runs; the
+    # default gives one block up to m = 13, where the pass stands down.  The
+    # oracle's cost grows as 4^m, so m >= 9 takes one matrix kind each.
+    for m in range(2, 13):
+        matrices = list(correlator_matrices(rng, m))
+        for matrix in matrices if m < 9 else [matrices[m % len(matrices)]]:
+            f = grothendieck.correlator_bell(grothendieck.CorrelationFunctional(matrix))
+            expected = loop_extremize(f, 1.0), loop_extremize(f, -1.0)
+            for chunk_cells in (1, 16, 64, localbound._CHUNK_CELLS):
+                with mock.patch.object(localbound, "_CHUNK_CELLS", chunk_cells), warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    assert (local_bound(f), local_bound_min(f)) == expected
+
+
+def scored_strategies(monkeypatch):
+    """A list that records how many Alice strategies each exact fold scores."""
+    counts = []
+    responses = localbound._Blocks.responses
+
+    def counting(blocks, scores):
+        counts.append(len(scores))
+        return responses(blocks, scores)
+
+    monkeypatch.setattr(localbound._Blocks, "responses", counting)
+    return counts
+
+
+def test_bound_pass_skips_blocks(rng, monkeypatch):
+    # The 2^(m-1) strategies with x_0 fixed, at 34 cells each, fill 32
+    # blocks; the exact folds score under a quarter of them, and the answer
+    # is that of one block holding every strategy, where the pass stands down.
+    m = 17
+    f = grothendieck.correlator_bell(grothendieck.CorrelationFunctional(rng.normal(size=(m, m))))
+    scored = scored_strategies(monkeypatch)
+    for bound in (local_bound, local_bound_min):
+        with mock.patch.object(localbound, "_CHUNK_CELLS", 1 << 30):
+            expected = bound(f)
+        assert scored == [2 ** (m - 1)]
+        scored.clear()
+        assert bound(f) == expected
+        assert 0 < sum(scored) < 2 ** (m - 1) // 4
+        scored.clear()
+
+
+def test_bound_pass_stands_down_near_the_float_range(rng, monkeypatch):
+    # Coefficients' magnitudes summing past float max / 4 could overflow a
+    # partial sum, so every block is scored: a finite bound at ~1e305, and
+    # the typed error when the bound itself overflows at ~1e307.
+    m = 17
+    matrix = rng.normal(size=(m, m))
+    scored = scored_strategies(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        f = grothendieck.correlator_bell(grothendieck.CorrelationFunctional(matrix * 1e305))
+        assert np.abs(f.coefficients).sum() >= np.finfo(float).max / 4
+        value, strategy = local_bound(f)
+        assert value == strategy_value(f, strategy) and math.isfinite(value)
+        assert scored == [2 ** (m - 1) // 32] * 32
+        scored.clear()
+        with pytest.raises(InvalidFunctionalError, match="beyond the float range"):
+            local_bound(grothendieck.correlator_bell(grothendieck.CorrelationFunctional(matrix * 1e307)))
+        assert scored == [2 ** (m - 1) // 32] * 32
