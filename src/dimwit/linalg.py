@@ -13,10 +13,17 @@ and matching orthonormal eigenvector columns, as (..., n, n).
 
 The module also owns the adjoint and the exact-Hermitian rule the see-saw
 leans on.  ``_eigh_descending`` is ``eig_hermitian`` after its Hermiticity
-check, and its input must equal its adjoint bit for bit, where the check
-cannot fail and its symmetrization changes no bit.  An output of
-``_hermitian_part`` does, as does ``_gram``'s, and so does the difference of
-two such outputs: floating-point addition commutes and negation is exact.
+check, ``_check_hermitian``, and its input must equal its adjoint bit for
+bit, where the check cannot fail and its symmetrization changes no bit.  An
+output of ``_hermitian_part`` does, as does ``_gram``'s, and so does the
+difference of two such outputs: floating-point addition commutes and
+negation is exact.  Every eigensolve the see-saw loop makes itself takes
+``_eigh_descending`` on such an input (start draws, Bell operators,
+F_0 - F_1, R Δ R): they are its own products, where the check could only
+abort on round-off at an extreme scale.  The checked path is for matrices
+callers hand in: ``QuantumModel.validate``'s settings and the arguments of
+``positive_projector`` and ``psd_pseudo_sqrt``, the exchange's drifted pair
+sums among them; ``refine`` checks a caller's model once, before the loop.
 """
 
 from __future__ import annotations
@@ -47,6 +54,24 @@ def _gram(w: np.ndarray) -> np.ndarray:
     return _hermitian_part(w @ _adjoint(w))
 
 
+def _check_hermitian(m: np.ndarray) -> None:
+    """``eig_hermitian``'s Hermiticity check of a (..., n, n) stack, which
+    ``seesaw.refine`` also runs on a caller's model."""
+    # inf - inf gives NaN, which fails the NaN-safe test below without a warning.
+    with np.errstate(invalid="ignore"):
+        asymmetry = np.abs(m - _adjoint(m))
+    # The test is relative, so the rounding of large products is no asymmetry;
+    # only a stack that fails the absolute test pays for the per-member scales.
+    if not asymmetry.max() <= HERMITICITY_TOL:
+        if not np.isfinite(m).all():
+            raise NotHermitianError("matrix has non-finite entries")
+        deviations = asymmetry.max(axis=(-1, -2))
+        excess = deviations / np.maximum(1.0, np.abs(m).max(axis=(-1, -2)))
+        if excess.max() > HERMITICITY_TOL:
+            deviation = float(deviations.flat[excess.argmax()])
+            raise NotHermitianError(f"matrix deviates from Hermiticity by {deviation:.3e} (tol {HERMITICITY_TOL:.1e})")
+
+
 def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a complex Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
@@ -64,22 +89,9 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.size == 0:
         raise DimensionMismatchError(f"expected a square matrix or a stack of them, got shape {np.shape(a)}")
-    adjoint = _adjoint(m)
-    # inf - inf gives NaN, which fails the NaN-safe test below without a warning.
-    with np.errstate(invalid="ignore"):
-        asymmetry = np.abs(m - adjoint)
-    # The test is relative, so the rounding of large products is no asymmetry;
-    # only a stack that fails the absolute test pays for the per-member scales.
-    if not asymmetry.max() <= HERMITICITY_TOL:
-        if not np.isfinite(m).all():
-            raise NotHermitianError("matrix has non-finite entries")
-        deviations = asymmetry.max(axis=(-1, -2))
-        excess = deviations / np.maximum(1.0, np.abs(m).max(axis=(-1, -2)))
-        if excess.max() > HERMITICITY_TOL:
-            deviation = float(deviations.flat[excess.argmax()])
-            raise NotHermitianError(f"matrix deviates from Hermiticity by {deviation:.3e} (tol {HERMITICITY_TOL:.1e})")
+    _check_hermitian(m)
     # Symmetrize once the check passed so downstream math sees an exact Hermitian.
-    return _eigh_descending((m + adjoint) / 2.0)
+    return _eigh_descending(_hermitian_part(m))
 
 
 def _eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

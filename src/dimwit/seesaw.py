@@ -12,8 +12,12 @@ settings with three or more outcomes cycle through exact pairwise exchanges
 that redistribute each pair's sum optimally (``update_measurement_multi``).
 Every step is a closed-form eigenproblem, so the objective is non-decreasing
 and every iterate is a feasible model - values are honest lower bounds on the
-dimension-restricted maximum, found heuristically.  A fixed state, given to
-``seesaw`` itself, pins every restart's state, and the state step is skipped.
+dimension-restricted maximum, found heuristically.  The steps diagonalize
+their own products on ``linalg``'s exact-Hermitian path (``_eigh_descending``
+of a ``_hermitian_part`` or ``_gram`` output), with no Hermiticity test; only
+the exchange's square roots of drifted pair sums take the checked
+``psd_pseudo_sqrt``.  A fixed state, given to ``seesaw`` itself, pins every
+restart's state, and the state step is skipped.
 
 Restarts run in lockstep batches, kept as arrays from their first random
 draw to the one model a batch reports.  ``seesaw`` gives each worker one
@@ -176,14 +180,14 @@ def seeded_models(scenario: BellScenario, d_a: int, d_b: int, seed: int, count: 
 def update_state(states, operators) -> np.ndarray:
     """The see-saw's state step on a batch: new (B, d_a d_b) states in the top
     eigenspace of the members' (B, d_a d_b, d_a d_b) Bell ``operators``, from
-    one stacked eigensolve, the top cluster picked by a per-member eigenvalue
-    mask.
+    one stacked eigensolve of their Hermitian parts, which tests no
+    Hermiticity, the top cluster picked by a per-member eigenvalue mask.
 
     Within a degenerate top eigenspace the previous state's projection is kept
     (when its norm is at least ``PREVIOUS_STATE_MIN_OVERLAP``) to avoid
     cycling.  The objective never decreases.
     """
-    w, v = linalg.eig_hermitian(operators)
+    w, v = linalg._eigh_descending(linalg._hermitian_part(operators))
     top = w[:, :1]
     vecs = v * (w >= top - DEGENERACY_TOL * np.maximum(1.0, np.abs(top)))[:, None, :]
     proj = (vecs @ (linalg._adjoint(vecs) @ states[:, :, None]))[:, :, 0]
@@ -214,8 +218,9 @@ def update_measurement_multi(ops, elements, counts) -> np.ndarray:
     onto X's eigenvectors V₊ with eigenvalues above ``EXCHANGE_TOL``,
     supported inside S; it reaches tr(P X), the sum of those eigenvalues, so
     one eigensolve of X gives both the gain and the new element W W† with
-    W = R V₊.  The current tr(M_a Δ) is an elementwise sum, Δ being
-    Hermitian.
+    W = R V₊.  X is Hermitian by construction, so the eigensolve takes its
+    Hermitian part and tests no Hermiticity.  The current tr(M_a Δ) is an
+    elementwise sum, Δ being Hermitian.
 
     Each pair runs once over every member and setting at a time; per-member
     masks skip pairs past a setting's outcome ``counts``, pairs with an empty
@@ -248,7 +253,7 @@ def update_measurement_multi(ops, elements, counts) -> np.ndarray:
             if np.count_nonzero(drifted):
                 root = s.copy()
                 root[drifted] = linalg.psd_pseudo_sqrt(s[drifted])
-            w, v = linalg.eig_hermitian(root @ delta @ root)
+            w, v = linalg._eigh_descending(linalg._hermitian_part(root @ delta @ root))
             above = w > EXCHANGE_TOL
             gain = (w * above).sum(axis=-1)
             current = (elements[rows, a] * delta.conj()).real.sum(axis=(-1, -2))
@@ -410,9 +415,15 @@ def refine(f: BellFunctional, model: QuantumModel, max_iterations: int = SeesawC
     updating them one by one in index order.  Returns (value, model,
     iterations, converged) from row 0 of ``seesaw``'s lockstep record on a
     batch of one, the same as in a batch; a linear-algebra error is raised.
+    The loop's eigensolves test no Hermiticity, so the model's POVM stacks
+    are tested once first, by ``eig_hermitian``'s rule: an element that
+    fails it raises ``NotHermitianError`` before any step.
     """
     max_iterations = check_count(max_iterations, "max_iterations", 1)
-    arrays = [model.state[None], *(s[None] for s in model_stacks(f, model))]
+    stacks = model_stacks(f, model)
+    for stack in stacks:
+        linalg._check_hermitian(stack)
+    arrays = [model.state[None], *(s[None] for s in stacks)]
     values, iterations, converged, rows, aborted = _lockstep(f, arrays, max_iterations)
     if aborted:
         raise aborted[0]

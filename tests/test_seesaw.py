@@ -13,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 from dimwit import catalog, linalg
 
 ss = importlib.import_module("dimwit.seesaw")
-from dimwit.errors import ConfigError, InvalidFunctionalError, NoConvergenceError, NotPSDError
+from dimwit.errors import ConfigError, InvalidFunctionalError, NoConvergenceError, NotHermitianError, NotPSDError
 from dimwit.scenario import (
     BellFunctional,
     BellScenario,
+    QuantumModel,
     bell_operator,
     bell_operators,
     contraction_matrix,
@@ -851,6 +852,25 @@ def test_refine_raises_the_linear_algebra_error(monkeypatch):
         refine(f, start)
 
 
+def test_refine_rejects_a_non_hermitian_model_before_any_eigensolve(monkeypatch):
+    """A model with a clearly non-Hermitian element makes ``refine`` raise
+    ``NotHermitianError`` before any eigensolve, although the loop's own
+    eigensolves test no Hermiticity: ``refine`` tests the model's POVM stacks
+    once, by ``eig_hermitian``'s relative rule."""
+    f = catalog.chsh()
+    start = seeded_models(f.scenario, 2, 2, seed=0, count=1)[0]
+    povms_a = [list(setting) for setting in start.povms_a]
+    povms_a[0][0] = povms_a[0][0] + np.array([[0.0, 0.5], [0.0, 0.0]])
+    bad = QuantumModel(2, 2, start.state, povms_a, start.povms_b)
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+    with pytest.raises(NotHermitianError, match="deviates from Hermiticity"):
+        refine(f, bad)
+
+
 def _unique_stacked_input(f, d, cfg, monkeypatch):
     """A matrix that ``np.linalg.eigh`` sees exactly once in a clean run, as
     one member of a stacked call from the middle of the run."""
@@ -1139,7 +1159,8 @@ def test_start_arrays_match_the_reference_draws(scenario, d_a, d_b):
 def test_unchecked_eigensolves_get_exactly_hermitian_matrices(monkeypatch):
     """Every matrix the see-saw hands to ``linalg._eigh_descending`` itself,
     past the Hermiticity check, equals its adjoint bit for bit, and its
-    eigenpairs are those ``eig_hermitian`` gives."""
+    eigenpairs are those ``eig_hermitian`` gives: the start draws, the binary
+    and exchange steps (d x d) and the state step's Bell operators (d² x d²)."""
     real_check, real_solve = linalg.eig_hermitian, linalg._eigh_descending
     inside, direct = [False], []
 
@@ -1162,7 +1183,7 @@ def test_unchecked_eigensolves_get_exactly_hermitian_matrices(monkeypatch):
         for f, d in ((catalog.chsh(), 2), (catalog.expression_E(), 3), (ragged, 2), (catalog.cglmp_C(), 3)):
             seesaw(f, d, d, SeesawConfig(restarts=4, seed=2, max_iterations=20))
     assert len(direct) > 20
-    assert {m.shape[-1] for m in direct} == {2, 3}
+    assert {m.shape[-1] for m in direct} == {2, 3, 4, 9}
     for m in direct:
         assert np.array_equal(m, m.conj().swapaxes(-1, -2))
         got, want = real_solve(m), real_check(m)
@@ -1309,7 +1330,7 @@ def test_exchange_fixed_point_is_returned_after_one_pass(monkeypatch, counts, d)
         povms = out
     else:
         raise AssertionError("no fixed point within 200 calls")
-    real = linalg.eig_hermitian
+    real = linalg._eigh_descending
 
     def eigensolves(passes):
         calls = []
@@ -1319,7 +1340,7 @@ def test_exchange_fixed_point_is_returned_after_one_pass(monkeypatch, counts, d)
             return real(*args, **kwargs)
 
         with monkeypatch.context() as patch:
-            patch.setattr(linalg, "eig_hermitian", counting)
+            patch.setattr(linalg, "_eigh_descending", counting)
             patch.setattr(ss, "PAIR_PASSES", passes)
             again = ss.update_measurement_multi(ops, out, c)
         assert np.array_equal(again, out)
@@ -1328,15 +1349,21 @@ def test_exchange_fixed_point_is_returned_after_one_pass(monkeypatch, counts, d)
     assert 0 < eigensolves(ss.PAIR_PASSES) == eigensolves(1)
 
 
-@pytest.mark.parametrize("name", ["cglmp-c", "E"])
-def test_large_coefficients_do_not_abort(name):
+@pytest.mark.parametrize(
+    "name, scale",
+    [("cglmp-c", 1e8), ("E", 1e8), ("cglmp-c", 1e15), ("E", 1e15)],
+    ids=["cglmp-c", "E", "cglmp-c-1e15", "E-1e15"],
+)
+def test_large_coefficients_do_not_abort(name, scale):
     """The see-saw's own products drift from Hermitian by about 1e-16 |C|;
-    with a relative Hermiticity tolerance a functional scaled by 1e8 runs
-    without an abort and finds the unscaled value times 1e8."""
+    the state and exchange steps take their Hermitian parts without a
+    Hermiticity test, so no tolerance applies there, and a functional scaled
+    by 1e8 or 1e15 runs without an abort and finds the unscaled value times
+    the scale."""
     f = catalog.by_name(name)
     cfg = SeesawConfig(restarts=8, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scaled = seesaw(f.scaled(1e8), 3, 3, cfg)
+        scaled = seesaw(f.scaled(scale), 3, 3, cfg)
     assert scaled.aborted == {}
-    assert abs(scaled.best_value / 1e8 - seesaw(f, 3, 3, cfg).best_value) < 1e-9
+    assert abs(scaled.best_value / scale - seesaw(f, 3, 3, cfg).best_value) < 1e-9
