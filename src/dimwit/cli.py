@@ -304,10 +304,15 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _add_seesaw_knobs(p: argparse.ArgumentParser, fixed_state: bool = False) -> None:
-    p.add_argument("--restarts", type=int, default=None, help="random restarts (default scales with dimension)")
+def _add_restart_knobs(p: argparse.ArgumentParser, restarts: int | None, restarts_help: str | None) -> None:
+    """The ``SeesawConfig`` options every restarted search takes."""
+    p.add_argument("--restarts", type=int, default=restarts, help=restarts_help)
     p.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: DIMWIT_SEED, then 0)")
     p.add_argument("--max-iterations", type=int, default=SeesawConfig.max_iterations)
+
+
+def _add_seesaw_knobs(p: argparse.ArgumentParser, fixed_state: bool = False) -> None:
+    _add_restart_knobs(p, None, "random restarts (default scales with dimension)")
     p.add_argument(
         "--jobs",
         type=int,
@@ -380,9 +385,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add("grothendieck", help="normalize a correlation matrix and search unit vectors"):
         p.add_argument("-m", "--matrix", required=True, help="CSV of m rows of m reals")
         p.add_argument("--n", type=int, required=True, help="vector dimension N")
-        p.add_argument("--restarts", type=int, default=SeesawConfig.restarts)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-iterations", type=int, default=SeesawConfig.max_iterations)
+        _add_restart_knobs(p, SeesawConfig.restarts, None)
         p.add_argument("--json", action="store_true")
         p.set_defaults(fn=cmd_grothendieck)
     return parser

@@ -13,22 +13,10 @@ The sign enumeration is ``localbound.local_bound`` on ``correlator_bell(M)``,
 which flipping every sign leaves unchanged, so it scores only the 2^(m-1)
 sign vectors x with x_0 fixed, under the search's one cap (m <= 26).  Bob's
 two outcomes score exactly opposite, so per x it builds the m sums
-sum_i M_ij x_i once and takes each y_j's best as their magnitude.
-
-From m = 14 the search spans several blocks of 2^17 cells, and a bound pass
-runs first.  It sums the trailing signs' terms once per call, into a table
-of at most one block, and scores every x approximately: per j, the magnitude
-of its leading signs' sum plus its table entry, then the sum over j.  Both
-scores sum the same terms in other orders, so they differ by at most
-D = 3m eps sum_ij 4|M_ij| to first order.  Only the blocks whose best
-approximate score is at least the best one minus 4D (D taken twice, for its
-own rounding) are enumerated exactly; they hold every maximiser, so the norm
-is bit for bit that of the full enumeration.  The pass stands down, and
-every block is enumerated, for m <= 13 (one block) and when
-sum_ij 4|M_ij| >= float max / 4, where a partial sum could overflow.  Its
-table and work array, of half a block each as Bob's cells are halved, are
-freed before the exact sums; it keeps one float per fine block of at most
-2^14 cells, never one per sign vector.
+sum_i M_ij x_i once and takes each y_j's best as their magnitude
+|sum_i M_ij x_i|.  How the search cuts the sign vectors into blocks, and its
+bound pass, which skips blocks and keeps the norm bit for bit that of the
+full enumeration, are ``localbound``'s.
 
 The unit-vector search hands its raw draws, stacked (restarts, m, N) arrays,
 to the quantum see-saw's restart loop, ``seesaw.drive_lockstep``, whose starts

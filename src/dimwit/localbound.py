@@ -16,16 +16,10 @@ max(outcomes_b) per setting even when halved, so the cap admits
 ``correlator_bell`` up to m = 26 either way.
 
 A search of several blocks first runs a bound pass: every strategy gets an
-approximate score, a float sum of the same terms in another order, within a
-proven slack of its exact one, and the exact fold then runs only on the
-blocks whose best approximate score comes within twice that slack of the
-best, which hold every maximiser.  The answer is bit for bit that of the full
-enumeration.  The pass stands down, and every block is folded, when the
-search has one block or when the coefficients' magnitudes sum to float max
-/ 4 or more, where a partial sum could overflow.  It holds a table and a
-work array of at most a block each (half a block when Bob's cells are
-halved) and one float per fine block, never one per strategy (see
-``_best_strategy``).
+approximate score, a float sum of the same terms in another order, and the
+exact fold runs only on the blocks that can hold a maximiser, so the answer
+is bit for bit that of the full enumeration.  ``_best_strategy`` derives the
+pass's slack, when it stands down and what memory it holds.
 """
 
 from __future__ import annotations
@@ -136,9 +130,11 @@ def _split(counts: tuple[int, ...], cells: int, budget: int) -> int:
 class _Blocks:
     """One search's Alice strategies, in blocks that share the outcomes of
     their leading settings (a prefix) and take every outcome of the rest.
-    ``prefix_sums`` then ``extend`` add a strategy's terms in one fixed order
-    whatever the prefix length, so every block scores a strategy bit for bit
-    alike; the ``split`` leading settings give blocks of at most
+    Alice's terms are read from two tables built once: her joint terms as
+    (setting, outcome, Bob cell, Bob setting), C-contiguous, and her
+    marginals as (setting, outcome).  ``extend`` is the one fold over them,
+    so every block scores a strategy bit for bit alike whatever its prefix
+    length; the ``split`` leading settings give blocks of at most
     ``_CHUNK_CELLS`` cells."""
 
     def __init__(self, f: BellFunctional):
@@ -153,37 +149,27 @@ class _Blocks:
         # setting's count are -inf so they never win.
         padded = np.arange(cells)[:, None] >= np.array(sc.outcomes_b)
         self.bob_marginal = np.where(padded, -np.inf, c[-1, : self.settings_b, 0, :cells].T)
-        self.slab = np.ascontiguousarray(c[self.split : -1, : self.settings_b, :, :cells].transpose(0, 2, 3, 1))
+        self.joint = np.ascontiguousarray(c[:-1, : self.settings_b, :, :cells].transpose(0, 2, 3, 1))
+        self.marginal = c[:-1, -1, :, 0]
 
-    def prefix_sums(self, prefix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """The constant plus the prefix's Alice marginals, shape (1,), and
-        Bob's cells from his marginal plus the prefix's joint terms, shape
-        (1, cells, settings_b), each summed in setting order."""
-        c, settings_b, cells = self.c, self.settings_b, self.cells
-        total = np.full(1, c[-1, -1, 0, 0])
-        row = self.bob_marginal.copy()
-        for x, a in enumerate(prefix):
-            total += c[x, -1, a, 0]
-            row += c[x, :settings_b, a, :cells].T
-        return total, row[None]
-
-    def extend(self, total: np.ndarray, scores: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
-        """``total`` and Bob cells ``scores`` with every outcome of settings
-        ``first``.. added, one setting at a time, in product order."""
-        c, split = self.c, self.split
+    def extend(self, prefix: tuple[int, ...], total: np.ndarray, scores: np.ndarray, first: int = 0):
+        """The one fold: ``total`` (n,) and Bob cells ``scores`` (n, cells,
+        settings_b) with Alice's settings ``first``.. added one at a time, in
+        setting order, each of ``prefix``'s at its outcome and every outcome
+        of each later one, in product order.  Started from the constant and
+        Bob's marginal, it adds a strategy's Alice marginals to its total, and
+        its joint terms to each Bob cell, in setting order whatever the prefix
+        length, so every block scores the strategy bit for bit alike."""
         for x, v in enumerate(self.counts[first:], start=first):
-            total = (total[:, None] + c[x, -1, :v, 0]).reshape(-1)
-            scores = (scores[:, None] + self.slab[x - split, :v]).reshape(-1, self.cells, self.settings_b)
+            outcomes = slice(prefix[x], prefix[x] + 1) if x < len(prefix) else slice(v)
+            total = (total[:, None] + self.marginal[x, outcomes]).reshape(-1)
+            scores = (scores[:, None] + self.joint[x, outcomes]).reshape(-1, self.cells, self.settings_b)
         return total, scores
 
     def responses(self, scores: np.ndarray) -> np.ndarray:
-        """Bob's best score per strategy and setting."""
-        if self.cells == 1:
-            return np.abs(scores[:, 0])
-        response = scores[:, 0]
-        for b in range(1, self.width):
-            response = np.maximum(response, scores[:, b])
-        return response
+        """Bob's best score per strategy and setting: the max over his cells,
+        or their magnitude when they are halved."""
+        return np.abs(scores[:, 0]) if self.cells == 1 else scores.max(axis=1)
 
     def prefixes(self):
         """The prefixes of the blocks to fold exactly, in product order:
@@ -197,18 +183,18 @@ class _Blocks:
         middle = counts[split : _split(counts, self.width * settings_b, _CHUNK_CELLS // _FINE_BLOCKS)]
         fine = math.prod(middle)
         settings = np.arange(split)
-        lead = c[:split, :settings_b, :, :cells].transpose(0, 2, 3, 1)
-        trailing_total, table = self.extend(np.zeros(1), np.zeros((1, cells, settings_b)), split)
+        trailing_total, table = self.extend((), np.zeros(1), np.zeros((1, cells, settings_b)), split)
         # (cell, Bob setting, trailing strategy), so each pass runs along strategies.
         table = np.ascontiguousarray(table.transpose(1, 2, 0))
         approx = np.empty_like(table)
         block_best = np.empty((math.prod(leading), fine))
         for k, prefix in enumerate(product(*(range(v) for v in leading))):
-            np.add(table, (self.bob_marginal + lead[settings, prefix].sum(axis=0))[..., None], out=approx)
+            np.add(table, (self.bob_marginal + self.joint[settings, prefix].sum(axis=0))[..., None], out=approx)
             response = np.abs(approx[0], out=approx[0]) if cells == 1 else approx.max(axis=0)
             scores = response.sum(axis=0) + trailing_total
             # A rounded x + t never decreases as x grows, so t may be added after the max.
-            block_best[k] = scores.reshape(fine, -1).max(axis=1) + (c[-1, -1, 0, 0] + c[settings, -1, prefix, 0].sum())
+            alice = c[-1, -1, 0, 0] + self.marginal[settings, prefix].sum()
+            block_best[k] = scores.reshape(fine, -1).max(axis=1) + alice
         del table, approx
         # Twice the first-order slack covers the rounding of the slack itself.
         slack = 2 * (2 * len(counts) + settings_b) * np.finfo(float).eps * magnitude
@@ -228,20 +214,20 @@ def _best_strategy(f: BellFunctional) -> tuple[float, DeterministicStrategy | No
     ``check_enumeration`` (``None`` if no score beats -inf).
     Alice's strategies run in ``itertools.product`` order, the leading
     settings in a Python loop and the trailing ones (as many as fit
-    ``_CHUNK_CELLS``) as one block folded from the prefix's row; a block
-    replaces the best only on strict improvement.  A score adds, in order,
-    the constant, Alice's marginals by setting, then per Bob setting the max
-    over his outcomes of (his marginal, then the joint terms by Alice setting).
-    The trailing settings' joint terms are read from one C-contiguous
-    (setting, outcome, Bob cell, Bob setting) slab built once per call.
+    ``_CHUNK_CELLS``) as one block, scored by one ``_Blocks.extend`` fold; a
+    block replaces the best only on strict improvement.  A score adds, in
+    order, the constant, Alice's marginals by setting, then per Bob setting
+    the max over his outcomes of (his marginal, then the joint terms by Alice
+    setting).
 
     When the search has more than one block, a bound pass runs first
-    (``_Blocks.prefixes``).  It sums the trailing settings' joint terms and
-    marginals once per call, into a table of at most one block, and per
-    leading prefix gives each strategy an approximate score: its prefix row
-    plus its table row, then ``abs`` (or the max over Bob's outcomes), then
-    one sum.  Both scores are float sums of the same terms: a cell sums
-    settings_a + 1 of them, a score 1 + settings_a + settings_b.  A float sum
+    (``_Blocks.prefixes``).  It folds the trailing settings' joint terms and
+    marginals once per call, from zero, into a table of at most one block,
+    and per leading prefix gives each strategy an approximate score: the
+    prefix's sums, read from the fold's two tables, plus its table row, then
+    ``abs`` (or the max over Bob's outcomes), then one sum.  Both scores are
+    float sums of the same terms: a cell sums settings_a + 1 of them, a
+    score 1 + settings_a + settings_b.  A float sum
     of n terms, in any order, is within (n - 1) u / (1 - (n - 1) u) times the
     sum of their magnitudes of its exact value (u = eps / 2), and ``abs`` and
     max move no value further apart, so the two scores differ by at most
@@ -278,8 +264,9 @@ def _best_strategy(f: BellFunctional) -> tuple[float, DeterministicStrategy | No
     sized on max(outcomes_b) cells per Bob setting, so its memory halves."""
     blocks = _Blocks(f)
     best_score, best = -math.inf, None
+    start = np.full(1, f.coefficients[-1, -1, 0, 0]), blocks.bob_marginal[None]
     for prefix in blocks.prefixes():
-        total, scores = blocks.extend(*blocks.prefix_sums(prefix), len(prefix))
+        total, scores = blocks.extend(prefix, *start)
         for best_y in blocks.responses(scores).T:
             total = total + best_y
         i = int(np.argmax(total))

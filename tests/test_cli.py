@@ -799,6 +799,19 @@ def test_one_list_of_commands():
         assert commands(cli.build_parser(command)) == (command,)
 
 
+def test_every_seed_option_names_its_fallback():
+    """``main`` resolves every command's ``--seed`` through ``DIMWIT_SEED``,
+    so each help line says so."""
+    seeded = []
+    for command in cli.COMMANDS:
+        sub = next(a for a in cli.build_parser(command)._actions if isinstance(a, argparse._SubParsersAction))
+        for action in sub.choices[command]._actions:
+            if "--seed" in action.option_strings:
+                seeded.append(command)
+                assert "DIMWIT_SEED" in (action.help or ""), command
+    assert seeded == ["seesaw", "curve", "witness", "grothendieck"]
+
+
 # Payloads, with the input path and ``manifest`` removed, of the two
 # ``test_cli_payloads_are_pinned`` commands; every float is compared with ``==``.
 GOLDEN_GROTHENDIECK = {

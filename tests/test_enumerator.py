@@ -119,6 +119,37 @@ def test_matches_oracle_on_iphi_grid(chunk_cells):
             assert_matches_oracle(catalog.i_phi(float(phi)))
 
 
+def assert_fold_ignores_the_prefix_length(f):
+    """Every split of every strategy into a block's prefix and the rest
+    scores its total and Bob cells alike, ``==``, and in the documented
+    order: the constant then Alice's marginals by setting, and Bob's
+    marginal then the joint terms by Alice setting."""
+    blocks = localbound._Blocks(f)
+    c, counts = f.coefficients, blocks.counts
+    start = np.full(1, c[-1, -1, 0, 0]), blocks.bob_marginal[None]
+    for alpha in product(*(range(v) for v in counts)):
+        total, cells = c[-1, -1, 0, 0], blocks.bob_marginal.copy()
+        for x, a in enumerate(alpha):
+            total = total + c[x, -1, a, 0]
+            cells = cells + c[x, : f.scenario.settings_b, a, : blocks.cells].T
+        for k in range(len(counts) + 1):
+            totals, scores = blocks.extend(alpha[:k], *start)
+            i = np.ravel_multi_index(alpha[k:], counts[k:]) if k < len(counts) else 0
+            assert totals[i] == total and (scores[i] == cells).all(), (alpha, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(functionals())
+def test_fold_scores_a_strategy_alike_whatever_its_prefix(f):
+    assert_fold_ignores_the_prefix_length(f)
+
+
+def test_fold_scores_a_correlator_alike_whatever_its_prefix(rng):
+    f = grothendieck.correlator_bell(grothendieck.CorrelationFunctional(rng.normal(size=(5, 5))))
+    assert localbound._Blocks(f).cells == 1
+    assert_fold_ignores_the_prefix_length(f)
+
+
 def test_matches_oracle_on_catalog():
     for name in ("cglmp-c", "cglmp-d", "E", "chsh"):
         assert_matches_oracle(catalog.by_name(name))
