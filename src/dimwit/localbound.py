@@ -76,15 +76,15 @@ def strategy_table(scenario: BellScenario, s: DeterministicStrategy) -> Probabil
 
 def strategy_value(f: BellFunctional, s: DeterministicStrategy) -> float:
     """Functional value of a deterministic strategy (``ScenarioMismatchError``
-    if it does not fit), summed in ``evaluate``'s fixed order so the two agree."""
+    if it does not fit); it adds its terms in ``evaluate``'s order, so the two agree."""
     _check_strategy(f.scenario, s)
-    total = f.constant
-    for x in range(f.scenario.settings_a):
-        for y in range(f.scenario.settings_b):
-            total += f.joint[x][y][s.assignment_a[x], s.assignment_b[y]]
-    for marginals, assignment in ((f.marginal_a, s.assignment_a), (f.marginal_b, s.assignment_b)):
-        for coeffs, o in zip(marginals, assignment):
-            total += coeffs[o]
+    c, total = f.coefficients, f.constant
+    for x, a in enumerate(s.assignment_a):
+        for y, b in enumerate(s.assignment_b):
+            total += c[x, y, a, b]
+    for own, assignment in ((c, s.assignment_a), (c.transpose(1, 0, 3, 2), s.assignment_b)):
+        for x, o in enumerate(assignment):
+            total += own[x, -1, o, 0]
     return float(total)
 
 

@@ -9,9 +9,9 @@ functional is the linear form
           + constant
 
 evaluated either on a raw probability table (``evaluate``) or on a quantum
-model.  A functional stores only its coefficient tensor
-(``BellFunctional.coefficients``); the blocks above are read-only views into
-it.  Every quantum-side quantity - the Bell operator, the model's value, its
+model.  A functional stores its scenario and coefficient tensor
+(``BellFunctional.coefficients``) only; each block above is a slice of the
+tensor.  Every quantum-side quantity - the Bell operator, the model's value, its
 probability table, and the see-saw's per-setting operators - is a contraction
 of that tensor with the parties' stacked POVMs (``povm_stack``), which is
 also the one form in which a ``QuantumModel`` stores its measurements.  The
@@ -104,22 +104,22 @@ def _block(arr, shape: tuple[int, ...], name: str) -> np.ndarray:
 class BellFunctional:
     """Linear functional on probability tables of a fixed scenario.
 
-    Its one stored form is ``coefficients``: a read-only tensor C of shape
-    (settings_a + 1, settings_b + 1, max(outcomes_a), max(outcomes_b)).  Setting
-    -1 of each party is an identity slot with the single outcome 0, so
+    It stores its ``scenario`` and ``coefficients`` only: a read-only tensor C
+    of shape (settings_a + 1, settings_b + 1, max(outcomes_a), max(outcomes_b)).
+    Setting -1 of each party is an identity slot with the single outcome 0, so
 
         C[x, y, a, b] = joint[x][y][a, b]      C[x, -1, a, 0] = marginal_a[x][a]
         C[-1, y, 0, b] = marginal_b[y][b]      C[-1, -1, 0, 0] = constant
 
     and every other slot, including outcomes past a setting's count, is zero.
-    The (outcomes_a[x], outcomes_b[y]) blocks ``joint[x][y]`` and the marginal
-    vectors ``marginal_a[x]`` / ``marginal_b[y]`` are read-only views into C.
-    With operators stacked the same way (``povm_stack``), the value is
-    sum C[x, y, a, b] <A_xa ⊗ B_yb> for any operators, whether or not they
-    sum to the identity.  The constructor copies the blocks into a new C; a
-    block of the wrong shape, or a list with the wrong number of blocks,
-    raises ``DimensionMismatchError`` and a non-finite coefficient
-    ``InvalidFunctionalError``.
+    With va = outcomes_a[x] and vb = outcomes_b[y], block (x, y) reads
+    ``coefficients[x, y, :va, :vb]``, Alice's marginal ``[x, -1, :va, 0]`` and
+    Bob's ``[-1, y, 0, :vb]``.  With operators stacked the same way
+    (``povm_stack``), the value is sum C[x, y, a, b] <A_xa ⊗ B_yb> for any
+    operators, whether or not they sum to the identity.  The constructor copies
+    the blocks into a new C; a wrong block shape or count raises
+    ``DimensionMismatchError``, a non-finite coefficient ``InvalidFunctionalError``.
+    A pickle rebuilds it through ``_from_coefficients``, which checks and freezes C.
     """
 
     def __init__(self, scenario, joint=None, marginal_a=None, marginal_b=None, constant=0.0):
@@ -156,10 +156,9 @@ class BellFunctional:
         c.flags.writeable = False
         self.scenario = scenario
         self.coefficients = c
-        rows_a, rows_b = tuple(enumerate(scenario.outcomes_a)), tuple(enumerate(scenario.outcomes_b))
-        self.joint = tuple(tuple(c[x, y, :va, :vb] for y, vb in rows_b) for x, va in rows_a)
-        self.marginal_a = tuple(c[x, -1, :va, 0] for x, va in rows_a)
-        self.marginal_b = tuple(c[-1, y, 0, :vb] for y, vb in rows_b)
+
+    def __reduce__(self):
+        return BellFunctional._from_coefficients, (self.scenario, self.coefficients)
 
     @property
     def constant(self) -> float:
@@ -271,16 +270,17 @@ def evaluate(f: BellFunctional, t: ProbabilityTable, marginal_policy: str = PART
         raise ScenarioMismatchError("functional and table use different scenarios")
     if marginal_policy not in (PARTNER_SETTING_ZERO, AVERAGE):
         raise ConfigError(f"unknown marginal policy {marginal_policy!r}")
-    total = f.constant
+    c, sc, total = f.coefficients, f.scenario, f.constant
     with np.errstate(over="ignore", invalid="ignore"):
-        for x in range(f.scenario.settings_a):
-            for y in range(f.scenario.settings_b):
-                blk = f.joint[x][y]
-                if blk.any():
+        for x, va in enumerate(sc.outcomes_a):
+            for y, vb in enumerate(sc.outcomes_b):
+                if (blk := c[x, y, :va, :vb]).any():
                     total += float((blk * t.p[x][y]).sum())
-        for marginals, table_marginal in ((f.marginal_a, t.marginal_a), (f.marginal_b, t.marginal_b)):
-            for s, coeffs in enumerate(marginals):
-                if coeffs.any():
+        # Bob's marginals are the same slots of the party-swapped view of C.
+        parties = (c, sc.outcomes_a, t.marginal_a), (c.transpose(1, 0, 3, 2), sc.outcomes_b, t.marginal_b)
+        for own, counts, table_marginal in parties:
+            for s, v in enumerate(counts):
+                if (coeffs := own[s, -1, :v, 0]).any():
                     total += float(coeffs @ table_marginal(s, marginal_policy))
     if not np.isfinite(total):
         raise InvalidFunctionalError(f"the value is beyond the float range: {total}")

@@ -45,8 +45,8 @@ const -3
 def test_parse_minimal_functional():
     f = bellfmt.parse_functional("scenario A:3,3 B:3,3\nconst -3\n+1 P(0 0|0 0)\n")
     assert f.constant == -3.0
-    assert f.joint[0][0][0, 0] == 1.0
-    assert f.joint[0][0].sum() == 1.0
+    assert f.coefficients[0, 0, 0, 0] == 1.0
+    assert f.coefficients[0, 0, :3, :3].sum() == 1.0
 
 
 def test_cglmp_golden_text_and_round_trip():
@@ -94,14 +94,14 @@ def test_duplicate_terms_sum():
     f = bellfmt.parse_functional(
         "scenario A:2 B:2\n+1 P(0 0|0 0)\n+0.5 P(0 0|0 0)\n-1 PA(1|0)\n-1 PA(1|0)\n"
     )
-    assert f.joint[0][0][0, 0] == 1.5
-    assert f.marginal_a[0][1] == -2.0
+    assert f.coefficients[0, 0, 0, 0] == 1.5
+    assert f.coefficients[0, -1, 1, 0] == -2.0
 
 
 def test_rationals_whitespace_comments_crlf():
     text = "# comment line\r\nscenario A : 2 B : 2\r\n+1/3 P( 0 0 | 0 0 )  # tail\r\nconst -2/4\r\n"
     f = bellfmt.parse_functional(text)
-    assert f.joint[0][0][0, 0] == 1.0 / 3.0
+    assert f.coefficients[0, 0, 0, 0] == 1.0 / 3.0
     assert f.constant == -0.5
 
 
@@ -109,7 +109,7 @@ def test_rationals_round_once_to_the_nearest_double():
     # p = 2^53 + 1 is not a double, so rounding p first and then p / 3 gives
     # 3002399751580330.5; the exact quotient 3002399751580331 is a double.
     f = bellfmt.parse_functional("scenario A:2 B:2\n9007199254740993/3 P(0 0|0 0)\n")
-    assert f.joint[0][0][0, 0] == 3002399751580331.0
+    assert f.coefficients[0, 0, 0, 0] == 3002399751580331.0
     f = bellfmt.parse_functional(f"scenario A:2 B:2\nconst -{10**30 + 1} / {3 * 10**29}\n")
     assert f.constant == -(10**30 + 1) / (3 * 10**29)
 
@@ -179,7 +179,7 @@ def test_overflowing_duplicate_sum_is_parse_error():
     assert err.value.line == 3
     # Cancelling duplicates stay finite and are accepted.
     f = bellfmt.parse_functional("scenario A:2 B:2\n+1e308 P(0 0|0 0)\n-1e308 P(0 0|0 0)\n")
-    assert f.joint[0][0][0, 0] == 0.0
+    assert f.coefficients[0, 0, 0, 0] == 0.0
 
 
 def test_serialized_reals_have_12_significant_digits():

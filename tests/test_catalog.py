@@ -59,7 +59,7 @@ def test_i_phi_endpoints():
     d = catalog.cglmp_D()
     for x in range(2):
         for y in range(2):
-            assert np.abs(f.joint[x][y] - d.joint[x][y]).max() < 1e-15
+            assert np.abs(f.coefficients[x, y, :3, :3] - d.coefficients[x, y, :3, :3]).max() < 1e-15
     assert abs(f.constant) < 1e-15
 
 

@@ -2,6 +2,7 @@
 reference, and the see-saw's per-setting operators against the value change
 they predict."""
 
+import pickle
 import re
 from dataclasses import replace
 
@@ -35,10 +36,11 @@ def kron_bell_operator(f, povms_a, povms_b):
     d_a = povms_a[0][0].shape[0]
     d_b = povms_b[0][0].shape[0]
     dim = d_a * d_b
+    coefficients = f.coefficients
     op = np.zeros((dim, dim), dtype=complex)
-    for x in range(f.scenario.settings_a):
-        for y in range(f.scenario.settings_b):
-            blk = f.joint[x][y]
+    for x, va in enumerate(f.scenario.outcomes_a):
+        for y, vb in enumerate(f.scenario.outcomes_b):
+            blk = coefficients[x, y, :va, :vb]
             if not blk.any():
                 continue
             for a in range(f.scenario.outcomes_a[x]):
@@ -51,15 +53,15 @@ def kron_bell_operator(f, povms_a, povms_b):
                         partner = partner + row[b] * povms_b[y][b]
                 op += np.kron(povms_a[x][a], partner)
     acc_a = np.zeros((d_a, d_a), dtype=complex)
-    for x, coeffs in enumerate(f.marginal_a):
-        for a, c in enumerate(coeffs):
+    for x, va in enumerate(f.scenario.outcomes_a):
+        for a, c in enumerate(coefficients[x, -1, :va, 0]):
             if c != 0.0:
                 acc_a = acc_a + c * povms_a[x][a]
     if acc_a.any():
         op += np.kron(acc_a, np.eye(d_b))
     acc_b = np.zeros((d_b, d_b), dtype=complex)
-    for y, coeffs in enumerate(f.marginal_b):
-        for b, c in enumerate(coeffs):
+    for y, vb in enumerate(f.scenario.outcomes_b):
+        for b, c in enumerate(coefficients[-1, y, 0, :vb]):
             if c != 0.0:
                 acc_b = acc_b + c * povms_b[y][b]
     if acc_b.any():
@@ -122,28 +124,28 @@ def test_coefficient_tensor_layout():
     assert c.shape == (3, 4, 3, 2)
     assert not c.flags.writeable
     assert c[-1, -1, 0, 0] == f.constant == -1.0
-    assert c[0, -1, 0, 0] == f.marginal_a[0][0] == 1.0
+    assert c[0, -1, 0, 0] == 1.0
     assert not c[0, :, 2, :].any()  # Alice's binary setting padded to 3 outcomes
     assert not c[-1, :, 1:, :].any() and not c[:, -1, :, 1:].any()
 
 
 def blockwise(op, *fs) -> BellFunctional:
     """The block constructor given op of the functionals' blocks and constants."""
-    sc = fs[0].scenario
+    sc, cs = fs[0].scenario, [g.coefficients for g in fs]
     return BellFunctional(
         sc,
         [
-            [op(*(g.joint[x][y] for g in fs)) for y in range(sc.settings_b)]
-            for x in range(sc.settings_a)
+            [op(*(c[x, y, :va, :vb] for c in cs)) for y, vb in enumerate(sc.outcomes_b)]
+            for x, va in enumerate(sc.outcomes_a)
         ],
-        [op(*(g.marginal_a[x] for g in fs)) for x in range(sc.settings_a)],
-        [op(*(g.marginal_b[y] for g in fs)) for y in range(sc.settings_b)],
+        [op(*(c[x, -1, :va, 0] for c in cs)) for x, va in enumerate(sc.outcomes_a)],
+        [op(*(c[-1, y, 0, :vb] for c in cs)) for y, vb in enumerate(sc.outcomes_b)],
         op(*(g.constant for g in fs)),
     )
 
 
 def assert_tensor_form(f: BellFunctional) -> None:
-    """``f`` holds its tensor and read-only views into it, zero outside the blocks."""
+    """``f`` holds only its scenario and a read-only tensor, zero outside the blocks."""
     sc, c = f.scenario, f.coefficients
     used = np.zeros(c.shape, dtype=bool)
     for x, va in enumerate(sc.outcomes_a):
@@ -154,11 +156,8 @@ def assert_tensor_form(f: BellFunctional) -> None:
         used[-1, y, 0, :vb] = True
     used[-1, -1, 0, 0] = True
     assert not c[~used].any()
-    assert set(vars(f)) == {"scenario", "coefficients", "joint", "marginal_a", "marginal_b"}
-    views = [blk for row in f.joint for blk in row] + [*f.marginal_a, *f.marginal_b]
+    assert set(vars(f)) == {"scenario", "coefficients"}
     assert not c.flags.writeable
-    for view in views:
-        assert np.shares_memory(view, c) and not view.flags.writeable
     assert f.constant == c[-1, -1, 0, 0]
 
 
@@ -170,6 +169,8 @@ def test_every_constructor_stores_one_tensor(rng):
             (f, blockwise(lambda u: u, f)),
             (f + g, blockwise(lambda u, v: u + v, f, g)),
             (2.5 * f, blockwise(lambda u: 2.5 * u, f)),
+            (f * -0.75, blockwise(lambda u: u * -0.75, f)),
+            (f.scaled(3.0), blockwise(lambda u: 3.0 * u, f)),
             (-f, blockwise(lambda u: -u, f)),
             (bellfmt.parse_functional(bellfmt.serialize_functional(f)), f),
         ]
@@ -187,6 +188,20 @@ def test_every_constructor_stores_one_tensor(rng):
         )
 
 
+def test_pickle_rebuilds_a_read_only_functional_from_its_tensor():
+    """A loaded functional goes through ``_from_coefficients`` again: equal,
+    holding its scenario and tensor only, read-only, and pickled as little
+    more than the tensor's data."""
+    matrix = np.random.default_rng(17).normal(size=(17, 17))
+    for f in (catalog.expression_E(), correlator_bell(CorrelationFunctional(matrix))):
+        data = pickle.dumps(f)
+        g = pickle.loads(data)
+        assert g == f
+        assert set(vars(g)) == {"scenario", "coefficients"}
+        assert not g.coefficients.flags.writeable
+        assert len(data) <= f.coefficients.nbytes + 1024
+
+
 def test_functional_copies_the_callers_blocks():
     sc = BellScenario((2,), (2, 3))
     joint = [[np.ones((2, 2)), np.ones((2, 3))]]
@@ -196,7 +211,7 @@ def test_functional_copies_the_callers_blocks():
     joint[0][1][1, 2] = marginal_a[0][1] = marginal_b[1][2] = 7.0
     assert np.array_equal(f.coefficients, before)
     with pytest.raises(ValueError):
-        f.joint[0][1][1, 2] = 7.0
+        f.coefficients[0, 1, 1, 2] = 7.0
 
 
 @pytest.mark.parametrize(

@@ -25,19 +25,19 @@ from dimwit.scenario import BellFunctional, BellScenario
 def loop_extremize(f: BellFunctional, sign: float):
     """Oracle: Alice's strategies one at a time in lexicographic order, Bob's
     best response per setting by ``np.argmax``, strict improvement only."""
-    scenario = f.scenario
+    scenario, c = f.scenario, f.coefficients
     best_total = -math.inf
     best_strategy = None
-    bob_settings = range(scenario.settings_b)
+    bob_settings = tuple(enumerate(scenario.outcomes_b))
     for alpha in product(*(range(v) for v in scenario.outcomes_a)):
         base = sign * f.constant
         for x, a in enumerate(alpha):
-            base += sign * f.marginal_a[x][a]
+            base += sign * c[x, -1, a, 0]
         bob_choice = []
-        for y in bob_settings:
-            scores = sign * f.marginal_b[y].copy()
+        for y, vb in bob_settings:
+            scores = sign * c[-1, y, 0, :vb].copy()
             for x, a in enumerate(alpha):
-                scores += sign * f.joint[x][y][a]
+                scores += sign * c[x, y, a, :vb]
             b = int(np.argmax(scores))
             bob_choice.append(b)
             base += scores[b]
@@ -259,7 +259,10 @@ def bob_antisymmetric_functionals(rng):
         for matrix in (rng.normal(size=(m, m)), rng.integers(-1, 2, size=(m, m))):
             f = grothendieck.correlator_bell(grothendieck.CorrelationFunctional(matrix))
             marginal_a = [rng.normal(size=2) for _ in range(m)]
-            yield BellFunctional(f.scenario, f.joint, marginal_a, f.marginal_b, 0.75)
+            # Every setting is binary, so C[:-1, :-1] holds the joint blocks
+            # and C[-1, :-1, 0] Bob's marginals.
+            c = f.coefficients
+            yield BellFunctional(f.scenario, c[:-1, :-1], marginal_a, c[-1, :-1, 0], 0.75)
     sc = BellScenario((2, 3, 4), (2,) * 4)
     for draw in (rng.normal, lambda size: rng.integers(-2, 3, size=size).astype(float)):
         columns = [[draw(size=va) for _ in range(4)] for va in sc.outcomes_a]

@@ -199,7 +199,7 @@ def test_correlator_bell_structure_and_local_bound(rng):
 
 def test_correlator_bell_zero_matrix():
     f = correlator_bell(CorrelationFunctional(np.zeros((2, 2))))
-    assert all(not f.joint[x][y].any() for x in range(2) for y in range(2))
+    assert all(not f.coefficients[x, y, :2, :2].any() for x in range(2) for y in range(2))
     assert f.constant == 0.0
 
 

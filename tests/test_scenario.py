@@ -235,13 +235,13 @@ def test_bell_operator_trivial_noise_measurements():
     )
     op = bell_operator(f, povms_a, povms_b)
     # every probability is 1/(vA*vB), so the operator is the coefficient sum times I
-    expected = f.constant
-    for x in range(sc.settings_a):
-        for y in range(sc.settings_b):
-            expected += f.joint[x][y].sum() / (sc.outcomes_a[x] * sc.outcomes_b[y])
-        expected += f.marginal_a[x].sum() / sc.outcomes_a[x]
-    for y in range(sc.settings_b):
-        expected += f.marginal_b[y].sum() / sc.outcomes_b[y]
+    c, expected = f.coefficients, f.constant
+    for x, va in enumerate(sc.outcomes_a):
+        for y, vb in enumerate(sc.outcomes_b):
+            expected += c[x, y, :va, :vb].sum() / (va * vb)
+        expected += c[x, -1, :va, 0].sum() / va
+    for y, vb in enumerate(sc.outcomes_b):
+        expected += c[-1, y, 0, :vb].sum() / vb
     assert np.abs(op - expected * np.eye(3 * d)).max() < 1e-12
 
 

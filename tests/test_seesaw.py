@@ -14,6 +14,7 @@ from dimwit import catalog, linalg
 
 ss = importlib.import_module("dimwit.seesaw")
 from dimwit.errors import ConfigError, InvalidFunctionalError, NoConvergenceError, NotHermitianError, NotPSDError
+from dimwit.localbound import local_bound
 from dimwit.scenario import (
     BellFunctional,
     BellScenario,
@@ -1367,3 +1368,14 @@ def test_large_coefficients_do_not_abort(name, scale):
         scaled = seesaw(f.scaled(scale), 3, 3, cfg)
     assert scaled.aborted == {}
     assert abs(scaled.best_value / scale - seesaw(f, 3, 3, cfg).best_value) < 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: random starts never explore outcomes past the local "
+    "dimension, so the d=2 see-saw on I_phi(5*pi/8) ends below the local bound"
+)
+def test_seesaw_reaches_the_local_bound_on_iphi_at_d2():
+    f = catalog.i_phi(1.9634954084936207)
+    found = seesaw(f, 2, 2, SeesawConfig(restarts=50, seed=0)).best_value
+    assert found >= local_bound(f)[0] - 1e-12
